@@ -219,8 +219,10 @@ def _anchor_rotation(ego: _SceneArrays, coop: _SceneArrays, i: int, j: int, flip
 
 def _rank(score: PairScore) -> tuple[float, float]:
     """Sort key of anchor scores, best first: higher confidence, then lower
-    mean distance."""
-    return -score.confidence, score.mean_distance
+    mean distance to 1e-9 m. Means that differ only by rounding tie, so
+    callers' tie rules (unflipped variant first, lower ego index first)
+    decide instead of floating-point noise."""
+    return -score.confidence, round(score.mean_distance, 9)
 
 
 def _pair_score(

@@ -15,8 +15,10 @@ from boxcalib import (
     associate,
     box_distance,
     build_affinity,
+    calibrate_scenes,
     invert,
     odist,
+    rot_z,
     solve_assignment,
     top_k_by_volume,
     transform_box,
@@ -409,6 +411,26 @@ def test_reversed_headings_break_consensus_when_flips_are_disabled():
     m = build_affinity(ego, coop, ODistParams(try_yaw_flip=False))
     assert np.max(m.entries) <= 1.0
     assert not np.any(m.coop_flip)
+
+
+def test_congruent_single_boxes_keep_the_unflipped_heading():
+    # Both heading variants fit a lone congruent pair exactly, so their mean
+    # distances differ only by rounding; that tie goes to the unflipped one.
+    rng = np.random.default_rng(8)
+    flipped = 0
+    for _ in range(200):
+        coop_box = make_box(
+            rng.uniform(-30, 30, 3), dims=rng.uniform(1, 6, 3), yaw=rng.uniform(0, 2 * math.pi)
+        )
+        t = yaw_transform(rng.uniform(0, 2 * math.pi), rng.uniform(-20, 20, 3))
+        ego_box = transform_box(t, coop_box)
+        report = calibrate_scenes(make_scene([ego_box]), make_scene([coop_box]))
+        if report.matches.matches[0].coop_yaw_flipped:
+            flipped += 1
+            continue
+        expected = rot_z(ego_box.yaw - coop_box.yaw)
+        assert np.linalg.norm(report.transform.rotation - expected) < 1e-9
+    assert flipped == 0, f"{flipped} of 200 congruent pairs came back flipped"
 
 
 # ---- top_k_by_volume ----
