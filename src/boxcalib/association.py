@@ -2,9 +2,10 @@
 
 No initial relative pose is assumed. Every (ego box, coop box) pair is
 treated as a candidate anchor: the rigid motion mapping the coop box onto
-the ego box is computed from the corner matrices, the whole coop scene is
-brought into the ego frame under that motion, and the quality of the pair
-is scored by how well the rest of the scene lines up:
+the ego box is the closed-form Kabsch fit of their corners (a rotation by
+the yaw difference, see registration.yaw_rotation), the whole coop scene
+is brought into the ego frame under that motion, and the quality of the
+pair is scored by how well the rest of the scene lines up:
 
 * confidence: how many box pairs fall within tau of each other under a
   greedy one-to-one pairing by ascending distance, and
@@ -25,16 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import DetectionBox, RigidTransform, Scene, corners_of, with_flipped_yaw
-from .registration import (
-    DegenerateCorners,
-    WeightedCorrespondences,
-    _svd_rotation,
-    weighted_kabsch,
-)
+from .geometry import DetectionBox, RigidTransform, Scene, rot_z
+from .registration import DegenerateCorners, build_feature_clouds, weighted_kabsch, yaw_rotation
 
 # Closed-form refits of an assigned anchor on its valid set.
 REFINE_PASSES = 2
+
+# A reversed heading (yaw + pi) negates a box's length and width axes.
+_FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -136,45 +135,67 @@ class AffinityMatrix:
 
 def box_distance(a: DetectionBox, b: DetectionBox, params: ODistParams = ODistParams()) -> float:
     """alpha * |center difference| + beta * Frobenius norm of corner difference."""
-    center = float(np.linalg.norm(a.center - b.center))
-    corner = float(np.linalg.norm(corners_of(a) - corners_of(b)))
-    return params.alpha * center + params.beta * corner
+    one_a, one_b = _SceneArrays(Scene((a,))), _SceneArrays(Scene((b,)))
+    return float(_distances(one_a, one_b, np.eye(3), np.zeros(3), False, params)[0, 0])
 
 
 class _SceneArrays:
-    """Stacked per-scene geometry reused across anchor evaluations."""
+    """Stacked per-scene geometry reused across anchor evaluations: centers,
+    dims, yaws and the scaled axes A = rot_z(yaw) @ diag(dims) of each box."""
 
-    def __init__(self, scene: Scene, with_flip: bool = False):
+    def __init__(self, scene: Scene):
         n = len(scene)
-        self.centers = np.array([b.center for b in scene]) if n else np.zeros((0, 3))
-        self.corners = (
-            np.array([corners_of(b) for b in scene]) if n else np.zeros((0, 8, 3))
-        )
-        self.flipped = (
-            np.array([corners_of(with_flipped_yaw(b)) for b in scene])
-            if with_flip and n
-            else None
-        )
+        self.scene = scene
+        self.centers = np.array([b.center for b in scene]).reshape(n, 3)
+        self.dims = np.array([b.dims for b in scene]).reshape(n, 3)
+        self.yaws = np.array([b.yaw for b in scene])
+        self.axes = np.array([rot_z(b.yaw) * b.dims for b in scene]).reshape(n, 3, 3)
 
 
-def _greedy_valid_pairs(
+def _distances(
     ego: _SceneArrays,
-    coop_centers: np.ndarray,
-    coop_corners: np.ndarray,
+    coop: _SceneArrays,
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    flipped: bool,
     params: ODistParams,
-) -> tuple[tuple[tuple[int, int, float], ...], float, float]:
-    """One-to-one pairing by ascending distance, admitting pairs within tau.
+) -> np.ndarray:
+    """box_distance of every (ego box, coop box) pair, the coop boxes moved
+    by (rotation, translation) and, if flipped, heading-reversed.
+
+    A box's corners are c + S diag(dims/2) rot_z(yaw)^T, and the 8x3 sign
+    matrix S has zero column sums and S^T S = 8 I, so the corner term is
+    exactly sqrt(8 |dc|^2 + 2 |dA|_F^2). A rigid motion maps A to R A.
+    """
+    axes = rotation @ coop.axes
+    if flipped:
+        axes = axes * _FLIP_AXES
+    dc = ego.centers[:, None, :] - (coop.centers @ rotation.T + translation)[None, :, :]
+    da = ego.axes[:, None] - axes[None, :]
+    dc2 = np.einsum("ijk,ijk->ij", dc, dc)
+    da2 = np.einsum("ijkl,ijkl->ij", da, da)
+    return params.alpha * np.sqrt(dc2) + params.beta * np.sqrt(8.0 * dc2 + 2.0 * da2)
+
+
+def _score(
+    ego: _SceneArrays,
+    coop: _SceneArrays,
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    flipped: bool,
+    params: ODistParams,
+) -> PairScore:
+    """Scene-consistency score of the coop scene moved by (rotation,
+    translation): one-to-one pairing by ascending distance, admitting pairs
+    within tau.
 
     Ties in distance are broken by (ego index, coop index) so the result
     does not depend on evaluation order.
     """
-    n, m = ego.centers.shape[0], coop_centers.shape[0]
+    n, m = ego.centers.shape[0], coop.centers.shape[0]
     if n == 0 or m == 0:
-        return (), 0.0, math.inf
-    center_d = np.linalg.norm(ego.centers[:, None, :] - coop_centers[None, :, :], axis=-1)
-    diff = ego.corners[:, None, :, :] - coop_corners[None, :, :, :]
-    corner_d = np.sqrt(np.einsum("ijkl,ijkl->ij", diff, diff))
-    d = params.alpha * center_d + params.beta * corner_d
+        return PairScore(0.0, math.inf, (), flipped)
+    d = _distances(ego, coop, rotation, translation, flipped, params)
 
     flat = np.flatnonzero(d <= params.tau)
     order = flat[np.argsort(d.reshape(-1)[flat], kind="stable")]
@@ -189,32 +210,9 @@ def _greedy_valid_pairs(
         col_used[j] = True
         picked.append((i, j, float(d[i, j])))
     if not picked:
-        return (), 0.0, math.inf
+        return PairScore(0.0, math.inf, (), flipped)
     mean = float(np.mean([p[2] for p in picked]))
-    return tuple(picked), float(len(picked)), mean
-
-
-def _score_transform(
-    ego: _SceneArrays,
-    coop: _SceneArrays,
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    params: ODistParams,
-    use_flipped_corners: bool,
-) -> tuple[tuple[tuple[int, int, float], ...], float, float]:
-    corners = coop.flipped if use_flipped_corners else coop.corners
-    moved_centers = coop.centers @ rotation.T + translation
-    moved_corners = corners @ rotation.T + translation
-    return _greedy_valid_pairs(ego, moved_centers, moved_corners, params)
-
-
-def _anchor_rotation(ego: _SceneArrays, coop: _SceneArrays, i: int, j: int, flipped: bool):
-    corners = coop.flipped if flipped else coop.corners
-    A = ego.corners[i] - ego.centers[i]
-    B = corners[j] - coop.centers[j]
-    R = _svd_rotation(A.T @ B, DegenerateCorners)
-    t = ego.centers[i] - R @ coop.centers[j]
-    return R, t
+    return PairScore(float(len(picked)), mean, tuple(picked), flipped)
 
 
 def _rank(score: PairScore) -> tuple[float, float]:
@@ -231,9 +229,10 @@ def _pair_score(
     variants = [False, True] if params.try_yaw_flip else [False]
     best: PairScore | None = None
     for flipped in variants:
-        R, t = _anchor_rotation(ego, coop, i, j, flipped)
-        pairs, conf, mean = _score_transform(ego, coop, R, t, params, flipped)
-        score = PairScore(conf, mean, pairs, flipped)
+        coop_yaw = coop.yaws[j] + math.pi if flipped else coop.yaws[j]
+        R = yaw_rotation(ego.yaws[i], ego.dims[i], coop_yaw, coop.dims[j])
+        t = ego.centers[i] - R @ coop.centers[j]
+        score = _score(ego, coop, R, t, flipped, params)
         if best is None or _rank(score) < _rank(best):
             best = score
     assert best is not None
@@ -242,9 +241,7 @@ def _pair_score(
 
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
     """Score anchor pair (ego[i], coop[j]) by whole-scene alignment consistency."""
-    ego_a = _SceneArrays(ego)
-    coop_a = _SceneArrays(coop, with_flip=params.try_yaw_flip)
-    return _pair_score(ego_a, coop_a, i, j, params)
+    return _pair_score(_SceneArrays(ego), _SceneArrays(coop), i, j, params)
 
 
 def alignment_score(
@@ -255,12 +252,9 @@ def alignment_score(
     Pairs are formed exactly as in odist: greedy one-to-one by ascending
     distance, admitting pairs within tau.
     """
-    ego_a = _SceneArrays(ego)
-    coop_a = _SceneArrays(coop)
-    pairs, conf, mean = _score_transform(
-        ego_a, coop_a, transform.rotation, transform.translation, params, False
+    return _score(
+        _SceneArrays(ego), _SceneArrays(coop), transform.rotation, transform.translation, False, params
     )
-    return PairScore(conf, mean, pairs, False)
 
 
 def _score_anchors(
@@ -286,9 +280,7 @@ def _score_anchors(
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
     """Score every anchor pair, keeping confidences where mean distance < tau1."""
-    ego_a = _SceneArrays(ego)
-    coop_a = _SceneArrays(coop, with_flip=params.try_yaw_flip)
-    return _score_anchors(ego_a, coop_a, params)[0]
+    return _score_anchors(_SceneArrays(ego), _SceneArrays(coop), params)[0]
 
 
 def _max_assignment_total(entries: np.ndarray) -> float:
@@ -360,20 +352,12 @@ def _refine(
     weights) and keeps the refit only if it scores better; a valid set of
     one pair is the anchor itself and is left alone.
     """
-    corners = coop.flipped if score.coop_flipped else coop.corners
     for _ in range(REFINE_PASSES):
         if len(score.valid_pairs) < 2:
             break
-        rows = [p[0] for p in score.valid_pairs]
-        cols = [p[1] for p in score.valid_pairs]
-        source = corners[cols].reshape(-1, 3)
-        fit = weighted_kabsch(
-            WeightedCorrespondences(source, ego.corners[rows].reshape(-1, 3), np.ones(len(source)))
-        ).transform
-        pairs, conf, mean = _score_transform(
-            ego, coop, fit.rotation, fit.translation, params, score.coop_flipped
-        )
-        refined = PairScore(conf, mean, pairs, score.coop_flipped)
+        unit = MatchSet(tuple(Match(i, j, 1.0, score.coop_flipped) for i, j, _ in score.valid_pairs))
+        fit = weighted_kabsch(build_feature_clouds(unit, ego.scene, coop.scene)).transform
+        refined = _score(ego, coop, fit.rotation, fit.translation, score.coop_flipped, params)
         if _rank(refined) >= _rank(score):
             break
         score = refined
@@ -391,7 +375,7 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     match carries the winner's confidence and heading-flip flag.
     """
     ego_a = _SceneArrays(ego)
-    coop_a = _SceneArrays(coop, with_flip=params.try_yaw_flip)
+    coop_a = _SceneArrays(coop)
     affinity, scores = _score_anchors(ego_a, coop_a, params)
     assigned = solve_assignment(affinity)
     if len(assigned) == 0:

@@ -1,17 +1,14 @@
 """Rigid registration from box corners.
 
-Two solvers share the same SVD core:
-
 * pair_hypothesis: the exact rigid motion mapping one box onto another,
-  recovered from the two 8x3 corner matrices. Corner rows correspond by
-  canonical order, so a single box pair pins down all six degrees of
-  freedom (Kabsch on eight points).
+  the Kabsch fit of the two 8x3 corner matrices. Corner rows correspond
+  by canonical order, so a single box pair pins down all six degrees of
+  freedom; for yaw-only boxes that fit has a closed form (yaw_rotation).
 * weighted_kabsch: confidence-weighted least squares over the stacked
-  corner clouds of every matched pair.
-
-Both center the point sets before forming the cross-covariance; without
-centering the SVD factors absorb the translation and the orthogonal
-factor is no longer the optimal rotation.
+  corner clouds of every matched pair, solved by SVD. It centers the
+  point sets before forming the cross-covariance; without centering the
+  SVD factors absorb the translation and the orthogonal factor is no
+  longer the optimal rotation.
 """
 from __future__ import annotations
 
@@ -20,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import DetectionBox, RigidTransform, Scene, corners_of, with_flipped_yaw
+from .geometry import DetectionBox, RigidTransform, Scene, corners_of, rot_z, with_flipped_yaw
 
 if TYPE_CHECKING:  # pragma: no cover
     from .association import MatchSet
@@ -79,21 +76,36 @@ class RegistrationResult:
     rms_residual: float
 
 
-def _svd_rotation(H: np.ndarray, err: type[ValueError]) -> np.ndarray:
+def _svd_rotation(H: np.ndarray) -> np.ndarray:
     U, S, Vt = np.linalg.svd(H)
     if S[0] <= 0.0 or S[1] / S[0] < RANK_RATIO_MIN:
-        raise err(f"cross-covariance is rank-deficient (singular values {S})")
+        raise DegenerateGeometry(f"cross-covariance is rank-deficient (singular values {S})")
     d = np.sign(np.linalg.det(U @ Vt))
     return U @ np.diag([1.0, 1.0, d]) @ Vt
 
 
+def yaw_rotation(ego_yaw: float, ego_dims: np.ndarray, coop_yaw: float, coop_dims: np.ndarray) -> np.ndarray:
+    """Kabsch rotation between the corner matrices of two yaw-only boxes.
+
+    Centered corners are S diag(dims/2) rot_z(yaw)^T with the sign matrix S
+    satisfying S^T S = 8 I, so the cross-covariance is
+    2 rot_z(ego_yaw) diag(ego_dims * coop_dims) rot_z(coop_yaw)^T: its
+    singular values are 2 * ego_dims * coop_dims and its rotation factor is
+    rot_z(ego_yaw - coop_yaw). Raises DegenerateCorners when those singular
+    values fail the rank test weighted_kabsch applies.
+    """
+    low, mid, high = sorted(float(e) * float(c) for e, c in zip(ego_dims, coop_dims))
+    if high <= 0.0 or mid / high < RANK_RATIO_MIN:
+        raise DegenerateCorners(
+            f"cross-covariance is rank-deficient (singular values {[2 * high, 2 * mid, 2 * low]})"
+        )
+    return rot_z(ego_yaw - coop_yaw)
+
+
 def pair_hypothesis(ego_box: DetectionBox, coop_box: DetectionBox) -> RigidTransform:
     """Rigid transform mapping coop_box onto ego_box via their corner matrices."""
-    A = corners_of(ego_box) - ego_box.center
-    B = corners_of(coop_box) - coop_box.center
-    R = _svd_rotation(A.T @ B, DegenerateCorners)
-    t = ego_box.center - R @ coop_box.center
-    return RigidTransform(R, t)
+    R = yaw_rotation(ego_box.yaw, ego_box.dims, coop_box.yaw, coop_box.dims)
+    return RigidTransform(R, ego_box.center - R @ coop_box.center)
 
 
 def weighted_kabsch(corr: WeightedCorrespondences) -> RegistrationResult:
@@ -108,7 +120,7 @@ def weighted_kabsch(corr: WeightedCorrespondences) -> RegistrationResult:
     src_c = corr.source - src_bar
     tgt_c = corr.target - tgt_bar
     H = (w[:, None] * tgt_c).T @ src_c
-    R = _svd_rotation(H, DegenerateGeometry)
+    R = _svd_rotation(H)
     t = tgt_bar - R @ src_bar
     residual = corr.source @ R.T + t - corr.target
     rms = float(np.sqrt((w * np.einsum("ij,ij->i", residual, residual)).sum() / wsum))

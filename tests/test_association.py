@@ -12,10 +12,13 @@ from boxcalib import (
     AffinityMatrix,
     NoCoVisibleObjects,
     ODistParams,
+    RigidTransform,
+    alignment_score,
     associate,
     box_distance,
     build_affinity,
     calibrate_scenes,
+    corners_of,
     invert,
     odist,
     rot_z,
@@ -74,6 +77,44 @@ def test_distance_is_symmetric_and_nonnegative():
         b = make_box(rng.uniform(-10, 10, 3), dims=rng.uniform(1, 5, 3), yaw=rng.uniform(0, 6))
         assert box_distance(a, b) == pytest.approx(box_distance(b, a), rel=1e-12)
         assert box_distance(a, b) >= 0.0
+
+
+def corner_distance_oracle(ego_corners, coop_corners, params):
+    """box_distance from its definition: alpha * |center difference| +
+    beta * Frobenius norm of the 8x3 corner difference."""
+    center = np.linalg.norm(ego_corners.mean(axis=0) - coop_corners.mean(axis=0))
+    return params.alpha * center + params.beta * np.linalg.norm(ego_corners - coop_corners)
+
+
+def random_box(rng):
+    return make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
+
+
+def test_box_distance_matches_the_corner_definition():
+    rng = np.random.default_rng(19)
+    for params in (ODistParams(), ODistParams(alpha=0.3, beta=1.7), CENTER_ONLY):
+        for _ in range(100):
+            a, b = random_box(rng), random_box(rng)
+            for other in (b, with_flipped_yaw(b)):
+                expected = corner_distance_oracle(corners_of(a), corners_of(other), params)
+                assert box_distance(a, other, params) == pytest.approx(expected, rel=1e-12)
+
+
+def test_alignment_distances_under_a_tilt_match_the_corner_definition():
+    # a rotation off the z axis moves boxes out of the yaw-only family; the
+    # scored distances still equal the distances between moved corners
+    ego = spread_scene(6, seed=27)
+    truth = yaw_transform(0.6, (5.0, -3.0, 0.2))
+    coop = transform_scene(invert(truth), ego)
+    c, s = math.cos(0.03), math.sin(0.03)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    moved = RigidTransform(tilt @ truth.rotation, truth.translation + 0.1)
+    score = alignment_score(ego, coop, moved)
+    assert score.confidence == 6
+    for i, j, d in score.valid_pairs:
+        coop_corners = corners_of(coop[j]) @ moved.rotation.T + moved.translation
+        expected = corner_distance_oracle(corners_of(ego[i]), coop_corners, ODistParams())
+        assert d == pytest.approx(expected, rel=1e-12)
 
 
 # ---- odist ----

@@ -65,6 +65,18 @@ def test_pair_hypothesis_maps_the_seed_pair_exactly():
     )
 
 
+def test_pair_hypothesis_equals_the_corner_kabsch_fit():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        ego_box = make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
+        coop_box = make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
+        for coop in (coop_box, with_flipped_yaw(coop_box)):
+            r_ref, t_ref = kabsch_oracle(corners_of(coop), corners_of(ego_box))
+            estimate = pair_hypothesis(ego_box, coop)
+            assert np.linalg.norm(estimate.rotation - r_ref) < 1e-12
+            assert np.linalg.norm(estimate.translation - t_ref) < 1e-12
+
+
 def test_pair_hypothesis_rejects_needle_boxes():
     needle = make_box((0, 0, 0), dims=(4.0, 1e-12, 1e-12))
     with pytest.raises(DegenerateCorners):
