@@ -77,6 +77,9 @@ class RegistrationResult:
 
 
 def _svd_rotation(H: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(H)):
+        # LAPACK's SVD may never return on a non-finite matrix
+        raise DegenerateGeometry("cross-covariance is not finite (coordinates too large)")
     U, S, Vt = np.linalg.svd(H)
     if S[0] <= 0.0 or S[1] / S[0] < RANK_RATIO_MIN:
         raise DegenerateGeometry(f"cross-covariance is rank-deficient (singular values {S})")

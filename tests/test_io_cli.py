@@ -4,6 +4,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,6 +332,23 @@ def test_calibrate_degenerate_geometry_exits_4(tmp_path, capsys, monkeypatch):
     rc = cli.main(["calibrate", str(ego_path), str(coop_path)])
     assert rc == 4
     assert "rank-deficient" in capsys.readouterr().err
+
+
+def test_calibrate_overflowing_coordinates_exits_4(tmp_path):
+    # A center of 1e300 parses, but the refit's cross-covariance overflows,
+    # and LAPACK's SVD may never return on it. A subprocess with a timeout
+    # turns a hang into a failure.
+    boxes = list(spread_scene(3, seed=5)) + [make_box((1e300, 0.0, 0.0), dims=(4.5, 1.9, 1.6))]
+    path = tmp_path / "scene.json"
+    save_scene(make_scene(boxes), path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxcalib.cli", "calibrate", str(path), str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 4
+    assert "not finite" in proc.stderr
 
 
 def test_out_of_range_flag_exits_2(tmp_path, capsys):
