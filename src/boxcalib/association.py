@@ -192,11 +192,8 @@ def _score(
     Ties in distance are broken by (ego index, coop index) so the result
     does not depend on evaluation order.
     """
-    n, m = ego.centers.shape[0], coop.centers.shape[0]
-    if n == 0 or m == 0:
-        return PairScore(0.0, math.inf, (), flipped)
     d = _distances(ego, coop, rotation, translation, flipped, params)
-
+    n, m = d.shape
     flat = np.flatnonzero(d <= params.tau)
     order = flat[np.argsort(d.reshape(-1)[flat], kind="stable")]
     row_used = np.zeros(n, dtype=bool)
@@ -209,9 +206,7 @@ def _score(
         row_used[i] = True
         col_used[j] = True
         picked.append((i, j, float(d[i, j])))
-    if not picked:
-        return PairScore(0.0, math.inf, (), flipped)
-    mean = float(np.mean([p[2] for p in picked]))
+    mean = float(np.mean([p[2] for p in picked])) if picked else math.inf
     return PairScore(float(len(picked)), mean, tuple(picked), flipped)
 
 
