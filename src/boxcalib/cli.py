@@ -26,7 +26,7 @@ import numpy as np
 from . import io as bio
 from .association import NoCoVisibleObjects, ODistParams
 from .metrics import TrialError, rre, rte, summarize
-from .monitor import MonitorState, MonitorStatus, MonitorEvent, EventKind, step
+from .monitor import MonitorState, step, unreadable_frame
 from .pipeline import calibrate_scenes
 from .registration import DegenerateCorners, DegenerateGeometry, EmptyMatchSet
 from .synth import (
@@ -77,10 +77,6 @@ def _load_run_config(args) -> bio.RunConfig:
     return cfg
 
 
-def _finite_or_none(x: float):
-    return x if math.isfinite(x) else None
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -106,9 +102,7 @@ def cmd_calibrate(args) -> int:
     ego = bio.load_scene(args.ego)
     coop = bio.load_scene(args.coop)
     report = calibrate_scenes(ego, coop, cfg.odist, cfg.top_k)
-    doc = report.to_dict()
-    doc["health_mean_distance"] = _finite_or_none(doc["health_mean_distance"])
-    json.dump(doc, sys.stdout, indent=2)
+    json.dump(bio.report_to_dict(report), sys.stdout, indent=2)
     sys.stdout.write("\n")
     if args.out:
         bio.save_extrinsic(report.transform, args.out)
@@ -117,24 +111,16 @@ def cmd_calibrate(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    manifest = bio._read_json(args.manifest)
-    if not isinstance(manifest, list):
-        raise bio.ParseError(args.manifest, "<root>", "expected a list of entries")
-    base = Path(args.manifest).parent
     trials: list[TrialError] = []
     times: list[float] = []
     n_missing_gt = 0
-    for idx, entry in enumerate(manifest):
-        where = f"[{idx}]"
-        if not isinstance(entry, dict) or "ego" not in entry or "coop" not in entry:
-            raise bio.ParseError(args.manifest, where, "expected {'ego', 'coop', 'gt'} paths")
-        ego = bio.load_scene(base / entry["ego"])
-        coop = bio.load_scene(base / entry["coop"])
-        gt_path = entry.get("gt")
+    for ego_path, coop_path, gt_path in bio.load_manifest(args.manifest):
+        ego = bio.load_scene(ego_path)
+        coop = bio.load_scene(coop_path)
         if gt_path is None:
             n_missing_gt += 1
             continue
-        gt = bio.load_extrinsic(base / gt_path)
+        gt = bio.load_extrinsic(gt_path)
         start = time.perf_counter()
         try:
             report = calibrate_scenes(ego, coop, cfg.odist, cfg.top_k)
@@ -198,16 +184,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _event_to_dict(event: MonitorEvent) -> dict:
-    return {
-        "frame_id": event.frame_id,
-        "kind": event.kind.value,
-        "confidence": event.confidence,
-        "mean_distance": _finite_or_none(event.mean_distance),
-        "attempt": event.attempt,
-    }
-
-
 def _stream_frames(stream_dir: Path):
     stems = sorted(
         {p.name[: -len(".ego.json")] for p in stream_dir.glob("*.ego.json")}
@@ -248,25 +224,12 @@ def cmd_monitor(args) -> int:
                 coop = bio.load_scene(coop_path)
             except bio.ParseError as e:
                 print(f"frame {stem}: {e}", file=sys.stderr)
-                event = MonitorEvent(
-                    state.frame_count, EventKind.DEGRADED_ENTERED, 0.0, math.inf, 0
-                )
-                if state.current_extrinsic is not None:
-                    state = MonitorState(
-                        state.current_extrinsic,
-                        MonitorStatus.DEGRADED,
-                        state.last_health,
-                        state.frame_count + 1,
-                    )
-                else:
-                    state = MonitorState(
-                        None, MonitorStatus.UNCALIBRATED, None, state.frame_count + 1
-                    )
-                events_file.write(json.dumps(_event_to_dict(event)) + "\n")
+                state, event = unreadable_frame(state)
+                events_file.write(json.dumps(bio.event_to_dict(event)) + "\n")
                 continue
             state, events = step(state, ego, coop, mon_cfg, cfg.odist, cfg.top_k)
             for event in events:
-                events_file.write(json.dumps(_event_to_dict(event)) + "\n")
+                events_file.write(json.dumps(bio.event_to_dict(event)) + "\n")
             if state.current_extrinsic is not None:
                 bio.save_extrinsic(state.current_extrinsic, extrinsic_path)
             bio.save_state(state, state_path)

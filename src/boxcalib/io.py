@@ -1,4 +1,5 @@
-"""JSON file formats: scenes, extrinsics, monitor state, run configuration.
+"""JSON file formats: scenes, extrinsics, calibration reports, monitor
+state and events, eval manifests, run configuration.
 
 All writers emit plain JSON with full-precision floats, so a save/load
 round trip reproduces values exactly. Extrinsic and state files are
@@ -11,15 +12,15 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .association import ODistParams
 from .geometry import DetectionBox, RigidTransform, Scene
-from .monitor import MonitorConfig, MonitorState, MonitorStatus
-from .pipeline import DEFAULT_TOP_K
+from .monitor import MonitorConfig, MonitorEvent, MonitorState, MonitorStatus
+from .pipeline import DEFAULT_TOP_K, CalibrationReport
 from .synth import NoiseConfig, SynthConfig
 
 
@@ -166,6 +167,33 @@ def save_extrinsic(t: RigidTransform, path) -> None:
     _atomic_write(path, json.dumps(extrinsic_to_dict(t), indent=2) + "\n")
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+def report_to_dict(report: CalibrationReport) -> dict:
+    """A calibration report as plain JSON; a non-finite mean distance is null."""
+    return {
+        **extrinsic_to_dict(report.transform),
+        "matches": [asdict(m) for m in report.matches],
+        "rms_residual": report.rms_residual,
+        "health_confidence": report.health_confidence,
+        "health_mean_distance": _finite_or_none(report.health_mean_distance),
+        "elapsed_s": report.elapsed_s,
+    }
+
+
+def event_to_dict(event: MonitorEvent) -> dict:
+    """A monitor event as plain JSON; a non-finite mean distance is null."""
+    return {
+        "frame_id": event.frame_id,
+        "kind": event.kind.value,
+        "confidence": event.confidence,
+        "mean_distance": _finite_or_none(event.mean_distance),
+        "attempt": event.attempt,
+    }
+
+
 def state_to_dict(state: MonitorState) -> dict:
     return {
         "status": state.status.value,
@@ -211,6 +239,24 @@ def save_state(state: MonitorState, path) -> None:
 
 def load_state(path) -> MonitorState:
     return state_from_dict(_read_json(path), path)
+
+
+def load_manifest(path) -> list[tuple[Path, Path, Path | None]]:
+    """(ego, coop, gt) paths of an eval manifest, a JSON list of
+    {"ego", "coop", "gt"} file paths relative to the manifest's directory;
+    "gt" may be null or absent."""
+    doc = _read_json(path)
+    if not isinstance(doc, list):
+        raise ParseError(path, "<root>", "expected a list of entries")
+    base = Path(path).parent
+    entries = []
+    for idx, entry in enumerate(doc):
+        named = isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("ego", "coop"))
+        if not named or not isinstance(entry.get("gt"), (str, type(None))):
+            raise ParseError(path, f"[{idx}]", "expected {'ego', 'coop', 'gt'} paths")
+        gt = entry.get("gt")
+        entries.append((base / entry["ego"], base / entry["coop"], None if gt is None else base / gt))
+    return entries
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ threshold, calibration is re-run with bounded retries that progressively
 widen the pairing gates. The first frame uses the boot threshold, later
 frames the monitor threshold.
 
-step() is a pure transition function: persistence and frame acquisition
-belong to the caller (see the monitor CLI command).
+step() and unreadable_frame() are pure transition functions: persistence
+and frame acquisition belong to the caller (see the monitor CLI command).
 """
 from __future__ import annotations
 
@@ -236,3 +236,17 @@ def step(
         MonitorState(state.current_extrinsic, MonitorStatus.DEGRADED, measured, frame + 1),
         events,
     )
+
+
+def unreadable_frame(state: MonitorState) -> tuple[MonitorState, MonitorEvent]:
+    """Transition for a frame whose scenes could not be read.
+
+    A held extrinsic is kept in degraded operation with its last health;
+    without one the monitor stays uncalibrated. The event carries no
+    health (confidence 0, mean distance inf).
+    """
+    frame = state.frame_count
+    event = MonitorEvent(frame, EventKind.DEGRADED_ENTERED, 0.0, math.inf, 0)
+    if state.current_extrinsic is None:
+        return MonitorState(None, MonitorStatus.UNCALIBRATED, None, frame + 1), event
+    return replace(state, status=MonitorStatus.DEGRADED, frame_count=frame + 1), event

@@ -28,25 +28,6 @@ class CalibrationReport:
     health_mean_distance: float
     elapsed_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rotation": [float(x) for x in self.transform.rotation.reshape(-1)],
-            "translation": [float(x) for x in self.transform.translation],
-            "matches": [
-                {
-                    "ego_index": m.ego_index,
-                    "coop_index": m.coop_index,
-                    "confidence": m.confidence,
-                    "coop_yaw_flipped": m.coop_yaw_flipped,
-                }
-                for m in self.matches
-            ],
-            "rms_residual": self.rms_residual,
-            "health_confidence": self.health_confidence,
-            "health_mean_distance": self.health_mean_distance,
-            "elapsed_s": self.elapsed_s,
-        }
-
 
 def calibrate_scenes(
     ego: Scene,

@@ -99,9 +99,7 @@ def yaw_rotation(ego_yaw: float, ego_dims: np.ndarray, coop_yaw: float, coop_dim
     """
     low, mid, high = sorted(float(e) * float(c) for e, c in zip(ego_dims, coop_dims))
     if high <= 0.0 or mid / high < RANK_RATIO_MIN:
-        raise DegenerateCorners(
-            f"cross-covariance is rank-deficient (singular values {[2 * high, 2 * mid, 2 * low]})"
-        )
+        raise DegenerateCorners(f"cross-covariance is rank-deficient (dims products {high, mid, low})")
     return rot_z(ego_yaw - coop_yaw)
 
 

@@ -30,6 +30,7 @@ from boxcalib.io import (
     extrinsic_from_dict,
     extrinsic_to_dict,
     load_extrinsic,
+    load_manifest,
     load_scene,
     load_state,
     save_extrinsic,
@@ -392,6 +393,24 @@ def eval_fixture(tmp_path, offsets, with_null_gt=False, hopeless=False):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(entries))
     return manifest
+
+
+def test_manifest_paths_resolve_against_its_directory(tmp_path):
+    manifest = eval_fixture(tmp_path, offsets=[0.5], with_null_gt=True)
+    assert load_manifest(manifest) == [
+        (tmp_path / "ego.json", tmp_path / "coop.json", tmp_path / "gt0.json"),
+        (tmp_path / "ego.json", tmp_path / "coop.json", None),
+    ]
+    for doc, where in (
+        ({"ego": "a.json"}, "<root>"),
+        ([{"ego": "a.json"}], "[0]"),
+        ([{"ego": "a.json", "coop": "b.json"}, {"ego": 5, "coop": "b.json"}], "[1]"),
+        ([{"ego": "a.json", "coop": "b.json", "gt": 3}], "[0]"),
+    ):
+        path = write_json(tmp_path, "bad_manifest.json", doc)
+        with pytest.raises(ParseError) as info:
+            load_manifest(path)
+        assert info.value.where == where
 
 
 def read_csv(text):

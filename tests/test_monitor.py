@@ -22,6 +22,7 @@ from boxcalib import (
     transform_scene,
 )
 from boxcalib.io import state_from_dict, state_to_dict
+from boxcalib.monitor import unreadable_frame
 from conftest import make_box, make_scene, spread_scene, yaw_transform
 
 
@@ -247,6 +248,23 @@ def test_runtime_failure_degrades_but_retains_the_extrinsic():
     state, events = step(state, ego, coop, cfg)
     assert kinds(events) == [EventKind.HEALTH_OK]
     assert state.status is MonitorStatus.CALIBRATED
+
+
+def test_unreadable_frame_degrades_a_held_extrinsic_and_keeps_its_health():
+    held = yaw_transform(0.4, (1.0, 2.0, 0.0))
+    state = MonitorState(held, MonitorStatus.CALIBRATED, (5.0, 0.2), 3)
+    state, event = unreadable_frame(state)
+    assert state == MonitorState(held, MonitorStatus.DEGRADED, (5.0, 0.2), 4)
+    assert (event.frame_id, event.kind, event.confidence, event.attempt) == (
+        3, EventKind.DEGRADED_ENTERED, 0.0, 0
+    )
+    assert math.isinf(event.mean_distance)
+
+
+def test_unreadable_frame_without_an_extrinsic_stays_uncalibrated():
+    state, event = unreadable_frame(MonitorState(None, MonitorStatus.UNCALIBRATED, None, 2))
+    assert state == MonitorState(None, MonitorStatus.UNCALIBRATED, None, 3)
+    assert (event.frame_id, event.kind) == (2, EventKind.DEGRADED_ENTERED)
 
 
 def test_step_is_a_pure_transition():

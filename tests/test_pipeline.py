@@ -1,6 +1,8 @@
 """Whole-pipeline calibration on synthetic ground truth."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from boxcalib import (
     transform_scene,
     with_flipped_yaw,
 )
+from boxcalib.io import report_to_dict
 from conftest import make_box, make_scene, spread_scene, yaw_transform
 
 
@@ -107,7 +110,7 @@ def test_empty_coop_scene_raises_no_covisible():
 
 def test_report_serializes_to_plain_json_types():
     _, _, _, report = calibrated_pair(6)
-    d = report.to_dict()
+    d = report_to_dict(report)
     assert set(d) == {
         "rotation",
         "translation",
@@ -124,6 +127,9 @@ def test_report_serializes_to_plain_json_types():
     first = d["matches"][0]
     assert set(first) == {"ego_index", "coop_index", "confidence", "coop_yaw_flipped"}
     assert isinstance(report, CalibrationReport)
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
+    unhealthy = report_to_dict(dataclasses.replace(report, health_mean_distance=math.inf))
+    assert unhealthy["health_mean_distance"] is None
 
 
 def test_flipped_coop_headings_are_transparent_to_calibration():
