@@ -247,9 +247,8 @@ def alignment_score(
     Pairs are formed exactly as in odist: greedy one-to-one by ascending
     distance, admitting pairs within tau.
     """
-    return _score(
-        _SceneArrays(ego), _SceneArrays(coop), transform.rotation, transform.translation, False, params
-    )
+    ego_a, coop_a = _SceneArrays(ego), _SceneArrays(coop)
+    return _score(ego_a, coop_a, transform.rotation, transform.translation, False, params)
 
 
 def _score_anchors(
@@ -350,7 +349,7 @@ def _refine(
     for _ in range(REFINE_PASSES):
         if len(score.valid_pairs) < 2:
             break
-        unit = MatchSet(tuple(Match(i, j, 1.0, score.coop_flipped) for i, j, _ in score.valid_pairs))
+        unit = MatchSet([Match(i, j, 1.0, score.coop_flipped) for i, j, _ in score.valid_pairs])
         fit = weighted_kabsch(build_feature_clouds(unit, ego.scene, coop.scene)).transform
         refined = _score(ego, coop, fit.rotation, fit.translation, score.coop_flipped, params)
         if _rank(refined) >= _rank(score):

@@ -251,11 +251,11 @@ def load_manifest(path) -> list[tuple[Path, Path, Path | None]]:
     base = Path(path).parent
     entries = []
     for idx, entry in enumerate(doc):
-        named = isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("ego", "coop"))
-        if not named or not isinstance(entry.get("gt"), (str, type(None))):
+        keys = entry if isinstance(entry, dict) else {}
+        ego, coop, gt = keys.get("ego"), keys.get("coop"), keys.get("gt")
+        if not (isinstance(ego, str) and isinstance(coop, str) and isinstance(gt, (str, type(None)))):
             raise ParseError(path, f"[{idx}]", "expected {'ego', 'coop', 'gt'} paths")
-        gt = entry.get("gt")
-        entries.append((base / entry["ego"], base / entry["coop"], None if gt is None else base / gt))
+        entries.append((base / ego, base / coop, None if gt is None else base / gt))
     return entries
 
 

@@ -87,20 +87,21 @@ def _svd_rotation(H: np.ndarray) -> np.ndarray:
     return U @ np.diag([1.0, 1.0, d]) @ Vt
 
 
-def yaw_rotation(ego_yaw: float, ego_dims: np.ndarray, coop_yaw: float, coop_dims: np.ndarray) -> np.ndarray:
-    """Kabsch rotation between the corner matrices of two yaw-only boxes.
+def yaw_rotation(yaw_e: float, dims_e: np.ndarray, yaw_c: float, dims_c: np.ndarray) -> np.ndarray:
+    """Kabsch rotation taking a coop box's corner matrix onto an ego box's,
+    both boxes rotated about z only.
 
     Centered corners are S diag(dims/2) rot_z(yaw)^T with the sign matrix S
     satisfying S^T S = 8 I, so the cross-covariance is
-    2 rot_z(ego_yaw) diag(ego_dims * coop_dims) rot_z(coop_yaw)^T: its
-    singular values are 2 * ego_dims * coop_dims and its rotation factor is
-    rot_z(ego_yaw - coop_yaw). Raises DegenerateCorners when those singular
+    2 rot_z(yaw_e) diag(dims_e * dims_c) rot_z(yaw_c)^T: its singular
+    values are 2 * dims_e * dims_c and its rotation factor is
+    rot_z(yaw_e - yaw_c). Raises DegenerateCorners when those singular
     values fail the rank test weighted_kabsch applies.
     """
-    low, mid, high = sorted(float(e) * float(c) for e, c in zip(ego_dims, coop_dims))
+    low, mid, high = sorted(float(e) * float(c) for e, c in zip(dims_e, dims_c))
     if high <= 0.0 or mid / high < RANK_RATIO_MIN:
-        raise DegenerateCorners(f"cross-covariance is rank-deficient (dims products {high, mid, low})")
-    return rot_z(ego_yaw - coop_yaw)
+        raise DegenerateCorners(f"rank-deficient cross-covariance (dims products {low, mid, high})")
+    return rot_z(yaw_e - yaw_c)
 
 
 def pair_hypothesis(ego_box: DetectionBox, coop_box: DetectionBox) -> RigidTransform:

@@ -254,7 +254,10 @@ def test_unreadable_frame_degrades_a_held_extrinsic_and_keeps_its_health():
     held = yaw_transform(0.4, (1.0, 2.0, 0.0))
     state = MonitorState(held, MonitorStatus.CALIBRATED, (5.0, 0.2), 3)
     state, event = unreadable_frame(state)
-    assert state == MonitorState(held, MonitorStatus.DEGRADED, (5.0, 0.2), 4)
+    assert state.current_extrinsic is held
+    assert (state.status, state.last_health, state.frame_count) == (
+        MonitorStatus.DEGRADED, (5.0, 0.2), 4
+    )
     assert (event.frame_id, event.kind, event.confidence, event.attempt) == (
         3, EventKind.DEGRADED_ENTERED, 0.0, 0
     )

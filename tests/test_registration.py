@@ -68,8 +68,10 @@ def test_pair_hypothesis_maps_the_seed_pair_exactly():
 def test_pair_hypothesis_equals_the_corner_kabsch_fit():
     rng = np.random.default_rng(9)
     for _ in range(200):
-        ego_box = make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
-        coop_box = make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
+        ego_box, coop_box = (
+            make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
+            for _ in range(2)
+        )
         for coop in (coop_box, with_flipped_yaw(coop_box)):
             r_ref, t_ref = kabsch_oracle(corners_of(coop), corners_of(ego_box))
             estimate = pair_hypothesis(ego_box, coop)
