@@ -118,13 +118,14 @@ class AffinityMatrix:
     coop_flip: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writable
+        e = np.array(self.entries, dtype=float)
         if e.ndim != 2:
             raise ValueError("entries must be 2-D")
         if np.any(e < 0) or not np.all(np.isfinite(e)):
             raise ValueError("entries must be finite and nonnegative")
         flip = self.coop_flip
-        flip = np.zeros(e.shape, dtype=bool) if flip is None else np.asarray(flip, dtype=bool)
+        flip = np.zeros(e.shape, dtype=bool) if flip is None else np.array(flip, dtype=bool)
         if flip.shape != e.shape:
             raise ValueError("coop_flip shape mismatch")
         e.setflags(write=False)
@@ -292,15 +293,9 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
     (ego, coop) index list is lexicographically smallest is returned, so
     results are reproducible across solver versions.
     """
-    if isinstance(affinity, AffinityMatrix):
-        entries, flips = affinity.entries, affinity.coop_flip
-    else:
-        entries = np.asarray(affinity, dtype=float)
-        if entries.ndim != 2:
-            raise ValueError("affinity must be 2-D")
-        if np.any(entries < 0) or not np.all(np.isfinite(entries)):
-            raise ValueError("affinity entries must be finite and nonnegative")
-        flips = np.zeros(entries.shape, dtype=bool)
+    if not isinstance(affinity, AffinityMatrix):
+        affinity = AffinityMatrix(affinity)
+    entries, flips = affinity.entries, affinity.coop_flip
 
     n, m = entries.shape
     best_total = _max_assignment_total(entries)

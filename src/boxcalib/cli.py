@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -24,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import io as bio
-from .association import NoCoVisibleObjects, ODistParams
-from .metrics import TrialError, rre, rte, summarize
+from .association import NoCoVisibleObjects
+from .metrics import summarize
 from .monitor import MonitorState, step, unreadable_frame
-from .pipeline import calibrate_scenes
+from .pipeline import calibrate_scenes, trial_error
 from .registration import DegenerateCorners, DegenerateGeometry, EmptyMatchSet
 from .synth import (
-    NoiseConfig,
     generate_scene_pair,
     grid_product,
     inject_noise,
@@ -55,24 +53,37 @@ def _parse_top_k(text: str):
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON run configuration file")
-    p.add_argument("--tau", type=float, help="pairing distance gate, meters")
-    p.add_argument("--tau1", type=float, help="affinity mean-distance gate, meters")
-    p.add_argument("--alpha", type=float, help="weight of the center-distance term")
-    p.add_argument("--beta", type=float, help="weight of the corner-distance term")
+    p.add_argument("--tau", type=float, dest="odist.tau", metavar="TAU",
+                   help="pairing distance gate, meters")
+    p.add_argument("--tau1", type=float, dest="odist.tau1", metavar="TAU1",
+                   help="affinity mean-distance gate, meters")
+    p.add_argument("--alpha", type=float, dest="odist.alpha", metavar="ALPHA",
+                   help="weight of the center-distance term")
+    p.add_argument("--beta", type=float, dest="odist.beta", metavar="BETA",
+                   help="weight of the corner-distance term")
     p.add_argument("--top-k", type=_parse_top_k, dest="top_k",
                    help="keep only the k largest boxes per scene ('all' to disable)")
 
 
 def _load_run_config(args) -> bio.RunConfig:
+    """The --config file (or the defaults) with every flag given on the
+    command line applied over it. A flag whose dest is "section.field"
+    overrides that field; the flags of one section are applied together,
+    so the section is validated only in its final form."""
     cfg = bio.load_config(args.config) if args.config else bio.RunConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in ("tau", "tau1", "alpha", "beta")
-        if getattr(args, name, None) is not None
-    }
-    if overrides:
-        cfg = dataclasses.replace(cfg, odist=dataclasses.replace(cfg.odist, **overrides))
-    if getattr(args, "top_k", None) is not None:
+    sections: dict[str, dict] = {}
+    for dest, value in vars(args).items():
+        section, _, name = dest.partition(".")
+        if name and value is not None:
+            sections.setdefault(section, {})[name] = value
+    cfg = dataclasses.replace(
+        cfg,
+        **{
+            section: dataclasses.replace(getattr(cfg, section), **changes)
+            for section, changes in sections.items()
+        },
+    )
+    if args.top_k is not None:
         cfg = dataclasses.replace(cfg, top_k=args.top_k)
     return cfg
 
@@ -111,7 +122,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    trials: list[TrialError] = []
+    trials = []
     times: list[float] = []
     n_missing_gt = 0
     for ego_path, coop_path, gt_path in bio.load_manifest(args.manifest):
@@ -122,19 +133,8 @@ def cmd_eval(args) -> int:
             continue
         gt = bio.load_extrinsic(gt_path)
         start = time.perf_counter()
-        try:
-            report = calibrate_scenes(ego, coop, cfg.odist, cfg.top_k)
-        except (NoCoVisibleObjects, DegenerateGeometry, EmptyMatchSet):
-            times.append(time.perf_counter() - start)
-            trials.append(TrialError(math.inf, math.inf, solver_succeeded=False))
-            continue
+        trials.append(trial_error(ego, coop, gt, cfg.odist, cfg.top_k))
         times.append(time.perf_counter() - start)
-        trials.append(
-            TrialError(
-                rre(gt.rotation, report.transform.rotation),
-                rte(gt.translation, report.transform.translation),
-            )
-        )
     if not trials:
         print("no entries with ground truth to evaluate", file=sys.stderr)
         return EXIT_PARSE
@@ -157,14 +157,9 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
-    synth_cfg = cfg.synth
-    if args.visibility is not None:
-        synth_cfg = dataclasses.replace(synth_cfg, visibility=args.visibility)
-    if args.n_boxes is not None:
-        synth_cfg = dataclasses.replace(synth_cfg, n_boxes=args.n_boxes)
     cells = noise_sweep(
         grid_product(tuple(args.sigma), tuple(args.yaw_std)),
-        synth_cfg,
+        cfg.synth,
         n_trials=args.trials,
         threshold_m=args.threshold,
         seed=args.seed,
@@ -195,15 +190,6 @@ def _stream_frames(stream_dir: Path):
 
 def cmd_monitor(args) -> int:
     cfg = _load_run_config(args)
-    mon_cfg = cfg.monitor
-    overrides = {
-        field: getattr(args, field)
-        for field in ("theta_boot", "theta_monitor", "max_retries")
-        if getattr(args, field) is not None
-    }
-    if overrides:
-        mon_cfg = dataclasses.replace(mon_cfg, **overrides)
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     state_path = out_dir / "state.json"
@@ -227,7 +213,7 @@ def cmd_monitor(args) -> int:
                 state, event = unreadable_frame(state)
                 events_file.write(json.dumps(bio.event_to_dict(event)) + "\n")
                 continue
-            state, events = step(state, ego, coop, mon_cfg, cfg.odist, cfg.top_k)
+            state, events = step(state, ego, coop, cfg.monitor, cfg.odist, cfg.top_k)
             for event in events:
                 events_file.write(json.dumps(bio.event_to_dict(event)) + "\n")
             if state.current_extrinsic is not None:
@@ -239,24 +225,15 @@ def cmd_monitor(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    synth_cfg = cfg.synth
     seeds = np.random.SeedSequence(args.seed).generate_state(4, np.uint64)
     replacements = {"seed": int(seeds[0])}
-    if args.n_boxes is not None:
-        replacements["n_boxes"] = args.n_boxes
-    if args.visibility is not None:
-        replacements["visibility"] = args.visibility
-    if synth_cfg.coop_transform is None:
+    if cfg.synth.coop_transform is None:
         replacements["coop_transform"] = random_yaw_transform(
             np.random.default_rng(int(seeds[1]))
         )
-    synth_cfg = dataclasses.replace(synth_cfg, **replacements)
-    ego, coop, transform = generate_scene_pair(synth_cfg)
-    sigma = args.sigma if args.sigma is not None else cfg.noise.sigma_pos
-    yaw_std = args.yaw_std if args.yaw_std is not None else cfg.noise.yaw_std_deg
-    if sigma > 0 or yaw_std > 0:
-        ego = inject_noise(ego, NoiseConfig(sigma, yaw_std, seed=int(seeds[2])))
-        coop = inject_noise(coop, NoiseConfig(sigma, yaw_std, seed=int(seeds[3])))
+    ego, coop, transform = generate_scene_pair(dataclasses.replace(cfg.synth, **replacements))
+    ego = inject_noise(ego, dataclasses.replace(cfg.noise, seed=int(seeds[2])))
+    coop = inject_noise(coop, dataclasses.replace(cfg.noise, seed=int(seeds[3])))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bio.save_scene(ego, out_dir / "ego.json")
@@ -299,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="threshold", type=float, default=1.0,
                    metavar="METERS", help="success threshold")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-boxes", dest="n_boxes", type=int, default=None)
-    p.add_argument("--visibility", type=float, default=None)
+    p.add_argument("--n-boxes", dest="synth.n_boxes", metavar="N_BOXES", type=int)
+    p.add_argument("--visibility", dest="synth.visibility", metavar="VISIBILITY", type=float)
     p.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_sweep)
 
@@ -308,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream", type=Path,
                    help="directory of <stem>.ego.json / <stem>.coop.json frame pairs")
     _add_param_flags(p)
-    p.add_argument("--theta-boot", dest="theta_boot", type=float, default=None)
-    p.add_argument("--theta-monitor", dest="theta_monitor", type=float, default=None)
-    p.add_argument("--max-retries", dest="max_retries", type=int, default=None)
+    p.add_argument("--theta-boot", dest="monitor.theta_boot", metavar="THETA_BOOT", type=float)
+    p.add_argument("--theta-monitor", dest="monitor.theta_monitor", metavar="THETA_MONITOR",
+                   type=float)
+    p.add_argument("--max-retries", dest="monitor.max_retries", metavar="MAX_RETRIES", type=int)
     p.add_argument("--out", type=Path, default=Path("monitor_out"),
                    help="output directory (events.jsonl, state.json, extrinsic.json)")
     p.set_defaults(func=cmd_monitor)
@@ -318,10 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scene pair")
     _add_param_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-boxes", dest="n_boxes", type=int, default=None)
-    p.add_argument("--visibility", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None, help="center noise std, meters")
-    p.add_argument("--yaw-std", dest="yaw_std", type=float, default=None,
+    p.add_argument("--n-boxes", dest="synth.n_boxes", metavar="N_BOXES", type=int)
+    p.add_argument("--visibility", dest="synth.visibility", metavar="VISIBILITY", type=float)
+    p.add_argument("--sigma", dest="noise.sigma_pos", metavar="SIGMA", type=float,
+                   help="center noise std, meters")
+    p.add_argument("--yaw-std", dest="noise.yaw_std_deg", metavar="YAW_STD", type=float,
                    help="yaw noise circular std, degrees")
     p.add_argument("--out", type=Path, default=Path("synth_out"))
     p.set_defaults(func=cmd_synth)

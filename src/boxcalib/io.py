@@ -21,6 +21,7 @@ from .association import ODistParams
 from .geometry import DetectionBox, RigidTransform, Scene
 from .monitor import MonitorConfig, MonitorEvent, MonitorState, MonitorStatus
 from .pipeline import DEFAULT_TOP_K, CalibrationReport
+from .registration import nearest_rotation
 from .synth import NoiseConfig, SynthConfig
 
 
@@ -154,9 +155,7 @@ def extrinsic_from_dict(doc, path="<memory>") -> RigidTransform:
         raise ParseError(path, "rotation", "determinant must be +1 (got a reflection)")
     # Snap to the nearest rotation so downstream orthonormality checks
     # hold exactly even after lossy round trips through other tools.
-    U, _, Vt = np.linalg.svd(R)
-    R = U @ np.diag([1.0, 1.0, float(np.sign(np.linalg.det(U @ Vt)))]) @ Vt
-    return RigidTransform(R, t)
+    return RigidTransform(nearest_rotation(R), t)
 
 
 def load_extrinsic(path) -> RigidTransform:

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .association import NoCoVisibleObjects, ODistParams, alignment_score
+from .association import ODistParams, alignment_score
 from .geometry import RigidTransform, Scene
-from .pipeline import DEFAULT_TOP_K, calibrate_scenes
-from .registration import DegenerateGeometry, EmptyMatchSet
+from .pipeline import CALIBRATION_FAILURES, DEFAULT_TOP_K, calibrate_scenes
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def calibrate_with_retries(
     theta: float,
     max_retries: int,
     params: ODistParams = ODistParams(),
-    min_confidence: int = 2,
+    min_confidence: int = MonitorConfig.min_confidence,
     top_k: int | float | None = DEFAULT_TOP_K,
 ) -> RetryResult:
     """Run the calibration pipeline up to max_retries times.
@@ -139,7 +138,7 @@ def calibrate_with_retries(
         )
         try:
             report = calibrate_scenes(ego, coop, widened, top_k)
-        except (NoCoVisibleObjects, DegenerateGeometry, EmptyMatchSet):
+        except CALIBRATION_FAILURES:
             attempts.append(CalibrationAttempt(0.0, math.inf, widened.tau, widened.tau1))
             continue
         confidence, mean_distance = health_check(ego, coop, report.transform, params)
@@ -169,73 +168,40 @@ def step(
     frame = state.frame_count
     boot_phase = frame == 0 or state.status is MonitorStatus.UNCALIBRATED
     theta = cfg.theta_boot if boot_phase else cfg.theta_monitor
-    events: list[MonitorEvent] = []
 
     measured: tuple[float, float] | None = None
     if state.current_extrinsic is not None:
-        confidence, mean_distance = health_check(ego, coop, state.current_extrinsic, params)
-        measured = (confidence, mean_distance)
-        if _healthy(confidence, mean_distance, theta, cfg.min_confidence):
-            events.append(
-                MonitorEvent(frame, EventKind.HEALTH_OK, confidence, mean_distance, 0)
-            )
-            return (
-                MonitorState(
-                    state.current_extrinsic,
-                    MonitorStatus.CALIBRATED,
-                    measured,
-                    frame + 1,
-                ),
-                events,
-            )
+        measured = health_check(ego, coop, state.current_extrinsic, params)
+        if _healthy(*measured, theta, cfg.min_confidence):
+            kept = MonitorState(state.current_extrinsic, MonitorStatus.CALIBRATED, measured, frame + 1)
+            return kept, [MonitorEvent(frame, EventKind.HEALTH_OK, *measured, 0)]
 
     outcome = calibrate_with_retries(
         ego, coop, theta, cfg.max_retries, params, cfg.min_confidence, top_k
     )
-    if not outcome.failed:
-        last = outcome.attempts[-1]
-        kind = EventKind.BOOT_CALIBRATED if boot_phase else EventKind.RECALIBRATED
-        for i, att in enumerate(outcome.attempts[:-1], start=1):
-            events.append(
-                MonitorEvent(frame, EventKind.RETRY_EXHAUSTED, att.confidence, att.mean_distance, i)
-            )
-        events.append(
-            MonitorEvent(frame, kind, last.confidence, last.mean_distance, len(outcome.attempts))
-        )
-        return (
-            MonitorState(
-                outcome.transform,
-                MonitorStatus.CALIBRATED,
-                (last.confidence, last.mean_distance),
-                frame + 1,
-            ),
-            events,
-        )
-
-    for i, att in enumerate(outcome.attempts, start=1):
-        events.append(
-            MonitorEvent(frame, EventKind.RETRY_EXHAUSTED, att.confidence, att.mean_distance, i)
-        )
     last = outcome.attempts[-1]
-    if boot_phase:
-        events.append(
-            MonitorEvent(frame, EventKind.ALERT_RAISED, last.confidence, last.mean_distance, len(outcome.attempts))
-        )
-        if state.current_extrinsic is None:
-            new_state = MonitorState(None, MonitorStatus.UNCALIBRATED, None, frame + 1)
+    if not outcome.failed:
+        kind = EventKind.BOOT_CALIBRATED if boot_phase else EventKind.RECALIBRATED
+        health = (last.confidence, last.mean_distance)
+        new_state = MonitorState(outcome.transform, MonitorStatus.CALIBRATED, health, frame + 1)
+        retries = outcome.attempts[:-1]
+    else:
+        if boot_phase:
+            kind = EventKind.ALERT_RAISED
+            no_extrinsic = state.current_extrinsic is None
+            status = MonitorStatus.UNCALIBRATED if no_extrinsic else MonitorStatus.ALERT
         else:
-            new_state = MonitorState(
-                state.current_extrinsic, MonitorStatus.ALERT, measured, frame + 1
-            )
-        return new_state, events
-
+            kind, status = EventKind.DEGRADED_ENTERED, MonitorStatus.DEGRADED
+        new_state = MonitorState(state.current_extrinsic, status, measured, frame + 1)
+        retries = outcome.attempts
+    events = [
+        MonitorEvent(frame, EventKind.RETRY_EXHAUSTED, att.confidence, att.mean_distance, i)
+        for i, att in enumerate(retries, start=1)
+    ]
     events.append(
-        MonitorEvent(frame, EventKind.DEGRADED_ENTERED, last.confidence, last.mean_distance, len(outcome.attempts))
+        MonitorEvent(frame, kind, last.confidence, last.mean_distance, len(outcome.attempts))
     )
-    return (
-        MonitorState(state.current_extrinsic, MonitorStatus.DEGRADED, measured, frame + 1),
-        events,
-    )
+    return new_state, events
 
 
 def unreadable_frame(state: MonitorState) -> tuple[MonitorState, MonitorEvent]:

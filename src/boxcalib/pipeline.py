@@ -1,20 +1,26 @@
-"""End-to-end calibration of a scene pair."""
+"""End-to-end calibration of a scene pair, and its error against a known transform."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from .association import (
     MatchSet,
+    NoCoVisibleObjects,
     ODistParams,
     alignment_score,
     associate,
     top_k_by_volume,
 )
 from .geometry import RigidTransform, Scene
-from .registration import build_feature_clouds, weighted_kabsch
+from .metrics import TrialError, rre, rte
+from .registration import DegenerateGeometry, EmptyMatchSet, build_feature_clouds, weighted_kabsch
 
 DEFAULT_TOP_K = 15
+
+# What calibrate_scenes raises when the scenes admit no transform.
+CALIBRATION_FAILURES = (NoCoVisibleObjects, DegenerateGeometry, EmptyMatchSet)
 
 
 @dataclass(frozen=True)
@@ -58,4 +64,23 @@ def calibrate_scenes(
         health_confidence=health.confidence,
         health_mean_distance=health.mean_distance,
         elapsed_s=elapsed,
+    )
+
+
+def trial_error(
+    ego: Scene,
+    coop: Scene,
+    truth: RigidTransform,
+    params: ODistParams = ODistParams(),
+    top_k: int | float | None = DEFAULT_TOP_K,
+) -> TrialError:
+    """Calibrate a scene pair and score the estimate against the true
+    transform; a calibration failure is a failed trial."""
+    try:
+        report = calibrate_scenes(ego, coop, params, top_k)
+    except CALIBRATION_FAILURES:
+        return TrialError(math.inf, math.inf, solver_succeeded=False)
+    return TrialError(
+        rre(truth.rotation, report.transform.rotation),
+        rte(truth.translation, report.transform.translation),
     )

@@ -50,9 +50,10 @@ class WeightedCorrespondences:
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        src = np.asarray(self.source, dtype=float)
-        tgt = np.asarray(self.target, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writable
+        src = np.array(self.source, dtype=float)
+        tgt = np.array(self.target, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if src.ndim != 2 or src.shape[1] != 3 or src.shape != tgt.shape:
             raise ValueError("source and target must both be (n, 3)")
         if w.shape != (src.shape[0],):
@@ -76,7 +77,10 @@ class RegistrationResult:
     rms_residual: float
 
 
-def _svd_rotation(H: np.ndarray) -> np.ndarray:
+def nearest_rotation(H: np.ndarray) -> np.ndarray:
+    """The rotation nearest to H in the Frobenius norm, U diag(1, 1, det) Vt
+    from the SVD of H; for a cross-covariance this is the Kabsch rotation.
+    Raises DegenerateGeometry when H is not finite or rank-deficient."""
     if not np.all(np.isfinite(H)):
         # LAPACK's SVD may never return on a non-finite matrix
         raise DegenerateGeometry("cross-covariance is not finite (coordinates too large)")
@@ -122,7 +126,7 @@ def weighted_kabsch(corr: WeightedCorrespondences) -> RegistrationResult:
     src_c = corr.source - src_bar
     tgt_c = corr.target - tgt_bar
     H = (w[:, None] * tgt_c).T @ src_c
-    R = _svd_rotation(H)
+    R = nearest_rotation(H)
     t = tgt_bar - R @ src_bar
     residual = corr.source @ R.T + t - corr.target
     rms = float(np.sqrt((w * np.einsum("ij,ij->i", residual, residual)).sum() / wsum))

@@ -14,11 +14,10 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ive
 
-from .association import NoCoVisibleObjects, ODistParams
+from .association import ODistParams
 from .geometry import DetectionBox, RigidTransform, Scene, invert, transform_box
-from .metrics import MetricSummary, TrialError, rre, rte, summarize
-from .pipeline import DEFAULT_TOP_K, calibrate_scenes
-from .registration import DegenerateGeometry, EmptyMatchSet
+from .metrics import MetricSummary, TrialError, summarize
+from .pipeline import DEFAULT_TOP_K, trial_error
 
 
 class PlacementFailure(RuntimeError):
@@ -217,14 +216,7 @@ def run_trial(
     ego, coop, t_true = generate_scene_pair(cfg)
     ego = inject_noise(ego, NoiseConfig(sigma_pos, yaw_std_deg, seed=s_ego))
     coop = inject_noise(coop, NoiseConfig(sigma_pos, yaw_std_deg, seed=s_coop))
-    try:
-        report = calibrate_scenes(ego, coop, params, top_k)
-    except (NoCoVisibleObjects, DegenerateGeometry, EmptyMatchSet):
-        return TrialError(math.inf, math.inf, solver_succeeded=False)
-    return TrialError(
-        rre(t_true.rotation, report.transform.rotation),
-        rte(t_true.translation, report.transform.translation),
-    )
+    return trial_error(ego, coop, t_true, params, top_k)
 
 
 def grid_product(

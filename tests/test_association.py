@@ -273,6 +273,15 @@ def test_affinity_matrix_is_validated_and_read_only():
         m.entries[0, 0] = 7.0
 
 
+def test_affinity_matrix_leaves_the_callers_arrays_writable():
+    entries, flips = np.ones((2, 2)), np.zeros((2, 2), dtype=bool)
+    m = AffinityMatrix(entries, flips)
+    entries[0, 0], flips[0, 0] = 5.0, True
+    assert m.entries[0, 0] == 1.0 and not m.coop_flip[0, 0]
+    solve_assignment(entries)
+    entries[1, 1] = 6.0
+
+
 # ---- solve_assignment ----
 
 

@@ -372,6 +372,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["matches"]) == 5
 
 
+def test_flags_of_one_section_apply_together(tmp_path, capsys):
+    ego_path, coop_path, _ = write_pair(tmp_path)
+    cfg_path = write_json(tmp_path, "cfg.json", {"odist": {"beta": 0}})
+    rc = cli.main(["calibrate", str(ego_path), str(coop_path), "--config", str(cfg_path),
+                   "--alpha", "0", "--beta", "0.5"])
+    assert rc == 0
+    capsys.readouterr()
+
+
 # ---- CLI: eval ----
 
 
@@ -488,6 +497,16 @@ def test_sweep_is_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_flags_override_the_config(tmp_path):
+    flags = ["sweep", "--sigma", "0", "1", "--yaw-std", "10", "--trials", "2", "--seed", "9",
+             "--n-boxes", "6", "--visibility", "1.0"]
+    cfg_path = write_json(tmp_path, "cfg.json", {"synth": {"n_boxes": 3, "visibility": 0.5}})
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(flags + ["--out", str(a)]) == 0
+    assert cli.main(flags + ["--config", str(cfg_path), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 # ---- CLI: monitor ----
 
 
@@ -599,6 +618,21 @@ def test_monitor_lost_covisibility_alert_vs_degraded(tmp_path, capsys):
     assert state["extrinsic"] is not None
 
 
+def test_monitor_flags_override_the_config(tmp_path, capsys):
+    ego = spread_scene(6, seed=12)
+    frames = monitor_frames(1) + [(ego, make_scene([], agent_id="coop"))]
+    stream = write_stream(tmp_path, "stream", frames)
+    cfg_path = write_json(tmp_path, "cfg.json", {"monitor": {"max_retries": 5, "theta_boot": 0.1}})
+    out = tmp_path / "out"
+    rc = cli.main(["monitor", str(stream), "--out", str(out), "--config", str(cfg_path),
+                   "--max-retries", "2", "--theta-boot", "0.5", "--theta-monitor", "0.5"])
+    assert rc == 0
+    capsys.readouterr()
+    assert [e["kind"] for e in read_events(out)] == [
+        "BootCalibrated", "RetryExhausted", "RetryExhausted", "DegradedEntered"
+    ]
+
+
 # ---- CLI: synth ----
 
 
@@ -636,3 +670,20 @@ def test_synth_noise_flags_perturb_the_output(tmp_path, capsys):
     assert any(not np.array_equal(x.center, y.center) for x, y in zip(a, b))
     # ground truth file records the clean transform either way
     assert (clean / "extrinsic.json").read_bytes() == (noisy / "extrinsic.json").read_bytes()
+
+
+def test_synth_flags_override_the_config(tmp_path, capsys):
+    flags = ["synth", "--seed", "5", "--n-boxes", "6", "--visibility", "1", "--sigma", "0.2",
+             "--yaw-std", "0"]
+    cfg_path = write_json(tmp_path, "cfg.json", {
+        "synth": {"n_boxes": 4, "visibility": 0.5},
+        "noise": {"sigma_pos": 1.0, "yaw_std_deg": 3.0},
+    })
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(flags + ["--out", str(a)]) == 0
+    assert cli.main(flags + ["--config", str(cfg_path), "--out", str(b)]) == 0
+    for name in ("ego.json", "coop.json", "extrinsic.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    # a flag is checked like the config key it overrides
+    assert cli.main(["synth", "--sigma", "-1", "--out", str(tmp_path / "c")]) == 2
+    assert "sigma_pos" in capsys.readouterr().err

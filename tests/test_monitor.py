@@ -250,6 +250,37 @@ def test_runtime_failure_degrades_but_retains_the_extrinsic():
     assert state.status is MonitorStatus.CALIBRATED
 
 
+def test_step_recalibrates_after_widening():
+    ego, coop, _, params = retry_fixture(delta=0.2)
+    expected = calibrate_with_retries(ego, coop, theta=0.8, max_retries=3, params=params)
+    held = RigidTransform.identity()
+    state = MonitorState(held, MonitorStatus.CALIBRATED, (5.0, 0.1), 4)
+    cfg = MonitorConfig(theta_monitor=0.8, max_retries=3)
+    state, events = step(state, ego, coop, cfg, params)
+    assert [(e.kind, e.attempt) for e in events] == [
+        (EventKind.RETRY_EXHAUSTED, 1), (EventKind.RETRY_EXHAUSTED, 2),
+        (EventKind.RECALIBRATED, 3),
+    ]
+    last = expected.attempts[-1]
+    assert (events[-1].confidence, events[-1].mean_distance) == (last.confidence, last.mean_distance)
+    assert state.last_health == (last.confidence, last.mean_distance)
+    assert (state.status, state.frame_count) == (MonitorStatus.CALIBRATED, 5)
+    assert np.array_equal(state.current_extrinsic.translation, expected.transform.translation)
+
+
+def test_runtime_failure_keeps_the_measured_health():
+    ego, coop, t_true, params = retry_fixture(delta=0.3)
+    measured = health_check(ego, coop, t_true, params)
+    assert measured[0] == 4 and 0.5 < measured[1] < 0.8
+    state = MonitorState(t_true, MonitorStatus.CALIBRATED, (4.0, 0.0), 4)
+    cfg = MonitorConfig(theta_monitor=0.5, max_retries=3)
+    state, events = step(state, ego, coop, cfg, params)
+    assert kinds(events) == [EventKind.RETRY_EXHAUSTED] * 3 + [EventKind.DEGRADED_ENTERED]
+    assert events[-1].mean_distance == math.inf
+    assert state.last_health == measured
+    assert state.current_extrinsic is t_true
+
+
 def test_unreadable_frame_degrades_a_held_extrinsic_and_keeps_its_health():
     held = yaw_transform(0.4, (1.0, 2.0, 0.0))
     state = MonitorState(held, MonitorStatus.CALIBRATED, (5.0, 0.2), 3)

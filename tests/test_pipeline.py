@@ -7,16 +7,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxcalib import (
     DEFAULT_TOP_K,
     CalibrationReport,
     NoCoVisibleObjects,
+    RigidTransform,
+    Scene,
     SynthConfig,
     apply_transform,
     calibrate_scenes,
+    compose,
     generate_scene_pair,
     invert,
+    random_yaw_transform,
     rre,
     rte,
     top_k_by_volume,
@@ -141,3 +147,59 @@ def test_flipped_coop_headings_are_transparent_to_calibration():
     assert rre(t.rotation, report.transform.rotation) < 1e-9
     assert rte(t.translation, report.transform.translation) < 1e-9
     assert all(m.coop_yaw_flipped for m in report.matches)
+
+
+# ---- invariances of calibrate_scenes on noise-free scene pairs ----
+
+seeds = st.integers(0, 2**32 - 1)
+visibilities = st.sampled_from([1.0, 0.8])
+
+
+def random_pair(seed, visibility):
+    truth = random_yaw_transform(np.random.default_rng(seed))
+    ego, coop, _ = generate_scene_pair(
+        SynthConfig(visibility=visibility, seed=seed, coop_transform=truth)
+    )
+    return ego, coop
+
+
+def assert_same_transform(a, b):
+    assert rte(a.translation, b.translation) < 1e-9
+    assert rre(a.rotation, b.rotation) < 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds, visibilities)
+def test_swapping_the_scenes_inverts_the_transform(seed, visibility):
+    ego, coop = random_pair(seed, visibility)
+    forward = calibrate_scenes(ego, coop).transform
+    backward = calibrate_scenes(coop, ego).transform
+    assert_same_transform(backward, invert(forward))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds, visibilities, seeds)
+def test_box_order_does_not_change_the_transform(seed, visibility, order_seed):
+    ego, coop = random_pair(seed, visibility)
+    rng = np.random.default_rng(order_seed)
+    shuffled = [Scene(tuple(s[i] for i in rng.permutation(len(s))), s.agent_id, s.frame_id)
+                for s in (ego, coop)]
+    assert_same_transform(
+        calibrate_scenes(*shuffled).transform, calibrate_scenes(ego, coop).transform
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seeds,
+    visibilities,
+    st.floats(0.0, 2 * math.pi),
+    st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-2, 2)),
+)
+def test_moving_both_scenes_conjugates_the_transform(seed, visibility, yaw, shift):
+    ego, coop = random_pair(seed, visibility)
+    motion = RigidTransform.from_yaw(yaw, np.array(shift))
+    moved = calibrate_scenes(transform_scene(motion, ego), transform_scene(motion, coop))
+    expected = compose(motion, compose(calibrate_scenes(ego, coop).transform, invert(motion)))
+    assert_same_transform(moved.transform, expected)
+

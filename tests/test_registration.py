@@ -101,6 +101,16 @@ def test_exact_recovery_with_arbitrary_positive_weights():
         assert result.rms_residual < 1e-9
 
 
+def test_correspondences_leave_the_callers_arrays_writable():
+    src, dst = random_correspondences(np.random.default_rng(3))
+    w = np.ones(len(src))
+    corr = WeightedCorrespondences(src, dst, w)
+    src[0, 0], dst[0, 0], w[0] = 1e3, -1e3, 9.0
+    assert corr.source[0, 0] != 1e3 and corr.target[0, 0] != -1e3 and corr.weights[0] == 1.0
+    with pytest.raises(ValueError):
+        corr.weights[0] = 2.0
+
+
 def test_equal_weights_match_the_unweighted_oracle():
     rng = np.random.default_rng(13)
     for _ in range(30):
