@@ -58,6 +58,7 @@ from .synth import (
     inject_noise,
     kappa_for_circular_std,
     noise_sweep,
+    noisy_pair,
     random_yaw_transform,
     run_trial,
 )
@@ -90,7 +91,7 @@ __all__ = [
     "DEFAULT_TOP_K", "CalibrationReport", "calibrate_scenes",
     "NoiseConfig", "PlacementFailure", "SweepCell", "SynthConfig",
     "generate_scene_pair", "grid_product", "inject_noise",
-    "kappa_for_circular_std", "noise_sweep", "random_yaw_transform",
+    "kappa_for_circular_std", "noise_sweep", "noisy_pair", "random_yaw_transform",
     "run_trial",
     "CalibrationAttempt", "EventKind", "MonitorConfig", "MonitorEvent",
     "MonitorState", "MonitorStatus", "RetryResult", "calibrate_with_retries",

@@ -13,15 +13,15 @@ pair is scored by how well the rest of the scene lines up:
 
 High-confidence, low-distance anchors fill an affinity matrix and a
 one-to-one assignment with maximum total affinity picks the candidate
-anchors. Each assigned anchor is then refined on its own valid set by a
-closed-form corner fit, and the final matches are the refined consensus
-(valid set) of the best assigned anchor, as in RANSAC: pairs the
-assignment picked only because they agree with themselves never join it.
+anchors. Each assigned anchor is refined on its valid set by closed-form
+corner fits to a fixed point, and the final matches are the refined
+consensus (valid set) of the best assigned anchor, as in RANSAC: pairs
+the assignment picked only because they agree with themselves never join it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,11 +29,10 @@ from scipy.optimize import linear_sum_assignment
 from .geometry import DetectionBox, RigidTransform, Scene, rot_z
 from .registration import DegenerateCorners, build_feature_clouds, weighted_kabsch, yaw_rotation
 
-# Closed-form refits of an assigned anchor on its valid set.
-REFINE_PASSES = 2
-
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
+
+TAU_MAX, TAU1_MAX = 3.0, 2.0  # upper bounds of the pairing gates, meters
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -61,12 +60,18 @@ class ODistParams:
     try_yaw_flip: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.tau <= 3.0):
-            raise ValueError(f"tau must be in (0, 3], got {self.tau}")
-        if not (0.0 < self.tau1 <= 2.0):
-            raise ValueError(f"tau1 must be in (0, 2], got {self.tau1}")
+        if not (0.0 < self.tau <= TAU_MAX):
+            raise ValueError(f"tau must be in (0, {TAU_MAX:g}], got {self.tau}")
+        if not (0.0 < self.tau1 <= TAU1_MAX):
+            raise ValueError(f"tau1 must be in (0, {TAU1_MAX:g}], got {self.tau1}")
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
             raise ValueError("alpha and beta must be nonnegative and not both zero")
+
+    def widened(self, scale: float) -> "ODistParams":
+        """tau and tau1 scaled by scale, each clamped to its upper bound."""
+        return replace(
+            self, tau=min(TAU_MAX, self.tau * scale), tau1=min(TAU1_MAX, self.tau1 * scale)
+        )
 
 
 @dataclass(frozen=True)
@@ -222,17 +227,13 @@ def _rank(score: PairScore) -> tuple[float, float]:
 def _pair_score(
     ego: _SceneArrays, coop: _SceneArrays, i: int, j: int, params: ODistParams
 ) -> PairScore:
-    variants = [False, True] if params.try_yaw_flip else [False]
-    best: PairScore | None = None
-    for flipped in variants:
+    scores = []
+    for flipped in [False, True] if params.try_yaw_flip else [False]:
         coop_yaw = coop.yaws[j] + math.pi if flipped else coop.yaws[j]
         R = yaw_rotation(ego.yaws[i], ego.dims[i], coop_yaw, coop.dims[j])
         t = ego.centers[i] - R @ coop.centers[j]
-        score = _score(ego, coop, R, t, flipped, params)
-        if best is None or _rank(score) < _rank(best):
-            best = score
-    assert best is not None
-    return best
+        scores.append(_score(ego, coop, R, t, flipped, params))
+    return min(scores, key=_rank)  # min keeps the first of equals: unflipped wins ties
 
 
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
@@ -335,15 +336,12 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
 def _refine(
     ego: _SceneArrays, coop: _SceneArrays, score: PairScore, params: ODistParams
 ) -> PairScore:
-    """Refit an anchor's transform on its valid set and rescore the scene.
-
-    Each pass fits the corners of the valid pairs in closed form (unit
-    weights) and keeps the refit only if it scores better; a valid set of
-    one pair is the anchor itself and is left alone.
-    """
-    for _ in range(REFINE_PASSES):
-        if len(score.valid_pairs) < 2:
-            break
+    """Refit an anchor's transform on its valid set, a closed-form corner
+    fit with unit weights, until the refit no longer scores better. This
+    ends: each kept refit strictly lowers _rank, and a refit depends only
+    on the valid set it fits, so no valid set comes back. A one-pair valid
+    set is the anchor itself and is left alone."""
+    while len(score.valid_pairs) >= 2:
         unit = MatchSet([Match(i, j, 1.0, score.coop_flipped) for i, j, _ in score.valid_pairs])
         fit = weighted_kabsch(build_feature_clouds(unit, ego.scene, coop.scene)).transform
         refined = _score(ego, coop, fit.rotation, fit.translation, score.coop_flipped, params)
@@ -358,7 +356,7 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
 
     The affinity matrix and the optimal assignment choose the candidate
     anchors, gated on their unrefined scores. Each assigned anchor is then
-    refined on its valid set (see _refine), and the one with the highest
+    refined to a fixed point (see _refine), and the one with the highest
     refined confidence, then the least mean distance, then the lowest ego
     index wins. Its valid set, sorted by ego index, is returned; every
     match carries the winner's confidence and heading-flip flag.

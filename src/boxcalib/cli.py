@@ -28,13 +28,7 @@ from .metrics import summarize
 from .monitor import MonitorState, step, unreadable_frame
 from .pipeline import calibrate_scenes, trial_error
 from .registration import DegenerateCorners, DegenerateGeometry, EmptyMatchSet
-from .synth import (
-    generate_scene_pair,
-    grid_product,
-    inject_noise,
-    noise_sweep,
-    random_yaw_transform,
-)
+from .synth import grid_product, noise_sweep, noisy_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -211,11 +205,11 @@ def cmd_monitor(args) -> int:
             except bio.ParseError as e:
                 print(f"frame {stem}: {e}", file=sys.stderr)
                 state, event = unreadable_frame(state)
-                events_file.write(json.dumps(bio.event_to_dict(event)) + "\n")
-                continue
-            state, events = step(state, ego, coop, cfg.monitor, cfg.odist, cfg.top_k)
+                events = [event]
+            else:
+                state, events = step(state, ego, coop, cfg.monitor, cfg.odist, cfg.top_k)
             for event in events:
-                events_file.write(json.dumps(bio.event_to_dict(event)) + "\n")
+                events_file.write(json.dumps(bio.event_to_dict(event), allow_nan=False) + "\n")
             if state.current_extrinsic is not None:
                 bio.save_extrinsic(state.current_extrinsic, extrinsic_path)
             bio.save_state(state, state_path)
@@ -225,15 +219,7 @@ def cmd_monitor(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    seeds = np.random.SeedSequence(args.seed).generate_state(4, np.uint64)
-    replacements = {"seed": int(seeds[0])}
-    if cfg.synth.coop_transform is None:
-        replacements["coop_transform"] = random_yaw_transform(
-            np.random.default_rng(int(seeds[1]))
-        )
-    ego, coop, transform = generate_scene_pair(dataclasses.replace(cfg.synth, **replacements))
-    ego = inject_noise(ego, dataclasses.replace(cfg.noise, seed=int(seeds[2])))
-    coop = inject_noise(coop, dataclasses.replace(cfg.noise, seed=int(seeds[3])))
+    ego, coop, transform = noisy_pair(cfg.synth, cfg.noise, np.random.SeedSequence(args.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bio.save_scene(ego, out_dir / "ego.json")

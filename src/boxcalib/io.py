@@ -1,10 +1,11 @@
 """JSON file formats: scenes, extrinsics, calibration reports, monitor
 state and events, eval manifests, run configuration.
 
-All writers emit plain JSON with full-precision floats, so a save/load
-round trip reproduces values exactly. Extrinsic and state files are
-written atomically (temp file, then rename) because the monitor persists
-them while running.
+All writers emit strict JSON with full-precision floats, so a save/load
+round trip reproduces values exactly. A non-finite mean distance is
+written as null; any other non-finite value fails to write. Extrinsic and
+state files are written atomically (temp file, then rename) because the
+monitor persists them while running.
 """
 from __future__ import annotations
 
@@ -130,7 +131,7 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def save_scene(scene: Scene, path) -> None:
-    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2) + "\n")
+    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2, allow_nan=False) + "\n")
 
 
 def extrinsic_to_dict(t: RigidTransform) -> dict:
@@ -163,7 +164,7 @@ def load_extrinsic(path) -> RigidTransform:
 
 
 def save_extrinsic(t: RigidTransform, path) -> None:
-    _atomic_write(path, json.dumps(extrinsic_to_dict(t), indent=2) + "\n")
+    _atomic_write(path, json.dumps(extrinsic_to_dict(t), indent=2, allow_nan=False) + "\n")
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -194,10 +195,12 @@ def event_to_dict(event: MonitorEvent) -> dict:
 
 
 def state_to_dict(state: MonitorState) -> dict:
+    """Monitor state as plain JSON; a non-finite mean distance is null."""
+    health = state.last_health
     return {
         "status": state.status.value,
         "frame_count": state.frame_count,
-        "last_health": list(state.last_health) if state.last_health is not None else None,
+        "last_health": None if health is None else [health[0], _finite_or_none(health[1])],
         "extrinsic": (
             extrinsic_to_dict(state.current_extrinsic)
             if state.current_extrinsic is not None
@@ -221,8 +224,10 @@ def state_from_dict(doc, path="<memory>") -> MonitorState:
         raise ParseError(path, "frame_count", "expected a nonnegative integer")
     health = doc.get("last_health")
     if health is not None:
-        values = _vector(health, 2, path, "last_health")
-        health = (values[0], values[1])
+        if not isinstance(health, list) or len(health) != 2:
+            raise ParseError(path, "last_health", "expected [confidence, mean distance or null]")
+        mean = math.inf if health[1] is None else _number(health[1], path, "last_health[1]")
+        health = (_number(health[0], path, "last_health[0]"), mean)
     extrinsic = doc.get("extrinsic")
     if extrinsic is not None:
         extrinsic = extrinsic_from_dict(extrinsic, path)
@@ -233,7 +238,7 @@ def state_from_dict(doc, path="<memory>") -> MonitorState:
 
 
 def save_state(state: MonitorState, path) -> None:
-    _atomic_write(path, json.dumps(state_to_dict(state), indent=2) + "\n")
+    _atomic_write(path, json.dumps(state_to_dict(state), indent=2, allow_nan=False) + "\n")
 
 
 def load_state(path) -> MonitorState:

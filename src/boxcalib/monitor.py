@@ -125,17 +125,14 @@ def calibrate_with_retries(
     """Run the calibration pipeline up to max_retries times.
 
     Attempt k (1-based) scales tau and tau1 by 1 + 0.25*(k-1), capped at
-    tau <= 3 and tau1 <= 2, widening the gates for scenes whose pairs sit
+    their ODistParams bounds, widening the gates for scenes whose pairs sit
     just outside the defaults. A candidate transform is accepted when its
     health under the *unscaled* params meets the gate: mean distance <=
     theta and confidence >= min_confidence.
     """
     attempts: list[CalibrationAttempt] = []
     for k in range(1, max_retries + 1):
-        scale = 1.0 + 0.25 * (k - 1)
-        widened = replace(
-            params, tau=min(3.0, params.tau * scale), tau1=min(2.0, params.tau1 * scale)
-        )
+        widened = params.widened(1.0 + 0.25 * (k - 1))
         try:
             report = calibrate_scenes(ego, coop, widened, top_k)
         except CALIBRATION_FAILURES:

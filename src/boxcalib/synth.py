@@ -193,6 +193,23 @@ def random_yaw_transform(
     return RigidTransform.from_yaw(yaw, t)
 
 
+def noisy_pair(
+    base_cfg: SynthConfig, noise: NoiseConfig, seed_seq: np.random.SeedSequence
+) -> tuple[Scene, Scene, RigidTransform]:
+    """(noisy ego, noisy coop, true transform) from four seeds of seed_seq, in
+    order: scene, transform (drawn unless base_cfg sets coop_transform), ego
+    noise, coop noise. The seed fields of base_cfg and noise are ignored."""
+    s_scene, s_transform, s_ego, s_coop = (int(s) for s in seed_seq.generate_state(4, np.uint64))
+    transform = base_cfg.coop_transform
+    if transform is None:
+        transform = random_yaw_transform(np.random.default_rng(s_transform))
+    cfg = replace(base_cfg, seed=s_scene, coop_transform=transform)
+    ego, coop, t_true = generate_scene_pair(cfg)
+    ego = inject_noise(ego, replace(noise, seed=s_ego))
+    coop = inject_noise(coop, replace(noise, seed=s_coop))
+    return ego, coop, t_true
+
+
 @dataclass(frozen=True)
 class SweepCell:
     sigma_pos: float
@@ -210,12 +227,7 @@ def run_trial(
     top_k: int | float | None = DEFAULT_TOP_K,
 ) -> TrialError:
     """One sweep trial: fresh scene pair, independent per-view noise, calibrate."""
-    s_scene, s_transform, s_ego, s_coop = (int(s) for s in trial_seed.generate_state(4, np.uint64))
-    transform = random_yaw_transform(np.random.default_rng(s_transform))
-    cfg = replace(base_cfg, seed=s_scene, coop_transform=transform)
-    ego, coop, t_true = generate_scene_pair(cfg)
-    ego = inject_noise(ego, NoiseConfig(sigma_pos, yaw_std_deg, seed=s_ego))
-    coop = inject_noise(coop, NoiseConfig(sigma_pos, yaw_std_deg, seed=s_coop))
+    ego, coop, t_true = noisy_pair(base_cfg, NoiseConfig(sigma_pos, yaw_std_deg), trial_seed)
     return trial_error(ego, coop, t_true, params, top_k)
 
 

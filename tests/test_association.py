@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 from boxcalib import (
     AffinityMatrix,
     NoCoVisibleObjects,
+    NoiseConfig,
     ODistParams,
     RigidTransform,
+    SynthConfig,
     alignment_score,
+    apply_transform,
     associate,
     box_distance,
     build_affinity,
     calibrate_scenes,
     corners_of,
     invert,
+    noisy_pair,
     odist,
     rot_z,
     solve_assignment,
@@ -37,6 +41,13 @@ from conftest import (
 )
 
 CENTER_ONLY = ODistParams(alpha=1.0, beta=0.0)
+
+
+def test_widened_gates_clamp_to_their_bounds():
+    narrow = ODistParams(tau=2.0, tau1=1.0, alpha=0.5)
+    assert narrow.widened(1.25) == ODistParams(tau=2.5, tau1=1.25, alpha=0.5)
+    assert narrow.widened(4.0) == ODistParams(tau=3.0, tau1=2.0, alpha=0.5)
+    assert ODistParams().widened(1.5) == ODistParams(tau=3.0, tau1=2.0)
 
 
 # ---- box_distance ----
@@ -440,6 +451,23 @@ def test_empty_coop_scene_raises_no_covisible():
     ego = spread_scene(3, seed=2)
     with pytest.raises(NoCoVisibleObjects):
         associate(ego, make_scene([], agent_id="coop"))
+
+
+def test_refinement_runs_to_its_fixed_point():
+    # noise_sweep(seed=501) cell (0.5 m, 0 deg), trial 0: this pair's winning
+    # anchor keeps improving for more than two refits
+    seed = np.random.SeedSequence([501, 3, 0])
+    ego, coop, truth = noisy_pair(SynthConfig(), NoiseConfig(0.5, 0.0), seed)
+    clean_ego, clean_coop, _ = noisy_pair(SynthConfig(), NoiseConfig(), seed)
+    ego_centers = np.array([b.center for b in clean_ego])
+    true_pairs = set()
+    for j, b in enumerate(clean_coop):
+        gap = np.linalg.norm(ego_centers - apply_transform(truth, b.center), axis=1)
+        true_pairs.add((int(gap.argmin()), j))
+    report = calibrate_scenes(ego, coop)
+    found = {(m.ego_index, m.coop_index) for m in report.matches}
+    assert len(found) == 14
+    assert found <= true_pairs
 
 
 # ---- heading flips ----

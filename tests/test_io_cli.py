@@ -197,6 +197,21 @@ def test_state_round_trip_both_shapes(tmp_path):
     assert loaded.current_extrinsic is None
     assert loaded.last_health is None
 
+    # a held extrinsic that no box pair supports: its mean distance is inf
+    unsupported = MonitorState(
+        yaw_transform(0.5, (1, 2, 3)), MonitorStatus.DEGRADED, (0.0, math.inf), 18
+    )
+    save_state(unsupported, path)
+    assert json.loads(path.read_text())["last_health"] == [0.0, None]
+    assert load_state(path).last_health == (0.0, math.inf)
+
+
+def test_state_writer_refuses_other_non_finite_values(tmp_path):
+    path = tmp_path / "state.json"
+    with pytest.raises(ValueError):
+        save_state(MonitorState(None, MonitorStatus.UNCALIBRATED, (math.nan, 1.0), 3), path)
+    assert not path.exists()
+
 
 def test_state_files_are_validated(tmp_path):
     with pytest.raises(ParseError, match="status"):
@@ -580,6 +595,38 @@ def test_monitor_resume_replays_identically(tmp_path, capsys):
     full_state = json.loads((out_full / "state.json").read_text())
     split_state = json.loads((out_split / "state.json").read_text())
     assert split_state == full_state
+
+
+@pytest.mark.parametrize("gap", ["no_valid_pair", "unreadable"])
+def test_monitor_resumes_after_a_failed_frame(tmp_path, capsys, gap):
+    ego = spread_scene(6, seed=12)
+    # frame 1 leaves the held extrinsic without a valid pair, or cannot be
+    # read; the drift after it recalibrates, so both runs end on a computed
+    # extrinsic rather than one snapped on load
+    frames = (
+        monitor_frames(1) + [(ego, make_scene([], agent_id="coop"))]
+        + monitor_frames(0, n_drifted=2)
+    )
+    full = write_stream(tmp_path, "full", frames)
+    first = write_stream(tmp_path, "first", frames[:2])
+    if gap == "unreadable":
+        for stream in (full, first):
+            (stream / "01.coop.json").write_text("{ garbage")
+    out_full = tmp_path / "out_full"
+    assert cli.main(["monitor", str(full), "--out", str(out_full)]) == 0
+
+    out_split = tmp_path / "out_split"
+    assert cli.main(["monitor", str(first), "--out", str(out_split)]) == 0
+    assert cli.main(["monitor", str(write_stream(tmp_path, "second", frames[2:])),
+                     "--out", str(out_split)]) == 0
+    capsys.readouterr()
+
+    full_events = [(e["frame_id"], e["kind"], e["attempt"]) for e in read_events(out_full)]
+    split_events = [(e["frame_id"], e["kind"], e["attempt"]) for e in read_events(out_split)]
+    assert split_events == full_events
+    assert full_events[-1] == (3, "HealthOk", 0)
+    full_state = json.loads((out_full / "state.json").read_text())
+    assert json.loads((out_split / "state.json").read_text()) == full_state
 
 
 def test_monitor_unreadable_frame_degrades_and_continues(tmp_path, capsys):

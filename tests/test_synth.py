@@ -16,6 +16,7 @@ from boxcalib import (
     inject_noise,
     kappa_for_circular_std,
     noise_sweep,
+    noisy_pair,
 )
 from boxcalib.geometry import RigidTransform
 
@@ -186,6 +187,23 @@ def test_kappa_validation():
         NoiseConfig(-0.1, 0.0)
     with pytest.raises(ValueError):
         NoiseConfig(0.0, 181.0)
+
+
+# ---- noisy_pair ----
+
+
+def test_noisy_pair_keeps_a_configured_transform():
+    seed = np.random.SeedSequence([4, 1, 2])
+    noise = NoiseConfig(0.5, 10.0)
+    drawn_ego, drawn_coop, drawn = noisy_pair(SynthConfig(n_boxes=8), noise, seed)
+    fixed = RigidTransform.from_yaw(0.4, np.array([3.0, -2.0, 0.5]))
+    ego, coop, t_true = noisy_pair(SynthConfig(n_boxes=8, coop_transform=fixed), noise, seed)
+    assert np.array_equal(t_true.rotation, fixed.rotation)
+    assert np.array_equal(t_true.translation, fixed.translation)
+    assert not np.allclose(drawn.translation, fixed.translation)
+    # the layout and the ego noise do not depend on the transform
+    assert list(map(box_key, ego)) == list(map(box_key, drawn_ego))
+    assert len(coop) == len(drawn_coop)
 
 
 # ---- noise_sweep ----
