@@ -63,14 +63,11 @@ from .synth import (
     run_trial,
 )
 from .monitor import (
-    CalibrationAttempt,
     EventKind,
     MonitorConfig,
     MonitorEvent,
     MonitorState,
     MonitorStatus,
-    RetryResult,
-    calibrate_with_retries,
     health_check,
     step,
 )
@@ -93,8 +90,7 @@ __all__ = [
     "generate_scene_pair", "grid_product", "inject_noise",
     "kappa_for_circular_std", "noise_sweep", "noisy_pair", "random_yaw_transform",
     "run_trial",
-    "CalibrationAttempt", "EventKind", "MonitorConfig", "MonitorEvent",
-    "MonitorState", "MonitorStatus", "RetryResult", "calibrate_with_retries",
+    "EventKind", "MonitorConfig", "MonitorEvent", "MonitorState", "MonitorStatus",
     "health_check", "step",
     "__version__",
 ]

@@ -11,17 +11,18 @@ pair is scored by how well the rest of the scene lines up:
   greedy one-to-one pairing by ascending distance, and
 * mean_distance: the mean pair distance over that valid set.
 
-High-confidence, low-distance anchors fill an affinity matrix and a
-one-to-one assignment with maximum total affinity picks the candidate
-anchors. Each assigned anchor is refined on its valid set by closed-form
-corner fits to a fixed point, and the final matches are the refined
-consensus (valid set) of the best assigned anchor, as in RANSAC: pairs
-the assignment picked only because they agree with themselves never join it.
+Anchor confidences fill an affinity matrix and a one-to-one assignment
+with maximum total affinity picks the candidate anchors. No anchor is
+judged on its unrefined mean distance: each assigned anchor is refined on
+its valid set by closed-form corner fits to a fixed point, and the final
+matches are the refined consensus (valid set) of the best assigned anchor,
+as in LO-RANSAC: pairs the assignment picked only because they agree with
+themselves never join it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,7 +33,7 @@ from .registration import DegenerateCorners, build_feature_clouds, weighted_kabs
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
-TAU_MAX, TAU1_MAX = 3.0, 2.0  # upper bounds of the pairing gates, meters
+TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -43,8 +44,7 @@ class NoCoVisibleObjects(RuntimeError):
 class ODistParams:
     """Scoring parameters.
 
-    tau gates the per-pair distance when forming the valid set, tau1 gates
-    the mean distance when filling the affinity matrix. alpha and beta
+    tau gates the per-pair distance when forming the valid set. alpha and beta
     weight the center-distance and corner-distance terms of box_distance;
     the default beta = 1/sqrt(8) puts the 8-corner Frobenius norm on a
     per-corner scale. try_yaw_flip additionally evaluates every anchor
@@ -54,7 +54,6 @@ class ODistParams:
     """
 
     tau: float = 3.0
-    tau1: float = 1.5
     alpha: float = 1.0
     beta: float = math.sqrt(0.125)
     try_yaw_flip: bool = True
@@ -62,16 +61,8 @@ class ODistParams:
     def __post_init__(self):
         if not (0.0 < self.tau <= TAU_MAX):
             raise ValueError(f"tau must be in (0, {TAU_MAX:g}], got {self.tau}")
-        if not (0.0 < self.tau1 <= TAU1_MAX):
-            raise ValueError(f"tau1 must be in (0, {TAU1_MAX:g}], got {self.tau1}")
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
             raise ValueError("alpha and beta must be nonnegative and not both zero")
-
-    def widened(self, scale: float) -> "ODistParams":
-        """tau and tau1 scaled by scale, each clamped to its upper bound."""
-        return replace(
-            self, tau=min(TAU_MAX, self.tau * scale), tau1=min(TAU1_MAX, self.tau1 * scale)
-        )
 
 
 @dataclass(frozen=True)
@@ -114,10 +105,9 @@ class MatchSet:
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """entries[i, j] is the anchor confidence of (ego i, coop j), zeroed
-    where the anchor was filtered (mean distance >= tau1 or empty valid
-    set). coop_flip marks anchors whose winning variant used the reversed
-    coop heading."""
+    """entries[i, j] is the anchor confidence of (ego i, coop j), zero
+    where the anchor is degenerate or pairs nothing within tau. coop_flip
+    marks anchors whose winning variant used the reversed coop heading."""
 
     entries: np.ndarray
     coop_flip: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -256,26 +246,25 @@ def alignment_score(
 def _score_anchors(
     ego_a: _SceneArrays, coop_a: _SceneArrays, params: ODistParams
 ) -> tuple[AffinityMatrix, dict[tuple[int, int], PairScore]]:
-    """The affinity matrix plus the score of every anchor that entered it."""
+    """The affinity matrix plus the score of every non-degenerate anchor."""
     n, m = ego_a.centers.shape[0], coop_a.centers.shape[0]
     entries = np.zeros((n, m))
     flips = np.zeros((n, m), dtype=bool)
-    kept: dict[tuple[int, int], PairScore] = {}
+    scores: dict[tuple[int, int], PairScore] = {}
     for i in range(n):
         for j in range(m):
             try:
                 score = _pair_score(ego_a, coop_a, i, j, params)
             except DegenerateCorners:
                 continue
-            if score.mean_distance < params.tau1:
-                entries[i, j] = score.confidence
-                flips[i, j] = score.coop_flipped
-                kept[(i, j)] = score
-    return AffinityMatrix(entries, flips), kept
+            entries[i, j] = score.confidence
+            flips[i, j] = score.coop_flipped
+            scores[(i, j)] = score
+    return AffinityMatrix(entries, flips), scores
 
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
-    """Score every anchor pair, keeping confidences where mean distance < tau1."""
+    """Score every anchor pair; entry (i, j) is its confidence."""
     return _score_anchors(_SceneArrays(ego), _SceneArrays(coop), params)[0]
 
 
@@ -334,17 +323,27 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
 
 
 def _refine(
-    ego: _SceneArrays, coop: _SceneArrays, score: PairScore, params: ODistParams
+    ego: _SceneArrays,
+    coop: _SceneArrays,
+    score: PairScore,
+    params: ODistParams,
+    refits: dict[tuple, PairScore],
 ) -> PairScore:
     """Refit an anchor's transform on its valid set, a closed-form corner
-    fit with unit weights, until the refit no longer scores better. This
-    ends: each kept refit strictly lowers _rank, and a refit depends only
-    on the valid set it fits, so no valid set comes back. A one-pair valid
-    set is the anchor itself and is left alone."""
+    fit with unit weights on the pairs in index order, until the refit no
+    longer scores better. This ends: each kept refit strictly lowers _rank,
+    and a refit depends only on the valid set it fits, so no valid set
+    comes back. The refinements of different anchors often reach the same
+    valid set, so refits keeps each refit's score by its valid set. A
+    one-pair valid set is the anchor itself and is left alone."""
     while len(score.valid_pairs) >= 2:
-        unit = MatchSet([Match(i, j, 1.0, score.coop_flipped) for i, j, _ in score.valid_pairs])
-        fit = weighted_kabsch(build_feature_clouds(unit, ego.scene, coop.scene)).transform
-        refined = _score(ego, coop, fit.rotation, fit.translation, score.coop_flipped, params)
+        pairs = tuple(sorted((i, j) for i, j, _ in score.valid_pairs))
+        flipped = score.coop_flipped
+        if (pairs, flipped) not in refits:
+            unit = MatchSet([Match(i, j, 1.0, flipped) for i, j in pairs])
+            fit = weighted_kabsch(build_feature_clouds(unit, ego.scene, coop.scene)).transform
+            refits[pairs, flipped] = _score(ego, coop, fit.rotation, fit.translation, flipped, params)
+        refined = refits[pairs, flipped]
         if _rank(refined) >= _rank(score):
             break
         score = refined
@@ -355,7 +354,7 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     """Full association: the refined consensus of the best assigned anchor.
 
     The affinity matrix and the optimal assignment choose the candidate
-    anchors, gated on their unrefined scores. Each assigned anchor is then
+    anchors by their unrefined confidences. Each assigned anchor is then
     refined to a fixed point (see _refine), and the one with the highest
     refined confidence, then the least mean distance, then the lowest ego
     index wins. Its valid set, sorted by ego index, is returned; every
@@ -367,8 +366,10 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     assigned = solve_assignment(affinity)
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
+    refits: dict[tuple, PairScore] = {}
     refined = [
-        _refine(ego_a, coop_a, scores[(a.ego_index, a.coop_index)], params) for a in assigned
+        _refine(ego_a, coop_a, scores[(a.ego_index, a.coop_index)], params, refits)
+        for a in assigned
     ]
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)

@@ -49,8 +49,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON run configuration file")
     p.add_argument("--tau", type=float, dest="odist.tau", metavar="TAU",
                    help="pairing distance gate, meters")
-    p.add_argument("--tau1", type=float, dest="odist.tau1", metavar="TAU1",
-                   help="affinity mean-distance gate, meters")
     p.add_argument("--alpha", type=float, dest="odist.alpha", metavar="ALPHA",
                    help="weight of the center-distance term")
     p.add_argument("--beta", type=float, dest="odist.beta", metavar="BETA",
@@ -274,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-boot", dest="monitor.theta_boot", metavar="THETA_BOOT", type=float)
     p.add_argument("--theta-monitor", dest="monitor.theta_monitor", metavar="THETA_MONITOR",
                    type=float)
-    p.add_argument("--max-retries", dest="monitor.max_retries", metavar="MAX_RETRIES", type=int)
     p.add_argument("--out", type=Path, default=Path("monitor_out"),
                    help="output directory (events.jsonl, state.json, extrinsic.json)")
     p.set_defaults(func=cmd_monitor)

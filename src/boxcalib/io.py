@@ -25,6 +25,10 @@ from .pipeline import DEFAULT_TOP_K, CalibrationReport
 from .registration import nearest_rotation
 from .synth import NoiseConfig, SynthConfig
 
+# Largest plausible box center coordinate or dimension, meters. Larger
+# values are input errors, and squares of values near 1e154 overflow.
+MAX_COORDINATE_M = 1e5
+
 
 class ParseError(ValueError):
     """Input file is malformed; message carries file and field context."""
@@ -79,6 +83,9 @@ def _parse_box(entry, path, where) -> DetectionBox:
             raise ParseError(path, f"{where}.{key}", "missing")
     center = _vector(entry["center"], 3, path, f"{where}.center")
     dims = _vector(entry["dims"], 3, path, f"{where}.dims")
+    for key, values in (("center", center), ("dims", dims)):
+        if max(abs(v) for v in values) > MAX_COORDINATE_M:
+            raise ParseError(path, f"{where}.{key}", f"exceeds {MAX_COORDINATE_M:g} m")
     has_rad, has_deg = "yaw" in entry, "yaw_deg" in entry
     if has_rad == has_deg:
         raise ParseError(path, where, "exactly one of 'yaw' (radians) or 'yaw_deg' is required")
@@ -154,9 +161,10 @@ def extrinsic_from_dict(doc, path="<memory>") -> RigidTransform:
         raise ParseError(path, "rotation", f"not orthonormal (|R^T R - I| = {drift:.3g})")
     if np.linalg.det(R) <= 0:
         raise ParseError(path, "rotation", "determinant must be +1 (got a reflection)")
-    # Snap to the nearest rotation so downstream orthonormality checks
-    # hold exactly even after lossy round trips through other tools.
-    return RigidTransform(nearest_rotation(R), t)
+    # Snap a drifted matrix to the nearest rotation, so downstream
+    # orthonormality checks hold after lossy round trips through other
+    # tools; one this package wrote loads back bit for bit.
+    return RigidTransform(R if drift <= 1e-12 else nearest_rotation(R), t)
 
 
 def load_extrinsic(path) -> RigidTransform:

@@ -2,9 +2,9 @@
 
 Each frame, the stored extrinsic is scored against the live scene pair
 (health_check). While healthy it is kept; when the score degrades past a
-threshold, calibration is re-run with bounded retries that progressively
-widen the pairing gates. The first frame uses the boot threshold, later
-frames the monitor threshold.
+threshold, calibration is re-run once on that frame and its result is kept
+only if it passes the same health gate. The first frame uses the boot
+threshold, later frames the monitor threshold.
 
 step() and unreadable_frame() are pure transition functions: persistence
 and frame acquisition belong to the caller (see the monitor CLI command).
@@ -24,14 +24,11 @@ from .pipeline import CALIBRATION_FAILURES, DEFAULT_TOP_K, calibrate_scenes
 class MonitorConfig:
     theta_boot: float = 1.0  # mean-distance gate at boot, meters
     theta_monitor: float = 1.0  # mean-distance gate per frame, meters
-    max_retries: int = 3
-    min_confidence: int = 2  # least valid-set size considered trustworthy
+    min_confidence: int = 3  # least valid-set size considered trustworthy
 
     def __post_init__(self):
         if self.theta_boot <= 0 or self.theta_monitor <= 0:
             raise ValueError("thresholds must be positive")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
         if self.min_confidence < 1:
             raise ValueError("min_confidence must be >= 1")
 
@@ -47,7 +44,6 @@ class EventKind(str, Enum):
     BOOT_CALIBRATED = "BootCalibrated"
     HEALTH_OK = "HealthOk"
     RECALIBRATED = "Recalibrated"
-    RETRY_EXHAUSTED = "RetryExhausted"
     ALERT_RAISED = "AlertRaised"
     DEGRADED_ENTERED = "DegradedEntered"
 
@@ -58,7 +54,7 @@ class MonitorEvent:
     kind: EventKind
     confidence: float
     mean_distance: float
-    attempt: int  # calibration attempt the event refers to, 0 for health events
+    attempt: int  # 1 for the outcome of the frame's calibration, 0 for health events
 
 
 @dataclass(frozen=True)
@@ -92,59 +88,6 @@ def _healthy(confidence: float, mean_distance: float, theta: float, min_confiden
     return mean_distance <= theta and confidence >= min_confidence
 
 
-@dataclass(frozen=True)
-class CalibrationAttempt:
-    confidence: float
-    mean_distance: float
-    tau: float
-    tau1: float
-
-
-@dataclass(frozen=True)
-class RetryResult:
-    """Outcome of calibrate_with_retries; transform is None on failure.
-    attempts carries the health diagnostics of every attempt made."""
-
-    transform: RigidTransform | None
-    attempts: tuple[CalibrationAttempt, ...]
-
-    @property
-    def failed(self) -> bool:
-        return self.transform is None
-
-
-def calibrate_with_retries(
-    ego: Scene,
-    coop: Scene,
-    theta: float,
-    max_retries: int,
-    params: ODistParams = ODistParams(),
-    min_confidence: int = MonitorConfig.min_confidence,
-    top_k: int | float | None = DEFAULT_TOP_K,
-) -> RetryResult:
-    """Run the calibration pipeline up to max_retries times.
-
-    Attempt k (1-based) scales tau and tau1 by 1 + 0.25*(k-1), capped at
-    their ODistParams bounds, widening the gates for scenes whose pairs sit
-    just outside the defaults. A candidate transform is accepted when its
-    health under the *unscaled* params meets the gate: mean distance <=
-    theta and confidence >= min_confidence.
-    """
-    attempts: list[CalibrationAttempt] = []
-    for k in range(1, max_retries + 1):
-        widened = params.widened(1.0 + 0.25 * (k - 1))
-        try:
-            report = calibrate_scenes(ego, coop, widened, top_k)
-        except CALIBRATION_FAILURES:
-            attempts.append(CalibrationAttempt(0.0, math.inf, widened.tau, widened.tau1))
-            continue
-        confidence, mean_distance = health_check(ego, coop, report.transform, params)
-        attempts.append(CalibrationAttempt(confidence, mean_distance, widened.tau, widened.tau1))
-        if _healthy(confidence, mean_distance, theta, min_confidence):
-            return RetryResult(report.transform, tuple(attempts))
-    return RetryResult(None, tuple(attempts))
-
-
 def step(
     state: MonitorState,
     ego: Scene,
@@ -159,8 +102,9 @@ def step(
     extrinsic was restored from storage or is yet to be estimated; the
     monitor gate applies afterwards. On calibration failure the previous
     extrinsic, if any, is kept: at boot this raises an alert, at runtime
-    it enters degraded operation. Every failed attempt emits a
-    RetryExhausted event carrying that attempt's health.
+    it enters degraded operation. A frame that calibrates emits one event,
+    attempt 1, carrying the health of the calibrated transform (0 and inf
+    when calibration found none).
     """
     frame = state.frame_count
     boot_phase = frame == 0 or state.status is MonitorStatus.UNCALIBRATED
@@ -173,15 +117,15 @@ def step(
             kept = MonitorState(state.current_extrinsic, MonitorStatus.CALIBRATED, measured, frame + 1)
             return kept, [MonitorEvent(frame, EventKind.HEALTH_OK, *measured, 0)]
 
-    outcome = calibrate_with_retries(
-        ego, coop, theta, cfg.max_retries, params, cfg.min_confidence, top_k
-    )
-    last = outcome.attempts[-1]
-    if not outcome.failed:
+    try:
+        report = calibrate_scenes(ego, coop, params, top_k)
+    except CALIBRATION_FAILURES:
+        report, health = None, (0.0, math.inf)
+    else:
+        health = (report.health_confidence, report.health_mean_distance)
+    if report is not None and _healthy(*health, theta, cfg.min_confidence):
         kind = EventKind.BOOT_CALIBRATED if boot_phase else EventKind.RECALIBRATED
-        health = (last.confidence, last.mean_distance)
-        new_state = MonitorState(outcome.transform, MonitorStatus.CALIBRATED, health, frame + 1)
-        retries = outcome.attempts[:-1]
+        new_state = MonitorState(report.transform, MonitorStatus.CALIBRATED, health, frame + 1)
     else:
         if boot_phase:
             kind = EventKind.ALERT_RAISED
@@ -190,15 +134,7 @@ def step(
         else:
             kind, status = EventKind.DEGRADED_ENTERED, MonitorStatus.DEGRADED
         new_state = MonitorState(state.current_extrinsic, status, measured, frame + 1)
-        retries = outcome.attempts
-    events = [
-        MonitorEvent(frame, EventKind.RETRY_EXHAUSTED, att.confidence, att.mean_distance, i)
-        for i, att in enumerate(retries, start=1)
-    ]
-    events.append(
-        MonitorEvent(frame, kind, last.confidence, last.mean_distance, len(outcome.attempts))
-    )
-    return new_state, events
+    return new_state, [MonitorEvent(frame, kind, *health, 1)]
 
 
 def unreadable_frame(state: MonitorState) -> tuple[MonitorState, MonitorEvent]:

@@ -43,13 +43,6 @@ from conftest import (
 CENTER_ONLY = ODistParams(alpha=1.0, beta=0.0)
 
 
-def test_widened_gates_clamp_to_their_bounds():
-    narrow = ODistParams(tau=2.0, tau1=1.0, alpha=0.5)
-    assert narrow.widened(1.25) == ODistParams(tau=2.5, tau1=1.25, alpha=0.5)
-    assert narrow.widened(4.0) == ODistParams(tau=3.0, tau1=2.0, alpha=0.5)
-    assert ODistParams().widened(1.5) == ODistParams(tau=3.0, tau1=2.0)
-
-
 # ---- box_distance ----
 
 
@@ -236,19 +229,17 @@ def test_identity_scene_affinity_is_diagonal_dominant():
         assert np.all(off_col < 5.0)
 
 
-def test_mean_distance_at_tau1_is_filtered_strictly():
+def test_anchor_mean_distance_does_not_gate_the_affinity():
     # companion offset 3.0 with the center-only metric: admitted into the
-    # valid set (d = tau), but the anchor mean is (0 + 3.0)/2 = 1.5 = tau1,
-    # which the strict filter zeroes out
+    # valid set (d = tau), so the anchor enters with both pairs however
+    # large its unrefined mean distance, (0 + 3.0)/2 = 1.5 m
     ego = make_scene([make_box((0, 0, 0)), make_box((10, 0, 0), dims=(3, 1.5, 1.2))])
     at_limit = make_scene(
         [make_box((0, 0, 0)), make_box((13.0, 0, 0), dims=(3, 1.5, 1.2))]
     )
-    below = make_scene(
-        [make_box((0, 0, 0)), make_box((12.9998, 0, 0), dims=(3, 1.5, 1.2))]
-    )
-    assert build_affinity(ego, at_limit, CENTER_ONLY).entries[0, 0] == 0.0
-    assert build_affinity(ego, below, CENTER_ONLY).entries[0, 0] == 2.0
+    assert odist(ego, at_limit, 0, 0, CENTER_ONLY).mean_distance == pytest.approx(1.5)
+    assert build_affinity(ego, at_limit, CENTER_ONLY).entries[0, 0] == 2.0
+    assert len(associate(ego, at_limit, CENTER_ONLY)) == 2
 
 
 def test_single_congruent_boxes_give_a_unit_matrix():
@@ -466,7 +457,7 @@ def test_refinement_runs_to_its_fixed_point():
         true_pairs.add((int(gap.argmin()), j))
     report = calibrate_scenes(ego, coop)
     found = {(m.ego_index, m.coop_index) for m in report.matches}
-    assert len(found) == 14
+    assert len(found) == 15
     assert found <= true_pairs
 
 
@@ -564,8 +555,6 @@ def test_params_reject_out_of_range_thresholds():
         ODistParams(tau=0.0)
     with pytest.raises(ValueError):
         ODistParams(tau=3.5)
-    with pytest.raises(ValueError):
-        ODistParams(tau1=2.5)
     with pytest.raises(ValueError):
         ODistParams(alpha=-0.1)
     with pytest.raises(ValueError):

@@ -4,10 +4,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +21,7 @@ from boxcalib import (
     transform_scene,
 )
 from boxcalib.io import (
+    MAX_COORDINATE_M,
     ParseError,
     config_from_dict,
     extrinsic_from_dict,
@@ -233,9 +230,9 @@ def test_state_files_are_validated(tmp_path):
 
 
 FULL_CONFIG = {
-    "odist": {"tau": 2.5, "tau1": 1.0, "alpha": 1.0, "beta": 0.5, "try_yaw_flip": False},
+    "odist": {"tau": 2.5, "alpha": 1.0, "beta": 0.5, "try_yaw_flip": False},
     "top_k": 10,
-    "monitor": {"theta_boot": 0.5, "theta_monitor": 0.75, "max_retries": 2, "min_confidence": 3},
+    "monitor": {"theta_boot": 0.5, "theta_monitor": 0.75, "min_confidence": 4},
     "synth": {"n_boxes": 9, "x_range": [-20, 20], "min_separation": 4.0, "seed": 5},
     "noise": {"sigma_pos": 0.5, "yaw_std_deg": 10.0, "seed": 1},
 }
@@ -246,7 +243,7 @@ def test_config_sections_load_and_default(tmp_path):
     assert cfg.odist.tau == 2.5
     assert cfg.odist.try_yaw_flip is False
     assert cfg.top_k == 10
-    assert cfg.monitor.min_confidence == 3
+    assert cfg.monitor.min_confidence == 4
     assert cfg.synth.n_boxes == 9
     assert cfg.synth.x_range == (-20.0, 20.0)
     assert cfg.noise.sigma_pos == 0.5
@@ -350,21 +347,52 @@ def test_calibrate_degenerate_geometry_exits_4(tmp_path, capsys, monkeypatch):
     assert "rank-deficient" in capsys.readouterr().err
 
 
-def test_calibrate_overflowing_coordinates_exits_4(tmp_path):
-    # A center of 1e300 parses, but the refit's cross-covariance overflows,
-    # and LAPACK's SVD may never return on it. A subprocess with a timeout
-    # turns a hang into a failure.
-    boxes = list(spread_scene(3, seed=5)) + [make_box((1e300, 0.0, 0.0), dims=(4.5, 1.9, 1.6))]
-    path = tmp_path / "scene.json"
-    save_scene(make_scene(boxes), path)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "boxcalib.cli", "calibrate", str(path), str(path)],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert proc.returncode == 4
-    assert "not finite" in proc.stderr
+def test_calibrate_overflowing_coordinates_exits_2(tmp_path, capsys):
+    # A center of 1e300 would overflow the refit's cross-covariance; it is
+    # refused when the scene is read, as is a dimension beyond the bound.
+    assert MAX_COORDINATE_M == 1e5
+    spread = list(spread_scene(3, seed=5))
+    far = make_scene(spread + [make_box((1e300, 0.0, 0.0), dims=(4.5, 1.9, 1.6))])
+    huge = make_scene(spread + [make_box((0.0, 0.0, 0.0), dims=(4.5, 2e5, 1.6))])
+    edge = make_scene(spread + [make_box((-1e5, 0.0, 0.0), dims=(4.5, 1.9, 1.6))])
+    for scene, field in ((far, "boxes[3].center"), (huge, "boxes[3].dims")):
+        path = tmp_path / "scene.json"
+        save_scene(scene, path)
+        assert cli.main(["calibrate", str(path), str(path)]) == 2
+        assert f"{field}: exceeds 100000 m" in capsys.readouterr().err
+    save_scene(edge, tmp_path / "edge.json")
+    assert load_scene(tmp_path / "edge.json").boxes[3].center[0] == -1e5
+
+
+def test_retired_options_exit_2(tmp_path, capsys):
+    # there is no mean-distance gate (tau1) and no retry count (max_retries)
+    ego_path, coop_path, _ = write_pair(tmp_path)
+    for section, key in (("odist", "tau1"), ("monitor", "max_retries")):
+        cfg_path = write_json(tmp_path, "cfg.json", {section: {key: 1}})
+        rc = cli.main(["calibrate", str(ego_path), str(coop_path), "--config", str(cfg_path)])
+        assert rc == 2
+        assert f"{section}.{key}: unknown key" in capsys.readouterr().err
+    for flag in ("--tau1", "--max-retries"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["monitor", str(tmp_path), "--out", str(tmp_path / "out"), flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_noisy_synth_pair_calibrates_within_a_meter(tmp_path, capsys):
+    # the anchors that refine to the truth start with unrefined mean
+    # distances of 1.5 m or more; a gate on that mean leaves one wrong
+    # match 59.7 m off
+    out = tmp_path / "pair"
+    assert cli.main(["synth", "--seed", "3", "--n-boxes", "12", "--visibility", "0.8",
+                     "--sigma", "0.3", "--yaw-std", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["calibrate", str(out / "ego.json"), str(out / "coop.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    truth = load_extrinsic(out / "extrinsic.json")
+    assert rte(truth.translation, np.array(doc["translation"])) < 1.0
+    assert rre(truth.rotation, np.array(doc["rotation"]).reshape(3, 3)) < 2.0
+    assert len(doc["matches"]) >= 3
 
 
 def test_out_of_range_flag_exits_2(tmp_path, capsys):
@@ -597,6 +625,22 @@ def test_monitor_resume_replays_identically(tmp_path, capsys):
     assert split_state == full_state
 
 
+def test_split_monitor_run_writes_the_same_bytes(tmp_path, capsys):
+    # the held extrinsic is reloaded at the split and kept to the end, so
+    # the resumed run works on the rotation exactly as it was written
+    frames = monitor_frames(5)
+    out_full, out_split = tmp_path / "out_full", tmp_path / "out_split"
+    assert cli.main(["monitor", str(write_stream(tmp_path, "full", frames)),
+                     "--out", str(out_full)]) == 0
+    for name, part in (("first", frames[:2]), ("second", frames[2:])):
+        assert cli.main(["monitor", str(write_stream(tmp_path, name, part)),
+                         "--out", str(out_split)]) == 0
+    capsys.readouterr()
+    assert [e["kind"] for e in read_events(out_split)] == ["BootCalibrated"] + ["HealthOk"] * 4
+    for name in ("state.json", "extrinsic.json"):
+        assert (out_split / name).read_bytes() == (out_full / name).read_bytes()
+
+
 @pytest.mark.parametrize("gap", ["no_valid_pair", "unreadable"])
 def test_monitor_resumes_after_a_failed_frame(tmp_path, capsys, gap):
     ego = spread_scene(6, seed=12)
@@ -650,15 +694,13 @@ def test_monitor_lost_covisibility_alert_vs_degraded(tmp_path, capsys):
     frames = monitor_frames(1) + [(ego, empty)]
     stream = write_stream(tmp_path, "stream", frames)
     out = tmp_path / "out"
-    rc = cli.main(["monitor", str(stream), "--out", str(out), "--max-retries", "2"])
+    rc = cli.main(["monitor", str(stream), "--out", str(out)])
     assert rc == 0
     capsys.readouterr()
     events = read_events(out)
-    assert [e["kind"] for e in events] == [
-        "BootCalibrated",
-        "RetryExhausted",
-        "RetryExhausted",
-        "DegradedEntered",
+    assert [(e["kind"], e["attempt"]) for e in events] == [
+        ("BootCalibrated", 1),
+        ("DegradedEntered", 1),
     ]
     state = json.loads((out / "state.json").read_text())
     assert state["status"] == "Degraded"
@@ -666,18 +708,19 @@ def test_monitor_lost_covisibility_alert_vs_degraded(tmp_path, capsys):
 
 
 def test_monitor_flags_override_the_config(tmp_path, capsys):
-    ego = spread_scene(6, seed=12)
-    frames = monitor_frames(1) + [(ego, make_scene([], agent_id="coop"))]
-    stream = write_stream(tmp_path, "stream", frames)
-    cfg_path = write_json(tmp_path, "cfg.json", {"monitor": {"max_retries": 5, "theta_boot": 0.1}})
-    out = tmp_path / "out"
-    rc = cli.main(["monitor", str(stream), "--out", str(out), "--config", str(cfg_path),
-                   "--max-retries", "2", "--theta-boot", "0.5", "--theta-monitor", "0.5"])
-    assert rc == 0
+    # the held extrinsic is 0.15 m off on the second frame: health 0.3 m
+    (ego, coop), = monitor_frames(1)
+    nudged = transform_scene(RigidTransform(np.eye(3), np.array([0.0, 0.15, 0.0])), coop)
+    stream = write_stream(tmp_path, "stream", [(ego, coop), (ego, nudged)])
+    cfg_path = write_json(tmp_path, "cfg.json", {"monitor": {"theta_monitor": 0.1}})
+    flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+    assert cli.main(["monitor", str(stream), "--out", str(configured),
+                     "--config", str(cfg_path)]) == 0
+    assert cli.main(["monitor", str(stream), "--out", str(flagged), "--config", str(cfg_path),
+                     "--theta-boot", "0.5", "--theta-monitor", "0.5"]) == 0
     capsys.readouterr()
-    assert [e["kind"] for e in read_events(out)] == [
-        "BootCalibrated", "RetryExhausted", "RetryExhausted", "DegradedEntered"
-    ]
+    assert [e["kind"] for e in read_events(configured)] == ["BootCalibrated", "Recalibrated"]
+    assert [e["kind"] for e in read_events(flagged)] == ["BootCalibrated", "HealthOk"]
 
 
 # ---- CLI: synth ----

@@ -1,4 +1,4 @@
-"""Boot calibration, health gating, retries, and the monitor state machine."""
+"""Boot calibration, health gating, and the monitor state machine."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,7 @@ from boxcalib import (
     MonitorStatus,
     ODistParams,
     RigidTransform,
-    calibrate_with_retries,
+    calibrate_scenes,
     health_check,
     invert,
     rte,
@@ -74,36 +74,32 @@ def test_grossly_wrong_transform_fails_any_threshold():
     assert mean_distance == math.inf
 
 
-# ---- calibrate_with_retries ----
+# ---- step: one calibration attempt per frame ----
 
 
 def test_clean_scenes_succeed_on_the_first_attempt():
     ego, coop, t_true = scene_pair()
-    result = calibrate_with_retries(ego, coop, theta=0.5, max_retries=3)
-    assert not result.failed
-    assert len(result.attempts) == 1
-    assert result.attempts[0].tau == pytest.approx(3.0)
-    assert rte(t_true.translation, result.transform.translation) < 1e-9
+    state, events = step(MonitorState.initial(), ego, coop)
+    assert [(e.kind, e.attempt) for e in events] == [(EventKind.BOOT_CALIBRATED, 1)]
+    assert rte(t_true.translation, state.current_extrinsic.translation) < 1e-9
 
 
 def test_hopeless_scenes_exhaust_every_attempt():
-    result = calibrate_with_retries(DISJOINT_EGO, DISJOINT_COOP, theta=1.0, max_retries=3)
-    assert result.failed
-    assert result.transform is None
-    assert len(result.attempts) == 3
-    for att in result.attempts:
-        assert att.confidence == 0.0
-        assert att.mean_distance == math.inf
+    state, events = step(MonitorState.initial(), DISJOINT_EGO, DISJOINT_COOP)
+    assert [(e.kind, e.attempt) for e in events] == [(EventKind.ALERT_RAISED, 1)]
+    assert events[0].confidence == 0.0
+    assert events[0].mean_distance == math.inf
+    assert state.current_extrinsic is None
 
 
-def retry_fixture(delta):
-    """Scene pair solvable only once tau1 is widened.
+def offset_fixture(delta):
+    """Scene pair whose true matches sit delta off in four directions.
 
     Ego boxes have strongly distinct dims so no cross anchor survives; the
-    four coop boxes are offset by delta in four compass directions, so
-    every correct anchor sees mean distance delta*(1+sqrt(2)) and the
-    default tau1 of the params below filters it until the retry schedule
-    widens the gate.
+    four coop boxes are offset by delta in four compass directions. Under
+    the true transform the center and corner terms add delta each, so each
+    true pair sits at 2 * delta, inside the params' tau of 1 m up to
+    delta = 0.5.
     """
     dims = [(2, 1, 1), (5, 2, 1.5), (8, 3, 2), (11, 4, 2.5), (14, 5, 3)]
     centers = [(0, 0, 0), (20, 0, 0), (0, 20, 0), (-20, 0, 0.5), (0, -20, 0.5)]
@@ -123,42 +119,34 @@ def retry_fixture(delta):
         )
         coop_boxes.append(transform_box(invert(t_true), shifted))
     coop = make_scene(coop_boxes, agent_id="coop")
-    params = ODistParams(tau=1.0, tau1=0.35)
-    return ego, coop, t_true, params
+    return ego, coop, t_true, ODistParams(tau=1.0)
 
 
-def test_moderate_offsets_succeed_only_after_widening():
-    ego, coop, t_true, params = retry_fixture(delta=0.2)
-    result = calibrate_with_retries(
-        ego, coop, theta=0.8, max_retries=3, params=params
-    )
-    assert not result.failed
-    assert len(result.attempts) == 3
-    assert [round(a.tau1, 6) for a in result.attempts] == [0.35, 0.4375, 0.525]
-    assert [round(a.tau, 6) for a in result.attempts] == [1.0, 1.25, 1.5]
-    assert result.attempts[0].mean_distance == math.inf
-    assert result.attempts[1].mean_distance == math.inf
-    assert result.attempts[2].confidence == 4
-    assert rte(t_true.translation, result.transform.translation) < 0.35
+def test_moderate_offsets_succeed_on_the_first_attempt():
+    ego, coop, t_true, params = offset_fixture(delta=0.2)
+    state, events = step(MonitorState.initial(), ego, coop, MonitorConfig(theta_boot=0.8), params)
+    assert [(e.kind, e.attempt) for e in events] == [(EventKind.BOOT_CALIBRATED, 1)]
+    assert events[0].confidence == 4
+    assert rte(t_true.translation, state.current_extrinsic.translation) < 0.35
 
 
-def test_larger_offsets_outrun_the_whole_schedule():
-    ego, coop, _, params = retry_fixture(delta=0.3)
-    result = calibrate_with_retries(
-        ego, coop, theta=0.8, max_retries=3, params=params
-    )
-    assert result.failed
-    assert len(result.attempts) == 3
+def test_offsets_beyond_tau_fail_their_one_attempt():
+    ego, coop, t_true, params = offset_fixture(delta=0.6)
+    assert health_check(ego, coop, t_true, params) == (0.0, math.inf)
+    state, events = step(MonitorState.initial(), ego, coop, MonitorConfig(theta_boot=0.8), params)
+    assert [(e.kind, e.attempt) for e in events] == [(EventKind.ALERT_RAISED, 1)]
+    assert events[0].confidence < MonitorConfig().min_confidence
+    assert state.current_extrinsic is None
 
 
-def test_widening_caps_at_the_parameter_ranges():
-    result = calibrate_with_retries(DISJOINT_EGO, DISJOINT_COOP, theta=1.0, max_retries=6)
-    taus = [a.tau for a in result.attempts]
-    tau1s = [a.tau1 for a in result.attempts]
-    assert max(taus) == 3.0
-    assert max(tau1s) == 2.0
-    assert all(t <= 3.0 for t in taus)
-    assert all(t <= 2.0 for t in tau1s)
+def test_health_comes_from_the_calibration_report():
+    ego, coop, _, params = offset_fixture(delta=0.3)
+    report = calibrate_scenes(ego, coop, params)
+    health = (report.health_confidence, report.health_mean_distance)
+    assert health == health_check(ego, coop, report.transform, params)
+    state, events = step(MonitorState.initial(), ego, coop, MonitorConfig(theta_boot=0.8), params)
+    assert (events[0].confidence, events[0].mean_distance) == health
+    assert state.last_health == health
 
 
 # ---- step: boot ----
@@ -175,20 +163,15 @@ def test_fresh_state_boots_to_calibrated():
 
 
 def test_boot_failure_without_a_stored_extrinsic_raises_an_alert():
-    state, events = step(
-        MonitorState.initial(), DISJOINT_EGO, DISJOINT_COOP, MonitorConfig(max_retries=3)
-    )
-    assert kinds(events) == [EventKind.RETRY_EXHAUSTED] * 3 + [EventKind.ALERT_RAISED]
-    assert [e.attempt for e in events] == [1, 2, 3, 3]
+    state, events = step(MonitorState.initial(), DISJOINT_EGO, DISJOINT_COOP)
+    assert kinds(events) == [EventKind.ALERT_RAISED]
     assert state.status is MonitorStatus.UNCALIBRATED
     assert state.current_extrinsic is None
 
 
 def test_boot_failure_with_a_stored_extrinsic_keeps_it_under_alert():
     stored = yaw_transform(0.3, (1.0, 2.0, 0.0))
-    state, events = step(
-        MonitorState.initial(stored), DISJOINT_EGO, DISJOINT_COOP, MonitorConfig(max_retries=2)
-    )
+    state, events = step(MonitorState.initial(stored), DISJOINT_EGO, DISJOINT_COOP)
     assert events[-1].kind is EventKind.ALERT_RAISED
     assert state.status is MonitorStatus.ALERT
     assert state.current_extrinsic is stored
@@ -239,46 +222,54 @@ def test_runtime_failure_degrades_but_retains_the_extrinsic():
     ego, coop, _ = scene_pair()
     state, _ = step(MonitorState.initial(), ego, coop)
     held = state.current_extrinsic
-    cfg = MonitorConfig(max_retries=2)
-    state, events = step(state, DISJOINT_EGO, DISJOINT_COOP, cfg)
-    assert kinds(events) == [EventKind.RETRY_EXHAUSTED] * 2 + [EventKind.DEGRADED_ENTERED]
+    state, events = step(state, DISJOINT_EGO, DISJOINT_COOP)
+    assert kinds(events) == [EventKind.DEGRADED_ENTERED]
     assert state.status is MonitorStatus.DEGRADED
     assert state.current_extrinsic is held
     # recovery on the next good frame
-    state, events = step(state, ego, coop, cfg)
+    state, events = step(state, ego, coop)
     assert kinds(events) == [EventKind.HEALTH_OK]
     assert state.status is MonitorStatus.CALIBRATED
 
 
-def test_step_recalibrates_after_widening():
-    ego, coop, _, params = retry_fixture(delta=0.2)
-    expected = calibrate_with_retries(ego, coop, theta=0.8, max_retries=3, params=params)
+def test_step_recalibrates_on_the_first_attempt():
+    ego, coop, _, params = offset_fixture(delta=0.2)
+    expected = calibrate_scenes(ego, coop, params)
     held = RigidTransform.identity()
     state = MonitorState(held, MonitorStatus.CALIBRATED, (5.0, 0.1), 4)
-    cfg = MonitorConfig(theta_monitor=0.8, max_retries=3)
-    state, events = step(state, ego, coop, cfg, params)
-    assert [(e.kind, e.attempt) for e in events] == [
-        (EventKind.RETRY_EXHAUSTED, 1), (EventKind.RETRY_EXHAUSTED, 2),
-        (EventKind.RECALIBRATED, 3),
-    ]
-    last = expected.attempts[-1]
-    assert (events[-1].confidence, events[-1].mean_distance) == (last.confidence, last.mean_distance)
-    assert state.last_health == (last.confidence, last.mean_distance)
+    state, events = step(state, ego, coop, MonitorConfig(theta_monitor=0.8), params)
+    assert [(e.kind, e.attempt) for e in events] == [(EventKind.RECALIBRATED, 1)]
+    health = (expected.health_confidence, expected.health_mean_distance)
+    assert (events[0].confidence, events[0].mean_distance) == health
+    assert state.last_health == health
     assert (state.status, state.frame_count) == (MonitorStatus.CALIBRATED, 5)
     assert np.array_equal(state.current_extrinsic.translation, expected.transform.translation)
 
 
 def test_runtime_failure_keeps_the_measured_health():
-    ego, coop, t_true, params = retry_fixture(delta=0.3)
+    # the calibration finds the true matches but misses the monitor gate
+    ego, coop, t_true, params = offset_fixture(delta=0.3)
     measured = health_check(ego, coop, t_true, params)
     assert measured[0] == 4 and 0.5 < measured[1] < 0.8
     state = MonitorState(t_true, MonitorStatus.CALIBRATED, (4.0, 0.0), 4)
-    cfg = MonitorConfig(theta_monitor=0.5, max_retries=3)
-    state, events = step(state, ego, coop, cfg, params)
-    assert kinds(events) == [EventKind.RETRY_EXHAUSTED] * 3 + [EventKind.DEGRADED_ENTERED]
-    assert events[-1].mean_distance == math.inf
+    state, events = step(state, ego, coop, MonitorConfig(theta_monitor=0.5), params)
+    assert [(e.kind, e.attempt) for e in events] == [(EventKind.DEGRADED_ENTERED, 1)]
+    assert events[0].confidence == 4 and events[0].mean_distance > 0.5
     assert state.last_health == measured
     assert state.current_extrinsic is t_true
+
+
+def test_two_agreeing_boxes_do_not_recalibrate():
+    # the coop agent sees only two of the ego's objects, moved by 5 m
+    ego, _, t_true = scene_pair()
+    moved = RigidTransform(t_true.rotation, t_true.translation + [5.0, 0.0, 0.0])
+    coop = make_scene([transform_box(invert(moved), b) for b in ego.boxes[:2]], agent_id="coop")
+    held = MonitorState(t_true, MonitorStatus.CALIBRATED, (6.0, 0.0), 4)
+    state, events = step(held, ego, coop)
+    assert [(e.kind, e.confidence) for e in events] == [(EventKind.DEGRADED_ENTERED, 2.0)]
+    assert state.current_extrinsic is t_true
+    state, events = step(held, ego, coop, MonitorConfig(min_confidence=2))
+    assert kinds(events) == [EventKind.RECALIBRATED]
 
 
 def test_unreadable_frame_degrades_a_held_extrinsic_and_keeps_its_health():
@@ -335,8 +326,6 @@ def test_config_validation():
         MonitorConfig(theta_boot=0.0)
     with pytest.raises(ValueError):
         MonitorConfig(theta_monitor=-1.0)
-    with pytest.raises(ValueError):
-        MonitorConfig(max_retries=0)
     with pytest.raises(ValueError):
         MonitorConfig(min_confidence=0)
 

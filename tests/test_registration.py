@@ -189,6 +189,15 @@ def test_fewer_than_three_effective_points_is_degenerate():
         weighted_kabsch(WeightedCorrespondences(src, src, np.array([1.0, 1.0, 0.0, 0.0])))
 
 
+def test_overflowing_cross_covariance_is_degenerate():
+    # finite points whose products overflow; LAPACK's SVD may never return
+    # on the resulting non-finite matrix, so it must not be called
+    src = np.array([[1e300, 0, 0], [0, 1e300, 0], [0, 0, 1e300], [1e300, 1e300, 0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateGeometry, match="not finite"):
+            weighted_kabsch(WeightedCorrespondences(src, src, np.ones(4)))
+
+
 def test_rms_residual_is_consistent_with_the_returned_transform():
     rng = np.random.default_rng(17)
     src, dst = random_correspondences(rng)
