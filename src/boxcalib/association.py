@@ -18,6 +18,15 @@ its valid set by closed-form corner fits to a fixed point, and the final
 matches are the refined consensus (valid set) of the best assigned anchor,
 as in LO-RANSAC: pairs the assignment picked only because they agree with
 themselves never join it.
+
+One kernel, _score, defines a score. The affinity matrix is filled by a
+batched pass per ego index (_score_anchors) that evaluates the same
+distances in closed form for all anchors of that index at once and
+decides each entry and flip flag itself only where rounding cannot change
+the kernel's decision; anywhere else, and for the anchors the assignment
+picks, the kernel scores the anchor. So every PairScore that leaves this
+module, and the ones refinement and the health check use, comes from
+_score.
 """
 from __future__ import annotations
 
@@ -28,12 +37,19 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import DetectionBox, RigidTransform, Scene, rot_z
-from .registration import DegenerateCorners, build_feature_clouds, weighted_kabsch, yaw_rotation
+from .registration import build_feature_clouds, rank_deficient, weighted_kabsch, yaw_rotation
 
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
+
+# The batched anchor pass and _distances evaluate the same distances in a
+# different order, so they differ by rounding: at most this many meters
+# per meter of scene extent and per unit of the distance's gain
+# alpha + beta sqrt(8) (see _batch_slack). Benchmark frames reach 2.9e-15;
+# rounding the rotated offsets and their angles can reach about 2.5e-14.
+_ROUNDING_PER_M = 5e-14
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -243,29 +259,122 @@ def alignment_score(
     return _score(ego_a, coop_a, transform.rotation, transform.translation, False, params)
 
 
-def _score_anchors(
-    ego_a: _SceneArrays, coop_a: _SceneArrays, params: ODistParams
-) -> tuple[AffinityMatrix, dict[tuple[int, int], PairScore]]:
-    """The affinity matrix plus the score of every non-degenerate anchor."""
-    n, m = ego_a.centers.shape[0], coop_a.centers.shape[0]
+def _gain(params: ODistParams) -> float:
+    """d >= gain * |center difference|, and an error in the center
+    difference moves d by at most gain times as much."""
+    return params.alpha + params.beta * math.sqrt(8.0)
+
+
+def _batch_slack(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams) -> float:
+    """How far a batched distance or mean may lie from _distances' value:
+    rounding grows with the coordinates and sizes in play."""
+    arrays = (ego.centers, coop.centers, ego.dims, coop.dims)
+    extent = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    return _ROUNDING_PER_M * _gain(params) * (1.0 + extent)
+
+
+def _score_anchors(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams) -> AffinityMatrix:
+    """The affinity matrix: each anchor's confidence and the winning
+    variant's flip flag, as _pair_score decides them, from one batched
+    pass per ego index.
+
+    Block i scores the anchors (i, j) of every coop box j under both
+    heading variants at once, from closed forms of what _distances
+    computes. With theta = yaw_e[i] - yaw_c[j], U = ego centers - e_i and
+    V = coop centers - c_j, the center difference of ego p and coop q is
+    U_p - rot_z(theta) V_q, and rot_z(theta + pi) only negates its xy
+    part. The axes term is
+    (l_p - l_q)^2 + (w_p - w_q)^2 + (h_p - h_q)^2
+    + 4 (l_p l_q + w_p w_q) sin^2(delta / 2), delta the difference of the
+    two heading differences, and a flip leaves it unchanged. Differences
+    and half angles are kept: the expanded forms cancel on coincident
+    boxes. Needle anchors, the ones yaw_rotation refuses, score zero.
+
+    When each row and column of an anchor's distance matrix holds at most
+    one pair within tau, the greedy pairing keeps all of them, so the
+    confidence is a count and the mean a sum over a mask. The batched
+    distances agree with _distances only to rounding (_batch_slack), so
+    an anchor takes the scalar _pair_score instead when (a) a row or
+    column holds two pairs within tau in either variant, (b) a distance
+    lies within the slack of tau, or (c) both variants have the same
+    confidence and, with each mean moved by up to the slack, _rank's
+    1e-9 m rounding could order them either way. Every decision the pass
+    makes itself is then the one the scalar kernel makes.
+    """
+    n, m = ego.centers.shape[0], coop.centers.shape[0]
     entries = np.zeros((n, m))
     flips = np.zeros((n, m), dtype=bool)
-    scores: dict[tuple[int, int], PairScore] = {}
+    if n == 0 or m == 0:
+        return AffinityMatrix(entries, flips)
+    needles = rank_deficient(ego.dims[:, None, :] * coop.dims[None, :, :])
+    # what no anchor changes: coop offsets V[j, q] = c_q - c_j, heading
+    # differences phi[p, q] and the flip-free parts of the axes term
+    v = coop.centers[None, :, :] - coop.centers[:, None, :]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    phi = ego.yaws[:, None] - coop.yaws[None, :]
+    dims_e, dims_c = ego.dims[:, None, :], coop.dims[None, :, :]
+    same = np.sum(np.square(dims_e - dims_c), axis=-1)
+    cross = 4.0 * (dims_e[..., 0] * dims_c[..., 0] + dims_e[..., 1] * dims_c[..., 1])
+    # rot_z(theta + pi) V = -rot_z(theta) V
+    sign = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
+    cells = len(sign) * m  # (variant, anchor coop j) pairs of a block
+    slack = _batch_slack(ego, coop, params)
+    # no pair whose centers are farther apart than this comes within tau + slack
+    reach = (params.tau + slack) / _gain(params)
+    reach2 = reach * reach * (1.0 + 1e-9)
     for i in range(n):
-        for j in range(m):
-            try:
-                score = _pair_score(ego_a, coop_a, i, j, params)
-            except DegenerateCorners:
-                continue
+        u = ego.centers - ego.centers[i]
+        theta = phi[i]
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        # dc2 axes: [variant, anchor coop j, ego p, coop q]
+        rx = (cos * vx - sin * vy)[:, None, :]
+        ry = (sin * vx + cos * vy)[:, None, :]
+        dc2 = (
+            np.square(u[None, :, None, 0] - sign * rx)
+            + np.square(u[None, :, None, 1] - sign * ry)
+            + np.square(u[None, :, None, 2] - vz[:, None, :])
+        )
+        f, a, p, q = np.nonzero(dc2 <= reach2)  # a: the anchor's coop index
+        c2 = dc2[f, a, p, q]
+        half = np.sin(0.5 * (phi[p, q] - theta[a]))
+        da2 = same[p, q] + cross[p, q] * np.square(half)
+        d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
+
+        cell = f * m + a
+        inside = d <= params.tau
+        conf = np.bincount(cell[inside], minlength=cells)
+        total = np.bincount(cell[inside], weights=d[inside], minlength=cells)
+        rows = np.bincount(cell[inside] * n + p[inside], minlength=cells * n)
+        cols = np.bincount(cell[inside] * m + q[inside], minlength=cells * m)
+        near = np.bincount(cell, weights=np.abs(d - params.tau) <= slack, minlength=cells)
+        unsure = (
+            (rows.reshape(cells, n).max(axis=1) > 1)
+            | (cols.reshape(cells, m).max(axis=1) > 1)
+            | (near > 0)
+        ).reshape(-1, m).any(axis=0)
+        conf = conf.reshape(-1, m)
+        flip = np.zeros(m, dtype=bool)
+        if params.try_yaw_flip:
+            # _rank rounds means to 1e-9 m: the roundings within reach of each batched mean
+            nano = total.reshape(-1, m) / np.maximum(conf, 1) * 1e9
+            low, high = np.rint(nano - slack * 1e9), np.rint(nano + slack * 1e9)
+            tie = (conf[0] == conf[1]) & (conf[0] > 0)
+            flip = (conf[1] > conf[0]) | (tie & (high[1] < low[0]))
+            unsure |= tie & (high[1] >= low[0]) & (low[1] < high[0])
+        entries[i] = conf.max(axis=0)
+        flips[i] = flip
+        for j in np.flatnonzero(unsure & ~needles[i]):
+            score = _pair_score(ego, coop, i, int(j), params)
             entries[i, j] = score.confidence
             flips[i, j] = score.coop_flipped
-            scores[(i, j)] = score
-    return AffinityMatrix(entries, flips), scores
+    entries[needles] = 0.0
+    flips[needles] = False
+    return AffinityMatrix(entries, flips)
 
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
     """Score every anchor pair; entry (i, j) is its confidence."""
-    return _score_anchors(_SceneArrays(ego), _SceneArrays(coop), params)[0]
+    return _score_anchors(_SceneArrays(ego), _SceneArrays(coop), params)
 
 
 def _max_assignment_total(entries: np.ndarray) -> float:
@@ -273,6 +382,22 @@ def _max_assignment_total(entries: np.ndarray) -> float:
         return 0.0
     rows, cols = linear_sum_assignment(entries, maximize=True)
     return float(entries[rows, cols].sum())
+
+
+def _assignment_bounds(rest: np.ndarray) -> np.ndarray:
+    """For each column c of a nonnegative matrix, an upper bound on
+    _max_assignment_total of the matrix without column c: an assignment
+    takes at most one entry per row and one per column, so it cannot beat
+    the sum of the row maxima or the sum of the column maxima."""
+    rows, cols = rest.shape
+    if rows == 0 or cols <= 1:
+        return np.zeros(cols)
+    top = np.partition(rest, cols - 2, axis=1)
+    first, second = top[:, -1], top[:, -2]
+    dropped = rest.argmax(axis=1)[None, :] == np.arange(cols)[:, None]
+    by_rows = np.where(dropped, second, first).sum(axis=1)
+    by_cols = np.where(np.eye(cols, dtype=bool), 0.0, rest.max(axis=0)).sum(axis=1)
+    return np.minimum(by_rows, by_cols)
 
 
 def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
@@ -297,28 +422,35 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
     # reach the optimal total on the remaining submatrix. At the start of
     # iteration i, `remaining` holds rows i.. restricted to the free cols,
     # so the current row is always its row 0.
+    # A choice whose bound (see _assignment_bounds) falls short of the
+    # optimum by more than 2 tol cannot pass the test below, rounding
+    # included, so its submatrix is not solved.
     forced_total = 0.0
     free_cols = list(range(m))
     matches: list[Match] = []
     remaining = entries
     for i in range(n):
         chosen = None
+        rest = remaining[1:]
+        bounds = _assignment_bounds(rest)
         for cj, j in enumerate(free_cols):
             if entries[i, j] <= 0.0:
                 continue
-            sub = np.delete(remaining[1:], cj, axis=1)
-            candidate = forced_total + entries[i, j] + _max_assignment_total(sub)
+            head = forced_total + entries[i, j]
+            if head + bounds[cj] < best_total - 2.0 * tol:
+                continue
+            candidate = head + _max_assignment_total(np.delete(rest, cj, axis=1))
             if candidate >= best_total - tol:
                 chosen = (cj, j)
                 break
         if chosen is None:
-            remaining = remaining[1:]
+            remaining = rest
             continue
         cj, j = chosen
         matches.append(Match(i, j, float(entries[i, j]), bool(flips[i, j])))
         forced_total += entries[i, j]
         free_cols.pop(cj)
-        remaining = np.delete(remaining[1:], cj, axis=1)
+        remaining = np.delete(rest, cj, axis=1)
     return MatchSet(tuple(matches))
 
 
@@ -355,22 +487,21 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
 
     The affinity matrix and the optimal assignment choose the candidate
     anchors by their unrefined confidences. Each assigned anchor is then
-    refined to a fixed point (see _refine), and the one with the highest
-    refined confidence, then the least mean distance, then the lowest ego
-    index wins. Its valid set, sorted by ego index, is returned; every
-    match carries the winner's confidence and heading-flip flag.
+    scored by the scalar kernel (_pair_score; the affinity pass keeps no
+    scores) and refined to a fixed point (see _refine); the one with the
+    highest refined confidence, then the least mean distance, then the
+    lowest ego index wins. Its valid set, sorted by ego index, is
+    returned; every match carries the winner's confidence and heading-flip
+    flag.
     """
     ego_a = _SceneArrays(ego)
     coop_a = _SceneArrays(coop)
-    affinity, scores = _score_anchors(ego_a, coop_a, params)
-    assigned = solve_assignment(affinity)
+    assigned = solve_assignment(_score_anchors(ego_a, coop_a, params))
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
     refits: dict[tuple, PairScore] = {}
-    refined = [
-        _refine(ego_a, coop_a, scores[(a.ego_index, a.coop_index)], params, refits)
-        for a in assigned
-    ]
+    anchors = [_pair_score(ego_a, coop_a, a.ego_index, a.coop_index, params) for a in assigned]
+    refined = [_refine(ego_a, coop_a, score, params, refits) for score in anchors]
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
     return MatchSet(

@@ -28,6 +28,16 @@ if TYPE_CHECKING:  # pragma: no cover
 RANK_RATIO_MIN = 1e-8
 
 
+def rank_deficient(singular_values: np.ndarray) -> np.ndarray:
+    """The rank test of a 3x3 cross-covariance, on its singular values along
+    the last axis in any order: the largest is not positive, or the middle
+    one is below RANK_RATIO_MIN of it."""
+    s = np.sort(singular_values, axis=-1)
+    high, mid = s[..., -1], s[..., -2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (high <= 0.0) | (mid / high < RANK_RATIO_MIN)
+
+
 class DegenerateCorners(ValueError):
     """Corner matrices do not span a plane; cannot happen for valid boxes."""
 
@@ -85,7 +95,7 @@ def nearest_rotation(H: np.ndarray) -> np.ndarray:
         # LAPACK's SVD may never return on a non-finite matrix
         raise DegenerateGeometry("cross-covariance is not finite (coordinates too large)")
     U, S, Vt = np.linalg.svd(H)
-    if S[0] <= 0.0 or S[1] / S[0] < RANK_RATIO_MIN:
+    if rank_deficient(S):
         raise DegenerateGeometry(f"cross-covariance is rank-deficient (singular values {S})")
     d = np.sign(np.linalg.det(U @ Vt))
     return U @ np.diag([1.0, 1.0, d]) @ Vt
@@ -102,9 +112,9 @@ def yaw_rotation(yaw_e: float, dims_e: np.ndarray, yaw_c: float, dims_c: np.ndar
     rot_z(yaw_e - yaw_c). Raises DegenerateCorners when those singular
     values fail the rank test weighted_kabsch applies.
     """
-    low, mid, high = sorted(float(e) * float(c) for e, c in zip(dims_e, dims_c))
-    if high <= 0.0 or mid / high < RANK_RATIO_MIN:
-        raise DegenerateCorners(f"rank-deficient cross-covariance (dims products {low, mid, high})")
+    products = np.asarray(dims_e, dtype=float) * np.asarray(dims_c, dtype=float)
+    if rank_deficient(products):
+        raise DegenerateCorners(f"rank-deficient cross-covariance (dims products {products})")
     return rot_z(yaw_e - yaw_c)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from boxcalib import (
     AffinityMatrix,
@@ -379,6 +380,65 @@ def test_assignment_optimality_property(rows):
     matches = solve_assignment(entries)
     total = sum(m.confidence for m in matches)
     assert total == pytest.approx(assignment_max_oracle(entries), abs=1e-9)
+
+
+def max_assignment_total(entries):
+    if entries.size == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(entries, maximize=True)
+    return float(entries[rows, cols].sum())
+
+
+def unpruned_assignment(entries):
+    """solve_assignment's lexicographic tie-break without the bound that
+    skips hopeless re-solves: every candidate submatrix is solved."""
+    n, m = entries.shape
+    best = max_assignment_total(entries)
+    tol = 1e-9 * max(1.0, abs(best))
+    if best <= tol:
+        return []
+    forced, free_cols, pairs, remaining = 0.0, list(range(m)), [], entries
+    for i in range(n):
+        chosen = None
+        for cj, j in enumerate(free_cols):
+            if entries[i, j] <= 0.0:
+                continue
+            sub = np.delete(remaining[1:], cj, axis=1)
+            if forced + entries[i, j] + max_assignment_total(sub) >= best - tol:
+                chosen = (cj, j)
+                break
+        if chosen is None:
+            remaining = remaining[1:]
+            continue
+        cj, j = chosen
+        pairs.append((i, j, float(entries[i, j])))
+        forced += entries[i, j]
+        free_cols.pop(cj)
+        remaining = np.delete(remaining[1:], cj, axis=1)
+    return pairs
+
+
+def _matrix(values):
+    return st.integers(1, 7).flatmap(
+        lambda n: st.integers(1, 7).flatmap(
+            lambda m: st.lists(values, min_size=n * m, max_size=n * m).map(
+                lambda flat: np.array(flat, dtype=float).reshape(n, m)
+            )
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _matrix(st.integers(0, 2)),  # many ties
+        _matrix(st.floats(0.0, 100.0, allow_nan=False)),
+        _matrix(st.sampled_from([0.0, 0.1, 0.2, 0.30000000000000004, 1e-10, 1e6])),
+    )
+)
+def test_pruned_assignment_equals_the_unpruned_loop(entries):
+    pruned = [(m.ego_index, m.coop_index, m.confidence) for m in solve_assignment(entries)]
+    assert pruned == unpruned_assignment(entries)
 
 
 # ---- associate ----
