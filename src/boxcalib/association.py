@@ -3,7 +3,7 @@
 No initial relative pose is assumed. Every (ego box, coop box) pair is
 treated as a candidate anchor: the rigid motion mapping the coop box onto
 the ego box is the closed-form Kabsch fit of their corners (a rotation by
-the yaw difference, see registration.yaw_rotation), the whole coop scene
+the yaw difference, see registration.pair_hypothesis), the whole coop scene
 is brought into the ego frame under that motion, and the quality of the
 pair is scored by how well the rest of the scene lines up:
 
@@ -19,14 +19,16 @@ matches are the refined consensus (valid set) of the best assigned anchor,
 as in LO-RANSAC: pairs the assignment picked only because they agree with
 themselves never join it.
 
-One kernel, _score, defines a score. The affinity matrix is filled by a
-batched pass per ego index (_score_anchors) that evaluates the same
-distances in closed form for all anchors of that index at once and
-decides each entry and flip flag itself only where rounding cannot change
-the kernel's decision; anywhere else, and for the anchors the assignment
-picks, the kernel scores the anchor. So every PairScore that leaves this
-module, and the ones refinement and the health check use, comes from
-_score.
+Two kernels compute the box distance. The anchor kernel (_anchor_block)
+scores the anchors of one ego box with any list of coop boxes at once,
+from closed forms in the heading differences. It fills the affinity
+matrix and gives every anchor's PairScore: odist's, and the ones
+refinement starts from. Its sines and cosines come from per-scene-pair
+tables and the rest is + - * and sqrt, so an anchor scores the same bits
+in whichever block it is scored. The transform kernel (_distances,
+_score) scores a given rigid motion: refits, alignment_score, the health
+check and box_distance. Both pair boxes by one greedy rule (_greedy) and
+rank scores by one rule (_rank).
 """
 from __future__ import annotations
 
@@ -37,19 +39,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import DetectionBox, RigidTransform, Scene, rot_z
-from .registration import build_feature_clouds, rank_deficient, weighted_kabsch, yaw_rotation
+from .registration import DegenerateCorners, build_feature_clouds, rank_deficient, weighted_kabsch
 
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
-
-# The batched anchor pass and _distances evaluate the same distances in a
-# different order, so they differ by rounding: at most this many meters
-# per meter of scene extent and per unit of the distance's gain
-# alpha + beta sqrt(8) (see _batch_slack). Benchmark frames reach 2.9e-15;
-# rounding the rotated offsets and their angles can reach about 2.5e-14.
-_ROUNDING_PER_M = 5e-14
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -77,8 +72,10 @@ class ODistParams:
     def __post_init__(self):
         if not (0.0 < self.tau <= TAU_MAX):
             raise ValueError(f"tau must be in (0, {TAU_MAX:g}], got {self.tau}")
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta <= 0:
-            raise ValueError("alpha and beta must be nonnegative and not both zero")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and nonnegative")
+        if self.alpha + self.beta <= 0:
+            raise ValueError("alpha and beta must not both be zero")
 
 
 @dataclass(frozen=True)
@@ -189,6 +186,23 @@ def _distances(
     return params.alpha * np.sqrt(dc2) + params.beta * np.sqrt(8.0 * dc2 + 2.0 * da2)
 
 
+def _greedy(rows: np.ndarray, cols: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The one-to-one pairing by ascending distance of candidate pairs
+    given in (row, col) order: the positions of the pairs it keeps, in the
+    order it keeps them. Equal distances keep the (row, col) order, so the
+    result does not depend on evaluation order."""
+    order = np.argsort(d, kind="stable")
+    used_rows: set[int] = set()
+    used_cols: set[int] = set()
+    kept = []
+    for k, r, c in zip(order.tolist(), rows[order].tolist(), cols[order].tolist()):
+        if r not in used_rows and c not in used_cols:
+            used_rows.add(r)
+            used_cols.add(c)
+            kept.append(k)
+    return np.array(kept, dtype=np.intp)
+
+
 def _score(
     ego: _SceneArrays,
     coop: _SceneArrays,
@@ -198,28 +212,16 @@ def _score(
     params: ODistParams,
 ) -> PairScore:
     """Scene-consistency score of the coop scene moved by (rotation,
-    translation): one-to-one pairing by ascending distance, admitting pairs
-    within tau.
-
-    Ties in distance are broken by (ego index, coop index) so the result
-    does not depend on evaluation order.
-    """
+    translation): the pairs within tau that _greedy keeps, in the order it
+    keeps them."""
     d = _distances(ego, coop, rotation, translation, flipped, params)
-    n, m = d.shape
-    flat = np.flatnonzero(d <= params.tau)
-    order = flat[np.argsort(d.reshape(-1)[flat], kind="stable")]
-    row_used = np.zeros(n, dtype=bool)
-    col_used = np.zeros(m, dtype=bool)
-    picked: list[tuple[int, int, float]] = []
-    for f in order:
-        i, j = divmod(int(f), m)
-        if row_used[i] or col_used[j]:
-            continue
-        row_used[i] = True
-        col_used[j] = True
-        picked.append((i, j, float(d[i, j])))
-    mean = float(np.mean([p[2] for p in picked])) if picked else math.inf
-    return PairScore(float(len(picked)), mean, tuple(picked), flipped)
+    rows, cols = np.nonzero(d <= params.tau)
+    dist = d[rows, cols]
+    kept = _greedy(rows, cols, dist)
+    rows, cols, dist = rows[kept], cols[kept], dist[kept]
+    mean = float(np.mean(dist)) if len(dist) else math.inf
+    pairs = zip(rows.tolist(), cols.tolist(), dist.tolist())
+    return PairScore(float(len(dist)), mean, tuple(pairs), flipped)
 
 
 def _rank(score: PairScore) -> tuple[float, float]:
@@ -230,21 +232,108 @@ def _rank(score: PairScore) -> tuple[float, float]:
     return -score.confidence, round(score.mean_distance, 9)
 
 
-def _pair_score(
-    ego: _SceneArrays, coop: _SceneArrays, i: int, j: int, params: ODistParams
-) -> PairScore:
-    scores = []
-    for flipped in [False, True] if params.try_yaw_flip else [False]:
-        coop_yaw = coop.yaws[j] + math.pi if flipped else coop.yaws[j]
-        R = yaw_rotation(ego.yaws[i], ego.dims[i], coop_yaw, coop.dims[j])
-        t = ego.centers[i] - R @ coop.centers[j]
-        scores.append(_score(ego, coop, R, t, flipped, params))
-    return min(scores, key=_rank)  # min keeps the first of equals: unflipped wins ties
+class _ScenePair:
+    """Both scenes' arrays and what all anchors of the pair share: cos and
+    sin of the heading differences phi = yaw_e - yaw_c and of phi / 2, the
+    coop offsets c_q - c_j, the flip-free parts of the axes term, and the
+    needle anchors, whose corners do not fix a rotation (the rank test of
+    registration.pair_hypothesis). Each table is computed once, so an
+    anchor's distances do not depend on the block it is scored in."""
+
+    def __init__(self, ego: Scene, coop: Scene):
+        self.ego, self.coop = _SceneArrays(ego), _SceneArrays(coop)
+        phi = self.ego.yaws[:, None] - self.coop.yaws[None, :]
+        self.cos, self.sin = np.cos(phi), np.sin(phi)
+        self.cos_half, self.sin_half = np.cos(0.5 * phi), np.sin(0.5 * phi)
+        self.offsets = self.coop.centers[None, :, :] - self.coop.centers[:, None, :]
+        dims_e, dims_c = self.ego.dims[:, None, :], self.coop.dims[None, :, :]
+        self.same = np.sum(np.square(dims_e - dims_c), axis=-1)
+        self.cross = 4.0 * (dims_e[..., 0] * dims_c[..., 0] + dims_e[..., 1] * dims_c[..., 1])
+        self.needles = rank_deficient(dims_e * dims_c)
+
+
+def _anchor_block(pair: _ScenePair, i: int, js: np.ndarray, params: ODistParams):
+    """Score the anchors (i, j) for every coop index j in js, under both
+    heading variants when params.try_yaw_flip, else the unflipped one.
+
+    Returns (conf, mean, flip, kept). conf and mean are (variants, len(js))
+    valid-set sizes and mean distances; flip marks the anchors whose
+    flipped variant wins by _rank, the unflipped one winning ties; kept
+    holds the valid pairs as arrays (cell, p, q, d), cell = variant *
+    len(js) + position in js, each cell's pairs in (p, q) order.
+
+    With theta = phi[i, j], U = ego centers - e_i and V = coop centers -
+    c_j, the center difference of ego p and coop q is U_p - rot_z(theta)
+    V_q, and rot_z(theta + pi) only negates its xy part. The axes term is
+    (l_p - l_q)^2 + (w_p - w_q)^2 + (h_p - h_q)^2
+    + 4 (l_p l_q + w_p w_q) sin^2(delta / 2), delta = phi[p, q] - theta,
+    the same for both variants; sin(delta / 2) is expanded from the
+    half-angle tables. No 1 - cos and no |u|^2 + |v|^2 - 2 u.Rv: those
+    cancel on coincident boxes. A cell whose row or column holds two
+    pairs within tau is paired by _greedy; in every other cell the greedy
+    pairing keeps every pair within tau.
+    """
+    n, m, k = len(pair.ego.yaws), len(pair.coop.yaws), len(js)
+    sign = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
+    cells = len(sign) * k
+    u = pair.ego.centers - pair.ego.centers[i]
+    v = pair.offsets[js]
+    cos, sin = pair.cos[i, js][:, None], pair.sin[i, js][:, None]
+    # dc2 axes: [variant, anchor, ego p, coop q]
+    rx = (cos * v[..., 0] - sin * v[..., 1])[:, None, :]
+    ry = (sin * v[..., 0] + cos * v[..., 1])[:, None, :]
+    dc2 = (
+        np.square(u[None, :, None, 0] - sign * rx)
+        + np.square(u[None, :, None, 1] - sign * ry)
+        + np.square(u[None, :, None, 2] - v[:, None, :, 2])
+    )
+    # d >= (alpha + beta sqrt(8)) |center difference|: no farther pair comes within tau
+    reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
+    f, a, p, q = np.nonzero(dc2 <= reach * reach * (1.0 + 1e-9))
+    c2 = dc2[f, a, p, q]
+    ja = js[a]
+    half = pair.sin_half[p, q] * pair.cos_half[i, ja] - pair.cos_half[p, q] * pair.sin_half[i, ja]
+    da2 = pair.same[p, q] + pair.cross[p, q] * np.square(half)
+    d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
+    inside = d <= params.tau
+    cell, p, q, d = (f * k + a)[inside], p[inside], q[inside], d[inside]
+
+    rows = np.bincount(cell * n + p, minlength=cells * n).reshape(cells, n)
+    cols = np.bincount(cell * m + q, minlength=cells * m).reshape(cells, m)
+    crowded = (rows.max(axis=1, initial=0) > 1) | (cols.max(axis=1, initial=0) > 1)
+    keep = np.ones(len(d), dtype=bool)
+    for c in np.flatnonzero(crowded):
+        lo, hi = np.searchsorted(cell, [c, c + 1])  # cell is sorted
+        keep[lo:hi] = False
+        keep[lo + _greedy(p[lo:hi], q[lo:hi], d[lo:hi])] = True
+    cell, p, q, d = cell[keep], p[keep], q[keep], d[keep]
+
+    conf = np.bincount(cell, minlength=cells).reshape(len(sign), k)
+    total = np.bincount(cell, weights=d, minlength=cells).reshape(len(sign), k)
+    mean = np.divide(total, conf, out=np.full(total.shape, math.inf), where=conf > 0)
+    flip = conf[-1] > conf[0]
+    for b in np.flatnonzero((conf[-1] == conf[0]) & (mean[-1] < mean[0])):
+        # _rank's rule: means equal to 1e-9 m tie, and the tie stays unflipped
+        flip[b] = round(float(mean[-1, b]), 9) < round(float(mean[0, b]), 9)
+    return conf, mean, flip, (cell, p, q, d)
+
+
+def _pair_score(pair: _ScenePair, i: int, j: int, params: ODistParams) -> PairScore:
+    """The score of anchor (i, j): its block of one coop index, winning
+    variant. Raises DegenerateCorners for a needle anchor."""
+    if pair.needles[i, j]:
+        raise DegenerateCorners(f"anchor ({i}, {j}): rank-deficient cross-covariance")
+    conf, mean, flip, (cell, p, q, d) = _anchor_block(pair, i, np.array([j]), params)
+    w = int(flip[0])
+    valid = cell == w
+    pairs = zip(p[valid].tolist(), q[valid].tolist(), d[valid].tolist())
+    return PairScore(float(conf[w, 0]), float(mean[w, 0]), tuple(pairs), bool(w))
 
 
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
-    """Score anchor pair (ego[i], coop[j]) by whole-scene alignment consistency."""
-    return _pair_score(_SceneArrays(ego), _SceneArrays(coop), i, j, params)
+    """Score anchor pair (ego[i], coop[j]) by whole-scene alignment
+    consistency; the valid pairs come in (ego, coop) index order."""
+    return _pair_score(_ScenePair(ego, coop), i, j, params)
 
 
 def alignment_score(
@@ -259,122 +348,26 @@ def alignment_score(
     return _score(ego_a, coop_a, transform.rotation, transform.translation, False, params)
 
 
-def _gain(params: ODistParams) -> float:
-    """d >= gain * |center difference|, and an error in the center
-    difference moves d by at most gain times as much."""
-    return params.alpha + params.beta * math.sqrt(8.0)
-
-
-def _batch_slack(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams) -> float:
-    """How far a batched distance or mean may lie from _distances' value:
-    rounding grows with the coordinates and sizes in play."""
-    arrays = (ego.centers, coop.centers, ego.dims, coop.dims)
-    extent = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
-    return _ROUNDING_PER_M * _gain(params) * (1.0 + extent)
-
-
-def _score_anchors(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams) -> AffinityMatrix:
+def _score_anchors(pair: _ScenePair, params: ODistParams) -> AffinityMatrix:
     """The affinity matrix: each anchor's confidence and the winning
-    variant's flip flag, as _pair_score decides them, from one batched
-    pass per ego index.
-
-    Block i scores the anchors (i, j) of every coop box j under both
-    heading variants at once, from closed forms of what _distances
-    computes. With theta = yaw_e[i] - yaw_c[j], U = ego centers - e_i and
-    V = coop centers - c_j, the center difference of ego p and coop q is
-    U_p - rot_z(theta) V_q, and rot_z(theta + pi) only negates its xy
-    part. The axes term is
-    (l_p - l_q)^2 + (w_p - w_q)^2 + (h_p - h_q)^2
-    + 4 (l_p l_q + w_p w_q) sin^2(delta / 2), delta the difference of the
-    two heading differences, and a flip leaves it unchanged. Differences
-    and half angles are kept: the expanded forms cancel on coincident
-    boxes. Needle anchors, the ones yaw_rotation refuses, score zero.
-
-    When each row and column of an anchor's distance matrix holds at most
-    one pair within tau, the greedy pairing keeps all of them, so the
-    confidence is a count and the mean a sum over a mask. The batched
-    distances agree with _distances only to rounding (_batch_slack), so
-    an anchor takes the scalar _pair_score instead when (a) a row or
-    column holds two pairs within tau in either variant, (b) a distance
-    lies within the slack of tau, or (c) both variants have the same
-    confidence and, with each mean moved by up to the slack, _rank's
-    1e-9 m rounding could order them either way. Every decision the pass
-    makes itself is then the one the scalar kernel makes.
-    """
-    n, m = ego.centers.shape[0], coop.centers.shape[0]
+    variant's flip flag, one _anchor_block per ego index; needle anchors
+    score zero."""
+    n, m = pair.needles.shape
     entries = np.zeros((n, m))
     flips = np.zeros((n, m), dtype=bool)
-    if n == 0 or m == 0:
-        return AffinityMatrix(entries, flips)
-    needles = rank_deficient(ego.dims[:, None, :] * coop.dims[None, :, :])
-    # what no anchor changes: coop offsets V[j, q] = c_q - c_j, heading
-    # differences phi[p, q] and the flip-free parts of the axes term
-    v = coop.centers[None, :, :] - coop.centers[:, None, :]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    phi = ego.yaws[:, None] - coop.yaws[None, :]
-    dims_e, dims_c = ego.dims[:, None, :], coop.dims[None, :, :]
-    same = np.sum(np.square(dims_e - dims_c), axis=-1)
-    cross = 4.0 * (dims_e[..., 0] * dims_c[..., 0] + dims_e[..., 1] * dims_c[..., 1])
-    # rot_z(theta + pi) V = -rot_z(theta) V
-    sign = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
-    cells = len(sign) * m  # (variant, anchor coop j) pairs of a block
-    slack = _batch_slack(ego, coop, params)
-    # no pair whose centers are farther apart than this comes within tau + slack
-    reach = (params.tau + slack) / _gain(params)
-    reach2 = reach * reach * (1.0 + 1e-9)
+    every = np.arange(m)
     for i in range(n):
-        u = ego.centers - ego.centers[i]
-        theta = phi[i]
-        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        # dc2 axes: [variant, anchor coop j, ego p, coop q]
-        rx = (cos * vx - sin * vy)[:, None, :]
-        ry = (sin * vx + cos * vy)[:, None, :]
-        dc2 = (
-            np.square(u[None, :, None, 0] - sign * rx)
-            + np.square(u[None, :, None, 1] - sign * ry)
-            + np.square(u[None, :, None, 2] - vz[:, None, :])
-        )
-        f, a, p, q = np.nonzero(dc2 <= reach2)  # a: the anchor's coop index
-        c2 = dc2[f, a, p, q]
-        half = np.sin(0.5 * (phi[p, q] - theta[a]))
-        da2 = same[p, q] + cross[p, q] * np.square(half)
-        d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
-
-        cell = f * m + a
-        inside = d <= params.tau
-        conf = np.bincount(cell[inside], minlength=cells)
-        total = np.bincount(cell[inside], weights=d[inside], minlength=cells)
-        rows = np.bincount(cell[inside] * n + p[inside], minlength=cells * n)
-        cols = np.bincount(cell[inside] * m + q[inside], minlength=cells * m)
-        near = np.bincount(cell, weights=np.abs(d - params.tau) <= slack, minlength=cells)
-        unsure = (
-            (rows.reshape(cells, n).max(axis=1) > 1)
-            | (cols.reshape(cells, m).max(axis=1) > 1)
-            | (near > 0)
-        ).reshape(-1, m).any(axis=0)
-        conf = conf.reshape(-1, m)
-        flip = np.zeros(m, dtype=bool)
-        if params.try_yaw_flip:
-            # _rank rounds means to 1e-9 m: the roundings within reach of each batched mean
-            nano = total.reshape(-1, m) / np.maximum(conf, 1) * 1e9
-            low, high = np.rint(nano - slack * 1e9), np.rint(nano + slack * 1e9)
-            tie = (conf[0] == conf[1]) & (conf[0] > 0)
-            flip = (conf[1] > conf[0]) | (tie & (high[1] < low[0]))
-            unsure |= tie & (high[1] >= low[0]) & (low[1] < high[0])
+        conf, _, flip, _ = _anchor_block(pair, i, every, params)
         entries[i] = conf.max(axis=0)
         flips[i] = flip
-        for j in np.flatnonzero(unsure & ~needles[i]):
-            score = _pair_score(ego, coop, i, int(j), params)
-            entries[i, j] = score.confidence
-            flips[i, j] = score.coop_flipped
-    entries[needles] = 0.0
-    flips[needles] = False
+    entries[pair.needles] = 0.0
+    flips[pair.needles] = False
     return AffinityMatrix(entries, flips)
 
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
     """Score every anchor pair; entry (i, j) is its confidence."""
-    return _score_anchors(_SceneArrays(ego), _SceneArrays(coop), params)
+    return _score_anchors(_ScenePair(ego, coop), params)
 
 
 def _max_assignment_total(entries: np.ndarray) -> float:
@@ -486,22 +479,20 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     """Full association: the refined consensus of the best assigned anchor.
 
     The affinity matrix and the optimal assignment choose the candidate
-    anchors by their unrefined confidences. Each assigned anchor is then
-    scored by the scalar kernel (_pair_score; the affinity pass keeps no
-    scores) and refined to a fixed point (see _refine); the one with the
-    highest refined confidence, then the least mean distance, then the
-    lowest ego index wins. Its valid set, sorted by ego index, is
-    returned; every match carries the winner's confidence and heading-flip
-    flag.
+    anchors by their unrefined confidences. Each assigned anchor's score
+    (_pair_score, the same bits as its affinity entry) is refined to a
+    fixed point (see _refine); the one with the highest refined
+    confidence, then the least mean distance, then the lowest ego index
+    wins. Its valid set, sorted by ego index, is returned; every match
+    carries the winner's confidence and heading-flip flag.
     """
-    ego_a = _SceneArrays(ego)
-    coop_a = _SceneArrays(coop)
-    assigned = solve_assignment(_score_anchors(ego_a, coop_a, params))
+    pair = _ScenePair(ego, coop)
+    assigned = solve_assignment(_score_anchors(pair, params))
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
     refits: dict[tuple, PairScore] = {}
-    anchors = [_pair_score(ego_a, coop_a, a.ego_index, a.coop_index, params) for a in assigned]
-    refined = [_refine(ego_a, coop_a, score, params, refits) for score in anchors]
+    anchors = [_pair_score(pair, a.ego_index, a.coop_index, params) for a in assigned]
+    refined = [_refine(pair.ego, pair.coop, score, params, refits) for score in anchors]
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
     return MatchSet(

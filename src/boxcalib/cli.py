@@ -13,6 +13,7 @@ objects, 4 degenerate geometry.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -88,16 +89,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
-    out = sys.stdout if path is None else open(path, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _csv_out(path):
+    """The CSV destination, stdout when path is None. Commands open it
+    before their first trial, so an unwritable path fails at once."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+
+
+def _write_csv(out, header, rows) -> None:
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_format_cell(v) for v in row])
 
 
 def cmd_calibrate(args) -> int:
@@ -105,69 +107,71 @@ def cmd_calibrate(args) -> int:
     ego = bio.load_scene(args.ego)
     coop = bio.load_scene(args.coop)
     report = calibrate_scenes(ego, coop, cfg.odist, cfg.top_k)
-    json.dump(bio.report_to_dict(report), sys.stdout, indent=2)
-    sys.stdout.write("\n")
     if args.out:
         bio.save_extrinsic(report.transform, args.out)
+    json.dump(bio.report_to_dict(report), sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    trials = []
-    times: list[float] = []
-    n_missing_gt = 0
-    for ego_path, coop_path, gt_path in bio.load_manifest(args.manifest):
-        ego = bio.load_scene(ego_path)
-        coop = bio.load_scene(coop_path)
-        if gt_path is None:
-            n_missing_gt += 1
-            continue
-        gt = bio.load_extrinsic(gt_path)
-        start = time.perf_counter()
-        trials.append(trial_error(ego, coop, gt, cfg.odist, cfg.top_k))
-        times.append(time.perf_counter() - start)
-    if not trials:
-        print("no entries with ground truth to evaluate", file=sys.stderr)
-        return EXIT_PARSE
-    mean_time = float(np.mean(times))
-    rows = []
-    for threshold in args.thresholds or [1.0]:
-        s = summarize(trials, threshold)
-        rows.append(
-            (s.threshold_m, s.success_rate, s.mrre_deg, s.mrte_m, mean_time,
-             s.n_total, s.n_valid, n_missing_gt)
+    with _csv_out(args.out) as out:
+        trials = []
+        times: list[float] = []
+        n_missing_gt = 0
+        for ego_path, coop_path, gt_path in bio.load_manifest(args.manifest):
+            ego = bio.load_scene(ego_path)
+            coop = bio.load_scene(coop_path)
+            if gt_path is None:
+                n_missing_gt += 1
+                continue
+            gt = bio.load_extrinsic(gt_path)
+            start = time.perf_counter()
+            trials.append(trial_error(ego, coop, gt, cfg.odist, cfg.top_k))
+            times.append(time.perf_counter() - start)
+        if not trials:
+            print("no entries with ground truth to evaluate", file=sys.stderr)
+            return EXIT_PARSE
+        mean_time = float(np.mean(times))
+        rows = []
+        for threshold in args.thresholds or [1.0]:
+            s = summarize(trials, threshold)
+            rows.append(
+                (s.threshold_m, s.success_rate, s.mrre_deg, s.mrte_m, mean_time,
+                 s.n_total, s.n_valid, n_missing_gt)
+            )
+        _write_csv(
+            out,
+            ["lambda_m", "success_rate", "mrre_deg", "mrte_m", "mean_time_s",
+             "n_total", "n_valid", "n_missing_gt"],
+            rows,
         )
-    _write_csv(
-        args.out,
-        ["lambda_m", "success_rate", "mrre_deg", "mrte_m", "mean_time_s",
-         "n_total", "n_valid", "n_missing_gt"],
-        rows,
-    )
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
-    cells = noise_sweep(
-        grid_product(tuple(args.sigma), tuple(args.yaw_std)),
-        cfg.synth,
-        n_trials=args.trials,
-        threshold_m=args.threshold,
-        seed=args.seed,
-        params=cfg.odist,
-        top_k=cfg.top_k,
-    )
-    rows = [
-        (c.sigma_pos, c.yaw_std_deg, c.summary.success_rate,
-         c.summary.mrte_m, c.summary.mrre_deg, c.summary.n_total)
-        for c in cells
-    ]
-    _write_csv(
-        args.out,
-        ["sigma_pos", "yaw_std_deg", "success_rate", "mrte_m", "mrre_deg", "n_trials"],
-        rows,
-    )
+    with _csv_out(args.out) as out:
+        cells = noise_sweep(
+            grid_product(tuple(args.sigma), tuple(args.yaw_std)),
+            cfg.synth,
+            n_trials=args.trials,
+            threshold_m=args.threshold,
+            seed=args.seed,
+            params=cfg.odist,
+            top_k=cfg.top_k,
+        )
+        rows = [
+            (c.sigma_pos, c.yaw_std_deg, c.summary.success_rate,
+             c.summary.mrte_m, c.summary.mrre_deg, c.summary.n_total)
+            for c in cells
+        ]
+        _write_csv(
+            out,
+            ["sigma_pos", "yaw_std_deg", "success_rate", "mrte_m", "mrre_deg", "n_trials"],
+            rows,
+        )
     return EXIT_OK
 
 
@@ -307,6 +311,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         # out-of-range flag values (e.g. --tau beyond its domain)
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as e:
+        # an --out destination that cannot be created or written
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -51,16 +51,20 @@ def _read_json(path) -> object:
 
 
 def _atomic_write(path, text: str) -> None:
+    """Replace path with text through a temporary file beside it. An
+    OSError names path, not the temporary file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(path)) from e
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _number(value, path, where) -> float:

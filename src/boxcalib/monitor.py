@@ -27,8 +27,8 @@ class MonitorConfig:
     min_confidence: int = 3  # least valid-set size considered trustworthy
 
     def __post_init__(self):
-        if self.theta_boot <= 0 or self.theta_monitor <= 0:
-            raise ValueError("thresholds must be positive")
+        if not (0 < self.theta_boot < math.inf and 0 < self.theta_monitor < math.inf):
+            raise ValueError("thresholds must be positive and finite")
         if self.min_confidence < 1:
             raise ValueError("min_confidence must be >= 1")
 

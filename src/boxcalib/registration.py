@@ -3,7 +3,7 @@
 * pair_hypothesis: the exact rigid motion mapping one box onto another,
   the Kabsch fit of the two 8x3 corner matrices. Corner rows correspond
   by canonical order, so a single box pair pins down all six degrees of
-  freedom; for yaw-only boxes that fit has a closed form (yaw_rotation).
+  freedom; for yaw-only boxes that fit is a rotation by the yaw difference.
 * weighted_kabsch: confidence-weighted least squares over the stacked
   corner clouds of every matched pair, solved by SVD. It centers the
   point sets before forming the cross-covariance; without centering the
@@ -101,9 +101,8 @@ def nearest_rotation(H: np.ndarray) -> np.ndarray:
     return U @ np.diag([1.0, 1.0, d]) @ Vt
 
 
-def yaw_rotation(yaw_e: float, dims_e: np.ndarray, yaw_c: float, dims_c: np.ndarray) -> np.ndarray:
-    """Kabsch rotation taking a coop box's corner matrix onto an ego box's,
-    both boxes rotated about z only.
+def pair_hypothesis(ego_box: DetectionBox, coop_box: DetectionBox) -> RigidTransform:
+    """Rigid transform mapping coop_box onto ego_box via their corner matrices.
 
     Centered corners are S diag(dims/2) rot_z(yaw)^T with the sign matrix S
     satisfying S^T S = 8 I, so the cross-covariance is
@@ -112,15 +111,10 @@ def yaw_rotation(yaw_e: float, dims_e: np.ndarray, yaw_c: float, dims_c: np.ndar
     rot_z(yaw_e - yaw_c). Raises DegenerateCorners when those singular
     values fail the rank test weighted_kabsch applies.
     """
-    products = np.asarray(dims_e, dtype=float) * np.asarray(dims_c, dtype=float)
+    products = ego_box.dims * coop_box.dims
     if rank_deficient(products):
         raise DegenerateCorners(f"rank-deficient cross-covariance (dims products {products})")
-    return rot_z(yaw_e - yaw_c)
-
-
-def pair_hypothesis(ego_box: DetectionBox, coop_box: DetectionBox) -> RigidTransform:
-    """Rigid transform mapping coop_box onto ego_box via their corner matrices."""
-    R = yaw_rotation(ego_box.yaw, ego_box.dims, coop_box.yaw, coop_box.dims)
+    R = rot_z(ego_box.yaw - coop_box.yaw)
     return RigidTransform(R, ego_box.center - R @ coop_box.center)
 
 

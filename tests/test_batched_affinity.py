@@ -1,9 +1,13 @@
-"""build_affinity's batched anchor pass against the scalar kernel.
+"""build_affinity's anchor blocks against the transform kernel.
 
-The reference scores each anchor on its own with odist, the per-anchor
-path every PairScore comes from. The batched pass must give the same
-entries and flip flags exactly, on generated scenes and on fixtures built
-to reach each of its fallbacks to the scalar kernel.
+The reference scores each anchor through the public transform path:
+alignment_score under pair_hypothesis, once on the coop scene and once on
+a copy with every heading reversed, the better variant by confidence and
+then mean distance to 1e-9 m, the unflipped one winning ties. The blocks
+must give the same entries and flip flags exactly, on generated scenes
+and on fixtures built at the edges of the pairing rules. An anchor must
+also score the same in a block of its own (odist) as in the block of its
+ego box (build_affinity).
 """
 from __future__ import annotations
 
@@ -14,46 +18,55 @@ from boxcalib import (
     DegenerateCorners,
     NoiseConfig,
     ODistParams,
+    Scene,
     SynthConfig,
+    alignment_score,
     build_affinity,
     grid_product,
     noisy_pair,
     odist,
+    pair_hypothesis,
+    with_flipped_yaw,
 )
-from boxcalib import association
 
 from conftest import make_box, make_scene
 
 SWEEP_GRID = grid_product((0.0, 0.5, 1.0, 2.0), (0.0, 10.0, 25.0))  # boxcalib sweep's default grid
 CENTER_ONLY = ODistParams(alpha=1.0, beta=0.0)
+HALF_POINTS = (1.5e-9, 2.5e-9, 0.5e-9)
+# (offset, shift, flipped) for mirrored_pair: the flipped mean is smaller by
+# 1e-12 m, a tie, or by 2e-9 m, a win
+NEAR_TIES = [(3e-10, 1e-12, False), (3e-9, 2e-9, True)]
+
+
+def transform_scores(ego, coop, params):
+    """Both heading variants of every anchor scored by the transform kernel,
+    None for an anchor whose corners fix no rotation."""
+    reversed_coop = Scene(tuple(with_flipped_yaw(b) for b in coop))
+    variants = (coop, reversed_coop) if params.try_yaw_flip else (coop,)
+    scores = {}
+    for i in range(len(ego)):
+        for j in range(len(coop)):
+            try:
+                scores[i, j] = [
+                    alignment_score(ego, c, pair_hypothesis(ego[i], c[j]), params) for c in variants
+                ]
+            except DegenerateCorners:
+                scores[i, j] = None
+    return scores
 
 
 def reference_affinity(ego, coop, params):
     entries = np.zeros((len(ego), len(coop)))
     flips = np.zeros(entries.shape, dtype=bool)
-    for i in range(len(ego)):
-        for j in range(len(coop)):
-            try:
-                score = odist(ego, coop, i, j, params)
-            except DegenerateCorners:
-                continue
-            entries[i, j] = score.confidence
-            flips[i, j] = score.coop_flipped
+    for (i, j), variants in transform_scores(ego, coop, params).items():
+        if variants is None:
+            continue
+        ranks = [(-s.confidence, round(s.mean_distance, 9)) for s in variants]
+        best = ranks.index(min(ranks))  # the first of equals: unflipped wins ties
+        entries[i, j] = variants[best].confidence
+        flips[i, j] = best == 1
     return entries, flips
-
-
-@pytest.fixture
-def scalar_anchors(monkeypatch):
-    """The (ego, coop) anchors the batched pass hands to the scalar kernel."""
-    calls: list[tuple[int, int]] = []
-    scalar = association._pair_score
-
-    def counted(ego, coop, i, j, params):
-        calls.append((i, j))
-        return scalar(ego, coop, i, j, params)
-
-    monkeypatch.setattr(association, "_pair_score", counted)
-    return calls
 
 
 def assert_matches_reference(ego, coop, params=ODistParams()):
@@ -61,6 +74,45 @@ def assert_matches_reference(ego, coop, params=ODistParams()):
     entries, flips = reference_affinity(ego, coop, params)
     assert np.array_equal(affinity.entries, entries)
     assert np.array_equal(affinity.coop_flip, flips)
+
+
+def dense_pair():
+    # 40 objects, the coop agent sees 32 of them, 8 ego boxes dropped: both
+    # sides hold private boxes, every anchor is scored (no top-k)
+    base = SynthConfig(n_boxes=40, visibility=0.8)
+    ego, coop, _ = noisy_pair(base, NoiseConfig(0.3, 3.0), np.random.SeedSequence(11))
+    dropped = set(np.random.default_rng(11).choice(len(ego), 8, replace=False).tolist())
+    return make_scene([b for k, b in enumerate(ego) if k not in dropped]), coop
+
+
+def crowded_pair():
+    # coop boxes 1 and 2 both land within tau of ego box 1
+    ego = make_scene([make_box((0, 0, 0)), make_box((10, 0, 0))])
+    coop = make_scene([make_box((0, 0, 0)), make_box((10.3, 0, 0)), make_box((9.6, 0.4, 0))])
+    return ego, coop
+
+
+def pair_at_tau():
+    # the companion pair sits at distance 3.0 = tau under CENTER_ONLY
+    ego = make_scene([make_box((0, 0, 0)), make_box((10, 0, 0), dims=(3, 1.5, 1.2))])
+    coop = make_scene([make_box((0, 0, 0)), make_box((13.0, 0, 0), dims=(3, 1.5, 1.2))])
+    return ego, coop
+
+
+def mirrored_pair(offset, shift=0.0):
+    # anchor (0, 0) pairs the companion box in either heading variant (ego
+    # boxes on both sides): unflipped at distance 2 * offset, flipped at
+    # 2 * |offset - shift|, so the means are offset and |offset - shift|
+    ego = make_scene([make_box((0, 0, 0)), make_box((-10 - shift, 0, 0)), make_box((10, 0, 0))])
+    coop = make_scene([make_box((0, 0, 0)), make_box((10 + offset, 0, 0))])
+    return ego, coop
+
+
+def needle_pair():
+    needle = make_box((0, 0, 0), dims=(4.0, 1e-12, 1e-12))
+    ego = make_scene([needle, make_box((10, 0, 0)), make_box((3, 9, 0), dims=(2, 2, 2))])
+    coop = make_scene([make_box((10, 0, 0)), needle, make_box((3, 9, 0), dims=(2, 2, 2))])
+    return ego, coop
 
 
 @pytest.mark.parametrize(
@@ -74,65 +126,94 @@ def test_sweep_cells_match_the_scalar_kernel(params):
 
 
 def test_dense_pair_with_private_boxes_matches_the_scalar_kernel():
-    # 40 objects, the coop agent sees 32 of them, 8 ego boxes dropped: both
-    # sides hold private boxes, every anchor is scored (no top-k)
-    base = SynthConfig(n_boxes=40, visibility=0.8)
-    ego, coop, _ = noisy_pair(base, NoiseConfig(0.3, 3.0), np.random.SeedSequence(11))
-    dropped = set(np.random.default_rng(11).choice(len(ego), 8, replace=False).tolist())
-    ego = make_scene([b for k, b in enumerate(ego) if k not in dropped])
+    ego, coop = dense_pair()
     assert (len(ego), len(coop)) == (32, 32)
     assert_matches_reference(ego, coop)
 
 
-def test_two_coop_boxes_near_one_ego_box_take_the_scalar_kernel(scalar_anchors):
-    # (a): coop boxes 1 and 2 both land within tau of ego box 1, and the
-    # greedy pairing keeps only the nearer one
-    ego = make_scene([make_box((0, 0, 0)), make_box((10, 0, 0))])
-    coop = make_scene([make_box((0, 0, 0)), make_box((10.3, 0, 0)), make_box((9.6, 0.4, 0))])
+def test_two_coop_boxes_near_one_ego_box_take_the_scalar_kernel():
+    # the block pairs this cell with _greedy, which keeps only the nearer
+    # coop box for ego box 1
+    ego, coop = crowded_pair()
     assert build_affinity(ego, coop).entries[0, 0] == 2.0
-    assert (0, 0) in scalar_anchors
+    assert {(e, c) for e, c, _ in odist(ego, coop, 0, 0).valid_pairs} == {(0, 0), (1, 1)}
     assert_matches_reference(ego, coop)
     assert_matches_reference(coop, ego)  # two ego boxes near one coop box
 
 
-def test_pair_at_exactly_tau_takes_the_scalar_kernel(scalar_anchors):
-    # (b): the companion pair sits at distance 3.0 = tau
-    ego = make_scene([make_box((0, 0, 0)), make_box((10, 0, 0), dims=(3, 1.5, 1.2))])
-    coop = make_scene([make_box((0, 0, 0)), make_box((13.0, 0, 0), dims=(3, 1.5, 1.2))])
+def test_pair_at_exactly_tau_takes_the_scalar_kernel():
+    ego, coop = pair_at_tau()
     assert build_affinity(ego, coop, CENTER_ONLY).entries[0, 0] == 2.0
-    assert (0, 0) in scalar_anchors
     assert_matches_reference(ego, coop, CENTER_ONLY)
 
 
-@pytest.mark.parametrize("offset", [1.5e-9, 2.5e-9, 0.5e-9])
-def test_mean_at_a_rounding_half_point_takes_the_scalar_kernel(scalar_anchors, offset):
-    # (c): anchor (0, 0) pairs the companion box in either heading variant
-    # (ego boxes on both sides), both at distance 2 * offset, so both means
-    # sit on a half-point of the 1e-9 m rounding that decides the tie
-    ego = make_scene([make_box((0, 0, 0)), make_box((-10, 0, 0)), make_box((10, 0, 0))])
-    coop = make_scene([make_box((0, 0, 0)), make_box((10 + offset, 0, 0))])
-    affinity = build_affinity(ego, coop)
-    assert affinity.entries[0, 0] == 2.0
-    assert (0, 0) in scalar_anchors
+@pytest.mark.parametrize("offset", HALF_POINTS)
+def test_mean_at_a_rounding_half_point_takes_the_scalar_kernel(offset):
+    # both means sit on a half-point of the 1e-9 m rounding that decides the tie
+    ego, coop = mirrored_pair(offset)
+    assert build_affinity(ego, coop).entries[0, 0] == 2.0
     assert_matches_reference(ego, coop)
 
 
-def test_congruent_single_boxes_are_decided_in_the_batch(scalar_anchors):
-    # both variants fit exactly, means 0: a tie the rounding cannot split
+@pytest.mark.parametrize("offset, shift, flipped", NEAR_TIES)
+def test_a_flipped_variant_wins_only_by_more_than_a_nanometer(offset, shift, flipped):
+    ego, coop = mirrored_pair(offset, shift)
+    affinity = build_affinity(ego, coop)
+    assert affinity.entries[0, 0] == 2.0 and affinity.coop_flip[0, 0] == flipped
+    assert_matches_reference(ego, coop)
+
+
+def test_congruent_single_boxes_are_decided_in_the_batch():
+    # both variants fit exactly, means 0: a tie that stays unflipped
     rng = np.random.default_rng(3)
     for _ in range(20):
         box = make_box(rng.uniform(-30, 30, 3), dims=rng.uniform(1, 6, 3), yaw=rng.uniform(0, 6.28))
         other = make_box(rng.uniform(-30, 30, 3), dims=box.dims, yaw=rng.uniform(0, 6.28))
         affinity = build_affinity(make_scene([box]), make_scene([other]))
         assert affinity.entries[0, 0] == 1.0 and not affinity.coop_flip[0, 0]
-    assert scalar_anchors == []
 
 
-def test_needle_anchors_score_zero_without_the_scalar_kernel(scalar_anchors):
-    needle = make_box((0, 0, 0), dims=(4.0, 1e-12, 1e-12))
-    ego = make_scene([needle, make_box((10, 0, 0)), make_box((3, 9, 0), dims=(2, 2, 2))])
-    coop = make_scene([make_box((10, 0, 0)), needle, make_box((3, 9, 0), dims=(2, 2, 2))])
+def test_needle_anchors_score_zero_without_the_scalar_kernel():
+    ego, coop = needle_pair()
     affinity = build_affinity(ego, coop)
     assert affinity.entries[0, 1] == 0.0 and affinity.entries[0, 0] == 0.0
-    assert all(i != 0 and j != 1 for i, j in scalar_anchors)
     assert_matches_reference(ego, coop)
+
+
+@pytest.mark.parametrize(
+    "ego, coop, params",
+    [
+        pytest.param(*dense_pair(), ODistParams(), id="dense"),
+        pytest.param(*crowded_pair(), ODistParams(), id="crowded"),
+        pytest.param(*reversed(crowded_pair()), ODistParams(), id="crowded-swapped"),
+        pytest.param(*pair_at_tau(), CENTER_ONLY, id="at-tau"),
+        *[
+            pytest.param(*mirrored_pair(offset), ODistParams(), id=f"half-point-{offset:g}")
+            for offset in HALF_POINTS
+        ],
+        *[
+            pytest.param(*mirrored_pair(offset, shift), ODistParams(), id=f"near-tie-{shift:g}")
+            for offset, shift, _ in NEAR_TIES
+        ],
+        pytest.param(*needle_pair(), ODistParams(), id="needle"),
+    ],
+)
+def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
+    # odist scores anchor (i, j) in a block of one coop index; build_affinity
+    # scores it in the block of every coop index
+    affinity = build_affinity(ego, coop, params)
+    for (i, j), variants in transform_scores(ego, coop, params).items():
+        if variants is None:
+            with pytest.raises(DegenerateCorners):
+                odist(ego, coop, i, j, params)
+            continue
+        score = odist(ego, coop, i, j, params)
+        assert score.confidence == affinity.entries[i, j]
+        assert score.coop_flipped == affinity.coop_flip[i, j]
+        own = variants[int(score.coop_flipped)]  # the anchor's own transform
+        assert sorted(p[:2] for p in score.valid_pairs) == sorted(p[:2] for p in own.valid_pairs)
+        assert score.mean_distance == pytest.approx(own.mean_distance, abs=1e-12)
+    with pytest.raises(IndexError):
+        odist(ego, coop, len(ego), 0, params)
+    with pytest.raises(IndexError):
+        odist(ego, coop, 0, len(coop), params)

@@ -402,6 +402,29 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_non_finite_scoring_weights_exit_2(tmp_path, capsys, flag, value):
+    # a NaN weight made every distance NaN, so nothing paired and the
+    # calibration exited 3 as if the scenes shared no object
+    ego_path, coop_path, _ = write_pair(tmp_path)
+    assert cli.main(["calibrate", str(ego_path), str(coop_path), flag, value]) == 2
+    assert "alpha and beta must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("key", ["theta_boot", "theta_monitor"])
+def test_non_finite_monitor_gates_exit_2(tmp_path, capsys, key, value):
+    # Python's json parses NaN, and a NaN gate failed every health check:
+    # a frame aligned at 1e-14 m raised an alert
+    stream = write_stream(tmp_path, "stream", monitor_frames(1))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"monitor": {{"{key}": {value}}}}}')
+    out = tmp_path / "out"
+    assert cli.main(["monitor", str(stream), "--out", str(out), "--config", str(cfg_path)]) == 2
+    assert "thresholds must be positive and finite" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     ego_path, coop_path, _ = write_pair(tmp_path)
     cfg_path = write_json(tmp_path, "cfg.json", {"top_k": 3})
@@ -777,3 +800,44 @@ def test_synth_flags_override_the_config(tmp_path, capsys):
     # a flag is checked like the config key it overrides
     assert cli.main(["synth", "--sigma", "-1", "--out", str(tmp_path / "c")]) == 2
     assert "sigma_pos" in capsys.readouterr().err
+
+
+# ---- CLI: --out destinations ----
+
+
+def test_calibrate_unwritable_out_exits_2(tmp_path, capsys):
+    ego_path, coop_path, _ = write_pair(tmp_path)
+    out = tmp_path / "nodir" / "x.json"
+    assert cli.main(["calibrate", str(ego_path), str(coop_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out}: ")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coop.json", "ego.json"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "eval"])
+def test_unwritable_csv_out_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "noise_sweep", no_trials)
+    monkeypatch.setattr(cli, "trial_error", no_trials)
+    out = tmp_path / "nodir" / "x.csv"
+    if command == "sweep":
+        args = ["sweep", "--trials", "1"]
+    else:
+        args = ["eval", str(eval_fixture(tmp_path, [0.0]))]
+    assert cli.main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
+@pytest.mark.parametrize("command", ["monitor", "synth"])
+def test_out_directory_on_an_existing_file_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    args = [command]
+    if command == "monitor":
+        args.append(str(write_stream(tmp_path, "stream", monitor_frames(1))))
+    assert cli.main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert out.read_text() == "keep"
