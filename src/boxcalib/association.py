@@ -20,12 +20,11 @@ as in LO-RANSAC: pairs the assignment picked only because they agree with
 themselves never join it.
 
 Two kernels compute the box distance. The anchor kernel (_anchor_block)
-scores the anchors of one ego box with any list of coop boxes at once,
-from closed forms in the heading differences. It fills the affinity
-matrix and gives every anchor's PairScore: odist's, and the ones
-refinement starts from. Its sines and cosines come from per-scene-pair
-tables and the rest is + - * and sqrt, so an anchor scores the same bits
-in whichever block it is scored. The transform kernel (_distances,
+scores the anchors of one ego box with every coop box at once, from
+closed forms in the heading differences. One such block per ego index is
+the only anchor scoring: the blocks fill the affinity matrix, and every
+anchor's PairScore (odist's, and the ones refinement starts from) is read
+from the block of its ego index. The transform kernel (_distances,
 _score) scores a given rigid motion: refits, alignment_score, the health
 check and box_distance. Both pair boxes by one greedy rule (_greedy) and
 rank scores by one rule (_rank).
@@ -252,15 +251,15 @@ class _ScenePair:
         self.needles = rank_deficient(dims_e * dims_c)
 
 
-def _anchor_block(pair: _ScenePair, i: int, js: np.ndarray, params: ODistParams):
-    """Score the anchors (i, j) for every coop index j in js, under both
-    heading variants when params.try_yaw_flip, else the unflipped one.
+def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
+    """Score the anchors (i, j) of ego index i with every coop index j,
+    under both heading variants when params.try_yaw_flip, else unflipped.
 
-    Returns (conf, mean, flip, kept). conf and mean are (variants, len(js))
+    Returns (conf, mean, flip, kept). conf and mean are (variants, m)
     valid-set sizes and mean distances; flip marks the anchors whose
     flipped variant wins by _rank, the unflipped one winning ties; kept
-    holds the valid pairs as arrays (cell, p, q, d), cell = variant *
-    len(js) + position in js, each cell's pairs in (p, q) order.
+    holds the valid pairs as arrays (cell, p, q, d), cell = variant * m +
+    j, sorted by cell and each cell's pairs in (p, q) order.
 
     With theta = phi[i, j], U = ego centers - e_i and V = coop centers -
     c_j, the center difference of ego p and coop q is U_p - rot_z(theta)
@@ -273,12 +272,12 @@ def _anchor_block(pair: _ScenePair, i: int, js: np.ndarray, params: ODistParams)
     pairs within tau is paired by _greedy; in every other cell the greedy
     pairing keeps every pair within tau.
     """
-    n, m, k = len(pair.ego.yaws), len(pair.coop.yaws), len(js)
+    n, m = pair.needles.shape
     sign = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
-    cells = len(sign) * k
+    cells = len(sign) * m
     u = pair.ego.centers - pair.ego.centers[i]
-    v = pair.offsets[js]
-    cos, sin = pair.cos[i, js][:, None], pair.sin[i, js][:, None]
+    v = pair.offsets
+    cos, sin = pair.cos[i][:, None], pair.sin[i][:, None]
     # dc2 axes: [variant, anchor, ego p, coop q]
     rx = (cos * v[..., 0] - sin * v[..., 1])[:, None, :]
     ry = (sin * v[..., 0] + cos * v[..., 1])[:, None, :]
@@ -291,12 +290,11 @@ def _anchor_block(pair: _ScenePair, i: int, js: np.ndarray, params: ODistParams)
     reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
     f, a, p, q = np.nonzero(dc2 <= reach * reach * (1.0 + 1e-9))
     c2 = dc2[f, a, p, q]
-    ja = js[a]
-    half = pair.sin_half[p, q] * pair.cos_half[i, ja] - pair.cos_half[p, q] * pair.sin_half[i, ja]
+    half = pair.sin_half[p, q] * pair.cos_half[i, a] - pair.cos_half[p, q] * pair.sin_half[i, a]
     da2 = pair.same[p, q] + pair.cross[p, q] * np.square(half)
     d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
     inside = d <= params.tau
-    cell, p, q, d = (f * k + a)[inside], p[inside], q[inside], d[inside]
+    cell, p, q, d = (f * m + a)[inside], p[inside], q[inside], d[inside]
 
     rows = np.bincount(cell * n + p, minlength=cells * n).reshape(cells, n)
     cols = np.bincount(cell * m + q, minlength=cells * m).reshape(cells, m)
@@ -308,8 +306,8 @@ def _anchor_block(pair: _ScenePair, i: int, js: np.ndarray, params: ODistParams)
         keep[lo + _greedy(p[lo:hi], q[lo:hi], d[lo:hi])] = True
     cell, p, q, d = cell[keep], p[keep], q[keep], d[keep]
 
-    conf = np.bincount(cell, minlength=cells).reshape(len(sign), k)
-    total = np.bincount(cell, weights=d, minlength=cells).reshape(len(sign), k)
+    conf = np.bincount(cell, minlength=cells).reshape(len(sign), m)
+    total = np.bincount(cell, weights=d, minlength=cells).reshape(len(sign), m)
     mean = np.divide(total, conf, out=np.full(total.shape, math.inf), where=conf > 0)
     flip = conf[-1] > conf[0]
     for b in np.flatnonzero((conf[-1] == conf[0]) & (mean[-1] < mean[0])):
@@ -318,22 +316,24 @@ def _anchor_block(pair: _ScenePair, i: int, js: np.ndarray, params: ODistParams)
     return conf, mean, flip, (cell, p, q, d)
 
 
-def _pair_score(pair: _ScenePair, i: int, j: int, params: ODistParams) -> PairScore:
-    """The score of anchor (i, j): its block of one coop index, winning
-    variant. Raises DegenerateCorners for a needle anchor."""
-    if pair.needles[i, j]:
-        raise DegenerateCorners(f"anchor ({i}, {j}): rank-deficient cross-covariance")
-    conf, mean, flip, (cell, p, q, d) = _anchor_block(pair, i, np.array([j]), params)
-    w = int(flip[0])
-    valid = cell == w
+def _pair_score(block, j: int) -> PairScore:
+    """The score of anchor (i, j), read from the _anchor_block of ego
+    index i: the winning variant of coop index j, 0 <= j < m."""
+    conf, mean, flip, (cell, p, q, d) = block
+    w = int(flip[j])
+    valid = cell == w * conf.shape[1] + j
     pairs = zip(p[valid].tolist(), q[valid].tolist(), d[valid].tolist())
-    return PairScore(float(conf[w, 0]), float(mean[w, 0]), tuple(pairs), bool(w))
+    return PairScore(float(conf[w, j]), float(mean[w, j]), tuple(pairs), bool(w))
 
 
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
     """Score anchor pair (ego[i], coop[j]) by whole-scene alignment
-    consistency; the valid pairs come in (ego, coop) index order."""
-    return _pair_score(_ScenePair(ego, coop), i, j, params)
+    consistency; the valid pairs come in (ego, coop) index order. Raises
+    DegenerateCorners for a needle anchor, whose corners fix no rotation."""
+    pair = _ScenePair(ego, coop)
+    if pair.needles[i, j]:  # IndexError for an index out of range
+        raise DegenerateCorners(f"anchor ({i}, {j}): rank-deficient cross-covariance")
+    return _pair_score(_anchor_block(pair, i, params), j % len(coop))  # j < 0: from the end
 
 
 def alignment_score(
@@ -348,26 +348,23 @@ def alignment_score(
     return _score(ego_a, coop_a, transform.rotation, transform.translation, False, params)
 
 
-def _score_anchors(pair: _ScenePair, params: ODistParams) -> AffinityMatrix:
-    """The affinity matrix: each anchor's confidence and the winning
-    variant's flip flag, one _anchor_block per ego index; needle anchors
-    score zero."""
-    n, m = pair.needles.shape
-    entries = np.zeros((n, m))
-    flips = np.zeros((n, m), dtype=bool)
-    every = np.arange(m)
-    for i in range(n):
-        conf, _, flip, _ = _anchor_block(pair, i, every, params)
-        entries[i] = conf.max(axis=0)
-        flips[i] = flip
-    entries[pair.needles] = 0.0
-    flips[pair.needles] = False
-    return AffinityMatrix(entries, flips)
+def _score_anchors(pair: _ScenePair, params: ODistParams):
+    """The affinity matrix (each anchor's confidence and winning flip flag,
+    zero for needle anchors) and blocks[i], the _anchor_block of ego index
+    i that filled row i: the one scoring pass over the anchors."""
+    needles = pair.needles
+    blocks = [_anchor_block(pair, i, params) for i in range(len(needles))]
+    entries = np.zeros(needles.shape)
+    flips = np.zeros(needles.shape, dtype=bool)
+    for i, (conf, _, flip, _) in enumerate(blocks):
+        entries[i] = np.where(needles[i], 0.0, conf.max(axis=0))
+        flips[i] = flip & ~needles[i]
+    return AffinityMatrix(entries, flips), blocks
 
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
     """Score every anchor pair; entry (i, j) is its confidence."""
-    return _score_anchors(_ScenePair(ego, coop), params)
+    return _score_anchors(_ScenePair(ego, coop), params)[0]
 
 
 def _max_assignment_total(entries: np.ndarray) -> float:
@@ -479,19 +476,20 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     """Full association: the refined consensus of the best assigned anchor.
 
     The affinity matrix and the optimal assignment choose the candidate
-    anchors by their unrefined confidences. Each assigned anchor's score
-    (_pair_score, the same bits as its affinity entry) is refined to a
-    fixed point (see _refine); the one with the highest refined
-    confidence, then the least mean distance, then the lowest ego index
-    wins. Its valid set, sorted by ego index, is returned; every match
-    carries the winner's confidence and heading-flip flag.
+    anchors by their unrefined confidences. Each assigned anchor's score,
+    read from the block that filled its affinity entry (_pair_score), is
+    refined to a fixed point (see _refine); the one with the highest
+    refined confidence, then the least mean distance, then the lowest ego
+    index wins. Its valid set, sorted by ego index, is returned; every
+    match carries the winner's confidence and heading-flip flag.
     """
     pair = _ScenePair(ego, coop)
-    assigned = solve_assignment(_score_anchors(pair, params))
+    affinity, blocks = _score_anchors(pair, params)
+    assigned = solve_assignment(affinity)
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
     refits: dict[tuple, PairScore] = {}
-    anchors = [_pair_score(pair, a.ego_index, a.coop_index, params) for a in assigned]
+    anchors = [_pair_score(blocks[a.ego_index], a.coop_index) for a in assigned]
     refined = [_refine(pair.ego, pair.coop, score, params, refits) for score in anchors]
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)

@@ -17,6 +17,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,7 +30,7 @@ from .metrics import summarize
 from .monitor import MonitorState, step, unreadable_frame
 from .pipeline import calibrate_scenes, trial_error
 from .registration import DegenerateCorners, DegenerateGeometry, EmptyMatchSet
-from .synth import grid_product, noise_sweep, noisy_pair
+from .synth import PlacementFailure, grid_product, noise_sweep, noisy_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -43,6 +44,13 @@ def _parse_top_k(text: str):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("top-k must be >= 1 (or 'all')")
+    return value
+
+
+def _parse_threshold(text: str) -> float:
+    value = float(text)
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", type=Path,
                    help="JSON list of {'ego', 'coop', 'gt'} file paths (gt may be null)")
     _add_param_flags(p)
-    p.add_argument("--lambda", dest="thresholds", action="append", type=float,
+    p.add_argument("--lambda", dest="thresholds", action="append", type=_parse_threshold,
                    metavar="METERS", help="success threshold; repeatable (default 1.0)")
     p.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_eval)
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--yaw-std", type=float, nargs="+", default=[0.0, 10.0, 25.0],
                    help="yaw noise circular std grid, degrees")
     p.add_argument("--trials", type=int, default=100, help="trials per grid cell")
-    p.add_argument("--lambda", dest="threshold", type=float, default=1.0,
+    p.add_argument("--lambda", dest="threshold", type=_parse_threshold, default=1.0,
                    metavar="METERS", help="success threshold")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-boxes", dest="synth.n_boxes", metavar="N_BOXES", type=int)
@@ -308,8 +316,9 @@ def main(argv=None) -> int:
     except (DegenerateCorners, DegenerateGeometry, EmptyMatchSet) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as e:
-        # out-of-range flag values (e.g. --tau beyond its domain)
+    except (ValueError, PlacementFailure) as e:
+        # out-of-range flag values (e.g. --tau beyond its domain), or
+        # synthetic settings no box layout can satisfy
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as e:

@@ -74,8 +74,8 @@ def summarize(trials: Iterable[TrialError] | Sequence[TrialError], threshold_m: 
     trials = tuple(trials)
     if not trials:
         raise EmptyTrialSet("no trials to summarize")
-    if threshold_m <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold_m}")
+    if not (0.0 < threshold_m < math.inf):
+        raise ValueError(f"threshold must be positive and finite, got {threshold_m}")
     valid = [t for t in trials if t.solver_succeeded and t.rte_m < threshold_m]
     if valid:
         mrre = float(np.mean([t.rre_deg for t in valid]))

@@ -31,8 +31,7 @@ class SynthConfig:
     dims_range gives (min, max) per box axis. The genericity guard rejects
     layouts in which two boxes see the same multiset of distances to the
     other boxes (all sorted entries within guard_tolerance); such layouts
-    make distinct anchors nearly indistinguishable. The default tolerance
-    matches the affinity mean-distance gate.
+    make distinct anchors nearly indistinguishable.
     """
 
     n_boxes: int = 15
@@ -52,8 +51,10 @@ class SynthConfig:
             raise ValueError("n_boxes must be >= 1")
         if not (0.0 < self.visibility <= 1.0):
             raise ValueError("visibility must be in (0, 1]")
-        if self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
+        if not (0.0 < self.min_separation < math.inf):
+            raise ValueError("min_separation must be finite and positive")
+        if not (0.0 <= self.guard_tolerance < math.inf):
+            raise ValueError("guard_tolerance must be finite and nonnegative")
         if len(self.dims_range) != 3 or any(lo <= 0 or hi < lo for lo, hi in self.dims_range):
             raise ValueError("dims_range must be three positive (min, max) pairs")
 
@@ -69,8 +70,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_pos < 0:
-            raise ValueError("sigma_pos must be nonnegative")
+        if not (0.0 <= self.sigma_pos < math.inf):
+            raise ValueError("sigma_pos must be finite and nonnegative")
         if not (0.0 <= self.yaw_std_deg <= 180.0):
             raise ValueError("yaw_std_deg must be in [0, 180]")
 

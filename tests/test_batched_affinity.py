@@ -6,8 +6,8 @@ a copy with every heading reversed, the better variant by confidence and
 then mean distance to 1e-9 m, the unflipped one winning ties. The blocks
 must give the same entries and flip flags exactly, on generated scenes
 and on fixtures built at the edges of the pairing rules. An anchor must
-also score the same in a block of its own (odist) as in the block of its
-ego box (build_affinity).
+score the same through odist as in the affinity, and associate must score
+each ego box's anchors in one block.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from boxcalib import (
     Scene,
     SynthConfig,
     alignment_score,
+    associate,
     build_affinity,
     grid_product,
     noisy_pair,
@@ -28,6 +29,7 @@ from boxcalib import (
     pair_hypothesis,
     with_flipped_yaw,
 )
+from boxcalib import association
 
 from conftest import make_box, make_scene
 
@@ -115,14 +117,17 @@ def needle_pair():
     return ego, coop
 
 
+def sweep_pair(cell):
+    base = SynthConfig(n_boxes=15, visibility=1.0)
+    return noisy_pair(base, SWEEP_GRID[cell], np.random.SeedSequence([7, cell]))[:2]
+
+
 @pytest.mark.parametrize(
     "params", [ODistParams(), ODistParams(try_yaw_flip=False)], ids=["flip", "no-flip"]
 )
 def test_sweep_cells_match_the_scalar_kernel(params):
-    base = SynthConfig(n_boxes=15, visibility=1.0)
-    for cell, noise in enumerate(SWEEP_GRID):
-        ego, coop, _ = noisy_pair(base, noise, np.random.SeedSequence([7, cell]))
-        assert_matches_reference(ego, coop, params)
+    for cell in range(len(SWEEP_GRID)):
+        assert_matches_reference(*sweep_pair(cell), params)
 
 
 def test_dense_pair_with_private_boxes_matches_the_scalar_kernel():
@@ -199,8 +204,8 @@ def test_needle_anchors_score_zero_without_the_scalar_kernel():
     ],
 )
 def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
-    # odist scores anchor (i, j) in a block of one coop index; build_affinity
-    # scores it in the block of every coop index
+    # odist scores anchor (i, j) in a call of its own; build_affinity scores
+    # it with every other anchor of the scene pair
     affinity = build_affinity(ego, coop, params)
     for (i, j), variants in transform_scores(ego, coop, params).items():
         if variants is None:
@@ -217,3 +222,22 @@ def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
         odist(ego, coop, len(ego), 0, params)
     with pytest.raises(IndexError):
         odist(ego, coop, 0, len(coop), params)
+
+
+@pytest.mark.parametrize(
+    "ego, coop",
+    [pytest.param(*dense_pair(), id="dense"), pytest.param(*sweep_pair(7), id="sweep")],
+)
+def test_associate_scores_each_ego_index_in_one_block(monkeypatch, ego, coop):
+    # the assigned anchors' scores are read from the blocks that filled the
+    # affinity, not scored again
+    scored = []
+    block = association._anchor_block
+
+    def spy(pair, i, *args):
+        scored.append(i)
+        return block(pair, i, *args)
+
+    monkeypatch.setattr(association, "_anchor_block", spy)
+    assert len(associate(ego, coop)) > 0
+    assert scored == list(range(len(ego)))

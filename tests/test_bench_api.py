@@ -1,25 +1,29 @@
-"""The benchmark under bench/ imports boxcalib's public API; every name it
-imports must still exist, so that removing one fails here and not only
-when the benchmark runs."""
+"""The benchmark under bench/ and the digest script under tools/ import
+boxcalib's API; every name they import must still exist, so that removing
+or renaming one fails here and not only when the benchmark runs or two
+checkouts' digests are compared."""
 from __future__ import annotations
 
 import ast
 import importlib
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("bench", "tools")
 
 
 def boxcalib_imports() -> list[tuple[str, str, str | None]]:
-    """(file, module, name) of every `from boxcalib... import name` in bench/,
-    and (file, module, None) of every `import boxcalib...`."""
+    """(file, module, name) of every `from boxcalib... import name` in the
+    SCANNED directories, and (file, module, None) of every `import
+    boxcalib...`; file is relative to the repository root."""
     found = []
-    for path in sorted(BENCH.glob("*.py")):
+    for path in sorted(p for d in SCANNED for p in (ROOT / d).glob("*.py")):
+        file = path.relative_to(ROOT).as_posix()
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "boxcalib":
-                found += [(path.name, node.module, alias.name) for alias in node.names]
+                found += [(file, node.module, alias.name) for alias in node.names]
             elif isinstance(node, ast.Import):
-                found += [(path.name, alias.name, None) for alias in node.names
+                found += [(file, alias.name, None) for alias in node.names
                           if alias.name.split(".")[0] == "boxcalib"]
     return found
 
@@ -36,7 +40,8 @@ def _exists(module: str, name: str | None) -> bool:
 
 def test_every_name_the_benchmark_imports_exists():
     imports = boxcalib_imports()
-    assert any(file == "workloads.py" for file, _, _ in imports)
+    files = {file for file, _, _ in imports}
+    assert {"bench/workloads.py", "tools/calibration_digest.py"} <= files
     missing = [f"{file}: {module}.{name}" for file, module, name in imports
                if not _exists(module, name)]
-    assert not missing, f"bench/ imports names boxcalib no longer has: {missing}"
+    assert not missing, f"these imports name what boxcalib no longer has: {missing}"

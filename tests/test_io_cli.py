@@ -573,6 +573,28 @@ def test_sweep_flags_override_the_config(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["sweep", "eval"])
+def test_invalid_success_threshold_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, command, value
+):
+    # --lambda nan reported success rate 0 for an exact recovery, and
+    # --lambda 0 was rejected only after every trial had run
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "noise_sweep", no_trials)
+    monkeypatch.setattr(cli, "trial_error", no_trials)
+    if command == "sweep":
+        args = ["sweep", "--trials", "1", "--sigma", "0", "--yaw-std", "0"]
+    else:
+        args = ["eval", str(eval_fixture(tmp_path, [0.0]))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--lambda", value])
+    assert exc.value.code == 2
+    assert "--lambda: must be positive and finite" in capsys.readouterr().err
+
+
 # ---- CLI: monitor ----
 
 
@@ -800,6 +822,45 @@ def test_synth_flags_override_the_config(tmp_path, capsys):
     # a flag is checked like the config key it overrides
     assert cli.main(["synth", "--sigma", "-1", "--out", str(tmp_path / "c")]) == 2
     assert "sigma_pos" in capsys.readouterr().err
+
+
+def test_non_finite_synth_noise_exits_2(tmp_path, capsys):
+    # NaN passed the sigma_pos < 0 check and inject_noise adds noise only
+    # when sigma_pos > 0, so noise-free scenes were written
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--sigma", "nan", "--out", str(out)]) == 2
+    assert "sigma_pos must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("min_separation", "NaN", "min_separation must be finite and positive"),
+        ("min_separation", "Infinity", "min_separation must be finite and positive"),
+        ("guard_tolerance", "NaN", "guard_tolerance must be finite and nonnegative"),
+        ("guard_tolerance", "-1", "guard_tolerance must be finite and nonnegative"),
+    ],
+)
+def test_impossible_synth_separation_settings_exit_2(tmp_path, capsys, key, value, message):
+    # a NaN separation ended in a PlacementFailure traceback; a NaN or
+    # negative tolerance silently switched the genericity guard off
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"synth": {{"{key}": {value}}}}}')
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unplaceable_synth_layout_exits_2(tmp_path, capsys):
+    # three boxes 5 m apart do not fit in a 1 m square
+    layout = {"n_boxes": 3, "x_range": [0, 1], "y_range": [0, 1]}
+    cfg_path = write_json(tmp_path, "cfg.json", {"synth": layout})
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: could not place 3 boxes")
+    assert not out.exists()
 
 
 # ---- CLI: --out destinations ----

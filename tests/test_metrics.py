@@ -153,6 +153,14 @@ def test_nonpositive_threshold_rejected():
         summarize([TrialError(1.0, 0.5)], -1.0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_non_finite_threshold_rejected(threshold):
+    # a NaN threshold made every trial fail, an infinite one passed every
+    # trial that produced a transform
+    with pytest.raises(ValueError, match="positive and finite"):
+        summarize([TrialError(1.0, 0.5)], threshold)
+
+
 def test_summarize_accepts_any_iterable():
     s = summarize(iter([TrialError(1.0, 0.5)]), 2.0)
     assert isinstance(s, MetricSummary)
