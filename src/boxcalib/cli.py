@@ -54,39 +54,35 @@ def _parse_threshold(text: str) -> float:
     return value
 
 
+def _config_flag(p: argparse.ArgumentParser, flag: str, dest: str, type, help=None) -> None:
+    """A flag that sets run-config field dest, "section.field" or a
+    top-level field. A flag not given is absent from the parsed args."""
+    p.add_argument(flag, dest=dest, type=type, default=argparse.SUPPRESS, help=help,
+                   metavar=flag[2:].upper().replace("-", "_"))
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON run configuration file")
-    p.add_argument("--tau", type=float, dest="odist.tau", metavar="TAU",
-                   help="pairing distance gate, meters")
-    p.add_argument("--alpha", type=float, dest="odist.alpha", metavar="ALPHA",
-                   help="weight of the center-distance term")
-    p.add_argument("--beta", type=float, dest="odist.beta", metavar="BETA",
-                   help="weight of the corner-distance term")
-    p.add_argument("--top-k", type=_parse_top_k, dest="top_k",
-                   help="keep only the k largest boxes per scene ('all' to disable)")
+    _config_flag(p, "--tau", "odist.tau", float, "pairing distance gate, meters")
+    _config_flag(p, "--alpha", "odist.alpha", float, "weight of the center-distance term")
+    _config_flag(p, "--beta", "odist.beta", float, "weight of the corner-distance term")
+    _config_flag(p, "--top-k", "top_k", _parse_top_k,
+                 "keep only the k largest boxes per scene ('all' to disable)")
 
 
 def _load_run_config(args) -> bio.RunConfig:
-    """The --config file (or the defaults) with every flag given on the
-    command line applied over it. A flag whose dest is "section.field"
-    overrides that field; the flags of one section are applied together,
-    so the section is validated only in its final form."""
-    cfg = bio.load_config(args.config) if args.config else bio.RunConfig()
-    sections: dict[str, dict] = {}
+    """The --config file (or the defaults) with the flags given on the
+    command line applied over it by the merge the file went through."""
+    base = bio.load_config(args.config) if args.config else bio.RunConfig()
+    names = {f.name for f in dataclasses.fields(bio.RunConfig)}
+    flags: dict = {}
     for dest, value in vars(args).items():
-        section, _, name = dest.partition(".")
-        if name and value is not None:
-            sections.setdefault(section, {})[name] = value
-    cfg = dataclasses.replace(
-        cfg,
-        **{
-            section: dataclasses.replace(getattr(cfg, section), **changes)
-            for section, changes in sections.items()
-        },
-    )
-    if args.top_k is not None:
-        cfg = dataclasses.replace(cfg, top_k=args.top_k)
-    return cfg
+        section, dot, name = dest.partition(".")
+        if dot:
+            flags.setdefault(section, {})[name] = value
+        elif dest in names:
+            flags[dest] = value
+    return bio.config_from_dict(flags, "command line", base)
 
 
 def _format_cell(value) -> str:
@@ -194,6 +190,9 @@ def _stream_frames(stream_dir: Path):
 
 def cmd_monitor(args) -> int:
     cfg = _load_run_config(args)
+    if not args.stream.is_dir():
+        print(f"error: {args.stream}: not a directory", file=sys.stderr)
+        return EXIT_PARSE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     state_path = out_dir / "state.json"
@@ -208,7 +207,7 @@ def cmd_monitor(args) -> int:
         state = MonitorState.initial()
 
     with open(events_path, "a") as events_file:
-        for stem, ego_path, coop_path in _stream_frames(Path(args.stream)):
+        for stem, ego_path, coop_path in _stream_frames(args.stream):
             try:
                 ego = bio.load_scene(ego_path)
                 coop = bio.load_scene(coop_path)
@@ -272,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="threshold", type=_parse_threshold, default=1.0,
                    metavar="METERS", help="success threshold")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-boxes", dest="synth.n_boxes", metavar="N_BOXES", type=int)
-    p.add_argument("--visibility", dest="synth.visibility", metavar="VISIBILITY", type=float)
+    _config_flag(p, "--n-boxes", "synth.n_boxes", int)
+    _config_flag(p, "--visibility", "synth.visibility", float)
     p.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_sweep)
 
@@ -281,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream", type=Path,
                    help="directory of <stem>.ego.json / <stem>.coop.json frame pairs")
     _add_param_flags(p)
-    p.add_argument("--theta-boot", dest="monitor.theta_boot", metavar="THETA_BOOT", type=float)
-    p.add_argument("--theta-monitor", dest="monitor.theta_monitor", metavar="THETA_MONITOR",
-                   type=float)
+    _config_flag(p, "--theta-boot", "monitor.theta_boot", float)
+    _config_flag(p, "--theta-monitor", "monitor.theta_monitor", float)
     p.add_argument("--out", type=Path, default=Path("monitor_out"),
                    help="output directory (events.jsonl, state.json, extrinsic.json)")
     p.set_defaults(func=cmd_monitor)
@@ -291,12 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scene pair")
     _add_param_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-boxes", dest="synth.n_boxes", metavar="N_BOXES", type=int)
-    p.add_argument("--visibility", dest="synth.visibility", metavar="VISIBILITY", type=float)
-    p.add_argument("--sigma", dest="noise.sigma_pos", metavar="SIGMA", type=float,
-                   help="center noise std, meters")
-    p.add_argument("--yaw-std", dest="noise.yaw_std_deg", metavar="YAW_STD", type=float,
-                   help="yaw noise circular std, degrees")
+    _config_flag(p, "--n-boxes", "synth.n_boxes", int)
+    _config_flag(p, "--visibility", "synth.visibility", float)
+    _config_flag(p, "--sigma", "noise.sigma_pos", float, "center noise std, meters")
+    _config_flag(p, "--yaw-std", "noise.yaw_std_deg", float, "yaw noise circular std, degrees")
     p.add_argument("--out", type=Path, default=Path("synth_out"))
     p.set_defaults(func=cmd_synth)
     return parser

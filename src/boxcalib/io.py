@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -286,21 +286,6 @@ class RunConfig:
     noise: NoiseConfig = NoiseConfig()
 
 
-def _dataclass_from_dict(cls, doc, path, where, converters=None):
-    known = {f.name for f in fields(cls)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ParseError(path, f"{where}.{sorted(unknown)[0]}", "unknown key")
-    kwargs = dict(doc)
-    for key, fn in (converters or {}).items():
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = fn(kwargs[key], path, f"{where}.{key}")
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ParseError(path, where, str(e)) from e
-
-
 def _convert_dims_range(value, path, where):
     if not isinstance(value, list) or len(value) != 3:
         raise ParseError(path, where, "expected three [min, max] pairs")
@@ -311,39 +296,48 @@ def _convert_range(value, path, where):
     return tuple(_vector(value, 2, path, where))
 
 
-def config_from_dict(doc, path="<memory>") -> RunConfig:
+# Fields whose JSON form needs converting, by "section.field"
+_CONVERTERS = {
+    "synth.coop_transform": lambda v, p, w: None if v is None else extrinsic_from_dict(v, p),
+    "synth.dims_range": _convert_dims_range,
+    "synth.x_range": _convert_range,
+    "synth.y_range": _convert_range,
+    "synth.z_range": _convert_range,
+}
+
+
+def config_from_dict(doc, path="<memory>", base: RunConfig = RunConfig()) -> RunConfig:
+    """base with the settings of doc applied. doc holds any of RunConfig's
+    fields; a section is an object holding any of that section's fields,
+    which replace base's, so the section is checked in its final form."""
     if not isinstance(doc, dict):
         raise ParseError(path, "<root>", "expected an object")
-    unknown = set(doc) - {"odist", "top_k", "monitor", "synth", "noise"}
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ParseError(path, sorted(unknown)[0], "unknown key")
-    kwargs = {}
-    if "odist" in doc:
-        kwargs["odist"] = _dataclass_from_dict(ODistParams, doc["odist"], path, "odist")
-    if "top_k" in doc:
-        top_k = doc["top_k"]
-        if top_k is not None and (not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1):
-            raise ParseError(path, "top_k", "expected a positive integer or null")
-        kwargs["top_k"] = top_k
-    if "monitor" in doc:
-        kwargs["monitor"] = _dataclass_from_dict(MonitorConfig, doc["monitor"], path, "monitor")
-    if "synth" in doc:
-        kwargs["synth"] = _dataclass_from_dict(
-            SynthConfig,
-            doc["synth"],
-            path,
-            "synth",
-            converters={
-                "coop_transform": lambda v, p, w: extrinsic_from_dict(v, p),
-                "dims_range": _convert_dims_range,
-                "x_range": _convert_range,
-                "y_range": _convert_range,
-                "z_range": _convert_range,
-            },
-        )
-    if "noise" in doc:
-        kwargs["noise"] = _dataclass_from_dict(NoiseConfig, doc["noise"], path, "noise")
-    return RunConfig(**kwargs)
+    changes = {}
+    for name, section in doc.items():
+        if name == "top_k":
+            if not (section is None or type(section) is int and section >= 1):
+                raise ParseError(path, "top_k", "expected a positive integer or null")
+            changes[name] = section
+            continue
+        if not isinstance(section, dict):
+            raise ParseError(path, name, "expected an object")
+        current = getattr(base, name)
+        unknown = set(section) - {f.name for f in fields(current)}
+        if unknown:
+            raise ParseError(path, f"{name}.{sorted(unknown)[0]}", "unknown key")
+        values = dict(section)
+        for key, value in section.items():
+            where = f"{name}.{key}"
+            if where in _CONVERTERS:
+                values[key] = _CONVERTERS[where](value, path, where)
+        try:
+            changes[name] = replace(current, **values)
+        except (TypeError, ValueError) as e:
+            raise ParseError(path, name, str(e)) from e
+    return replace(base, **changes)
 
 
 def load_config(path) -> RunConfig:

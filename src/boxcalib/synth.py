@@ -28,10 +28,12 @@ class PlacementFailure(RuntimeError):
 class SynthConfig:
     """Scene-pair generator settings.
 
-    dims_range gives (min, max) per box axis. The genericity guard rejects
+    x_range, y_range and z_range bound the box centers and dims_range the
+    box dimensions, each as (min, max). The genericity guard rejects
     layouts in which two boxes see the same multiset of distances to the
     other boxes (all sorted entries within guard_tolerance); such layouts
-    make distinct anchors nearly indistinguishable.
+    make distinct anchors nearly indistinguishable. A guard_tolerance of
+    0 turns the guard off.
     """
 
     n_boxes: int = 15
@@ -43,7 +45,6 @@ class SynthConfig:
     visibility: float = 1.0
     coop_transform: RigidTransform | None = None
     seed: int = 0
-    generic_guard: bool = True
     guard_tolerance: float = 1.5
 
     def __post_init__(self):
@@ -55,8 +56,12 @@ class SynthConfig:
             raise ValueError("min_separation must be finite and positive")
         if not (0.0 <= self.guard_tolerance < math.inf):
             raise ValueError("guard_tolerance must be finite and nonnegative")
-        if len(self.dims_range) != 3 or any(lo <= 0 or hi < lo for lo, hi in self.dims_range):
-            raise ValueError("dims_range must be three positive (min, max) pairs")
+        for name in ("x_range", "y_range", "z_range"):
+            lo, hi = getattr(self, name)
+            if not (-math.inf < lo <= hi < math.inf):
+                raise ValueError(f"{name} must be a finite (min, max) pair with min <= max")
+        if len(self.dims_range) != 3 or any(not 0 < lo <= hi < math.inf for lo, hi in self.dims_range):
+            raise ValueError("dims_range must be three finite positive (min, max) pairs")
 
 
 @dataclass(frozen=True)
@@ -157,9 +162,10 @@ def generate_scene_pair(cfg: SynthConfig) -> tuple[Scene, Scene, RigidTransform]
         c = rng.uniform(lows, highs)
         if all(np.linalg.norm(c - p) >= cfg.min_separation for p in centers):
             centers.append(c)
-            if len(centers) == cfg.n_boxes and cfg.generic_guard:
-                if not _distance_multisets_generic(np.array(centers), cfg.guard_tolerance):
-                    centers = []
+            if len(centers) == cfg.n_boxes and not _distance_multisets_generic(
+                np.array(centers), cfg.guard_tolerance
+            ):
+                centers = []
 
     dims_lo = np.array([r[0] for r in cfg.dims_range])
     dims_hi = np.array([r[1] for r in cfg.dims_range])

@@ -1,7 +1,9 @@
 """File formats and the command-line surface."""
 from __future__ import annotations
 
+import argparse
 import csv
+import dataclasses
 import json
 import math
 
@@ -23,6 +25,7 @@ from boxcalib import (
 from boxcalib.io import (
     MAX_COORDINATE_M,
     ParseError,
+    RunConfig,
     config_from_dict,
     extrinsic_from_dict,
     extrinsic_to_dict,
@@ -272,6 +275,44 @@ def test_config_embeds_a_ground_truth_transform():
     assert np.linalg.norm(cfg.synth.coop_transform.rotation - t.rotation) < 1e-12
 
 
+def test_config_applies_over_a_base():
+    base = config_from_dict({"odist": {"beta": 0.0}, "top_k": 3})
+    cfg = config_from_dict({"odist": {"alpha": 0.5}, "top_k": None}, "flags", base)
+    assert (cfg.odist.alpha, cfg.odist.beta, cfg.top_k) == (0.5, 0.0, None)
+    assert cfg.monitor == base.monitor
+    # the section is checked in its final form
+    with pytest.raises(ParseError, match="flags: odist: alpha and beta must not both be zero"):
+        config_from_dict({"odist": {"alpha": 0}}, "flags", base)
+
+
+@pytest.mark.parametrize("doc", [{"odist": 5}, {"odist": []}, {"monitor": ["theta_boot"]},
+                                 {"synth": None}], ids=["number", "list", "names", "null"])
+def test_config_section_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
+    # {"odist": 5} ended in a TypeError traceback, {"odist": []} loaded the defaults
+    ego_path, coop_path, _ = write_pair(tmp_path)
+    cfg_path = write_json(tmp_path, "cfg.json", doc)
+    assert cli.main(["calibrate", str(ego_path), str(coop_path), "--config", str(cfg_path)]) == 2
+    (section,) = doc
+    assert f"{cfg_path}: {section}: expected an object" in capsys.readouterr().err
+
+
+def test_every_config_flag_names_a_run_config_field():
+    # a misspelt dest would fail only when its flag is given
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    sections = {f.name for f in dataclasses.fields(RunConfig)}
+    dests = set()
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            section, dot, name = action.dest.partition(".")
+            if dot:
+                assert section in sections, (command, action.dest)
+                fields = {f.name for f in dataclasses.fields(getattr(RunConfig(), section))}
+                assert name in fields, (command, action.dest)
+                dests.add(action.dest)
+    assert len(dests) == 9
+
+
 # ---- CLI: calibrate ----
 
 
@@ -365,9 +406,10 @@ def test_calibrate_overflowing_coordinates_exits_2(tmp_path, capsys):
 
 
 def test_retired_options_exit_2(tmp_path, capsys):
-    # there is no mean-distance gate (tau1) and no retry count (max_retries)
+    # there is no mean-distance gate (tau1), no retry count (max_retries)
+    # and no guard switch (generic_guard: a guard_tolerance of 0 is off)
     ego_path, coop_path, _ = write_pair(tmp_path)
-    for section, key in (("odist", "tau1"), ("monitor", "max_retries")):
+    for section, key in (("odist", "tau1"), ("monitor", "max_retries"), ("synth", "generic_guard")):
         cfg_path = write_json(tmp_path, "cfg.json", {section: {key: 1}})
         rc = cli.main(["calibrate", str(ego_path), str(coop_path), "--config", str(cfg_path)])
         assert rc == 2
@@ -436,6 +478,19 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     )
     assert rc == 0
     assert len(json.loads(capsys.readouterr().out)["matches"]) == 5
+
+
+def test_top_k_all_overrides_the_config(tmp_path, capsys):
+    # "all" parses to None, which once meant "flag not given": the file's
+    # top_k, or the default 15, stayed in force
+    out = tmp_path / "pair"
+    assert cli.main(["synth", "--seed", "1", "--n-boxes", "20", "--out", str(out)]) == 0
+    cfg_path = write_json(tmp_path, "cfg.json", {"top_k": 3})
+    pair = [str(out / "ego.json"), str(out / "coop.json")]
+    for config in ([], ["--config", str(cfg_path)]):
+        capsys.readouterr()
+        assert cli.main(["calibrate", *pair, *config, "--top-k", "all"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["matches"]) == 20
 
 
 def test_flags_of_one_section_apply_together(tmp_path, capsys):
@@ -768,6 +823,18 @@ def test_monitor_flags_override_the_config(tmp_path, capsys):
     assert [e["kind"] for e in read_events(flagged)] == ["BootCalibrated", "HealthOk"]
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_monitor_stream_that_is_not_a_directory_exits_2(tmp_path, capsys, kind):
+    # a missing stream ran no frame, exited 0 and created --out
+    stream = tmp_path / "stream"
+    if kind == "file":
+        stream.write_text("")
+    out = tmp_path / "out"
+    assert cli.main(["monitor", str(stream), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {stream}: not a directory\n"
+    assert not out.exists()
+
+
 # ---- CLI: synth ----
 
 
@@ -850,6 +917,16 @@ def test_impossible_synth_separation_settings_exit_2(tmp_path, capsys, key, valu
     out = tmp_path / "out"
     assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["x_range", "y_range", "z_range"])
+def test_reversed_synth_range_exits_2(tmp_path, capsys, name):
+    # NumPy's "high - low < 0" named neither the file nor the field
+    cfg_path = write_json(tmp_path, "cfg.json", {"synth": {name: [5, -5]}})
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"{cfg_path}: synth: {name} must be a finite" in capsys.readouterr().err
     assert not out.exists()
 
 

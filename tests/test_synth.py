@@ -19,6 +19,7 @@ from boxcalib import (
     noisy_pair,
 )
 from boxcalib.geometry import RigidTransform
+from boxcalib.synth import _distance_multisets_generic
 
 
 def box_key(box):
@@ -90,7 +91,7 @@ def test_impossible_separation_raises_placement_failure():
         y_range=(-5.0, 5.0),
         min_separation=10.0,
         seed=0,
-        generic_guard=False,
+        guard_tolerance=0.0,
     )
     with pytest.raises(PlacementFailure):
         generate_scene_pair(cfg)
@@ -107,6 +108,28 @@ def test_config_validation():
         SynthConfig(visibility=1.1)
     with pytest.raises(ValueError):
         SynthConfig(dims_range=((0.0, 6.0), (1.2, 2.8), (1.0, 2.5)))
+    with pytest.raises(ValueError):
+        SynthConfig(dims_range=((2.0, math.nan), (1.2, 2.8), (1.0, 2.5)))
+
+
+@pytest.mark.parametrize("bounds", [(5.0, -5.0), (math.nan, 1.0), (0.0, math.inf)])
+@pytest.mark.parametrize("name", ["x_range", "y_range", "z_range"])
+def test_placement_ranges_must_be_finite_and_ordered(name, bounds):
+    # (5, -5) failed inside generate_scene_pair with NumPy's "high - low < 0"
+    with pytest.raises(ValueError, match=f"{name} must be a finite"):
+        SynthConfig(**{name: bounds})
+    flat = SynthConfig(n_boxes=1, **{name: (2.0, 2.0)})
+    ego, _, _ = generate_scene_pair(flat)
+    assert ego[0].center["xyz".index(name[0])] == 2.0
+
+
+def test_zero_guard_tolerance_turns_the_guard_off():
+    # an equilateral triangle: every box sees the same distances
+    centers = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [5.0, 5.0 * math.sqrt(3.0), 0.0]])
+    assert not _distance_multisets_generic(centers, 1.5)
+    assert _distance_multisets_generic(centers, 0.0)
+    with pytest.raises(TypeError, match="generic_guard"):
+        SynthConfig(generic_guard=False)
 
 
 # ---- inject_noise ----
