@@ -3,9 +3,11 @@
 Estimates the rigid transform between two agents' sensor frames using
 nothing but each agent's detected boxes: candidate anchors are scored by
 whole-scene alignment consistency, an optimal one-to-one assignment picks
-the object matches, and a confidence-weighted SVD over the matched box
-corners produces the transform. Includes error metrics, a synthetic
-noise-robustness harness, and a runtime health/recalibration monitor.
+the candidate anchors, and each candidate is refined by least-squares
+fits of its valid set's box corners, computed in closed form; the best
+refined valid set gives the object matches and its fit the transform.
+Includes error metrics, a synthetic noise-robustness harness, and a
+runtime health/recalibration monitor.
 """
 
 from .geometry import (

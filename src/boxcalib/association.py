@@ -14,10 +14,13 @@ pair is scored by how well the rest of the scene lines up:
 Anchor confidences fill an affinity matrix and a one-to-one assignment
 with maximum total affinity picks the candidate anchors. No anchor is
 judged on its unrefined mean distance: each assigned anchor is refined on
-its valid set by closed-form corner fits to a fixed point, and the final
-matches are the refined consensus (valid set) of the best assigned anchor,
-as in LO-RANSAC: pairs the assignment picked only because they agree with
-themselves never join it.
+its valid set by corner fits to a fixed point, and the final matches are
+the refined consensus (valid set) of the best assigned anchor, as in
+LO-RANSAC: pairs the assignment picked only because they agree with
+themselves never join it. A fit (_fit) is the unit-weight least-squares
+fit of the pairs' corners, computed in closed form from the centers and
+scaled axes; each distinct valid set is fit once, and the winner's fit
+is the calibration's transform (_associate).
 
 Two kernels compute the box distance. The anchor kernel (_anchor_block)
 scores the anchors of one ego box with every coop box at once, from
@@ -38,7 +41,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import DetectionBox, RigidTransform, Scene, rot_z
-from .registration import DegenerateCorners, build_feature_clouds, rank_deficient, weighted_kabsch
+from .registration import DegenerateCorners, RegistrationResult, nearest_rotation, rank_deficient
 
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
@@ -444,32 +447,68 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
     return MatchSet(tuple(matches))
 
 
+def _fit(ego: _SceneArrays, coop: _SceneArrays, pairs, flipped: bool) -> RegistrationResult:
+    """weighted_kabsch of the build_feature_clouds of the matches (ego
+    index, coop index, flipped) with unit weights, in closed form.
+    Centered corners are S A^T / 2 (see _distances), so the corner
+    cross-covariance is 8 sum de dc^T + 2 sum A_e A_c^T, de and dc the
+    centers minus their means, and a pair's squared corner residuals sum
+    to 8 |r|^2 + 2 |R A_c - A_e|_F^2, r its center residual."""
+    rows, cols = np.array(pairs).T
+    e, c, axes_e = ego.centers[rows], coop.centers[cols], ego.axes[rows]
+    axes_c = coop.axes[cols] * _FLIP_AXES if flipped else coop.axes[cols]
+    e_bar, c_bar = e.mean(axis=0), c.mean(axis=0)
+    H = 8.0 * (e - e_bar).T @ (c - c_bar) + 2.0 * np.einsum("kij,klj->il", axes_e, axes_c)
+    R = nearest_rotation(H)
+    t = e_bar - R @ c_bar
+    r, da = c @ R.T + t - e, R @ axes_c - axes_e
+    rms = math.sqrt((8.0 * np.sum(r * r) + 2.0 * np.sum(da * da)) / (8 * len(rows)))
+    return RegistrationResult(RigidTransform(R, t), rms)
+
+
 def _refine(
     ego: _SceneArrays,
     coop: _SceneArrays,
     score: PairScore,
     params: ODistParams,
-    refits: dict[tuple, PairScore],
+    refits: dict[tuple, tuple[RegistrationResult, PairScore]],
 ) -> PairScore:
-    """Refit an anchor's transform on its valid set, a closed-form corner
-    fit with unit weights on the pairs in index order, until the refit no
-    longer scores better. This ends: each kept refit strictly lowers _rank,
-    and a refit depends only on the valid set it fits, so no valid set
-    comes back. The refinements of different anchors often reach the same
-    valid set, so refits keeps each refit's score by its valid set. A
+    """Refit an anchor's transform on its valid set (_fit) until the refit
+    no longer scores better. This ends: each kept refit strictly lowers
+    _rank, and a refit depends only on the valid set it fits, so no valid
+    set comes back. The refinements of different anchors often reach the
+    same valid set, so refits keeps each fit and its score by valid set. A
     one-pair valid set is the anchor itself and is left alone."""
     while len(score.valid_pairs) >= 2:
         pairs = tuple(sorted((i, j) for i, j, _ in score.valid_pairs))
         flipped = score.coop_flipped
         if (pairs, flipped) not in refits:
-            unit = MatchSet([Match(i, j, 1.0, flipped) for i, j in pairs])
-            fit = weighted_kabsch(build_feature_clouds(unit, ego.scene, coop.scene)).transform
-            refits[pairs, flipped] = _score(ego, coop, fit.rotation, fit.translation, flipped, params)
-        refined = refits[pairs, flipped]
+            fit = _fit(ego, coop, pairs, flipped)
+            R, t = fit.transform.rotation, fit.transform.translation
+            refits[pairs, flipped] = fit, _score(ego, coop, R, t, flipped, params)
+        refined = refits[pairs, flipped][1]
         if _rank(refined) >= _rank(score):
             break
         score = refined
     return score
+
+
+def _associate(ego: Scene, coop: Scene, params: ODistParams) -> tuple[MatchSet, RegistrationResult]:
+    """associate's matches and their fit (_fit): the cached fit _refine
+    stopped at, or the one fit of a one-pair valid set."""
+    pair = _ScenePair(ego, coop)
+    affinity, blocks = _score_anchors(pair, params)
+    assigned = solve_assignment(affinity)
+    if len(assigned) == 0:
+        raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
+    refits: dict[tuple, tuple[RegistrationResult, PairScore]] = {}
+    anchors = [_pair_score(blocks[a.ego_index], a.coop_index) for a in assigned]
+    refined = [_refine(pair.ego, pair.coop, score, params, refits) for score in anchors]
+    # assigned is in ascending ego index and min keeps the first of equals
+    best = min(refined, key=_rank)
+    key = tuple(sorted((i, j) for i, j, _ in best.valid_pairs)), best.coop_flipped
+    fit = refits[key][0] if key in refits else _fit(pair.ego, pair.coop, *key)
+    return MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0])), fit
 
 
 def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> MatchSet:
@@ -483,22 +522,7 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     index wins. Its valid set, sorted by ego index, is returned; every
     match carries the winner's confidence and heading-flip flag.
     """
-    pair = _ScenePair(ego, coop)
-    affinity, blocks = _score_anchors(pair, params)
-    assigned = solve_assignment(affinity)
-    if len(assigned) == 0:
-        raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
-    refits: dict[tuple, PairScore] = {}
-    anchors = [_pair_score(blocks[a.ego_index], a.coop_index) for a in assigned]
-    refined = [_refine(pair.ego, pair.coop, score, params, refits) for score in anchors]
-    # assigned is in ascending ego index and min keeps the first of equals
-    best = min(refined, key=_rank)
-    return MatchSet(
-        tuple(
-            Match(i, j, best.confidence, best.coop_flipped)
-            for i, j, _ in sorted(best.valid_pairs)
-        )
-    )
+    return _associate(ego, coop, params)[0]
 
 
 def top_k_by_volume(scene: Scene, k: int | float | None) -> Scene:

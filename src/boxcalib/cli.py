@@ -29,7 +29,7 @@ from .association import NoCoVisibleObjects
 from .metrics import summarize
 from .monitor import MonitorState, step, unreadable_frame
 from .pipeline import calibrate_scenes, trial_error
-from .registration import DegenerateCorners, DegenerateGeometry, EmptyMatchSet
+from .registration import DegenerateCorners, DegenerateGeometry
 from .synth import PlacementFailure, grid_product, noise_sweep, noisy_pair
 
 EXIT_OK = 0
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     except NoCoVisibleObjects as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_COVISIBLE
-    except (DegenerateCorners, DegenerateGeometry, EmptyMatchSet) as e:
+    except (DegenerateCorners, DegenerateGeometry) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (ValueError, PlacementFailure) as e:

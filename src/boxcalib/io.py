@@ -296,6 +296,14 @@ def _convert_range(value, path, where):
     return tuple(_vector(value, 2, path, where))
 
 
+# The JSON values a scalar field takes, by its annotation: a bool is
+# neither an int nor a float, though Python makes it an int.
+_SCALARS = {
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+}
+
 # Fields whose JSON form needs converting, by "section.field"
 _CONVERTERS = {
     "synth.coop_transform": lambda v, p, w: None if v is None else extrinsic_from_dict(v, p),
@@ -325,7 +333,8 @@ def config_from_dict(doc, path="<memory>", base: RunConfig = RunConfig()) -> Run
         if not isinstance(section, dict):
             raise ParseError(path, name, "expected an object")
         current = getattr(base, name)
-        unknown = set(section) - {f.name for f in fields(current)}
+        annotations = {f.name: f.type for f in fields(current)}  # strings: postponed evaluation
+        unknown = set(section) - set(annotations)
         if unknown:
             raise ParseError(path, f"{name}.{sorted(unknown)[0]}", "unknown key")
         values = dict(section)
@@ -333,6 +342,10 @@ def config_from_dict(doc, path="<memory>", base: RunConfig = RunConfig()) -> Run
             where = f"{name}.{key}"
             if where in _CONVERTERS:
                 values[key] = _CONVERTERS[where](value, path, where)
+            elif annotations[key] in _SCALARS:
+                accepts, expected = _SCALARS[annotations[key]]
+                if not accepts(value):
+                    raise ParseError(path, where, f"expected {expected}, got {value!r}")
         try:
             changes[name] = replace(current, **values)
         except (TypeError, ValueError) as e:

@@ -9,18 +9,18 @@ from .association import (
     MatchSet,
     NoCoVisibleObjects,
     ODistParams,
+    _associate,
     alignment_score,
-    associate,
     top_k_by_volume,
 )
 from .geometry import RigidTransform, Scene
 from .metrics import TrialError, rre, rte
-from .registration import DegenerateGeometry, EmptyMatchSet, build_feature_clouds, weighted_kabsch
+from .registration import DegenerateGeometry
 
 DEFAULT_TOP_K = 15
 
 # What calibrate_scenes raises when the scenes admit no transform.
-CALIBRATION_FAILURES = (NoCoVisibleObjects, DegenerateGeometry, EmptyMatchSet)
+CALIBRATION_FAILURES = (NoCoVisibleObjects, DegenerateGeometry)
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,16 @@ def calibrate_scenes(
     """Estimate the rigid transform taking coop-frame points to the ego frame.
 
     Large boxes are kept (top_k per scene) before association: bigger
-    objects are detected more consistently and their corner matrices
-    constrain the alignment better per pair. Raises NoCoVisibleObjects if
-    association finds nothing and DegenerateGeometry if the matched
-    corners do not pin down a rotation.
+    objects are detected more consistently and their corners constrain
+    the alignment better per pair. The transform and rms_residual are the
+    corner fit of the matches with equal weights, which association
+    computed once while refining. Raises NoCoVisibleObjects if association finds nothing and
+    DegenerateGeometry if the matched corners do not pin down a rotation.
     """
     start = time.perf_counter()
     ego_k = top_k_by_volume(ego, top_k)
     coop_k = top_k_by_volume(coop, top_k)
-    matches = associate(ego_k, coop_k, params)
-    corr = build_feature_clouds(matches, ego_k, coop_k)
-    result = weighted_kabsch(corr)
+    matches, result = _associate(ego_k, coop_k, params)
     health = alignment_score(ego, coop, result.transform, params)
     elapsed = time.perf_counter() - start
     return CalibrationReport(

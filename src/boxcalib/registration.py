@@ -1,5 +1,10 @@
 """Rigid registration from box corners.
 
+association fits valid sets in closed form (association._fit) and keeps
+only the rotation step (nearest_rotation) and the rank test of this
+module. The corner path below is public and is the reference the closed
+forms are tested against:
+
 * pair_hypothesis: the exact rigid motion mapping one box onto another,
   the Kabsch fit of the two 8x3 corner matrices. Corner rows correspond
   by canonical order, so a single box pair pins down all six degrees of

@@ -296,6 +296,30 @@ def test_config_section_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
     assert f"{cfg_path}: {section}: expected an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # each loaded: the flip stayed on, the support gate was fractional,
+        # tau was True, and n_boxes failed inside NumPy under synth
+        ({"odist": {"try_yaw_flip": "no"}}, "odist.try_yaw_flip: expected a boolean, got 'no'"),
+        ({"monitor": {"min_confidence": 2.5}}, "monitor.min_confidence: expected an integer, got 2.5"),
+        ({"odist": {"tau": True}}, "odist.tau: expected a number, got True"),
+        ({"synth": {"n_boxes": 2.5}}, "synth.n_boxes: expected an integer, got 2.5"),
+    ],
+    ids=["bool", "int", "float", "n_boxes"],
+)
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, doc, message):
+    ego_path, coop_path, _ = write_pair(tmp_path)
+    cfg_path = write_json(tmp_path, "cfg.json", doc)
+    assert cli.main(["calibrate", str(ego_path), str(coop_path), "--config", str(cfg_path)]) == 2
+    assert f"{cfg_path}: {message}" in capsys.readouterr().err
+
+
+def test_config_number_fields_take_integers():
+    cfg = config_from_dict({"odist": {"tau": 2, "alpha": 1}, "noise": {"seed": 4}})
+    assert (cfg.odist.tau, cfg.odist.alpha, cfg.noise.seed) == (2, 1, 4)
+
+
 def test_every_config_flag_names_a_run_config_field():
     # a misspelt dest would fail only when its flag is given
     parser = cli.build_parser()

@@ -14,6 +14,7 @@ from boxcalib import (
     DEFAULT_TOP_K,
     CalibrationReport,
     NoCoVisibleObjects,
+    NoiseConfig,
     RigidTransform,
     Scene,
     SynthConfig,
@@ -22,6 +23,7 @@ from boxcalib import (
     compose,
     generate_scene_pair,
     invert,
+    noisy_pair,
     random_yaw_transform,
     rre,
     rte,
@@ -203,3 +205,22 @@ def test_moving_both_scenes_conjugates_the_transform(seed, visibility, yaw, shif
     expected = compose(motion, compose(calibrate_scenes(ego, coop).transform, invert(motion)))
     assert_same_transform(moved.transform, expected)
 
+
+
+# ---- invariance of calibrate_scenes on noisy scene pairs ----
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5])
+def test_moving_the_noisy_ego_view_composes_the_transform(sigma):
+    # yaw-only motions G of the ego view: the matches stay and the
+    # transform becomes G o T, to 1e-9 (rotation entries and meters)
+    noise = NoiseConfig(sigma, 2.0)
+    for k in range(60):
+        ego, coop, _ = noisy_pair(SynthConfig(), noise, np.random.SeedSequence([61, int(sigma * 10), k]))
+        motion = random_yaw_transform(np.random.default_rng([62, k]))
+        report = calibrate_scenes(ego, coop)
+        moved = calibrate_scenes(transform_scene(motion, ego), coop)
+        assert moved.matches == report.matches
+        expected = compose(motion, report.transform)
+        assert np.max(np.abs(moved.transform.rotation - expected.rotation)) <= 1e-9
+        assert np.max(np.abs(moved.transform.translation - expected.translation)) <= 1e-9
