@@ -24,13 +24,16 @@ is the calibration's transform (_associate).
 
 Two kernels compute the box distance. The anchor kernel (_anchor_block)
 scores the anchors of one ego box with every coop box at once, from
-closed forms in the heading differences. One such block per ego index is
-the only anchor scoring: the blocks fill the affinity matrix, and every
-anchor's PairScore (odist's, and the ones refinement starts from) is read
-from the block of its ego index. The transform kernel (_distances,
-_score) scores a given rigid motion: refits, alignment_score, the health
-check and box_distance. Both pair boxes by one greedy rule (_greedy) and
-rank scores by one rule (_rank).
+closed forms in the heading differences. It first drops the pairs that
+no anchor motion can bring within reach: a rotation about z keeps xy
+lengths, so under either heading a pair's center difference is at least
+the difference of their xy distances to the anchor boxes. One block per
+ego index is the only anchor scoring: the blocks fill the affinity
+matrix, and every anchor's PairScore (odist's, and the ones refinement
+starts from) is read from the block of its ego index. The transform
+kernel (_distances, _score) scores a given rigid motion: refits,
+alignment_score, the health check and box_distance. Both pair boxes by
+one greedy rule (_greedy) and rank scores by one rule (_rank).
 """
 from __future__ import annotations
 
@@ -237,10 +240,12 @@ def _rank(score: PairScore) -> tuple[float, float]:
 class _ScenePair:
     """Both scenes' arrays and what all anchors of the pair share: cos and
     sin of the heading differences phi = yaw_e - yaw_c and of phi / 2, the
-    coop offsets c_q - c_j, the flip-free parts of the axes term, and the
-    needle anchors, whose corners do not fix a rotation (the rank test of
-    registration.pair_hypothesis). Each table is computed once, so an
-    anchor's distances do not depend on the block it is scored in."""
+    coop offsets c_q - c_j, the xy radii |e_p - e_i| and |c_q - c_j| with
+    the allowance for their rounding, the flip-free parts of the axes
+    term, and the needle anchors, whose corners do not fix a rotation (the
+    rank test of registration.pair_hypothesis). Each table is computed
+    once, so an anchor's distances do not depend on the block it is scored
+    in."""
 
     def __init__(self, ego: Scene, coop: Scene):
         self.ego, self.coop = _SceneArrays(ego), _SceneArrays(coop)
@@ -248,6 +253,11 @@ class _ScenePair:
         self.cos, self.sin = np.cos(phi), np.sin(phi)
         self.cos_half, self.sin_half = np.cos(0.5 * phi), np.sin(0.5 * phi)
         self.offsets = self.coop.centers[None, :, :] - self.coop.centers[:, None, :]
+        xy = self.ego.centers[:, :2]
+        self.ego_radii = np.linalg.norm(xy[None, :, :] - xy[:, None, :], axis=-1)
+        self.coop_radii = np.linalg.norm(self.offsets[..., :2], axis=-1)
+        centers = np.concatenate([self.ego.centers, self.coop.centers])
+        self.allowance = 1e-6 * (1.0 + np.max(np.abs(centers), initial=0.0))
         dims_e, dims_c = self.ego.dims[:, None, :], self.coop.dims[None, :, :]
         self.same = np.sum(np.square(dims_e - dims_c), axis=-1)
         self.cross = 4.0 * (dims_e[..., 0] * dims_c[..., 0] + dims_e[..., 1] * dims_c[..., 1])
@@ -274,25 +284,39 @@ def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
     cancel on coincident boxes. A cell whose row or column holds two
     pairs within tau is paired by _greedy; in every other cell the greedy
     pairing keeps every pair within tau.
+
+    A pair comes within tau only if its center difference is within
+    reach = tau / (alpha + beta sqrt(8)). rot_z(theta) and rot_z(theta +
+    pi) keep xy lengths and the z term is nonnegative, so under both
+    variants |U_p - rot_z(theta) V_q| >= | |U_p|_xy - |V_q|_xy |, the
+    difference of the radii tables. The (anchor, p, q) whose radii differ
+    by more than reach plus pair.allowance are dropped before any rotation,
+    and the rest take the exact test dc2 <= reach^2 (1 + 1e-9) per
+    variant, in the order a dense (variant, anchor, p, q) grid would give.
+    The allowance, 1e-6 (1 + the largest |center coordinate|), exceeds
+    the rounding of the radii and of the rotated offsets, a few ulps of
+    the coordinates, by about a billion, so the prune drops only pairs
+    the exact test would drop.
     """
     n, m = pair.needles.shape
-    sign = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
-    cells = len(sign) * m
+    signs = [1.0, -1.0] if params.try_yaw_flip else [1.0]
+    cells = len(signs) * m
     u = pair.ego.centers - pair.ego.centers[i]
     v = pair.offsets
     cos, sin = pair.cos[i][:, None], pair.sin[i][:, None]
-    # dc2 axes: [variant, anchor, ego p, coop q]
-    rx = (cos * v[..., 0] - sin * v[..., 1])[:, None, :]
-    ry = (sin * v[..., 0] + cos * v[..., 1])[:, None, :]
-    dc2 = (
-        np.square(u[None, :, None, 0] - sign * rx)
-        + np.square(u[None, :, None, 1] - sign * ry)
-        + np.square(u[None, :, None, 2] - v[:, None, :, 2])
-    )
+    rx = cos * v[..., 0] - sin * v[..., 1]
+    ry = sin * v[..., 0] + cos * v[..., 1]
     # d >= (alpha + beta sqrt(8)) |center difference|: no farther pair comes within tau
     reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
-    f, a, p, q = np.nonzero(dc2 <= reach * reach * (1.0 + 1e-9))
-    c2 = dc2[f, a, p, q]
+    # |center difference| >= | |U_p|_xy - |V_q|_xy |: (anchor, p, q) in order
+    gap = np.abs(pair.ego_radii[i][None, :, None] - pair.coop_radii[:, None, :])
+    a, p, q = np.nonzero(gap <= reach * (1.0 + 1e-9) + pair.allowance)
+    ux, uy, dz2 = u[p, 0], u[p, 1], np.square(u[p, 2] - v[a, q, 2])
+    rx, ry = rx[a, q], ry[a, q]
+    # dc2 axes: [variant, surviving (anchor, p, q)]
+    dc2 = np.stack([np.square(ux - s * rx) + np.square(uy - s * ry) + dz2 for s in signs])
+    f, k = np.nonzero(dc2 <= reach * reach * (1.0 + 1e-9))
+    c2, a, p, q = dc2[f, k], a[k], p[k], q[k]
     half = pair.sin_half[p, q] * pair.cos_half[i, a] - pair.cos_half[p, q] * pair.sin_half[i, a]
     da2 = pair.same[p, q] + pair.cross[p, q] * np.square(half)
     d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
@@ -309,8 +333,8 @@ def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
         keep[lo + _greedy(p[lo:hi], q[lo:hi], d[lo:hi])] = True
     cell, p, q, d = cell[keep], p[keep], q[keep], d[keep]
 
-    conf = np.bincount(cell, minlength=cells).reshape(len(sign), m)
-    total = np.bincount(cell, weights=d, minlength=cells).reshape(len(sign), m)
+    conf = np.bincount(cell, minlength=cells).reshape(len(signs), m)
+    total = np.bincount(cell, weights=d, minlength=cells).reshape(len(signs), m)
     mean = np.divide(total, conf, out=np.full(total.shape, math.inf), where=conf > 0)
     flip = conf[-1] > conf[0]
     for b in np.flatnonzero((conf[-1] == conf[0]) & (mean[-1] < mean[0])):

@@ -1,0 +1,172 @@
+"""_anchor_block's radius prune against the dense candidate search.
+
+The reference is the anchor block without the prune: it tests every
+(variant, anchor, ego p, coop q) cell's squared center difference against
+the reach and goes on from np.nonzero of that grid. The pruned block must
+return the same (conf, mean, flip, (cell, p, q, d)), bit for bit, on
+generated frames, on frames near the coordinate bound (where the rounding
+allowance matters), on boxes stacked at one xy, at the edges of the
+scoring parameters and on one-box scenes.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from boxcalib import (
+    NoiseConfig,
+    ODistParams,
+    RigidTransform,
+    SynthConfig,
+    noisy_pair,
+    transform_scene,
+)
+from boxcalib import association
+from boxcalib.association import TAU_MAX, _greedy
+from boxcalib.io import MAX_COORDINATE_M
+
+from conftest import make_box, make_scene
+
+PARAMS = {
+    "default": ODistParams(),
+    "tau-max": ODistParams(tau=TAU_MAX, alpha=0.5, beta=0.5),
+    "small-tau": ODistParams(tau=0.2),
+    "alpha-0": ODistParams(alpha=0.0),
+    "beta-0": ODistParams(beta=0.0),
+    "no-flip": ODistParams(try_yaw_flip=False),
+}
+
+
+def dense_block(pair, i, params):
+    """The anchor block with the full candidate grid, no radius prune."""
+    n, m = pair.needles.shape
+    sign = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
+    cells = len(sign) * m
+    u = pair.ego.centers - pair.ego.centers[i]
+    v = pair.offsets
+    cos, sin = pair.cos[i][:, None], pair.sin[i][:, None]
+    # dc2 axes: [variant, anchor, ego p, coop q]
+    rx = (cos * v[..., 0] - sin * v[..., 1])[:, None, :]
+    ry = (sin * v[..., 0] + cos * v[..., 1])[:, None, :]
+    dc2 = (
+        np.square(u[None, :, None, 0] - sign * rx)
+        + np.square(u[None, :, None, 1] - sign * ry)
+        + np.square(u[None, :, None, 2] - v[:, None, :, 2])
+    )
+    reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
+    f, a, p, q = np.nonzero(dc2 <= reach * reach * (1.0 + 1e-9))
+    c2 = dc2[f, a, p, q]
+    half = pair.sin_half[p, q] * pair.cos_half[i, a] - pair.cos_half[p, q] * pair.sin_half[i, a]
+    da2 = pair.same[p, q] + pair.cross[p, q] * np.square(half)
+    d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
+    inside = d <= params.tau
+    cell, p, q, d = (f * m + a)[inside], p[inside], q[inside], d[inside]
+
+    rows = np.bincount(cell * n + p, minlength=cells * n).reshape(cells, n)
+    cols = np.bincount(cell * m + q, minlength=cells * m).reshape(cells, m)
+    crowded = (rows.max(axis=1, initial=0) > 1) | (cols.max(axis=1, initial=0) > 1)
+    keep = np.ones(len(d), dtype=bool)
+    for c in np.flatnonzero(crowded):
+        lo, hi = np.searchsorted(cell, [c, c + 1])
+        keep[lo:hi] = False
+        keep[lo + _greedy(p[lo:hi], q[lo:hi], d[lo:hi])] = True
+    cell, p, q, d = cell[keep], p[keep], q[keep], d[keep]
+
+    conf = np.bincount(cell, minlength=cells).reshape(len(sign), m)
+    total = np.bincount(cell, weights=d, minlength=cells).reshape(len(sign), m)
+    mean = np.divide(total, conf, out=np.full(total.shape, math.inf), where=conf > 0)
+    flip = conf[-1] > conf[0]
+    for b in np.flatnonzero((conf[-1] == conf[0]) & (mean[-1] < mean[0])):
+        flip[b] = round(float(mean[-1, b]), 9) < round(float(mean[0, b]), 9)
+    return conf, mean, flip, (cell, p, q, d)
+
+
+def assert_same_blocks(ego, coop, params):
+    pair = association._ScenePair(ego, coop)
+    for i in range(len(ego)):
+        *got, got_kept = association._anchor_block(pair, i, params)
+        *want, want_kept = dense_block(pair, i, params)
+        for g, w in zip([*got, *got_kept], [*want, *want_kept]):
+            assert g.dtype == w.dtype and np.array_equal(g, w), f"ego index {i}"
+
+
+def dense_frame(seed, sigma=0.3, yaw_deg=3.0):
+    # 40 objects, the coop agent sees 32, 8 ego boxes dropped: 32 x 32 with
+    # private boxes on both sides
+    base = SynthConfig(n_boxes=40, visibility=0.8)
+    ego, coop, _ = noisy_pair(base, NoiseConfig(sigma, yaw_deg), np.random.SeedSequence([81, seed]))
+    dropped = set(np.random.default_rng([82, seed]).choice(len(ego), 8, replace=False).tolist())
+    return make_scene([b for k, b in enumerate(ego) if k not in dropped]), coop
+
+
+def far_frame(seed):
+    # the same frame moved next to the coordinate bound, where the rounding
+    # of centers and radii is largest
+    ego, coop = dense_frame(seed)
+    shift = np.array([MAX_COORDINATE_M - 100.0, 100.0 - MAX_COORDINATE_M, 0.0])
+    motion = RigidTransform.from_yaw(0.7, shift)
+    ego, coop = transform_scene(motion, ego), transform_scene(motion, coop)
+    largest = max(np.max(np.abs(b.center)) for b in (*ego, *coop))
+    assert 0.999 * MAX_COORDINATE_M < largest <= MAX_COORDINATE_M
+    return ego, coop
+
+
+def stacked_pair():
+    # four boxes at one xy, differing only in z, in both views: every radius
+    # among them is 0, so the prune keeps their cells and the z term decides
+    stack = [make_box((5.0, -3.0, z), dims=(4.0, 2.0, 1.5 + 0.1 * z), yaw=0.4) for z in (0, 1, 2.5, 4)]
+    others = [make_box((-12.0, 7.0, 0.0), yaw=1.0), make_box((18.0, 2.0, 0.3), dims=(5, 2, 2))]
+    ego = make_scene(stack + others)
+    motion = RigidTransform.from_yaw(2.1, np.array([3.0, -8.0, 0.5]))
+    coop = transform_scene(motion, make_scene(stack[::-1] + others[:1]))
+    return ego, coop
+
+
+def rim_pair(tau, k=12, seed=0):
+    # k companions 30-50 km from the anchor box in both views, each coop one
+    # farther by tau along the direction the anchor's motion maps it to: the
+    # companion pairs lie tau apart, on the rim of the prune, where rounding
+    # the rotation can put the radii gap past the reach
+    rng = np.random.default_rng(seed)
+    yaw_e, yaw_c = rng.uniform(0.0, 2.0 * np.pi, 2)
+    phi, r = rng.uniform(0.0, 2.0 * np.pi, k), rng.uniform(3e4, 5e4, k)
+    psi = phi - (yaw_e - yaw_c)
+    e = np.stack([r * np.cos(phi), r * np.sin(phi), np.zeros(k)], axis=1)
+    c = np.stack([(r + tau) * np.cos(psi), (r + tau) * np.sin(psi), np.zeros(k)], axis=1)
+    ego = make_scene([make_box(x, yaw=yaw_e) for x in [np.zeros(3), *e]])
+    coop = make_scene([make_box(x, yaw=yaw_c) for x in [np.zeros(3), *c]])
+    return ego, coop
+
+
+SCENES = {
+    **{f"dense-{s}": dense_frame(s) for s in range(3)},
+    "dense-sigma-0.5": dense_frame(3, sigma=0.5, yaw_deg=2.0),
+    **{f"far-{s}": far_frame(s) for s in range(2)},
+    "stacked": stacked_pair(),
+}
+
+
+@pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+@pytest.mark.parametrize("scene", SCENES.keys())
+def test_pruned_blocks_equal_the_dense_search(scene, params):
+    assert_same_blocks(*SCENES[scene], params)
+
+
+@pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+def test_one_box_scenes_keep_the_dense_search(params):
+    ego, coop = dense_frame(4)
+    assert_same_blocks(make_scene(ego[:1]), make_scene(coop[:1]), params)  # 1 x 1
+    assert_same_blocks(make_scene(ego[:1]), coop, params)  # 1 x m
+    assert_same_blocks(ego, make_scene(coop[:1]), params)  # n x 1
+
+
+def test_pairs_on_the_rim_need_the_allowance():
+    params = ODistParams(tau=5e-4, alpha=1.0, beta=0.0)  # reach = tau
+    ego, coop = rim_pair(params.tau)
+    pair = association._ScenePair(ego, coop)
+    cell, p, q, _ = dense_block(pair, 0, params)[3]
+    gap = np.abs(pair.ego_radii[0, p] - pair.coop_radii[cell % len(coop), q])
+    assert np.any(gap > params.tau * (1.0 + 1e-9))  # within tau, past the reach
+    assert_same_blocks(ego, coop, params)

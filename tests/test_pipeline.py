@@ -207,7 +207,7 @@ def test_moving_both_scenes_conjugates_the_transform(seed, visibility, yaw, shif
 
 
 
-# ---- invariance of calibrate_scenes on noisy scene pairs ----
+# ---- invariances of calibrate_scenes on noisy scene pairs ----
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5])
@@ -224,3 +224,47 @@ def test_moving_the_noisy_ego_view_composes_the_transform(sigma):
         expected = compose(motion, report.transform)
         assert np.max(np.abs(moved.transform.rotation - expected.rotation)) <= 1e-9
         assert np.max(np.abs(moved.transform.translation - expected.translation)) <= 1e-9
+
+
+def noisy_views(sigma, visibility, k):
+    base = SynthConfig(visibility=visibility)
+    return noisy_pair(base, NoiseConfig(sigma, 2.0), np.random.SeedSequence([71, int(sigma * 10), k]))[:2]
+
+
+def max_entry_difference(a, b):
+    return max(np.max(np.abs(a.rotation - b.rotation)), np.max(np.abs(a.translation - b.translation)))
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.8])
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5])
+def test_swapping_the_noisy_views_inverts_the_transform(sigma, visibility):
+    # the matches come back transposed with the same confidence and flip
+    # flags, and the transform inverted, to 1e-9 (rotation entries and meters)
+    for k in range(40):
+        ego, coop = noisy_views(sigma, visibility, k)
+        forward = calibrate_scenes(ego, coop)
+        backward = calibrate_scenes(coop, ego)
+        assert {(m.coop_index, m.ego_index, m.confidence, m.coop_yaw_flipped) for m in backward.matches} == {
+            (m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in forward.matches
+        }
+        assert max_entry_difference(backward.transform, invert(forward.transform)) <= 1e-9
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.8])
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5])
+def test_permuting_the_noisy_boxes_permutes_the_matches(sigma, visibility):
+    # the matches are the same boxes under the new indices and the transform
+    # stays, to 1e-9 (rotation entries and meters)
+    for k in range(40):
+        ego, coop = noisy_views(sigma, visibility, k)
+        rng = np.random.default_rng([72, k])
+        order_e, order_c = rng.permutation(len(ego)), rng.permutation(len(coop))
+        shuffled = calibrate_scenes(
+            Scene(tuple(ego[i] for i in order_e)), Scene(tuple(coop[i] for i in order_c))
+        )
+        report = calibrate_scenes(ego, coop)
+        assert {
+            (int(order_e[m.ego_index]), int(order_c[m.coop_index]), m.confidence, m.coop_yaw_flipped)
+            for m in shuffled.matches
+        } == {(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in report.matches}
+        assert max_entry_difference(shuffled.transform, report.transform) <= 1e-9
