@@ -22,18 +22,20 @@ fit of the pairs' corners, computed in closed form from the centers and
 scaled axes; each distinct valid set is fit once, and the winner's fit
 is the calibration's transform (_associate).
 
-Two kernels compute the box distance. The anchor kernel (_anchor_block)
+Two kernels generate candidate box pairs, as squared center and axes
+differences, and one tail (_pair_up) scores them: the one distance
+expression (_distance), the tau gate, the greedy one-to-one pairing
+(_greedy) and the valid-set size and mean. So every PairScore lists its
+valid pairs in (ego, coop) order. The anchor kernel (_anchor_block)
 scores the anchors of one ego box with every coop box at once, from
-closed forms in the heading differences. It first drops the pairs that
-no anchor motion can bring within reach: a rotation about z keeps xy
-lengths, so under either heading a pair's center difference is at least
-the difference of their xy distances to the anchor boxes. One block per
-ego index is the only anchor scoring: the blocks fill the affinity
-matrix, and every anchor's PairScore (odist's, and the ones refinement
-starts from) is read from the block of its ego index. The transform
-kernel (_distances, _score) scores a given rigid motion: refits,
-alignment_score, the health check and box_distance. Both pair boxes by
-one greedy rule (_greedy) and rank scores by one rule (_rank).
+closed forms in the heading differences, after dropping the pairs no
+anchor motion can bring within reach: a rotation about z keeps xy
+lengths, so a pair's center difference is at least the difference of
+their xy distances to the anchor boxes. One block per ego index fills
+its affinity row, and every anchor's PairScore (odist's, and the ones
+refinement starts from) is read from it. The transform kernel (_terms,
+_score) scores a given rigid motion: refits, alignment_score and the
+health check. One rule ranks scores (_rank).
 """
 from __future__ import annotations
 
@@ -150,7 +152,8 @@ class AffinityMatrix:
 def box_distance(a: DetectionBox, b: DetectionBox, params: ODistParams = ODistParams()) -> float:
     """alpha * |center difference| + beta * Frobenius norm of corner difference."""
     one_a, one_b = _SceneArrays(Scene((a,))), _SceneArrays(Scene((b,)))
-    return float(_distances(one_a, one_b, np.eye(3), np.zeros(3), False, params)[0, 0])
+    c2, da2 = _terms(one_a, one_b, np.eye(3), np.zeros(3), False)
+    return float(_distance(c2, da2, params)[0, 0])
 
 
 class _SceneArrays:
@@ -159,36 +162,28 @@ class _SceneArrays:
 
     def __init__(self, scene: Scene):
         n = len(scene)
-        self.scene = scene
         self.centers = np.array([b.center for b in scene]).reshape(n, 3)
         self.dims = np.array([b.dims for b in scene]).reshape(n, 3)
         self.yaws = np.array([b.yaw for b in scene])
         self.axes = np.array([rot_z(b.yaw) * b.dims for b in scene]).reshape(n, 3, 3)
 
 
-def _distances(
-    ego: _SceneArrays,
-    coop: _SceneArrays,
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    flipped: bool,
-    params: ODistParams,
-) -> np.ndarray:
-    """box_distance of every (ego box, coop box) pair, the coop boxes moved
-    by (rotation, translation) and, if flipped, heading-reversed.
+def _distance(c2: np.ndarray, da2: np.ndarray, params: ODistParams) -> np.ndarray:
+    """box_distance from the squared center difference c2 and the squared
+    difference da2 of the scaled axes. A box's corners are c + S diag(dims/2)
+    rot_z(yaw)^T, and the 8x3 sign matrix S has zero column sums and S^T S
+    = 8 I, so the corner term is exactly sqrt(8 c2 + 2 da2)."""
+    return params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
 
-    A box's corners are c + S diag(dims/2) rot_z(yaw)^T, and the 8x3 sign
-    matrix S has zero column sums and S^T S = 8 I, so the corner term is
-    exactly sqrt(8 |dc|^2 + 2 |dA|_F^2). A rigid motion maps A to R A.
-    """
-    axes = rotation @ coop.axes
-    if flipped:
-        axes = axes * _FLIP_AXES
-    dc = ego.centers[:, None, :] - (coop.centers @ rotation.T + translation)[None, :, :]
+
+def _terms(ego: _SceneArrays, coop: _SceneArrays, R: np.ndarray, t: np.ndarray, flipped: bool):
+    """The (n, m) c2 and da2 (see _distance) of every (ego box, coop box)
+    pair, the coop boxes moved by (R, t), which maps their scaled axes A to
+    R A, and heading-reversed if flipped."""
+    axes = R @ coop.axes * _FLIP_AXES if flipped else R @ coop.axes
+    dc = ego.centers[:, None, :] - (coop.centers @ R.T + t)[None, :, :]
     da = ego.axes[:, None] - axes[None, :]
-    dc2 = np.einsum("ijk,ijk->ij", dc, dc)
-    da2 = np.einsum("ijkl,ijkl->ij", da, da)
-    return params.alpha * np.sqrt(dc2) + params.beta * np.sqrt(8.0 * dc2 + 2.0 * da2)
+    return np.einsum("ijk,ijk->ij", dc, dc), np.einsum("ijkl,ijkl->ij", da, da)
 
 
 def _greedy(rows: np.ndarray, cols: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -208,33 +203,62 @@ def _greedy(rows: np.ndarray, cols: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
-def _score(
-    ego: _SceneArrays,
-    coop: _SceneArrays,
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    flipped: bool,
-    params: ODistParams,
-) -> PairScore:
-    """Scene-consistency score of the coop scene moved by (rotation,
-    translation): the pairs within tau that _greedy keeps, in the order it
-    keeps them."""
-    d = _distances(ego, coop, rotation, translation, flipped, params)
-    rows, cols = np.nonzero(d <= params.tau)
-    dist = d[rows, cols]
-    kept = _greedy(rows, cols, dist)
-    rows, cols, dist = rows[kept], cols[kept], dist[kept]
-    mean = float(np.mean(dist)) if len(dist) else math.inf
-    pairs = zip(rows.tolist(), cols.tolist(), dist.tolist())
-    return PairScore(float(len(dist)), mean, tuple(pairs), flipped)
+def _pair_up(cell, p, q, c2, da2, cells: int, shape: tuple[int, int], params: ODistParams):
+    """Score the candidate pairs (ego p, coop q) of cells 0 <= cell < cells,
+    sorted by cell and each cell's pairs in (p, q) order, from their c2 and
+    da2 (see _distance); shape is (ego boxes, coop boxes). Returns (conf,
+    mean, kept): each cell's valid-set size and mean distance (inf if
+    empty), and the valid pairs as arrays (cell, p, q, d) in candidate
+    order. The valid set is the pairs within tau that _greedy keeps. It
+    runs only on a cell whose row or column holds two pairs within tau: in
+    every other cell it would keep them all."""
+    n, m = shape
+    d = _distance(c2, da2, params)
+    inside = d <= params.tau
+    cell, p, q, d = cell[inside], p[inside], q[inside], d[inside]
+    rows = np.bincount(cell * n + p, minlength=cells * n).reshape(cells, n)
+    cols = np.bincount(cell * m + q, minlength=cells * m).reshape(cells, m)
+    crowded = (rows.max(axis=1, initial=0) > 1) | (cols.max(axis=1, initial=0) > 1)
+    keep = np.ones(len(d), dtype=bool)
+    for c in np.flatnonzero(crowded):
+        lo, hi = np.searchsorted(cell, [c, c + 1])  # cell is sorted
+        keep[lo:hi] = False
+        keep[lo + _greedy(p[lo:hi], q[lo:hi], d[lo:hi])] = True
+    cell, p, q, d = cell[keep], p[keep], q[keep], d[keep]
+    conf = np.bincount(cell, minlength=cells)
+    total = np.bincount(cell, weights=d, minlength=cells)
+    mean = np.divide(total, conf, out=np.full(total.shape, math.inf), where=conf > 0)
+    return conf, mean, (cell, p, q, d)
+
+
+def _cell_score(conf, mean, kept, c: int, flipped: bool) -> PairScore:
+    """The PairScore of cell c of a _pair_up result."""
+    cell, p, q, d = kept
+    valid = cell == c
+    pairs = zip(p[valid].tolist(), q[valid].tolist(), d[valid].tolist())
+    return PairScore(float(conf[c]), float(mean[c]), tuple(pairs), flipped)
+
+
+def _score(ego: _SceneArrays, coop: _SceneArrays, R, t, flipped: bool, params) -> PairScore:
+    """Scene-consistency score of the coop scene moved by (R, t) and, if
+    flipped, heading-reversed: the one-cell _pair_up of every (ego, coop)
+    pair, its valid pairs in (ego, coop) order."""
+    c2, da2 = _terms(ego, coop, R, t, flipped)
+    p, q = np.divmod(np.arange(c2.size), c2.shape[1])
+    up = _pair_up(np.zeros(c2.size, np.intp), p, q, c2.ravel(), da2.ravel(), 1, c2.shape, params)
+    return _cell_score(*up, 0, flipped)
+
+
+def _rank_key(confidence: float, mean_distance: float) -> tuple[float, float]:
+    """Sort key of scores, best first: higher confidence, then lower mean
+    distance to 1e-9 m (as Python rounds a float, not a NumPy scalar).
+    Means that differ only by rounding tie, so callers' tie rules (unflipped
+    variant first, lower ego index first) decide, not floating-point noise."""
+    return -confidence, round(float(mean_distance), 9)
 
 
 def _rank(score: PairScore) -> tuple[float, float]:
-    """Sort key of anchor scores, best first: higher confidence, then lower
-    mean distance to 1e-9 m. Means that differ only by rounding tie, so
-    callers' tie rules (unflipped variant first, lower ego index first)
-    decide instead of floating-point noise."""
-    return -score.confidence, round(score.mean_distance, 9)
+    return _rank_key(score.confidence, score.mean_distance)
 
 
 class _ScenePair:
@@ -268,11 +292,9 @@ def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
     """Score the anchors (i, j) of ego index i with every coop index j,
     under both heading variants when params.try_yaw_flip, else unflipped.
 
-    Returns (conf, mean, flip, kept). conf and mean are (variants, m)
-    valid-set sizes and mean distances; flip marks the anchors whose
-    flipped variant wins by _rank, the unflipped one winning ties; kept
-    holds the valid pairs as arrays (cell, p, q, d), cell = variant * m +
-    j, sorted by cell and each cell's pairs in (p, q) order.
+    Returns (conf, mean, flip, kept): _pair_up's results for cells variant
+    * m + j, conf and mean shaped (variants, m), kept in (cell, p, q) order,
+    and flip, the anchors whose flipped variant wins by _rank_key (ties stay unflipped).
 
     With theta = phi[i, j], U = ego centers - e_i and V = coop centers -
     c_j, the center difference of ego p and coop q is U_p - rot_z(theta)
@@ -281,9 +303,7 @@ def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
     + 4 (l_p l_q + w_p w_q) sin^2(delta / 2), delta = phi[p, q] - theta,
     the same for both variants; sin(delta / 2) is expanded from the
     half-angle tables. No 1 - cos and no |u|^2 + |v|^2 - 2 u.Rv: those
-    cancel on coincident boxes. A cell whose row or column holds two
-    pairs within tau is paired by _greedy; in every other cell the greedy
-    pairing keeps every pair within tau.
+    cancel on coincident boxes.
 
     A pair comes within tau only if its center difference is within
     reach = tau / (alpha + beta sqrt(8)). rot_z(theta) and rot_z(theta +
@@ -293,14 +313,13 @@ def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
     by more than reach plus pair.allowance are dropped before any rotation,
     and the rest take the exact test dc2 <= reach^2 (1 + 1e-9) per
     variant, in the order a dense (variant, anchor, p, q) grid would give.
-    The allowance, 1e-6 (1 + the largest |center coordinate|), exceeds
-    the rounding of the radii and of the rotated offsets, a few ulps of
-    the coordinates, by about a billion, so the prune drops only pairs
-    the exact test would drop.
+    The allowance, 1e-6 (1 + the largest |center coordinate|), exceeds the
+    rounding of the radii and rotated offsets, a few ulps of the
+    coordinates, about a billionfold: the prune drops only what the exact
+    test would.
     """
     n, m = pair.needles.shape
     signs = [1.0, -1.0] if params.try_yaw_flip else [1.0]
-    cells = len(signs) * m
     u = pair.ego.centers - pair.ego.centers[i]
     v = pair.offsets
     cos, sin = pair.cos[i][:, None], pair.sin[i][:, None]
@@ -319,38 +338,20 @@ def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
     c2, a, p, q = dc2[f, k], a[k], p[k], q[k]
     half = pair.sin_half[p, q] * pair.cos_half[i, a] - pair.cos_half[p, q] * pair.sin_half[i, a]
     da2 = pair.same[p, q] + pair.cross[p, q] * np.square(half)
-    d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
-    inside = d <= params.tau
-    cell, p, q, d = (f * m + a)[inside], p[inside], q[inside], d[inside]
-
-    rows = np.bincount(cell * n + p, minlength=cells * n).reshape(cells, n)
-    cols = np.bincount(cell * m + q, minlength=cells * m).reshape(cells, m)
-    crowded = (rows.max(axis=1, initial=0) > 1) | (cols.max(axis=1, initial=0) > 1)
-    keep = np.ones(len(d), dtype=bool)
-    for c in np.flatnonzero(crowded):
-        lo, hi = np.searchsorted(cell, [c, c + 1])  # cell is sorted
-        keep[lo:hi] = False
-        keep[lo + _greedy(p[lo:hi], q[lo:hi], d[lo:hi])] = True
-    cell, p, q, d = cell[keep], p[keep], q[keep], d[keep]
-
-    conf = np.bincount(cell, minlength=cells).reshape(len(signs), m)
-    total = np.bincount(cell, weights=d, minlength=cells).reshape(len(signs), m)
-    mean = np.divide(total, conf, out=np.full(total.shape, math.inf), where=conf > 0)
+    conf, mean, kept = _pair_up(f * m + a, p, q, c2, da2, len(signs) * m, (n, m), params)
+    conf, mean = conf.reshape(len(signs), m), mean.reshape(len(signs), m)
     flip = conf[-1] > conf[0]
     for b in np.flatnonzero((conf[-1] == conf[0]) & (mean[-1] < mean[0])):
-        # _rank's rule: means equal to 1e-9 m tie, and the tie stays unflipped
-        flip[b] = round(float(mean[-1, b]), 9) < round(float(mean[0, b]), 9)
-    return conf, mean, flip, (cell, p, q, d)
+        flip[b] = _rank_key(conf[-1, b], mean[-1, b]) < _rank_key(conf[0, b], mean[0, b])
+    return conf, mean, flip, kept
 
 
 def _pair_score(block, j: int) -> PairScore:
     """The score of anchor (i, j), read from the _anchor_block of ego
     index i: the winning variant of coop index j, 0 <= j < m."""
-    conf, mean, flip, (cell, p, q, d) = block
+    conf, mean, flip, kept = block
     w = int(flip[j])
-    valid = cell == w * conf.shape[1] + j
-    pairs = zip(p[valid].tolist(), q[valid].tolist(), d[valid].tolist())
-    return PairScore(float(conf[w, j]), float(mean[w, j]), tuple(pairs), bool(w))
+    return _cell_score(conf.ravel(), mean.ravel(), kept, w * conf.shape[1] + j, bool(w))
 
 
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
@@ -368,8 +369,8 @@ def alignment_score(
 ) -> PairScore:
     """Scene-consistency score of a given transform (no anchor search).
 
-    Pairs are formed exactly as in odist: greedy one-to-one by ascending
-    distance, admitting pairs within tau.
+    Pairs are formed exactly as in odist (_pair_up): greedy one-to-one by
+    ascending distance within tau, listed in (ego, coop) index order.
     """
     ego_a, coop_a = _SceneArrays(ego), _SceneArrays(coop)
     return _score(ego_a, coop_a, transform.rotation, transform.translation, False, params)
@@ -474,7 +475,7 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
 def _fit(ego: _SceneArrays, coop: _SceneArrays, pairs, flipped: bool) -> RegistrationResult:
     """weighted_kabsch of the build_feature_clouds of the matches (ego
     index, coop index, flipped) with unit weights, in closed form.
-    Centered corners are S A^T / 2 (see _distances), so the corner
+    Centered corners are S A^T / 2 (see _distance), so the corner
     cross-covariance is 8 sum de dc^T + 2 sum A_e A_c^T, de and dc the
     centers minus their means, and a pair's squared corner residuals sum
     to 8 |r|^2 + 2 |R A_c - A_e|_F^2, r its center residual."""
@@ -504,13 +505,12 @@ def _refine(
     same valid set, so refits keeps each fit and its score by valid set. A
     one-pair valid set is the anchor itself and is left alone."""
     while len(score.valid_pairs) >= 2:
-        pairs = tuple(sorted((i, j) for i, j, _ in score.valid_pairs))
-        flipped = score.coop_flipped
-        if (pairs, flipped) not in refits:
-            fit = _fit(ego, coop, pairs, flipped)
+        key = tuple((i, j) for i, j, _ in score.valid_pairs), score.coop_flipped
+        if key not in refits:
+            fit = _fit(ego, coop, *key)
             R, t = fit.transform.rotation, fit.transform.translation
-            refits[pairs, flipped] = fit, _score(ego, coop, R, t, flipped, params)
-        refined = refits[pairs, flipped][1]
+            refits[key] = fit, _score(ego, coop, R, t, key[1], params)
+        refined = refits[key][1]
         if _rank(refined) >= _rank(score):
             break
         score = refined
@@ -530,7 +530,7 @@ def _associate(ego: Scene, coop: Scene, params: ODistParams) -> tuple[MatchSet, 
     refined = [_refine(pair.ego, pair.coop, score, params, refits) for score in anchors]
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
-    key = tuple(sorted((i, j) for i, j, _ in best.valid_pairs)), best.coop_flipped
+    key = tuple((i, j) for i, j, _ in best.valid_pairs), best.coop_flipped
     fit = refits[key][0] if key in refits else _fit(pair.ego, pair.coop, *key)
     return MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0])), fit
 

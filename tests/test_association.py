@@ -122,6 +122,138 @@ def test_alignment_distances_under_a_tilt_match_the_corner_definition():
         assert d == pytest.approx(expected, rel=1e-12)
 
 
+# ---- alignment_score ----
+
+
+def pairing_oracle(ego, coop, transform, params):
+    """alignment_score's valid set from its definition: every (i, j) whose
+    moved corners are within tau, sorted by (distance, i, j) and paired
+    greedily one-to-one, the kept pairs listed in (i, j) order."""
+    candidates = []
+    for i, e in enumerate(ego):
+        for j, c in enumerate(coop):
+            moved = corners_of(c) @ transform.rotation.T + transform.translation
+            d = corner_distance_oracle(corners_of(e), moved, params)
+            if d <= params.tau:
+                candidates.append((d, i, j))
+    used_ego, used_coop, kept = set(), set(), []
+    for d, i, j in sorted(candidates):
+        if i not in used_ego and j not in used_coop:
+            used_ego.add(i)
+            used_coop.add(j)
+            kept.append((i, j, d))
+    return sorted(kept)
+
+
+def seen_from(truth, boxes):
+    """The coop scene whose boxes land on `boxes` (ego frame) under truth."""
+    return transform_scene(invert(truth), make_scene(boxes))
+
+
+def crowded_fixture():
+    # coop box 1 is within tau of ego boxes 1 and 2; coop boxes 2 and 3 are
+    # within tau of ego box 3; the nearer box has the higher index both times
+    ego = make_scene(
+        [
+            make_box((0, 0, 0)),
+            make_box((10, 0, 0), dims=(3, 1.5, 1.2)),
+            make_box((10.7, 0.9, 0), dims=(3.2, 1.5, 1.2)),
+            make_box((30, 0, 0), dims=(5, 2, 2)),
+        ]
+    )
+    truth = yaw_transform(2.2, (4.0, -7.0, 0.3))
+    coop = seen_from(
+        truth,
+        [
+            make_box((0.05, 0, 0)),
+            make_box((10.55, 0.7, 0), dims=(3, 1.5, 1.2)),
+            make_box((29.5, -0.5, 0.2), dims=(5, 2, 2), yaw=0.1),
+            make_box((30.4, 0.1, 0), dims=(5, 2, 2)),
+        ],
+    )
+    return ego, coop, truth
+
+
+def tilted_fixture():
+    # a rotation off the z axis; coop boxes 8 and 9 are second detections
+    # of ego boxes 0 and 3, which compete with the first ones
+    ego = spread_scene(8, seed=31)
+    shifts = {0: (0.6, 0.3, 0.0), 3: (-0.4, 0.7, 0.1)}
+    twins = [make_box(ego[k].center + shift, ego[k].dims, ego[k].yaw) for k, shift in shifts.items()]
+    truth = yaw_transform(-0.9, (2.0, 6.0, -0.4))
+    coop = seen_from(truth, [*ego, *twins])
+    c, s = math.cos(0.04), math.sin(0.04)
+    tilt = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return ego, coop, RigidTransform(tilt @ truth.rotation, truth.translation + 0.2)
+
+
+def flipped_fixture():
+    # coop box 1 is ego box 1 with its heading reversed; ego box 2, same
+    # heading and farther off, competes for it
+    small = (1.0, 0.8, 1.0)
+    ego = make_scene(
+        [
+            make_box((0, 0, 0)),
+            make_box((8, 0, 0), dims=small, yaw=0.3),
+            make_box((8.9, 0.6, 0), dims=small, yaw=0.3 + math.pi),
+        ]
+    )
+    truth = yaw_transform(0.7, (-3.0, 1.0, 0.0))
+    reversed_box = make_box((8.1, 0, 0), dims=small, yaw=0.3 + math.pi)
+    coop = seen_from(truth, [make_box((0, 0, 0)), reversed_box])
+    return ego, coop, truth
+
+
+def swapped(ego, coop, truth):
+    return coop, ego, invert(truth)
+
+
+def empty_fixtures():
+    ego, coop, truth = crowded_fixture()
+    empty = make_scene([])
+    return [(empty, coop, truth), (ego, empty, truth), (empty, empty, truth)]
+
+
+PAIRING_FIXTURES = {
+    "crowded": crowded_fixture(),
+    "crowded-swapped": swapped(*crowded_fixture()),
+    "tilted": tilted_fixture(),
+    "flipped": flipped_fixture(),
+    **{f"empty-{k}": fixture for k, fixture in enumerate(empty_fixtures())},
+}
+
+
+@pytest.mark.parametrize("params", [ODistParams(), CENTER_ONLY], ids=["default", "center-only"])
+@pytest.mark.parametrize("fixture", PAIRING_FIXTURES.keys())
+def test_alignment_pairs_match_the_greedy_oracle(fixture, params):
+    ego, coop, transform = PAIRING_FIXTURES[fixture]
+    score = alignment_score(ego, coop, transform, params)
+    want = pairing_oracle(ego, coop, transform, params)
+    assert [p[:2] for p in score.valid_pairs] == [p[:2] for p in want]
+    assert score.confidence == len(want)
+    for (*_, got), (*_, expected) in zip(score.valid_pairs, want):
+        assert abs(got - expected) <= 1e-12
+    if want:
+        assert abs(score.mean_distance - sum(p[2] for p in want) / len(want)) <= 1e-12
+    else:
+        assert score.mean_distance == math.inf
+
+
+def test_pairing_fixtures_need_the_greedy_pass():
+    # the oracle's candidates within tau are not already one-to-one
+    for name in ("crowded", "crowded-swapped", "tilted", "flipped"):
+        ego, coop, transform = PAIRING_FIXTURES[name]
+        params = ODistParams()
+        within = [
+            (i, j)
+            for i in range(len(ego))
+            for j in range(len(coop))
+            if pairing_oracle(make_scene([ego[i]]), make_scene([coop[j]]), transform, params)
+        ]
+        rows, cols = [i for i, _ in within], [j for _, j in within]
+        assert len(set(rows)) < len(rows) or len(set(cols)) < len(cols), name
+
+
 # ---- odist ----
 
 

@@ -6,8 +6,9 @@ a copy with every heading reversed, the better variant by confidence and
 then mean distance to 1e-9 m, the unflipped one winning ties. The blocks
 must give the same entries and flip flags exactly, on generated scenes
 and on fixtures built at the edges of the pairing rules. An anchor must
-score the same through odist as in the affinity, and associate must score
-each ego box's anchors in one block.
+score the same through odist as in the affinity, with the same valid
+pairs in the same order as its own transform's alignment_score, and
+associate must score each ego box's anchors in one block.
 """
 from __future__ import annotations
 
@@ -216,7 +217,7 @@ def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
         assert score.confidence == affinity.entries[i, j]
         assert score.coop_flipped == affinity.coop_flip[i, j]
         own = variants[int(score.coop_flipped)]  # the anchor's own transform
-        assert sorted(p[:2] for p in score.valid_pairs) == sorted(p[:2] for p in own.valid_pairs)
+        assert [p[:2] for p in score.valid_pairs] == [p[:2] for p in own.valid_pairs]  # in order
         assert score.mean_distance == pytest.approx(own.mean_distance, abs=1e-12)
     with pytest.raises(IndexError):
         odist(ego, coop, len(ego), 0, params)
