@@ -22,20 +22,24 @@ fit of the pairs' corners, computed in closed form from the centers and
 scaled axes; each distinct valid set is fit once, and the winner's fit
 is the calibration's transform (_associate).
 
-Two kernels generate candidate box pairs, as squared center and axes
-differences, and one tail (_pair_up) scores them: the one distance
-expression (_distance), the tau gate, the greedy one-to-one pairing
-(_greedy) and the valid-set size and mean. So every PairScore lists its
-valid pairs in (ego, coop) order. The anchor kernel (_anchor_block)
-scores the anchors of one ego box with every coop box at once, from
-closed forms in the heading differences, after dropping the pairs no
-anchor motion can bring within reach: a rotation about z keeps xy
-lengths, so a pair's center difference is at least the difference of
-their xy distances to the anchor boxes. One block per ego index fills
-its affinity row, and every anchor's PairScore (odist's, and the ones
-refinement starts from) is read from it. The transform kernel (_terms,
-_score) scores a given rigid motion: refits, alignment_score and the
-health check. One rule ranks scores (_rank).
+Every NumPy pass runs once per frame or once per refinement round, never
+once per anchor. Two kernels generate candidate box pairs, as squared
+center and axes differences, and one tail (_pair_up) scores them, any
+number of cells at once: the one distance expression (_distance), the
+tau gate, the greedy one-to-one pairing (_greedy) and the valid-set size
+and mean. So every PairScore lists its valid pairs in (ego, coop) order.
+The anchor kernel (_anchor_pass) scores every anchor of the frame in one
+pass, from closed forms in the heading differences, after dropping the
+pairs no anchor motion can bring within reach: a rotation about z keeps
+xy lengths, so a pair's center difference is at least the difference of
+their xy distances to the anchor boxes. Only that candidate search runs
+row by row; the pass fills the affinity matrix, and every anchor's
+PairScore (odist's, from a one-row pass, and the ones refinement starts
+from) is read from it. The transform kernel (_score_motions) scores any
+number of rigid motions at once: the refits of a refinement round
+(_refine, which runs every assigned anchor in lockstep), and, as the
+one-motion case, alignment_score and the health check. One rule ranks
+scores (_rank).
 """
 from __future__ import annotations
 
@@ -152,8 +156,9 @@ class AffinityMatrix:
 def box_distance(a: DetectionBox, b: DetectionBox, params: ODistParams = ODistParams()) -> float:
     """alpha * |center difference| + beta * Frobenius norm of corner difference."""
     one_a, one_b = _SceneArrays(Scene((a,))), _SceneArrays(Scene((b,)))
-    c2, da2 = _terms(one_a, one_b, np.eye(3), np.zeros(3), False)
-    return float(_distance(c2, da2, params)[0, 0])
+    c2 = np.sum(np.square(one_a.centers - one_b.centers))
+    da2 = np.sum(np.square(one_a.axes - one_b.axes))
+    return float(_distance(c2, da2, params))
 
 
 class _SceneArrays:
@@ -176,14 +181,10 @@ def _distance(c2: np.ndarray, da2: np.ndarray, params: ODistParams) -> np.ndarra
     return params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
 
 
-def _terms(ego: _SceneArrays, coop: _SceneArrays, R: np.ndarray, t: np.ndarray, flipped: bool):
-    """The (n, m) c2 and da2 (see _distance) of every (ego box, coop box)
-    pair, the coop boxes moved by (R, t), which maps their scaled axes A to
-    R A, and heading-reversed if flipped."""
-    axes = R @ coop.axes * _FLIP_AXES if flipped else R @ coop.axes
-    dc = ego.centers[:, None, :] - (coop.centers @ R.T + t)[None, :, :]
-    da = ego.axes[:, None] - axes[None, :]
-    return np.einsum("ijk,ijk->ij", dc, dc), np.einsum("ijkl,ijkl->ij", da, da)
+def _reach(params: ODistParams) -> float:
+    """The largest center difference of a pair within tau: a pair's
+    distance is at least (alpha + beta sqrt(8)) |center difference|."""
+    return params.tau / (params.alpha + params.beta * math.sqrt(8.0))
 
 
 def _greedy(rows: np.ndarray, cols: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -211,16 +212,18 @@ def _pair_up(cell, p, q, c2, da2, cells: int, shape: tuple[int, int], params: OD
     empty), and the valid pairs as arrays (cell, p, q, d) in candidate
     order. The valid set is the pairs within tau that _greedy keeps. It
     runs only on a cell whose row or column holds two pairs within tau: in
-    every other cell it would keep them all."""
+    every other cell it would keep them all. Crowded cells are found from
+    the pairs within tau alone, so work and memory follow the candidates,
+    not the cells times the boxes."""
     n, m = shape
     d = _distance(c2, da2, params)
     inside = d <= params.tau
     cell, p, q, d = cell[inside], p[inside], q[inside], d[inside]
-    rows = np.bincount(cell * n + p, minlength=cells * n).reshape(cells, n)
-    cols = np.bincount(cell * m + q, minlength=cells * m).reshape(cells, m)
-    crowded = (rows.max(axis=1, initial=0) > 1) | (cols.max(axis=1, initial=0) > 1)
+    rows = cell * n + p  # ascending: each cell's pairs come in (p, q) order
+    cols = np.sort(cell * m + q)
+    crowded = np.union1d(rows[1:][rows[1:] == rows[:-1]] // n, cols[1:][cols[1:] == cols[:-1]] // m)
     keep = np.ones(len(d), dtype=bool)
-    for c in np.flatnonzero(crowded):
+    for c in crowded.tolist():
         lo, hi = np.searchsorted(cell, [c, c + 1])  # cell is sorted
         keep[lo:hi] = False
         keep[lo + _greedy(p[lo:hi], q[lo:hi], d[lo:hi])] = True
@@ -231,22 +234,37 @@ def _pair_up(cell, p, q, c2, da2, cells: int, shape: tuple[int, int], params: OD
     return conf, mean, (cell, p, q, d)
 
 
-def _cell_score(conf, mean, kept, c: int, flipped: bool) -> PairScore:
-    """The PairScore of cell c of a _pair_up result."""
-    cell, p, q, d = kept
-    valid = cell == c
-    pairs = zip(p[valid].tolist(), q[valid].tolist(), d[valid].tolist())
-    return PairScore(float(conf[c]), float(mean[c]), tuple(pairs), flipped)
+def _scores(up, cells: np.ndarray, flipped) -> list[PairScore]:
+    """The PairScores of the given cells of a _pair_up result, each with
+    its entry of flipped, read by searchsorted on the sorted kept cells."""
+    conf, mean, (cell, p, q, d) = up
+    lo, hi = np.searchsorted(cell, cells), np.searchsorted(cell, cells + 1)
+    scores = []
+    for c, a, b, f in zip(cells.tolist(), lo.tolist(), hi.tolist(), flipped):
+        pairs = zip(p[a:b].tolist(), q[a:b].tolist(), d[a:b].tolist())
+        scores.append(PairScore(float(conf[c]), float(mean[c]), tuple(pairs), bool(f)))
+    return scores
 
 
-def _score(ego: _SceneArrays, coop: _SceneArrays, R, t, flipped: bool, params) -> PairScore:
-    """Scene-consistency score of the coop scene moved by (R, t) and, if
-    flipped, heading-reversed: the one-cell _pair_up of every (ego, coop)
-    pair, its valid pairs in (ego, coop) order."""
-    c2, da2 = _terms(ego, coop, R, t, flipped)
-    p, q = np.divmod(np.arange(c2.size), c2.shape[1])
-    up = _pair_up(np.zeros(c2.size, np.intp), p, q, c2.ravel(), da2.ravel(), 1, c2.shape, params)
-    return _cell_score(*up, 0, flipped)
+def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, t, flipped, params: ODistParams):
+    """Score the coop scene moved by each rigid motion (R[k], t[k]), k < K,
+    and heading-reversed where flipped[k], which maps its scaled axes A to
+    R[k] A diag(-1, -1, 1): _pair_up's (conf, mean, kept) of one cell per
+    motion, over every (ego, coop) pair. Only the pairs whose squared
+    center difference c2 is within reach^2 (1 + 1e-9) (see _anchor_pass)
+    take the axes term; no farther pair comes within tau, so the (K, n,
+    m, 3, 3) axes differences are never built."""
+    n, m = len(ego.centers), len(coop.centers)
+    moved = coop.centers @ np.swapaxes(R, -1, -2) + t[:, None, :]
+    dc = ego.centers[None, :, None, :] - moved[:, None, :, :]
+    c2 = np.einsum("kpqx,kpqx->kpq", dc, dc)
+    reach = _reach(params)
+    k, p, q = np.nonzero(c2 <= reach * reach * (1.0 + 1e-9))
+    axes = R[:, None] @ coop.axes[None]  # (K, m, 3, 3)
+    axes[np.asarray(flipped, dtype=bool)] *= _FLIP_AXES
+    da = ego.axes[p] - axes[k, q]
+    da2 = np.einsum("sij,sij->s", da, da)
+    return _pair_up(k, p, q, c2[k, p, q], da2, len(R), (n, m), params)
 
 
 def _rank_key(confidence: float, mean_distance: float) -> tuple[float, float]:
@@ -268,8 +286,8 @@ class _ScenePair:
     the allowance for their rounding, the flip-free parts of the axes
     term, and the needle anchors, whose corners do not fix a rotation (the
     rank test of registration.pair_hypothesis). Each table is computed
-    once, so an anchor's distances do not depend on the block it is scored
-    in."""
+    once, so an anchor's distances do not depend on the pass it is scored
+    in: the frame's, or odist's one row."""
 
     def __init__(self, ego: Scene, coop: Scene):
         self.ego, self.coop = _SceneArrays(ego), _SceneArrays(coop)
@@ -288,13 +306,16 @@ class _ScenePair:
         self.needles = rank_deficient(dims_e * dims_c)
 
 
-def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
-    """Score the anchors (i, j) of ego index i with every coop index j,
-    under both heading variants when params.try_yaw_flip, else unflipped.
+def _anchor_pass(pair: _ScenePair, rows, params: ODistParams):
+    """Score the anchors (i, j) of the ego indices i in rows with every coop
+    index j, under both heading variants when params.try_yaw_flip, else
+    unflipped: one pass for the whole frame.
 
-    Returns (conf, mean, flip, kept): _pair_up's results for cells variant
-    * m + j, conf and mean shaped (variants, m), kept in (cell, p, q) order,
-    and flip, the anchors whose flipped variant wins by _rank_key (ties stay unflipped).
+    Returns (conf, mean, flip, kept): _pair_up's results for cells (r * V
+    + variant) * m + j, r the position of i in rows and V the number of
+    variants, conf and mean shaped (rows, V, m), kept in (cell, p, q)
+    order, and flip (rows, m), the anchors whose flipped variant wins by
+    _rank_key (ties stay unflipped).
 
     With theta = phi[i, j], U = ego centers - e_i and V = coop centers -
     c_j, the center difference of ego p and coop q is U_p - rot_z(theta)
@@ -309,49 +330,60 @@ def _anchor_block(pair: _ScenePair, i: int, params: ODistParams):
     reach = tau / (alpha + beta sqrt(8)). rot_z(theta) and rot_z(theta +
     pi) keep xy lengths and the z term is nonnegative, so under both
     variants |U_p - rot_z(theta) V_q| >= | |U_p|_xy - |V_q|_xy |, the
-    difference of the radii tables. The (anchor, p, q) whose radii differ
-    by more than reach plus pair.allowance are dropped before any rotation,
-    and the rest take the exact test dc2 <= reach^2 (1 + 1e-9) per
-    variant, in the order a dense (variant, anchor, p, q) grid would give.
+    difference of the radii tables. Row by row, the (anchor, p, q) whose
+    radii differ by more than reach plus pair.allowance are dropped before
+    any rotation, and the rest take the exact test dc2 <= reach^2 (1 +
+    1e-9) per variant, in the order a dense (variant, anchor, p, q) grid
+    would give; only what passes is kept, so the cells come out sorted.
     The allowance, 1e-6 (1 + the largest |center coordinate|), exceeds the
     rounding of the radii and rotated offsets, a few ulps of the
     coordinates, about a billionfold: the prune drops only what the exact
-    test would.
+    test would. The axes term, _pair_up and the flip tie then run once
+    over the candidates of every row.
     """
     n, m = pair.needles.shape
-    signs = [1.0, -1.0] if params.try_yaw_flip else [1.0]
-    u = pair.ego.centers - pair.ego.centers[i]
+    rows = np.asarray(rows, dtype=np.intp)
+    signs = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None]
     v = pair.offsets
-    cos, sin = pair.cos[i][:, None], pair.sin[i][:, None]
-    rx = cos * v[..., 0] - sin * v[..., 1]
-    ry = sin * v[..., 0] + cos * v[..., 1]
-    # d >= (alpha + beta sqrt(8)) |center difference|: no farther pair comes within tau
-    reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
-    # |center difference| >= | |U_p|_xy - |V_q|_xy |: (anchor, p, q) in order
-    gap = np.abs(pair.ego_radii[i][None, :, None] - pair.coop_radii[:, None, :])
-    a, p, q = np.nonzero(gap <= reach * (1.0 + 1e-9) + pair.allowance)
-    ux, uy, dz2 = u[p, 0], u[p, 1], np.square(u[p, 2] - v[a, q, 2])
-    rx, ry = rx[a, q], ry[a, q]
-    # dc2 axes: [variant, surviving (anchor, p, q)]
-    dc2 = np.stack([np.square(ux - s * rx) + np.square(uy - s * ry) + dz2 for s in signs])
-    f, k = np.nonzero(dc2 <= reach * reach * (1.0 + 1e-9))
-    c2, a, p, q = dc2[f, k], a[k], p[k], q[k]
+    ego_radii, coop_radii = pair.ego_radii[:, None, :, None], pair.coop_radii[:, None, :]
+    reach = _reach(params)
+    bound, bound2 = reach * (1.0 + 1e-9) + pair.allowance, reach * reach * (1.0 + 1e-9)
+    none = np.empty(0, np.intp)
+    near = [(none, none, none, none, np.empty(0))]  # so a frame without rows concatenates
+    for r, i in enumerate(rows.tolist()):
+        u = pair.ego.centers - pair.ego.centers[i]
+        cos, sin = pair.cos[i][:, None], pair.sin[i][:, None]
+        rx = cos * v[..., 0] - sin * v[..., 1]
+        ry = sin * v[..., 0] + cos * v[..., 1]
+        # |center difference| >= | |U_p|_xy - |V_q|_xy |: (anchor, p, q) in order
+        a, pq = np.divmod(np.flatnonzero(np.abs(ego_radii[i] - coop_radii) <= bound), n * m)
+        p, q = np.divmod(pq, m)
+        ux, uy, dz2 = u[p, 0], u[p, 1], np.square(u[p, 2] - v[a, q, 2])
+        x, y = rx[a, q], ry[a, q]
+        # dc2 axes: [variant, surviving (anchor, p, q)]
+        dc2 = np.square(ux - signs * x) + np.square(uy - signs * y) + dz2
+        f, k = np.nonzero(dc2 <= bound2)
+        near.append((r * len(signs) + f, a[k], p[k], q[k], dc2[f, k]))
+    variant, a, p, q, c2 = map(np.concatenate, zip(*near))
+    cell, i = variant * m + a, rows[variant // len(signs)]
     half = pair.sin_half[p, q] * pair.cos_half[i, a] - pair.cos_half[p, q] * pair.sin_half[i, a]
     da2 = pair.same[p, q] + pair.cross[p, q] * np.square(half)
-    conf, mean, kept = _pair_up(f * m + a, p, q, c2, da2, len(signs) * m, (n, m), params)
-    conf, mean = conf.reshape(len(signs), m), mean.reshape(len(signs), m)
-    flip = conf[-1] > conf[0]
-    for b in np.flatnonzero((conf[-1] == conf[0]) & (mean[-1] < mean[0])):
-        flip[b] = _rank_key(conf[-1, b], mean[-1, b]) < _rank_key(conf[0, b], mean[0, b])
+    conf, mean, kept = _pair_up(cell, p, q, c2, da2, len(rows) * len(signs) * m, (n, m), params)
+    conf, mean = conf.reshape(len(rows), len(signs), m), mean.reshape(len(rows), len(signs), m)
+    flip = conf[:, -1] > conf[:, 0]
+    for r, b in np.argwhere((conf[:, -1] == conf[:, 0]) & (mean[:, -1] < mean[:, 0])):
+        flip[r, b] = _rank_key(conf[r, -1, b], mean[r, -1, b]) < _rank_key(conf[r, 0, b], mean[r, 0, b])
     return conf, mean, flip, kept
 
 
-def _pair_score(block, j: int) -> PairScore:
-    """The score of anchor (i, j), read from the _anchor_block of ego
-    index i: the winning variant of coop index j, 0 <= j < m."""
-    conf, mean, flip, kept = block
-    w = int(flip[j])
-    return _cell_score(conf.ravel(), mean.ravel(), kept, w * conf.shape[1] + j, bool(w))
+def _pair_scores(frame, anchors) -> list[PairScore]:
+    """The scores of anchors [(r, j), ...], read from the _anchor_pass
+    frame: the winning variant of coop index j in the pass's row r."""
+    conf, mean, flip, kept = frame
+    r, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
+    w = flip[r, j]
+    cells = (r * conf.shape[1] + w) * conf.shape[2] + j
+    return _scores((conf.ravel(), mean.ravel(), kept), cells, w)
 
 
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
@@ -361,7 +393,8 @@ def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistPa
     pair = _ScenePair(ego, coop)
     if pair.needles[i, j]:  # IndexError for an index out of range
         raise DegenerateCorners(f"anchor ({i}, {j}): rank-deficient cross-covariance")
-    return _pair_score(_anchor_block(pair, i, params), j % len(coop))  # j < 0: from the end
+    frame = _anchor_pass(pair, [i % len(ego)], params)  # i, j < 0: from the end
+    return _pair_scores(frame, [(0, j % len(coop))])[0]
 
 
 def alignment_score(
@@ -372,22 +405,19 @@ def alignment_score(
     Pairs are formed exactly as in odist (_pair_up): greedy one-to-one by
     ascending distance within tau, listed in (ego, coop) index order.
     """
-    ego_a, coop_a = _SceneArrays(ego), _SceneArrays(coop)
-    return _score(ego_a, coop_a, transform.rotation, transform.translation, False, params)
+    R, t = transform.rotation[None], transform.translation[None]
+    up = _score_motions(_SceneArrays(ego), _SceneArrays(coop), R, t, [False], params)
+    return _scores(up, np.zeros(1, np.intp), [False])[0]
 
 
 def _score_anchors(pair: _ScenePair, params: ODistParams):
     """The affinity matrix (each anchor's confidence and winning flip flag,
-    zero for needle anchors) and blocks[i], the _anchor_block of ego index
-    i that filled row i: the one scoring pass over the anchors."""
-    needles = pair.needles
-    blocks = [_anchor_block(pair, i, params) for i in range(len(needles))]
-    entries = np.zeros(needles.shape)
-    flips = np.zeros(needles.shape, dtype=bool)
-    for i, (conf, _, flip, _) in enumerate(blocks):
-        entries[i] = np.where(needles[i], 0.0, conf.max(axis=0))
-        flips[i] = flip & ~needles[i]
-    return AffinityMatrix(entries, flips), blocks
+    zero for needle anchors) and the _anchor_pass over every ego index
+    that filled it: the one scoring pass over the anchors."""
+    frame = _anchor_pass(pair, range(len(pair.needles)), params)
+    conf, _, flip, _ = frame
+    entries = np.where(pair.needles, 0.0, conf.max(axis=1))
+    return AffinityMatrix(entries, flip & ~pair.needles), frame
 
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
@@ -472,66 +502,93 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
     return MatchSet(tuple(matches))
 
 
-def _fit(ego: _SceneArrays, coop: _SceneArrays, pairs, flipped: bool) -> RegistrationResult:
-    """weighted_kabsch of the build_feature_clouds of the matches (ego
-    index, coop index, flipped) with unit weights, in closed form.
-    Centered corners are S A^T / 2 (see _distance), so the corner
+def _key(score: PairScore) -> tuple:
+    """A valid set as refinement caches it: its (ego, coop) pairs and flag."""
+    return tuple((i, j) for i, j, _ in score.valid_pairs), score.coop_flipped
+
+
+def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
+    """weighted_kabsch of the build_feature_clouds of each valid set key =
+    (pairs, flipped) with unit weights, in closed form, all keys at once:
+    the stacked rotations R, translations t and rms residuals. Centered
+    corners are S A^T / 2 (see _distance), so a set's corner
     cross-covariance is 8 sum de dc^T + 2 sum A_e A_c^T, de and dc the
     centers minus their means, and a pair's squared corner residuals sum
-    to 8 |r|^2 + 2 |R A_c - A_e|_F^2, r its center residual."""
-    rows, cols = np.array(pairs).T
-    e, c, axes_e = ego.centers[rows], coop.centers[cols], ego.axes[rows]
-    axes_c = coop.axes[cols] * _FLIP_AXES if flipped else coop.axes[cols]
-    e_bar, c_bar = e.mean(axis=0), c.mean(axis=0)
-    H = 8.0 * (e - e_bar).T @ (c - c_bar) + 2.0 * np.einsum("kij,klj->il", axes_e, axes_c)
+    to 8 |r|^2 + 2 |R A_c - A_e|_F^2, r its center residual. The sums run
+    per set, so a set's fit does not depend on the others fitted with it.
+    """
+    sizes = np.array([len(pairs) for pairs, _ in keys])
+    rows, cols = np.array([ij for pairs, _ in keys for ij in pairs]).T
+    seg = np.repeat(np.arange(len(keys)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    flipped = np.repeat([f for _, f in keys], sizes)[:, None, None]
+    e, c, axes_e, axes_c = ego.centers[rows], coop.centers[cols], ego.axes[rows], coop.axes[cols]
+    axes_c = np.where(flipped, axes_c * _FLIP_AXES, axes_c)
+    e_bar = np.add.reduceat(e, starts) / sizes[:, None]
+    c_bar = np.add.reduceat(c, starts) / sizes[:, None]
+    de, dc = e - e_bar[seg], c - c_bar[seg]
+    H = 8.0 * np.add.reduceat(de[:, :, None] * dc[:, None, :], starts)
+    H += 2.0 * np.add.reduceat(axes_e @ np.swapaxes(axes_c, 1, 2), starts)
     R = nearest_rotation(H)
-    t = e_bar - R @ c_bar
-    r, da = c @ R.T + t - e, R @ axes_c - axes_e
-    rms = math.sqrt((8.0 * np.sum(r * r) + 2.0 * np.sum(da * da)) / (8 * len(rows)))
-    return RegistrationResult(RigidTransform(R, t), rms)
+    t = e_bar - np.einsum("kij,kj->ki", R, c_bar)
+    r = np.einsum("kij,kj->ki", R[seg], c) + t[seg] - e
+    da = R[seg] @ axes_c - axes_e
+    squares = 8.0 * np.einsum("ki,ki->k", r, r) + 2.0 * np.einsum("kij,kij->k", da, da)
+    rms = np.sqrt(np.bincount(seg, weights=squares, minlength=len(keys)) / (8 * sizes))
+    return R, t, rms
 
 
-def _refine(
-    ego: _SceneArrays,
-    coop: _SceneArrays,
-    score: PairScore,
-    params: ODistParams,
-    refits: dict[tuple, tuple[RegistrationResult, PairScore]],
-) -> PairScore:
-    """Refit an anchor's transform on its valid set (_fit) until the refit
-    no longer scores better. This ends: each kept refit strictly lowers
-    _rank, and a refit depends only on the valid set it fits, so no valid
-    set comes back. The refinements of different anchors often reach the
-    same valid set, so refits keeps each fit and its score by valid set. A
-    one-pair valid set is the anchor itself and is left alone."""
-    while len(score.valid_pairs) >= 2:
-        key = tuple((i, j) for i, j, _ in score.valid_pairs), score.coop_flipped
-        if key not in refits:
-            fit = _fit(ego, coop, *key)
-            R, t = fit.transform.rotation, fit.transform.translation
-            refits[key] = fit, _score(ego, coop, R, t, key[1], params)
-        refined = refits[key][1]
-        if _rank(refined) >= _rank(score):
-            break
-        score = refined
-    return score
+def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], params: ODistParams):
+    """Refit every anchor's transform on its valid set (_fit) until the
+    refit no longer scores better, all anchors in lockstep rounds. This
+    ends: each kept refit strictly lowers _rank, and a refit depends only
+    on the valid set it fits, so no valid set comes back. A one-pair valid
+    set is the anchor itself and is left alone.
+
+    Each round fits the valid sets of the anchors still improving that no
+    earlier fit covered, all at once, and scores every new fit in one
+    _score_motions. Returns the refined scores, in the order of anchors,
+    and fits: each fitted key's (R, t, rms) and score. The anchors of a
+    frame often reach the same valid set, and it is fitted once.
+    """
+    fits: dict[tuple, tuple] = {}
+    scores = list(anchors)
+    active = [k for k, score in enumerate(scores) if len(score.valid_pairs) >= 2]
+    while active:
+        keys = [_key(scores[k]) for k in active]
+        new = list(dict.fromkeys(key for key in keys if key not in fits))
+        if new:
+            R, t, rms = _fit(ego, coop, new)
+            flipped = [f for _, f in new]
+            up = _score_motions(ego, coop, R, t, flipped, params)
+            refits = _scores(up, np.arange(len(new)), flipped)
+            for k, (key, score) in enumerate(zip(new, refits)):
+                fits[key] = (R[k], t[k], rms[k]), score
+        improving = []
+        for k, key in zip(active, keys):
+            refined = fits[key][1]
+            if _rank(refined) < _rank(scores[k]):
+                scores[k] = refined
+                improving.append(k)
+        active = improving
+    return scores, fits
 
 
 def _associate(ego: Scene, coop: Scene, params: ODistParams) -> tuple[MatchSet, RegistrationResult]:
     """associate's matches and their fit (_fit): the cached fit _refine
     stopped at, or the one fit of a one-pair valid set."""
     pair = _ScenePair(ego, coop)
-    affinity, blocks = _score_anchors(pair, params)
+    affinity, frame = _score_anchors(pair, params)
     assigned = solve_assignment(affinity)
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
-    refits: dict[tuple, tuple[RegistrationResult, PairScore]] = {}
-    anchors = [_pair_score(blocks[a.ego_index], a.coop_index) for a in assigned]
-    refined = [_refine(pair.ego, pair.coop, score, params, refits) for score in anchors]
+    anchors = _pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
+    refined, fits = _refine(pair.ego, pair.coop, anchors, params)
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
-    key = tuple((i, j) for i, j, _ in best.valid_pairs), best.coop_flipped
-    fit = refits[key][0] if key in refits else _fit(pair.ego, pair.coop, *key)
+    key = _key(best)
+    R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(pair.ego, pair.coop, [key])]
+    fit = RegistrationResult(RigidTransform(R, t), float(rms))
     return MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0])), fit
 
 
@@ -540,7 +597,7 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
 
     The affinity matrix and the optimal assignment choose the candidate
     anchors by their unrefined confidences. Each assigned anchor's score,
-    read from the block that filled its affinity entry (_pair_score), is
+    read from the pass that filled its affinity entry (_pair_scores), is
     refined to a fixed point (see _refine); the one with the highest
     refined confidence, then the least mean distance, then the lowest ego
     index wins. Its valid set, sorted by ego index, is returned; every

@@ -92,18 +92,34 @@ class RegistrationResult:
     rms_residual: float
 
 
+def _first(mask: np.ndarray) -> list[int]:
+    """The stack index of the first True of a mask, [] for a 0-d mask."""
+    return [int(k) for k in np.argwhere(mask)[0]]
+
+
 def nearest_rotation(H: np.ndarray) -> np.ndarray:
     """The rotation nearest to H in the Frobenius norm, U diag(1, 1, det) Vt
     from the SVD of H; for a cross-covariance this is the Kabsch rotation.
-    Raises DegenerateGeometry when H is not finite or rank-deficient."""
-    if not np.all(np.isfinite(H)):
+    H may be a stack (..., 3, 3); each matrix gets the rotation it would get
+    alone, bit for bit. Raises DegenerateGeometry when any matrix of the
+    stack is not finite or rank-deficient."""
+    H = np.asarray(H, dtype=float)
+    finite = np.all(np.isfinite(H), axis=(-2, -1))
+    if not np.all(finite):
         # LAPACK's SVD may never return on a non-finite matrix
-        raise DegenerateGeometry("cross-covariance is not finite (coordinates too large)")
+        at = _first(~finite)
+        raise DegenerateGeometry(f"cross-covariance{at or ''} is not finite (coordinates too large)")
     U, S, Vt = np.linalg.svd(H)
-    if rank_deficient(S):
-        raise DegenerateGeometry(f"cross-covariance is rank-deficient (singular values {S})")
-    d = np.sign(np.linalg.det(U @ Vt))
-    return U @ np.diag([1.0, 1.0, d]) @ Vt
+    deficient = rank_deficient(S)
+    if np.any(deficient):
+        at = _first(deficient)
+        raise DegenerateGeometry(
+            f"cross-covariance{at or ''} is rank-deficient (singular values {S[tuple(at)]})"
+        )
+    D = np.zeros(H.shape)
+    D[..., 0, 0] = D[..., 1, 1] = 1.0
+    D[..., 2, 2] = np.sign(np.linalg.det(U @ Vt))
+    return U @ D @ Vt
 
 
 def pair_hypothesis(ego_box: DetectionBox, coop_box: DetectionBox) -> RigidTransform:

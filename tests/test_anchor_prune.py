@@ -1,12 +1,15 @@
-"""_anchor_block's radius prune against the dense candidate search.
+"""The frame pass's radius prune against the dense candidate search.
 
-The reference is the anchor block without the prune: it tests every
-(variant, anchor, ego p, coop q) cell's squared center difference against
-the reach and goes on from np.nonzero of that grid. The pruned block must
-return the same (conf, mean, flip, (cell, p, q, d)), bit for bit, on
-generated frames, on frames near the coordinate bound (where the rounding
-allowance matters), on boxes stacked at one xy, at the edges of the
-scoring parameters and on one-box scenes.
+The reference is the anchor block of one ego index without the prune: it
+tests every (variant, anchor, ego p, coop q) cell's squared center
+difference against the reach and goes on from np.nonzero of that grid.
+Every row of the pruned frame pass (_anchor_pass over all ego indices)
+must return the same (conf, mean, flip, (cell, p, q, d)), bit for bit and
+with the same dtypes, on generated frames, on frames near the coordinate
+bound (where the rounding allowance matters), on boxes stacked at one xy,
+at the edges of the scoring parameters and on one-box scenes. The pass
+over one row, which odist runs, must give every anchor of that row the
+score the frame pass gives it.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from boxcalib import (
     RigidTransform,
     SynthConfig,
     noisy_pair,
+    odist,
     transform_scene,
 )
 from boxcalib import association
@@ -84,12 +88,26 @@ def dense_block(pair, i, params):
 
 
 def assert_same_blocks(ego, coop, params):
+    """Every row of the frame pass equals the dense block of its ego index,
+    and odist, which runs the pass on one row, reads the same scores."""
     pair = association._ScenePair(ego, coop)
-    for i in range(len(ego)):
-        *got, got_kept = association._anchor_block(pair, i, params)
+    n, m = pair.needles.shape
+    frame = association._anchor_pass(pair, range(n), params)
+    conf, mean, flip, (cell, p, q, d) = frame
+    width = conf.shape[1] * m  # cells per row
+    for i in range(n):
+        lo, hi = np.searchsorted(cell, [i * width, (i + 1) * width])
+        got = [conf[i], mean[i], flip[i], cell[lo:hi] - i * width, p[lo:hi], q[lo:hi], d[lo:hi]]
         *want, want_kept = dense_block(pair, i, params)
-        for g, w in zip([*got, *got_kept], [*want, *want_kept]):
+        for g, w in zip(got, [*want, *want_kept]):
             assert g.dtype == w.dtype and np.array_equal(g, w), f"ego index {i}"
+        anchors = [j for j in range(m) if not pair.needles[i, j]]
+        row = association._anchor_pass(pair, [i], params)
+        own = association._pair_scores(row, [(0, j) for j in anchors])
+        assert own == association._pair_scores(frame, [(i, j) for j in anchors]), f"ego index {i}"
+        if anchors:  # odist itself on one coop index per row, spread over the columns
+            j = anchors[(7 * i) % len(anchors)]
+            assert odist(ego, coop, i, j, params) == own[anchors.index(j)], f"anchor ({i}, {j})"
 
 
 def dense_frame(seed, sigma=0.3, yaw_deg=3.0):

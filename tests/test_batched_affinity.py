@@ -8,7 +8,7 @@ must give the same entries and flip flags exactly, on generated scenes
 and on fixtures built at the edges of the pairing rules. An anchor must
 score the same through odist as in the affinity, with the same valid
 pairs in the same order as its own transform's alignment_score, and
-associate must score each ego box's anchors in one block.
+associate must score every anchor in one pass over the ego boxes.
 """
 from __future__ import annotations
 
@@ -230,15 +230,26 @@ def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
     [pytest.param(*dense_pair(), id="dense"), pytest.param(*sweep_pair(7), id="sweep")],
 )
 def test_associate_scores_each_ego_index_in_one_block(monkeypatch, ego, coop):
-    # the assigned anchors' scores are read from the blocks that filled the
-    # affinity, not scored again
-    scored = []
-    block = association._anchor_block
+    # one anchor pass scores every ego index once and fills the affinity;
+    # the assigned anchors' scores are read from it, not scored again, and
+    # the only motions scored afterwards are refits
+    passes, fits = [], []
+    anchor_pass, fit, score_motions = association._anchor_pass, association._fit, association._score_motions
 
-    def spy(pair, i, *args):
-        scored.append(i)
-        return block(pair, i, *args)
+    def pass_spy(pair, rows, *args):
+        passes.append(list(rows))
+        return anchor_pass(pair, rows, *args)
 
-    monkeypatch.setattr(association, "_anchor_block", spy)
+    def fit_spy(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    def motions_spy(ego_a, coop_a, R, *args):
+        assert any(R is rotations for rotations, _, _ in fits), "a motion other than a refit was scored"
+        return score_motions(ego_a, coop_a, R, *args)
+
+    monkeypatch.setattr(association, "_anchor_pass", pass_spy)
+    monkeypatch.setattr(association, "_fit", fit_spy)
+    monkeypatch.setattr(association, "_score_motions", motions_spy)
     assert len(associate(ego, coop)) > 0
-    assert scored == list(range(len(ego)))
+    assert passes == [list(range(len(ego)))]

@@ -1,6 +1,6 @@
 """The closed-form fit of a valid set (association._fit) against its corner
 reference, weighted_kabsch of build_feature_clouds with unit weights, and
-one fit per valid set in calibrate_scenes."""
+one fit per valid set in calibrate_scenes, across all refinement rounds."""
 from __future__ import annotations
 
 import math
@@ -15,6 +15,7 @@ from boxcalib import (
     Match,
     MatchSet,
     NoiseConfig,
+    RigidTransform,
     SynthConfig,
     build_feature_clouds,
     calibrate_scenes,
@@ -25,6 +26,7 @@ from boxcalib import (
     with_flipped_yaw,
 )
 from boxcalib import association
+from boxcalib.registration import RegistrationResult
 from conftest import make_box, make_scene, yaw_transform
 
 TOL = 1e-12
@@ -37,7 +39,8 @@ def corner_fit(ego, coop, pairs, flipped):
 
 def closed_form_fit(ego, coop, pairs, flipped):
     arrays = association._SceneArrays
-    return association._fit(arrays(ego), arrays(coop), pairs, flipped)
+    R, t, rms = association._fit(arrays(ego), arrays(coop), [(pairs, flipped)])
+    return RegistrationResult(RigidTransform(R[0], t[0]), float(rms[0]))
 
 
 def assert_same_fit(a, b):
@@ -138,9 +141,9 @@ def test_calibrate_scenes_fits_each_valid_set_once(monkeypatch):
     fitted = []
     fit = association._fit
 
-    def spy(ego, coop, pairs, flipped):
-        fitted.append((pairs, flipped))
-        return fit(ego, coop, pairs, flipped)
+    def spy(ego, coop, keys):
+        fitted.extend(keys)  # every round's keys, in one list per frame
+        return fit(ego, coop, keys)
 
     monkeypatch.setattr(association, "_fit", spy)
     for ego, coop in noisy_frames():

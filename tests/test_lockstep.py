@@ -1,0 +1,195 @@
+"""Lockstep refinement (association._refine) against sequential refinement.
+
+The reference below is the refinement association ran before its rounds
+were batched: each assigned anchor in turn refits its valid set with one
+closed-form fit and scores the refit with one dense transform score, until
+the refit no longer ranks better, sharing one cache of fits by valid set;
+the best refined anchor wins. Both start from the same assigned anchors.
+Every anchor must end at the same valid set with the same confidence and
+flip flag, the same valid sets must be fitted, the winner's matches must
+be identical and its transform and rms must agree within TOL; a frame
+raises in one exactly when it raises in the other.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from boxcalib import (
+    DegenerateGeometry,
+    NoCoVisibleObjects,
+    NoiseConfig,
+    ODistParams,
+    RigidTransform,
+    SynthConfig,
+    noisy_pair,
+    solve_assignment,
+    transform_box,
+    with_flipped_yaw,
+)
+from boxcalib import association
+from boxcalib.association import _FLIP_AXES, _key, _pair_up, _rank
+from boxcalib.registration import nearest_rotation
+
+from conftest import make_box, make_scene
+from test_anchor_prune import dense_frame
+from test_fit import noisy_frames
+
+TOL = 1e-12
+
+
+def sequential_fit(ego, coop, pairs, flipped):
+    """The closed-form fit of one valid set: (R, t, rms)."""
+    rows, cols = np.array(pairs).T
+    e, c, axes_e = ego.centers[rows], coop.centers[cols], ego.axes[rows]
+    axes_c = coop.axes[cols] * _FLIP_AXES if flipped else coop.axes[cols]
+    e_bar, c_bar = e.mean(axis=0), c.mean(axis=0)
+    H = 8.0 * (e - e_bar).T @ (c - c_bar) + 2.0 * np.einsum("kij,klj->il", axes_e, axes_c)
+    R = nearest_rotation(H)
+    t = e_bar - R @ c_bar
+    r, da = c @ R.T + t - e, R @ axes_c - axes_e
+    return R, t, math.sqrt((8.0 * np.sum(r * r) + 2.0 * np.sum(da * da)) / (8 * len(rows)))
+
+
+def sequential_score(ego, coop, R, t, flipped, params):
+    """The dense one-cell score of the coop scene moved by (R, t)."""
+    axes = R @ coop.axes * _FLIP_AXES if flipped else R @ coop.axes
+    dc = ego.centers[:, None, :] - (coop.centers @ R.T + t)[None, :, :]
+    da = ego.axes[:, None] - axes[None, :]
+    c2, da2 = np.einsum("ijk,ijk->ij", dc, dc), np.einsum("ijkl,ijkl->ij", da, da)
+    p, q = np.divmod(np.arange(c2.size), c2.shape[1])
+    up = _pair_up(np.zeros(c2.size, np.intp), p, q, c2.ravel(), da2.ravel(), 1, c2.shape, params)
+    return association._scores(up, np.zeros(1, np.intp), [flipped])[0]
+
+
+def sequential_refine(ego, coop, score, params, refits):
+    while len(score.valid_pairs) >= 2:
+        key = _key(score)
+        if key not in refits:
+            R, t, rms = sequential_fit(ego, coop, *key)
+            refits[key] = (R, t, rms), sequential_score(ego, coop, R, t, key[1], params)
+        refined = refits[key][1]
+        if _rank(refined) >= _rank(score):
+            break
+        score = refined
+    return score
+
+
+def assigned_anchors(ego, coop, params):
+    pair = association._ScenePair(ego, coop)
+    affinity, frame = association._score_anchors(pair, params)
+    assigned = solve_assignment(affinity)
+    if len(assigned) == 0:
+        raise NoCoVisibleObjects("no anchor")
+    return pair, association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
+
+
+def sequential_associate(ego, coop, params):
+    """(refined scores, fitted keys, matches, (R, t, rms)) as the sequential
+    refinement gives them."""
+    pair, anchors = assigned_anchors(ego, coop, params)
+    refits = {}
+    refined = [sequential_refine(pair.ego, pair.coop, score, params, refits) for score in anchors]
+    best = min(refined, key=_rank)
+    key = _key(best)
+    fit = refits[key][0] if key in refits else sequential_fit(pair.ego, pair.coop, *key)
+    matches = [(i, j, best.confidence, best.coop_flipped) for i, j in key[0]]
+    return refined, set(refits), matches, fit
+
+
+def lockstep_associate(ego, coop, params):
+    pair, anchors = assigned_anchors(ego, coop, params)
+    refined, fits = association._refine(pair.ego, pair.coop, anchors, params)
+    matches, fit = association._associate(ego, coop, params)
+    shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
+    return refined, set(fits), shown, (fit.transform.rotation, fit.transform.translation, fit.rms_residual)
+
+
+def outcome(associate, ego, coop, params):
+    try:
+        return associate(ego, coop, params)
+    except (NoCoVisibleObjects, DegenerateGeometry) as e:
+        return type(e)
+
+
+def reversed_heading_frame():
+    # every coop heading reversed, on a noisy 15-box pair with private boxes
+    base = SynthConfig(visibility=0.8)
+    ego, coop, _ = noisy_pair(base, NoiseConfig(0.3, 3.0), np.random.SeedSequence([29, 1]))
+    return ego, make_scene([with_flipped_yaw(b) for b in coop])
+
+
+def fixed_point_frame():
+    # test_association.test_refinement_runs_to_its_fixed_point's pair: the
+    # winning anchor keeps improving for more than two refits
+    seed = np.random.SeedSequence([501, 3, 0])
+    return noisy_pair(SynthConfig(), NoiseConfig(0.5, 0.0), seed)[:2]
+
+
+def overflow_frame(near=0):
+    # boxes 1e154 m out, the same in both views, whose fits overflow the
+    # cross-covariance; with near > 0 a group of ordinary boxes, turned by
+    # 0.4 rad in the coop view, rides along: their valid sets fit, and they
+    # are fitted in the same round as the sets that overflow
+    far = [make_box((0, 0, 0)), make_box((1e154, 0, 0), yaw=0.3), make_box((0, 1e154, 0), yaw=1.1)]
+    rng = np.random.default_rng(near)
+    ordinary = [make_box(rng.uniform(-30, 30, 3), yaw=rng.uniform(0, 6)) for _ in range(near)]
+    motion = RigidTransform.from_yaw(0.4, (3.0, -2.0, 0.1))
+    turned = [transform_box(motion, make_box(b.center + 0.05, dims=b.dims, yaw=b.yaw)) for b in ordinary]
+    return make_scene([*ordinary, *far]), make_scene([*far, *turned])
+
+
+FRAMES = {
+    **{f"noisy-{k}": frame for k, frame in enumerate(noisy_frames())},
+    "reversed-headings": reversed_heading_frame(),
+    "dense-32x32": dense_frame(0),
+    "fixed-point": fixed_point_frame(),
+    "overflow": overflow_frame(),
+    "overflow-with-others": overflow_frame(near=5),
+}
+
+
+@pytest.mark.parametrize("frame", FRAMES.keys())
+def test_lockstep_refinement_equals_the_sequential_one(frame):
+    ego, coop = FRAMES[frame]
+    params = ODistParams()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = outcome(sequential_associate, ego, coop, params)
+        got = outcome(lockstep_associate, ego, coop, params)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want, "raised in one refinement only"
+        return
+    (want_scores, want_keys, want_matches, want_fit) = want
+    (got_scores, got_keys, got_matches, got_fit) = got
+    assert got_keys == want_keys, "a different set of valid sets was fitted"
+    for w, g in zip(want_scores, got_scores, strict=True):
+        assert _key(g) == _key(w) and g.confidence == w.confidence
+        assert abs(g.mean_distance - w.mean_distance) <= TOL
+        assert np.max(np.abs(np.array(g.valid_pairs) - np.array(w.valid_pairs)), initial=0.0) <= TOL
+    assert got_matches == want_matches
+    for g, w in zip(got_fit, want_fit):
+        assert np.max(np.abs(np.asarray(g) - np.asarray(w))) <= TOL
+
+
+def test_the_frames_cover_raising_and_flipped_refinements():
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = {name: outcome(sequential_associate, *frame, ODistParams()) for name, frame in FRAMES.items()}
+    raised = {name for name, o in outcomes.items() if o is DegenerateGeometry}
+    assert raised == {"overflow", "overflow-with-others"}
+    assert outcomes["reversed-headings"][2][0][3], "the reversed frame wins flipped"
+    assert len(outcomes["dense-32x32"][1]) > 1, "the dense frame refits more than one set"
+
+
+def test_a_set_fits_the_same_alone_and_in_a_round():
+    # a fit depends only on its valid set, not on the sets fitted with it
+    ego, coop = dense_frame(0)
+    pair, anchors = assigned_anchors(ego, coop, ODistParams())
+    keys = list(dict.fromkeys(_key(s) for s in anchors if len(s.valid_pairs) >= 2))
+    assert len(keys) > 1
+    together = association._fit(pair.ego, pair.coop, keys)
+    for k, key in enumerate(keys):
+        alone = association._fit(pair.ego, pair.coop, [key])
+        for a, b in zip(alone, together):
+            assert np.array_equal(a[0], b[k]), f"valid set {k}"

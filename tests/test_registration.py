@@ -28,6 +28,7 @@ from boxcalib import (
     weighted_kabsch,
     with_flipped_yaw,
 )
+from boxcalib.registration import nearest_rotation
 from conftest import kabsch_oracle, make_box, make_scene, rotation_angle_deg, yaw_transform
 
 
@@ -196,6 +197,39 @@ def test_overflowing_cross_covariance_is_degenerate():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DegenerateGeometry, match="not finite"):
             weighted_kabsch(WeightedCorrespondences(src, src, np.ones(4)))
+
+
+def cross_covariances(rng, k):
+    """k cross-covariances of noisy yaw-only correspondences, some reflected."""
+    stack = []
+    for _ in range(k):
+        src, dst = random_correspondences(rng)
+        H = (dst - dst.mean(axis=0)).T @ (src - src.mean(axis=0))
+        stack.append(H if rng.random() < 0.7 else H @ np.diag([1.0, 1.0, -1.0]))
+    return np.array(stack)
+
+
+def test_stacked_rotations_equal_the_rotation_of_each_matrix():
+    H = cross_covariances(np.random.default_rng(31), 24)
+    R = nearest_rotation(H)
+    assert R.shape == H.shape
+    for k in range(len(H)):
+        assert np.array_equal(R[k], nearest_rotation(H[k])), f"matrix {k}"
+    assert np.array_equal(nearest_rotation(H.reshape(4, 6, 3, 3)), R.reshape(4, 6, 3, 3))
+    assert np.allclose(np.linalg.det(R), 1.0)
+
+
+@pytest.mark.parametrize("at", [0, 5, 11])
+def test_a_stack_with_one_degenerate_matrix_raises(at):
+    H = cross_covariances(np.random.default_rng(32), 12)
+    collinear = H.copy()
+    collinear[at] = np.outer([1.0, 2.0, 3.0], [3.0, 0.0, 1.0])  # rank 1
+    with pytest.raises(DegenerateGeometry, match=rf"\[{at}\] is rank-deficient \(singular values \["):
+        nearest_rotation(collinear)
+    overflowed = H.copy()
+    overflowed[at, 1, 2] = np.inf
+    with pytest.raises(DegenerateGeometry, match=rf"\[{at}\] is not finite"):
+        nearest_rotation(overflowed)
 
 
 def test_rms_residual_is_consistent_with_the_returned_transform():
