@@ -32,14 +32,15 @@ The anchor kernel (_anchor_pass) scores every anchor of the frame in one
 pass, from closed forms in the heading differences, after dropping the
 pairs no anchor motion can bring within reach: a rotation about z keeps
 xy lengths, so a pair's center difference is at least the difference of
-their xy distances to the anchor boxes. Only that candidate search runs
-row by row; the pass fills the affinity matrix, and every anchor's
-PairScore (odist's, from a one-row pass, and the ones refinement starts
-from) is read from it. The transform kernel (_score_motions) scores any
-number of rigid motions at once: the refits of a refinement round
-(_refine, which runs every assigned anchor in lockstep), and, as the
-one-motion case, alignment_score and the health check. One rule ranks
-scores (_rank).
+their xy distances to the anchor boxes. Those distances are sorted once
+per pass, so the candidates come out of searchsorted windows, in chunks
+of rows bounded by a candidate budget. The pass fills the affinity
+matrix, and every anchor's PairScore (odist's, from a one-row pass, and
+the ones refinement starts from) is read from it. The transform kernel
+(_score_motions) scores any number of rigid motions at once: the refits
+of a refinement round (_refine, which runs every assigned anchor in
+lockstep), and, as the one-motion case, alignment_score and the health
+check. One rule ranks scores (_rank).
 """
 from __future__ import annotations
 
@@ -56,6 +57,13 @@ from .registration import DegenerateCorners, RegistrationResult, nearest_rotatio
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
+
+# Window cells per chunk of _anchor_pass's rows. A chunk ends at the row
+# where its window cells reach this count, so the pass's temporaries, about
+# 150 bytes per cell, stay near a MB and in cache whatever the frame size.
+# One chunk for a whole 80 x 64 frame traced 122 MB; on 32 x 32 frames
+# 2^13 ran no slower than 2^15 and peaked 2 MB lower.
+_CANDIDATE_BUDGET = 1 << 13
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -330,40 +338,58 @@ def _anchor_pass(pair: _ScenePair, rows, params: ODistParams):
     reach = tau / (alpha + beta sqrt(8)). rot_z(theta) and rot_z(theta +
     pi) keep xy lengths and the z term is nonnegative, so under both
     variants |U_p - rot_z(theta) V_q| >= | |U_p|_xy - |V_q|_xy |, the
-    difference of the radii tables. Row by row, the (anchor, p, q) whose
-    radii differ by more than reach plus pair.allowance are dropped before
-    any rotation, and the rest take the exact test dc2 <= reach^2 (1 +
-    1e-9) per variant, in the order a dense (variant, anchor, p, q) grid
-    would give; only what passes is kept, so the cells come out sorted.
-    The allowance, 1e-6 (1 + the largest |center coordinate|), exceeds the
-    rounding of the radii and rotated offsets, a few ulps of the
-    coordinates, about a billionfold: the prune drops only what the exact
-    test would. The axes term, _pair_up and the flip tie then run once
-    over the candidates of every row.
+    difference of the radii tables. So the candidates of (i, p) are the
+    (anchor, q) whose radius lies within bound = reach (1 + 1e-9) +
+    pair.allowance of ego_radii[i, p]: with the radii |V_q| of all (anchor,
+    q) sorted once, that is the window between two searchsorted calls on
+    ego_radii[i, p] -/+ bound, and no (rows, m, n, m) grid is built. The
+    windows take the exact test dc2 <= reach^2 (1 + 1e-9) per variant, and
+    one argsort of what passes restores the (cell, p, q) order. The
+    allowance, 1e-6 (1 + the largest |center coordinate|), exceeds the
+    rounding of the radii, of ego_radii -/+ bound and of the rotated
+    offsets, a few ulps of the coordinates, about a billionfold: the
+    windows drop only what the exact test would. The rows run in chunks of
+    about _CANDIDATE_BUDGET window cells; the axes term, _pair_up and the
+    flip tie then run once over the candidates of all chunks.
     """
     n, m = pair.needles.shape
     rows = np.asarray(rows, dtype=np.intp)
     signs = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None]
     v = pair.offsets
-    ego_radii, coop_radii = pair.ego_radii[:, None, :, None], pair.coop_radii[:, None, :]
     reach = _reach(params)
     bound, bound2 = reach * (1.0 + 1e-9) + pair.allowance, reach * reach * (1.0 + 1e-9)
+    order = np.argsort(pair.coop_radii, axis=None, kind="stable")  # flat (anchor, q)
+    radii = pair.coop_radii.ravel()[order]
+    ego_radii = pair.ego_radii[rows]  # [row, p]
+    lo = np.searchsorted(radii, ego_radii - bound)
+    count = np.searchsorted(radii, ego_radii + bound, side="right") - lo
+    upto = np.cumsum(count.sum(axis=1))  # window cells of rows[:r + 1]
     none = np.empty(0, np.intp)
     near = [(none, none, none, none, np.empty(0))]  # so a frame without rows concatenates
-    for r, i in enumerate(rows.tolist()):
-        u = pair.ego.centers - pair.ego.centers[i]
-        cos, sin = pair.cos[i][:, None], pair.sin[i][:, None]
-        rx = cos * v[..., 0] - sin * v[..., 1]
-        ry = sin * v[..., 0] + cos * v[..., 1]
-        # |center difference| >= | |U_p|_xy - |V_q|_xy |: (anchor, p, q) in order
-        a, pq = np.divmod(np.flatnonzero(np.abs(ego_radii[i] - coop_radii) <= bound), n * m)
-        p, q = np.divmod(pq, m)
-        ux, uy, dz2 = u[p, 0], u[p, 1], np.square(u[p, 2] - v[a, q, 2])
-        x, y = rx[a, q], ry[a, q]
-        # dc2 axes: [variant, surviving (anchor, p, q)]
-        dc2 = np.square(ux - signs * x) + np.square(uy - signs * y) + dz2
+    start = 0
+    while start < len(rows):
+        # the chunk ends at the row where its window cells reach the budget
+        done = upto[start - 1] if start else 0
+        stop = min(int(np.searchsorted(upto, done + _CANDIDATE_BUDGET)) + 1, len(rows))
+        chunk = rows[start:stop]
+        cos, sin = pair.cos[chunk][..., None], pair.sin[chunk][..., None]
+        rx = (cos * v[..., 0] - sin * v[..., 1]).ravel()  # [row, anchor, q]
+        ry = (sin * v[..., 0] + cos * v[..., 1]).ravel()
+        u = (pair.ego.centers - pair.ego.centers[chunk][:, None]).reshape(-1, 3)  # [row, p]
+        width = count[start:stop].ravel()
+        rp = np.repeat(np.arange(len(width)), width)  # (row, p) of each window cell
+        aq = order[np.arange(len(rp)) + np.repeat(lo[start:stop].ravel() - (np.cumsum(width) - width), width)]
+        at = rp // n * (m * m) + aq
+        dz2 = np.square(u[rp, 2] - v[..., 2].take(aq))
+        # dc2 axes: [variant, window cell]
+        dc2 = np.square(u[rp, 0] - signs * rx.take(at)) + np.square(u[rp, 1] - signs * ry.take(at)) + dz2
         f, k = np.nonzero(dc2 <= bound2)
-        near.append((r * len(signs) + f, a[k], p[k], q[k], dc2[f, k]))
+        variant = (start + rp[k] // n) * len(signs) + f
+        a, q = np.divmod(aq[k], m)
+        p = rp[k] % n
+        s = np.argsort(((variant * m + a) * n + p) * m + q)  # into (cell, p, q) order
+        near.append((variant[s], a[s], p[s], q[s], dc2[f[s], k[s]]))
+        start = stop
     variant, a, p, q, c2 = map(np.concatenate, zip(*near))
     cell, i = variant * m + a, rows[variant // len(signs)]
     half = pair.sin_half[p, q] * pair.cos_half[i, a] - pair.cos_half[p, q] * pair.sin_half[i, a]
@@ -610,13 +636,15 @@ def top_k_by_volume(scene: Scene, k: int | float | None) -> Scene:
     """Keep the k largest boxes by volume, preserving scene order.
 
     Pass None (or infinity) to keep everything. Ties at the volume cutoff
-    are resolved toward the earlier index.
+    are resolved toward the earlier index. Any other k must be an integral
+    number >= 1: an integer that is not a bool, or an integral float.
     """
-    if k is None or (isinstance(k, float) and math.isinf(k)):
+    if k is None or k == math.inf:
         return scene
+    integral = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    if not (integral or isinstance(k, float) and k.is_integer()) or k < 1:
+        raise ValueError(f"k must be None, inf or an integer >= 1, got {k!r}")
     k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if k >= len(scene):
         return scene
     ranked = sorted(range(len(scene)), key=lambda i: (-scene[i].volume, i))

@@ -9,7 +9,10 @@ with the same dtypes, on generated frames, on frames near the coordinate
 bound (where the rounding allowance matters), on boxes stacked at one xy,
 at the edges of the scoring parameters and on one-box scenes. The pass
 over one row, which odist runs, must give every anchor of that row the
-score the frame pass gives it.
+score the frame pass gives it. All of it holds however the pass splits
+its rows into chunks: at the default candidate budget, at a budget that
+makes every row its own chunk and at one that splits each dense frame
+into at least three.
 """
 from __future__ import annotations
 
@@ -180,11 +183,70 @@ def test_one_box_scenes_keep_the_dense_search(params):
     assert_same_blocks(ego, make_scene(coop[:1]), params)  # n x 1
 
 
+# candidate budgets of _anchor_pass's chunks besides the module's own: one
+# that puts every row in a chunk of its own, over budget, and one that
+# splits every dense frame into several chunks
+BUDGETS = {"row": 1, "middle": 1 << 11}
+
+
+def window_cells(pair, params):
+    """The (i, p, j, q) cells within the radius bound, per ego index i."""
+    reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
+    bound = reach * (1.0 + 1e-9) + pair.allowance
+    gap = np.abs(pair.ego_radii[:, :, None, None] - pair.coop_radii[None, None])
+    return np.count_nonzero(gap <= bound, axis=(1, 2, 3))
+
+
+@pytest.mark.parametrize("scene", [s for s in SCENES if s.startswith("dense-")])
+def test_the_middle_budget_splits_dense_frames_into_three_chunks(scene):
+    # a chunk holds less than the budget plus one row's cells
+    cells = window_cells(association._ScenePair(*SCENES[scene]), PARAMS["default"])
+    assert cells.sum() >= 3 * (BUDGETS["middle"] + cells.max())
+
+
+@pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS.keys())
+@pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+@pytest.mark.parametrize("scene", SCENES.keys())
+def test_chunked_passes_equal_the_dense_search(scene, params, budget, monkeypatch):
+    monkeypatch.setattr(association, "_CANDIDATE_BUDGET", budget)
+    assert_same_blocks(*SCENES[scene], params)
+
+
+@pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS.keys())
+@pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+def test_chunked_one_box_scenes_keep_the_dense_search(params, budget, monkeypatch):
+    monkeypatch.setattr(association, "_CANDIDATE_BUDGET", budget)
+    test_one_box_scenes_keep_the_dense_search(params)
+
+
 def test_pairs_on_the_rim_need_the_allowance():
     params = ODistParams(tau=5e-4, alpha=1.0, beta=0.0)  # reach = tau
-    ego, coop = rim_pair(params.tau)
+    lost = []  # (seed, ego index) whose rows lose pairs without the allowance
+    for seed in (0, 1):
+        ego, coop = rim_pair(params.tau, seed=seed)
+        pair = association._ScenePair(ego, coop)
+        cell, p, q, _ = dense_block(pair, 0, params)[3]
+        gap = np.abs(pair.ego_radii[0, p] - pair.coop_radii[cell % len(coop), q])
+        assert np.any(gap > params.tau * (1.0 + 1e-9))  # within tau, past the reach
+        assert_same_blocks(ego, coop, params)
+        pair.allowance = 0.0
+        conf, _, _, (cell, _, _, _) = association._anchor_pass(pair, range(len(ego)), params)
+        width = conf.shape[1] * len(coop)
+        for i in range(len(ego)):
+            if np.count_nonzero(cell // width == i) < len(dense_block(pair, i, params)[3][0]):
+                lost.append((seed, i))
+    # at seed 1 rounding puts rim pairs that the exact test keeps outside
+    # the radius windows of a pass without the allowance
+    assert lost, "the rim pairs never reach the edge of a window"
+
+
+def test_a_pass_without_rows_is_empty():
+    ego, coop = SCENES["dense-0"]
     pair = association._ScenePair(ego, coop)
-    cell, p, q, _ = dense_block(pair, 0, params)[3]
-    gap = np.abs(pair.ego_radii[0, p] - pair.coop_radii[cell % len(coop), q])
-    assert np.any(gap > params.tau * (1.0 + 1e-9))  # within tau, past the reach
-    assert_same_blocks(ego, coop, params)
+    for params in PARAMS.values():
+        conf, mean, flip, kept = association._anchor_pass(pair, [], params)
+        variants = 2 if params.try_yaw_flip else 1
+        assert conf.shape == mean.shape == (0, variants, len(coop)) and flip.shape == (0, len(coop))
+        assert conf.dtype == np.intp and mean.dtype == np.float64 and flip.dtype == bool
+        assert [k.dtype for k in kept] == [np.intp, np.intp, np.intp, np.float64]
+        assert all(len(k) == 0 for k in kept)

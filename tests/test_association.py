@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -737,6 +738,21 @@ def test_top_k_passthrough_cases():
     assert top_k_by_volume(scene, 99) is scene
     with pytest.raises(ValueError):
         top_k_by_volume(scene, 0)
+
+
+def test_top_k_accepts_integral_floats_and_numpy_integers():
+    scene = spread_scene(4, seed=1)
+    two = [b.center.tolist() for b in top_k_by_volume(scene, 2)]
+    for k in (2.0, np.int64(2), np.float64(2.0)):
+        assert [b.center.tolist() for b in top_k_by_volume(scene, k)] == two
+
+
+@pytest.mark.parametrize("k", [2.5, 0.5, True, False, -math.inf, math.nan, -1, 0.0, "3"], ids=repr)
+def test_top_k_rejects_what_is_not_an_integer_of_at_least_one(k):
+    # a fractional k used to be truncated (2.5 kept 2 boxes, 0.5 named 0 in
+    # the error) and a bool counted as an integer (True kept 1 box)
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(k))}$"):
+        top_k_by_volume(spread_scene(4, seed=1), k)
 
 
 # ---- parameter validation ----
