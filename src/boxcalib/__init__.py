@@ -24,7 +24,6 @@ from .geometry import (
     with_flipped_yaw,
 )
 from .registration import (
-    DegenerateCorners,
     DegenerateGeometry,
     EmptyMatchSet,
     RegistrationResult,
@@ -80,7 +79,7 @@ __all__ = [
     "DetectionBox", "RigidTransform", "Scene", "apply_transform", "compose",
     "corners_of", "invert", "rot_z", "transform_box", "transform_scene",
     "with_flipped_yaw",
-    "DegenerateCorners", "DegenerateGeometry", "EmptyMatchSet",
+    "DegenerateGeometry", "EmptyMatchSet",
     "RegistrationResult", "WeightedCorrespondences", "build_feature_clouds",
     "pair_hypothesis", "weighted_kabsch",
     "AffinityMatrix", "Match", "MatchSet", "NoCoVisibleObjects", "ODistParams",

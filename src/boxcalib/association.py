@@ -2,10 +2,11 @@
 
 No initial relative pose is assumed. Every (ego box, coop box) pair is
 treated as a candidate anchor: the rigid motion mapping the coop box onto
-the ego box is the closed-form Kabsch fit of their corners (a rotation by
-the yaw difference, see registration.pair_hypothesis), the whole coop scene
-is brought into the ego frame under that motion, and the quality of the
-pair is scored by how well the rest of the scene lines up:
+the ego box is the rotation by their yaw difference that takes the coop
+box's center onto the ego box's (the motion registration.pair_hypothesis
+fits to their corners), the whole coop scene is brought into the ego
+frame under that motion, and the quality of the pair is scored by how well
+the rest of the scene lines up:
 
 * confidence: how many box pairs fall within tau of each other under a
   greedy one-to-one pairing by ascending distance, and
@@ -15,14 +16,14 @@ Anchor confidences fill an affinity matrix and one Hungarian solve picks
 the candidate anchors: the one-to-one assignment with maximum total
 affinity, minus zero entries, ties broken as the installed scipy's solver
 breaks them (solve_assignment). No anchor is judged on its unrefined mean
-distance: each assigned anchor is refined on its valid set by corner fits
-to a fixed point, and the final matches are the refined consensus (valid
-set) of the best assigned anchor, as in LO-RANSAC: pairs the assignment
-picked only because they agree with themselves never join it. A fit
-(_fit) is the unit-weight least-squares fit of the pairs' corners,
-computed in closed form from the centers and scaled axes; each distinct
-valid set is fit once, and the winner's fit is the calibration's
-transform (_associate).
+distance: each assigned anchor is refined on its valid set by closed-form
+fits (_fit) to a fixed point, and the final matches are the refined
+consensus (valid set) of the best assigned anchor, as in LO-RANSAC: pairs
+the assignment picked only because they agree with themselves never join
+it. A fit is the unit-weight least-squares fit of the pairs' corners,
+computed from the centers and scaled axes alone; each distinct valid set
+is fit once, and the winner's fit is the calibration's transform
+(_associate).
 
 Every NumPy pass runs once per frame or once per refinement round, never
 once per anchor. Two kernels generate candidate box pairs, as squared
@@ -41,8 +42,10 @@ matrix, and every anchor's PairScore (odist's, from a one-row pass, and
 the ones refinement starts from) is read from it. The transform kernel
 (_score_motions) scores any number of rigid motions at once: the refits
 of a refinement round (_refine, which runs every assigned anchor in
-lockstep), and, as the one-motion case, alignment_score and the health
-check. One rule ranks scores (_rank).
+lockstep), and alignment_score and the health check: one transform under
+both coop headings when try_yaw_flip. One rule ranks scores (_rank): it
+picks the heading of each anchor and of each scored transform, and
+decides refinement's steps.
 """
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import DetectionBox, RigidTransform, Scene
-from .registration import DegenerateCorners, RegistrationResult, nearest_rotation, rank_deficient
+from .registration import DegenerateGeometry, RegistrationResult, nearest_rotation, rank_deficient
 
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
@@ -79,10 +82,10 @@ class ODistParams:
     tau gates the per-pair distance when forming the valid set. alpha and beta
     weight the center-distance and corner-distance terms of box_distance;
     the default beta = 1/sqrt(8) puts the 8-corner Frobenius norm on a
-    per-corner scale. try_yaw_flip additionally evaluates every anchor
-    under a reversed coop heading convention (yaw + pi) and keeps the
-    better variant, which recovers detectors that disagree about the
-    front of a box.
+    per-corner scale. try_yaw_flip additionally evaluates every anchor and
+    every scored transform under a reversed coop heading convention (yaw +
+    pi) and keeps the better variant, which recovers detectors that
+    disagree about the front of a box.
     """
 
     tau: float = 3.0
@@ -427,10 +430,10 @@ def _pair_scores(frame, anchors) -> list[PairScore]:
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
     """Score anchor pair (ego[i], coop[j]) by whole-scene alignment
     consistency; the valid pairs come in (ego, coop) index order. Raises
-    DegenerateCorners for a needle anchor, whose corners fix no rotation."""
+    DegenerateGeometry for a needle anchor, whose corners fix no rotation."""
     pair = _ScenePair(ego, coop)
     if pair.needles[i, j]:  # IndexError for an index out of range
-        raise DegenerateCorners(f"anchor ({i}, {j}): rank-deficient cross-covariance")
+        raise DegenerateGeometry(f"anchor ({i}, {j}): rank-deficient cross-covariance")
     frame = _anchor_pass(pair, [i % len(ego)], params)  # i, j < 0: from the end
     return _pair_scores(frame, [(0, j % len(coop))])[0]
 
@@ -441,11 +444,16 @@ def alignment_score(
     """Scene-consistency score of a given transform (no anchor search).
 
     Pairs are formed exactly as in odist (_pair_up): greedy one-to-one by
-    ascending distance within tau, listed in (ego, coop) index order.
+    ascending distance within tau, listed in (ego, coop) index order. The
+    coop headings are scored as given and, when params.try_yaw_flip, also
+    reversed, as the anchors are: the better score by _rank is returned,
+    the given headings winning ties.
     """
-    R, t = transform.rotation[None], transform.translation[None]
-    up = _score_motions(_SceneArrays(ego), _SceneArrays(coop), R, t, [False], params)
-    return _scores(up, np.zeros(1, np.intp), [False])[0]
+    flipped = [False, True] if params.try_yaw_flip else [False]
+    R = np.repeat(transform.rotation[None], len(flipped), axis=0)
+    t = np.repeat(transform.translation[None], len(flipped), axis=0)
+    up = _score_motions(_SceneArrays(ego), _SceneArrays(coop), R, t, flipped, params)
+    return min(_scores(up, np.arange(len(flipped)), flipped), key=_rank)
 
 
 def _score_anchors(pair: _ScenePair, params: ODistParams):
@@ -590,19 +598,17 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     return _associate(ego, coop, params)[0]
 
 
-def top_k_by_volume(scene: Scene, k: int | float | None) -> Scene:
+def top_k_by_volume(scene: Scene, k: int | None) -> Scene:
     """Keep the k largest boxes by volume, preserving scene order.
 
-    Pass None (or infinity) to keep everything. Ties at the volume cutoff
-    are resolved toward the earlier index. Any other k must be an integral
-    number >= 1: an integer that is not a bool, or an integral float.
+    Pass None to keep everything. Ties at the volume cutoff are resolved
+    toward the earlier index. Any other k must be an integer >= 1 (Python
+    or NumPy, not a bool).
     """
-    if k is None or k == math.inf:
+    if k is None:
         return scene
-    integral = isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-    if not (integral or isinstance(k, float) and k.is_integer()) or k < 1:
-        raise ValueError(f"k must be None, inf or an integer >= 1, got {k!r}")
-    k = int(k)
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be None or an integer >= 1, got {k!r}")
     if k >= len(scene):
         return scene
     ranked = sorted(range(len(scene)), key=lambda i: (-scene[i].volume, i))

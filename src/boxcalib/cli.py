@@ -29,7 +29,7 @@ from .association import NoCoVisibleObjects
 from .metrics import summarize
 from .monitor import MonitorState, step, unreadable_frame
 from .pipeline import calibrate_scenes, trial_error
-from .registration import DegenerateCorners, DegenerateGeometry
+from .registration import DegenerateGeometry
 from .synth import PlacementFailure, grid_product, noise_sweep, noisy_pair
 
 EXIT_OK = 0
@@ -38,13 +38,9 @@ EXIT_NO_COVISIBLE = 3
 EXIT_DEGENERATE = 4
 
 
-def _parse_top_k(text: str):
-    if text.lower() in ("all", "none", "inf"):
-        return None
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("top-k must be >= 1 (or 'all')")
-    return value
+def _parse_top_k(text: str) -> int | None:
+    """'all' disables the prefilter; config_from_dict checks any other k."""
+    return None if text == "all" else int(text)
 
 
 def _parse_threshold(text: str) -> float:
@@ -309,7 +305,7 @@ def main(argv=None) -> int:
     except NoCoVisibleObjects as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_COVISIBLE
-    except (DegenerateCorners, DegenerateGeometry) as e:
+    except DegenerateGeometry as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (ValueError, PlacementFailure) as e:

@@ -280,7 +280,7 @@ class RunConfig:
     """Everything configurable from a file, one section per component."""
 
     odist: ODistParams = ODistParams()
-    top_k: int | float | None = DEFAULT_TOP_K
+    top_k: int | None = DEFAULT_TOP_K
     monitor: MonitorConfig = MonitorConfig()
     synth: SynthConfig = SynthConfig()
     noise: NoiseConfig = NoiseConfig()

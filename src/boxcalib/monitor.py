@@ -94,7 +94,7 @@ def step(
     coop: Scene,
     cfg: MonitorConfig = MonitorConfig(),
     params: ODistParams = ODistParams(),
-    top_k: int | float | None = DEFAULT_TOP_K,
+    top_k: int | None = DEFAULT_TOP_K,
 ) -> tuple[MonitorState, list[MonitorEvent]]:
     """Process one frame; returns the successor state and emitted events.
 

@@ -39,7 +39,7 @@ def calibrate_scenes(
     ego: Scene,
     coop: Scene,
     params: ODistParams = ODistParams(),
-    top_k: int | float | None = DEFAULT_TOP_K,
+    top_k: int | None = DEFAULT_TOP_K,
 ) -> CalibrationReport:
     """Estimate the rigid transform taking coop-frame points to the ego frame.
 
@@ -71,7 +71,7 @@ def trial_error(
     coop: Scene,
     truth: RigidTransform,
     params: ODistParams = ODistParams(),
-    top_k: int | float | None = DEFAULT_TOP_K,
+    top_k: int | None = DEFAULT_TOP_K,
 ) -> TrialError:
     """Calibrate a scene pair and score the estimate against the true
     transform; a calibration failure is a failed trial."""

@@ -43,13 +43,11 @@ def rank_deficient(singular_values: np.ndarray) -> np.ndarray:
         return (high <= 0.0) | (mid / high < RANK_RATIO_MIN)
 
 
-class DegenerateCorners(ValueError):
-    """Corner matrices do not span a plane; cannot happen for valid boxes."""
-
-
 class DegenerateGeometry(ValueError):
-    """Weighted point sets are rank-deficient (fewer than 3 effective points
-    or collinear after centering)."""
+    """The geometry fixes no rotation: a cross-covariance fails the rank
+    test (rank_deficient) or is not finite. Raised for weighted point sets
+    with fewer than 3 effective points or collinear after centering, and
+    for a needle box pair, whose corners span no plane."""
 
 
 class EmptyMatchSet(ValueError):
@@ -129,12 +127,12 @@ def pair_hypothesis(ego_box: DetectionBox, coop_box: DetectionBox) -> RigidTrans
     satisfying S^T S = 8 I, so the cross-covariance is
     2 rot_z(yaw_e) diag(dims_e * dims_c) rot_z(yaw_c)^T: its singular
     values are 2 * dims_e * dims_c and its rotation factor is
-    rot_z(yaw_e - yaw_c). Raises DegenerateCorners when those singular
+    rot_z(yaw_e - yaw_c). Raises DegenerateGeometry when those singular
     values fail the rank test weighted_kabsch applies.
     """
     products = ego_box.dims * coop_box.dims
     if rank_deficient(products):
-        raise DegenerateCorners(f"rank-deficient cross-covariance (dims products {products})")
+        raise DegenerateGeometry(f"rank-deficient cross-covariance (dims products {products})")
     R = rot_z(ego_box.yaw - coop_box.yaw)
     return RigidTransform(R, ego_box.center - R @ coop_box.center)
 

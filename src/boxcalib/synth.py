@@ -231,7 +231,7 @@ def run_trial(
     yaw_std_deg: float,
     trial_seed: np.random.SeedSequence,
     params: ODistParams = ODistParams(),
-    top_k: int | float | None = DEFAULT_TOP_K,
+    top_k: int | None = DEFAULT_TOP_K,
 ) -> TrialError:
     """One sweep trial: fresh scene pair, independent per-view noise, calibrate."""
     ego, coop, t_true = noisy_pair(base_cfg, NoiseConfig(sigma_pos, yaw_std_deg), trial_seed)
@@ -256,7 +256,7 @@ def noise_sweep(
     threshold_m: float = 1.0,
     seed: int = 0,
     params: ODistParams = ODistParams(),
-    top_k: int | float | None = DEFAULT_TOP_K,
+    top_k: int | None = DEFAULT_TOP_K,
 ) -> list[SweepCell]:
     """Run every noise cell in the grid and summarize each one.
 

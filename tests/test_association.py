@@ -1,6 +1,7 @@
 """Scene-level association: pair scoring, affinity, and assignment."""
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 
@@ -237,6 +238,48 @@ def test_alignment_pairs_match_the_greedy_oracle(fixture, params):
         assert abs(score.mean_distance - sum(p[2] for p in want) / len(want)) <= 1e-12
     else:
         assert score.mean_distance == math.inf
+
+
+def reversed_headings(scene):
+    return make_scene([with_flipped_yaw(b) for b in scene], agent_id=scene.agent_id)
+
+
+def seven_noisy():
+    return noisy_pair(SynthConfig(), NoiseConfig(sigma_pos=0.3, yaw_std_deg=5.0), np.random.SeedSequence(7))
+
+
+def test_alignment_score_takes_the_better_coop_heading():
+    ego, coop, truth = seven_noisy()
+    as_given = ODistParams(try_yaw_flip=False)
+    given = alignment_score(ego, coop, truth, as_given)
+    score = alignment_score(ego, reversed_headings(coop), truth)
+    assert score.coop_flipped
+    assert score.confidence == given.confidence == len(ego)
+    assert [p[:2] for p in score.valid_pairs] == [p[:2] for p in given.valid_pairs]
+    assert score.mean_distance == pytest.approx(given.mean_distance, abs=1e-12)
+    # with flips off only the headings as given are scored
+    assert alignment_score(ego, reversed_headings(coop), truth, as_given).confidence < len(ego)
+
+
+def test_alignment_score_ties_keep_the_given_heading():
+    # nothing pairs under either heading: (0, inf) both times
+    ego, coop, truth = seven_noisy()
+    far = RigidTransform(truth.rotation, truth.translation + 1000.0)
+    score = alignment_score(ego, coop, far)
+    assert (score.confidence, score.mean_distance, score.coop_flipped) == (0.0, math.inf, False)
+
+
+def test_alignment_score_of_the_given_heading_is_pinned_bit_for_bit():
+    # the values of the one-heading alignment_score on this pair: scoring
+    # the reversed heading beside it must not move a bit of them
+    ego, coop, truth = seven_noisy()
+    for params in (ODistParams(try_yaw_flip=False), ODistParams()):
+        score = alignment_score(ego, coop, truth, params)
+        assert (score.confidence, score.mean_distance.hex(), score.coop_flipped) == (
+            15.0, "0x1.a20e036c8fff6p+0", False
+        )
+        digest = hashlib.sha256(repr(score.valid_pairs).encode()).hexdigest()
+        assert digest[:16] == "f9d2acb64ad93dc7"
 
 
 def test_pairing_fixtures_need_the_greedy_pass():
@@ -704,24 +747,28 @@ def test_top_k_ties_prefer_the_earlier_index():
 def test_top_k_passthrough_cases():
     scene = spread_scene(4, seed=1)
     assert top_k_by_volume(scene, None) is scene
-    assert top_k_by_volume(scene, math.inf) is scene
     assert top_k_by_volume(scene, 4) is scene
     assert top_k_by_volume(scene, 99) is scene
     with pytest.raises(ValueError):
         top_k_by_volume(scene, 0)
 
 
-def test_top_k_accepts_integral_floats_and_numpy_integers():
+def test_top_k_accepts_numpy_integers():
     scene = spread_scene(4, seed=1)
     two = [b.center.tolist() for b in top_k_by_volume(scene, 2)]
-    for k in (2.0, np.int64(2), np.float64(2.0)):
+    for k in (np.int64(2), np.int32(2), np.uint8(2)):
         assert [b.center.tolist() for b in top_k_by_volume(scene, k)] == two
 
 
-@pytest.mark.parametrize("k", [2.5, 0.5, True, False, -math.inf, math.nan, -1, 0.0, "3"], ids=repr)
+@pytest.mark.parametrize(
+    "k",
+    [2.5, 0.5, True, False, -math.inf, math.nan, -1, 0.0, "3", math.inf, 15.0, np.float64(2.0)],
+    ids=repr,
+)
 def test_top_k_rejects_what_is_not_an_integer_of_at_least_one(k):
     # a fractional k used to be truncated (2.5 kept 2 boxes, 0.5 named 0 in
-    # the error) and a bool counted as an integer (True kept 1 box)
+    # the error) and a bool counted as an integer (True kept 1 box); None
+    # is the one way to keep every box, so inf and integral floats go too
     with pytest.raises(ValueError, match=f"got {re.escape(repr(k))}$"):
         top_k_by_volume(spread_scene(4, seed=1), k)
 

@@ -1,22 +1,25 @@
 """build_affinity's anchor blocks against the transform kernel.
 
 The reference scores each anchor through the public transform path:
-alignment_score under pair_hypothesis, once on the coop scene and once on
-a copy with every heading reversed, the better variant by confidence and
-then mean distance to 1e-9 m, the unflipped one winning ties. The blocks
-must give the same entries and flip flags exactly, on generated scenes
-and on fixtures built at the edges of the pairing rules. An anchor must
-score the same through odist as in the affinity, with the same valid
-pairs in the same order as its own transform's alignment_score, and
-associate must score every anchor in one pass over the ego boxes.
+alignment_score under pair_hypothesis with try_yaw_flip off, once on the
+coop scene and once on a copy with every heading reversed, the better
+variant by confidence and then mean distance to 1e-9 m, the unflipped
+one winning ties. The blocks must give the same entries and flip flags
+exactly, on generated scenes and on fixtures built at the edges of the
+pairing rules. An anchor must score the same through odist as in the
+affinity, with the same valid pairs in the same order as its own
+transform's alignment_score, and associate must score every anchor in
+one pass over the ego boxes.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from boxcalib import (
-    DegenerateCorners,
+    DegenerateGeometry,
     NoiseConfig,
     ODistParams,
     Scene,
@@ -44,17 +47,20 @@ NEAR_TIES = [(3e-10, 1e-12, False), (3e-9, 2e-9, True)]
 
 def transform_scores(ego, coop, params):
     """Both heading variants of every anchor scored by the transform kernel,
-    None for an anchor whose corners fix no rotation."""
+    None for an anchor whose corners fix no rotation. Each variant is
+    scored under its own headings alone, so the heading rule is derived
+    here, not taken from alignment_score."""
     reversed_coop = Scene(tuple(with_flipped_yaw(b) for b in coop))
     variants = (coop, reversed_coop) if params.try_yaw_flip else (coop,)
+    as_given = replace(params, try_yaw_flip=False)
     scores = {}
     for i in range(len(ego)):
         for j in range(len(coop)):
             try:
                 scores[i, j] = [
-                    alignment_score(ego, c, pair_hypothesis(ego[i], c[j]), params) for c in variants
+                    alignment_score(ego, c, pair_hypothesis(ego[i], c[j]), as_given) for c in variants
                 ]
-            except DegenerateCorners:
+            except DegenerateGeometry:
                 scores[i, j] = None
     return scores
 
@@ -210,7 +216,7 @@ def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
     affinity = build_affinity(ego, coop, params)
     for (i, j), variants in transform_scores(ego, coop, params).items():
         if variants is None:
-            with pytest.raises(DegenerateCorners):
+            with pytest.raises(DegenerateGeometry):
                 odist(ego, coop, i, j, params)
             continue
         score = odist(ego, coop, i, j, params)

@@ -517,6 +517,18 @@ def test_top_k_all_overrides_the_config(tmp_path, capsys):
         assert len(json.loads(capsys.readouterr().out)["matches"]) == 20
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "none", "inf", "2.5", "ALL"])
+def test_top_k_other_than_a_positive_integer_or_all_exits_2(tmp_path, capsys, value):
+    # "all" is the one spelling that keeps every box
+    ego_path, coop_path, _ = write_pair(tmp_path)
+    try:
+        code = cli.main(["calibrate", str(ego_path), str(coop_path), "--top-k", value])
+    except SystemExit as exc:  # argparse rejects what int() cannot read
+        code = exc.code
+    assert code == 2
+    assert "top" in capsys.readouterr().err
+
+
 def test_flags_of_one_section_apply_together(tmp_path, capsys):
     ego_path, coop_path, _ = write_pair(tmp_path)
     cfg_path = write_json(tmp_path, "cfg.json", {"odist": {"beta": 0}})

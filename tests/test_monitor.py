@@ -11,15 +11,19 @@ from boxcalib import (
     MonitorConfig,
     MonitorState,
     MonitorStatus,
+    NoiseConfig,
     ODistParams,
     RigidTransform,
+    SynthConfig,
     calibrate_scenes,
     health_check,
     invert,
+    noisy_pair,
     rte,
     step,
     transform_box,
     transform_scene,
+    with_flipped_yaw,
 )
 from boxcalib.io import state_from_dict, state_to_dict
 from boxcalib.monitor import unreadable_frame
@@ -257,6 +261,19 @@ def test_runtime_failure_keeps_the_measured_health():
     assert events[0].confidence == 4 and events[0].mean_distance > 0.5
     assert state.last_health == measured
     assert state.current_extrinsic is t_true
+
+
+def test_reversed_coop_headings_boot_and_stay_healthy():
+    # the health check scores the held transform under the reversed coop
+    # headings too, so the boot calibration passes its gate
+    ego, coop, _ = noisy_pair(SynthConfig(), NoiseConfig(), np.random.SeedSequence(3))
+    coop = make_scene([with_flipped_yaw(b) for b in coop], agent_id="coop")
+    state, events = step(MonitorState.initial(), ego, coop)
+    assert kinds(events) == [EventKind.BOOT_CALIBRATED]
+    assert state.status is MonitorStatus.CALIBRATED
+    state, events = step(state, ego, coop)
+    assert kinds(events) == [EventKind.HEALTH_OK]
+    assert events[0].confidence == len(ego)
 
 
 def test_two_agreeing_boxes_do_not_recalibrate():

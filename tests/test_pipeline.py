@@ -96,7 +96,8 @@ def test_top_k_limits_the_number_of_matches():
 def test_top_k_none_keeps_everything():
     ego, coop, _ = generate_scene_pair(SynthConfig(n_boxes=18, seed=4))
     assert len(calibrate_scenes(ego, coop, top_k=None).matches) == 18
-    assert len(calibrate_scenes(ego, coop, top_k=math.inf).matches) == 18
+    with pytest.raises(ValueError, match="got inf"):
+        calibrate_scenes(ego, coop, top_k=math.inf)
     assert len(calibrate_scenes(ego, coop).matches) == 15  # default cap
 
 
@@ -149,6 +150,18 @@ def test_flipped_coop_headings_are_transparent_to_calibration():
     assert rre(t.rotation, report.transform.rotation) < 1e-9
     assert rte(t.translation, report.transform.translation) < 1e-9
     assert all(m.coop_yaw_flipped for m in report.matches)
+
+
+def test_reversed_coop_headings_report_the_same_health():
+    # the matches carry the flip flag, so the health must score the
+    # transform under the reversed headings too
+    ego, coop, t_true = noisy_pair(SynthConfig(), NoiseConfig(), np.random.SeedSequence(3))
+    reversed_coop = make_scene([with_flipped_yaw(b) for b in coop], agent_id="coop")
+    given, report = calibrate_scenes(ego, coop), calibrate_scenes(ego, reversed_coop)
+    assert all(m.coop_yaw_flipped for m in report.matches)
+    assert rte(t_true.translation, report.transform.translation) < 1e-9
+    assert report.health_confidence == given.health_confidence == len(ego)
+    assert report.health_mean_distance == pytest.approx(given.health_mean_distance, abs=1e-12)
 
 
 # ---- invariances of calibrate_scenes on noise-free scene pairs ----

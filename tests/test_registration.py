@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxcalib import (
-    DegenerateCorners,
     DegenerateGeometry,
     EmptyMatchSet,
     Match,
@@ -82,7 +81,7 @@ def test_pair_hypothesis_equals_the_corner_kabsch_fit():
 
 def test_pair_hypothesis_rejects_needle_boxes():
     needle = make_box((0, 0, 0), dims=(4.0, 1e-12, 1e-12))
-    with pytest.raises(DegenerateCorners):
+    with pytest.raises(DegenerateGeometry):
         pair_hypothesis(needle, needle)
 
 
