@@ -1,12 +1,10 @@
 """Scene-level object association between two agents' detections.
 
-No initial relative pose is assumed. Every (ego box, coop box) pair is
-treated as a candidate anchor: the rigid motion mapping the coop box onto
-the ego box is the rotation by their yaw difference that takes the coop
-box's center onto the ego box's (the motion registration.pair_hypothesis
-fits to their corners), the whole coop scene is brought into the ego
-frame under that motion, and the quality of the pair is scored by how well
-the rest of the scene lines up:
+No initial relative pose is assumed. Every (ego box, coop box) pair is a
+candidate anchor: the coop scene is moved by the rotation by their yaw
+difference that takes the coop box's center onto the ego box's (the
+motion registration.pair_hypothesis fits to their corners), and the pair
+is scored by how well the rest of the scene lines up:
 
 * confidence: how many box pairs fall within tau of each other under a
   greedy one-to-one pairing by ascending distance, and
@@ -15,37 +13,30 @@ the rest of the scene lines up:
 Anchor confidences fill an affinity matrix and one Hungarian solve picks
 the candidate anchors: the one-to-one assignment with maximum total
 affinity, minus zero entries, ties broken as the installed scipy's solver
-breaks them (solve_assignment). No anchor is judged on its unrefined mean
-distance: each assigned anchor is refined on its valid set by closed-form
-fits (_fit) to a fixed point, and the final matches are the refined
-consensus (valid set) of the best assigned anchor, as in LO-RANSAC: pairs
-the assignment picked only because they agree with themselves never join
-it. A fit is the unit-weight least-squares fit of the pairs' corners,
-computed from the centers and scaled axes alone; each distinct valid set
-is fit once, and the winner's fit is the calibration's transform
-(_associate).
+breaks them (solve_assignment). Each assigned anchor is refined on its
+valid set by closed-form fits of the pairs' corners (_fit) to a fixed
+point, and the final matches are the refined consensus (valid set) of the
+best assigned anchor, as in LO-RANSAC: pairs the assignment picked only
+because they agree with themselves never join it. Each distinct valid set
+is fit once, and the winner's fit is the calibration's transform.
 
-Every NumPy pass runs once per frame or once per refinement round, never
-once per anchor. Two kernels generate candidate box pairs, as squared
-center and axes differences, and one tail (_pair_up) scores them, any
-number of cells at once: the one distance expression (_distance), the
-tau gate, the greedy one-to-one pairing (_greedy) and the valid-set size
-and mean. So every PairScore lists its valid pairs in (ego, coop) order.
-The anchor kernel (_anchor_pass) scores every anchor of the frame in one
-pass, from closed forms in the heading differences, after dropping the
-pairs no anchor motion can bring within reach: a rotation about z keeps
-xy lengths, so a pair's center difference is at least the difference of
-their xy distances to the anchor boxes. Those distances are sorted once
-per pass, so the candidates come out of searchsorted windows, in chunks
-of rows bounded by a candidate budget. The pass fills the affinity
-matrix, and every anchor's PairScore (odist's, from a one-row pass, and
-the ones refinement starts from) is read from it. The transform kernel
-(_score_motions) scores any number of rigid motions at once: the refits
-of a refinement round (_refine, which runs every assigned anchor in
-lockstep), and alignment_score and the health check: one transform under
-both coop headings when try_yaw_flip. One rule ranks scores (_rank): it
-picks the heading of each anchor and of each scored transform, and
-decides refinement's steps.
+Every score is of rigid motions x -> e* + R (x - c*), and one pair
+arithmetic serves them all: the squared center difference c2 =
+|(e_p - e*) - R (c_q - c*)|^2 (_c2), the squared scaled-axes difference
+da2 = |A_e - R A_c|_F^2 (_da2) and one tail (_pair_up) over any number of
+cells: the distance (_distance), the tau gate, the greedy one-to-one
+pairing (_greedy) and the valid-set size and mean, so every PairScore
+lists its valid pairs in (ego, coop) order. Two kernels generate the
+pairs, each run once per frame or refinement round, never per anchor.
+The anchor pass (_anchor_pass) scores every anchor, each about (e_i,
+c_j), on the pairs that windows of sorted xy radii put within reach (a
+rotation about z keeps xy lengths), and fills the affinity matrix;
+refinement starts from the assigned anchors' scores read from it. The
+transform kernel (_score_motions) scores given motions: odist's (an
+anchor's, bit for bit the pass's), a round's refits about their
+centroids (_refine), and alignment_score's and the health check's,
+about (t, 0). One rule ranks scores (_rank): it picks the heading of
+each anchor and of each scored transform, and decides refinement's steps.
 """
 from __future__ import annotations
 
@@ -67,7 +58,8 @@ TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 # where its window cells reach this count, so the pass's temporaries, about
 # 150 bytes per cell, stay near a MB and in cache whatever the frame size.
 # One chunk for a whole 80 x 64 frame traced 122 MB; on 32 x 32 frames
-# 2^13 ran no slower than 2^15 and peaked 2 MB lower.
+# 2^13 ran no slower than 2^15 and peaked 2 MB lower. The axes term, about
+# 500 bytes per candidate, runs on blocks of a quarter as many candidates.
 _CANDIDATE_BUDGET = 1 << 13
 
 
@@ -169,9 +161,9 @@ class AffinityMatrix:
 def box_distance(a: DetectionBox, b: DetectionBox, params: ODistParams = ODistParams()) -> float:
     """alpha * |center difference| + beta * Frobenius norm of corner difference."""
     one_a, one_b = _SceneArrays(Scene((a,))), _SceneArrays(Scene((b,)))
-    c2 = np.sum(np.square(one_a.centers - one_b.centers))
-    da2 = np.sum(np.square(one_a.axes - one_b.axes))
-    return float(_distance(c2, da2, params))
+    c2 = _c2(one_a.centers.T, one_b.centers.T)
+    da2 = _da2(_entries(one_a.axes, [0]), np.eye(3)[..., None], _entries(one_b.axes, [0]), 1.0)
+    return float(_distance(c2, da2, params)[0])
 
 
 class _SceneArrays:
@@ -227,23 +219,21 @@ def _greedy(rows: np.ndarray, cols: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _pair_up(cell, p, q, c2, da2, cells: int, shape: tuple[int, int], params: ODistParams):
     """Score the candidate pairs (ego p, coop q) of cells 0 <= cell < cells,
     sorted by cell and each cell's pairs in (p, q) order, from their c2 and
-    da2 (see _distance); shape is (ego boxes, coop boxes). Returns (conf,
-    mean, kept): each cell's valid-set size and mean distance (inf if
-    empty), and the valid pairs as arrays (cell, p, q, d) in candidate
-    order. The valid set is the pairs within tau that _greedy keeps. It
-    runs only on a cell whose row or column holds two pairs within tau: in
-    every other cell it would keep them all. Crowded cells are found from
-    the pairs within tau alone, so work and memory follow the candidates,
-    not the cells times the boxes."""
+    da2; shape is (ego boxes, coop boxes). Returns (conf, mean, kept): each
+    cell's valid-set size and mean distance (inf if empty), and the valid
+    pairs as arrays (cell, p, q, d) in candidate order. The valid set is the
+    pairs within tau that _greedy keeps, run only on a cell whose row or
+    column holds two pairs within tau, so work follows the candidates."""
     n, m = shape
     d = _distance(c2, da2, params)
     inside = d <= params.tau
     cell, p, q, d = cell[inside], p[inside], q[inside], d[inside]
     rows = cell * n + p  # ascending: each cell's pairs come in (p, q) order
     cols = np.sort(cell * m + q)
-    crowded = np.union1d(rows[1:][rows[1:] == rows[:-1]] // n, cols[1:][cols[1:] == cols[:-1]] // m)
+    crowded = np.zeros(cells, dtype=bool)
+    crowded[rows[1:][rows[1:] == rows[:-1]] // n] = crowded[cols[1:][cols[1:] == cols[:-1]] // m] = True
     keep = np.ones(len(d), dtype=bool)
-    for c in crowded.tolist():
+    for c in np.flatnonzero(crowded).tolist():
         lo, hi = np.searchsorted(cell, [c, c + 1])  # cell is sorted
         keep[lo:hi] = False
         keep[lo + _greedy(p[lo:hi], q[lo:hi], d[lo:hi])] = True
@@ -266,28 +256,60 @@ def _scores(up, cells: np.ndarray, flipped) -> list[PairScore]:
     return scores
 
 
-def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, t, flipped, params: ODistParams):
-    """Score the coop scene moved by each rigid motion (R[k], t[k]), k < K,
-    and heading-reversed where flipped[k], which maps its scaled axes A to
-    R[k] A diag(-1, -1, 1): _pair_up's (conf, mean, kept) of one cell per
-    motion, over every (ego, coop) pair. Only the pairs whose squared
-    center difference c2 is within reach^2 (1 + 1e-9) (see _anchor_pass)
-    take the axes term; no farther pair comes within tau, so the (K, n,
-    m, 3, 3) axes differences are never built, and c2 is summed one
-    coordinate at a time, so neither are the (K, n, m, 3) center ones."""
-    n, m = len(ego.centers), len(coop.centers)
-    moved = coop.centers @ np.swapaxes(R, -1, -2) + t[:, None, :]
-    c2 = np.zeros((len(R), n, m))
-    for x in range(3):
-        d = ego.centers[None, :, None, x] - moved[:, None, :, x]
-        c2 += d * d
+def _rotated(R, v):
+    """R v from R's entries R[r, c] and v's components v[c], arrays that
+    broadcast together: row r sums R[r, c] v[c] over c in order."""
+    w = R[:, 0] * v[0]
+    for c in range(1, len(v)):
+        w += R[:, c] * v[c]
+    return w
+
+
+def _c2(u, w):
+    """A pair's squared center difference under x -> e* + R (x - c*), from
+    the components of u = e_p - e* and w = R (c_q - c*), summed x, y, z."""
+    c2 = u[0] - w[0]
+    c2 *= c2
+    for x in (1, 2):
+        d = u[x] - w[x]
+        c2 += np.square(d, out=d)
+    return c2
+
+
+def _entries(matrices, index):
+    """The entries [r, c] of the 3x3 matrices[index], each contiguous."""
+    return np.take(matrices.transpose(1, 2, 0), index, axis=-1)
+
+
+def _da2(axes_e, R, axes_c, sign):
+    """Pairs' squared axes difference |A_e - R A_c diag(sign, sign, 1)|_F^2
+    from the entries (3, 3, s) of A_e, R and A_c (_entries), sign -1 where
+    the coop heading is reversed. Only A_c's nonzero entries enter: columns
+    0 and 1 have no z row, and column 2 is (0, 0, height)."""
+    d = axes_e[:, :2] - _rotated(R[:, :2, None], sign * axes_c[:2, :2])  # [r, c < 2]
+    d *= d
+    h = axes_e[:, 2] - R[:, 2] * axes_c[2, 2]  # [r, c = 2]
+    h *= h
+    rows = d[:, 0] + d[:, 1] + h
+    return rows[0] + rows[1] + rows[2]
+
+
+def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, e_star, c_star, flipped, params: ODistParams):
+    """Score the coop scene moved by each motion x -> e*[k] + R[k] (x -
+    c*[k]), k < K, under the coop headings of row k of flipped (K, V),
+    reversed where flipped[k, v] (A -> R[k] A diag(-1, -1, 1)): _pair_up's
+    (conf, mean, kept) of cells k V + v. A motion's headings share its c2,
+    and only pairs within reach (see _anchor_pass) take the axes term."""
+    flipped = np.asarray(flipped, dtype=bool)
+    (K, V), n, m = flipped.shape, len(ego.centers), len(coop.centers)
+    u = ego.centers.T[:, None, :, None] - e_star.T[:, :, None, None]  # [x, k, p, 1]
+    v = coop.centers.T[:, None, :] - c_star.T[:, :, None]  # [x, k, q]
+    c2 = _c2(u, _rotated(R.transpose(1, 2, 0)[..., None], v)[:, :, None, :])  # [k, p, q]
     reach = _reach(params)
-    k, p, q = np.nonzero(c2 <= reach * reach * (1.0 + 1e-9))
-    axes = R[:, None] @ coop.axes[None]  # (K, m, 3, 3)
-    axes[np.asarray(flipped, dtype=bool)] *= _FLIP_AXES
-    da = ego.axes[p] - axes[k, q]
-    da2 = np.einsum("sij,sij->s", da, da)
-    return _pair_up(k, p, q, c2[k, p, q], da2, len(R), (n, m), params)
+    k, h, p, q = np.nonzero(np.repeat((c2 <= reach * reach * (1.0 + 1e-9))[:, None], V, axis=1))
+    sign = np.where(flipped[k, h], -1.0, 1.0)
+    da2 = _da2(_entries(ego.axes, p), _entries(R, k), _entries(coop.axes, q), sign)
+    return _pair_up(k * V + h, p, q, c2[k, p, q], da2, K * V, (n, m), params)
 
 
 def _rank_key(confidence: float, mean_distance: float) -> tuple[float, float]:
@@ -304,113 +326,93 @@ def _rank(score: PairScore) -> tuple[float, float]:
 
 class _ScenePair:
     """Both scenes' arrays and what all anchors of the pair share: cos and
-    sin of the heading differences phi = yaw_e - yaw_c and of phi / 2, the
-    coop offsets c_q - c_j, the xy radii |e_p - e_i| and |c_q - c_j| with
-    the allowance for their rounding, the flip-free parts of the axes
-    term, and the needle anchors, whose corners do not fix a rotation (the
-    rank test of registration.pair_hypothesis). Each table is computed
-    once, so an anchor's distances do not depend on the pass it is scored
-    in: the frame's, or odist's one row."""
+    sin of the heading differences phi = yaw_e - yaw_c, the coop offsets
+    c_q - c_j, the xy radii |e_p - e_i| and |c_q - c_j| with the allowance
+    for their rounding, and the needle anchors (registration's rank test)."""
 
     def __init__(self, ego: Scene, coop: Scene):
         self.ego, self.coop = _SceneArrays(ego), _SceneArrays(coop)
         phi = self.ego.yaws[:, None] - self.coop.yaws[None, :]
         self.cos, self.sin = np.cos(phi), np.sin(phi)
-        self.cos_half, self.sin_half = np.cos(0.5 * phi), np.sin(0.5 * phi)
         self.offsets = self.coop.centers[None, :, :] - self.coop.centers[:, None, :]
         xy = self.ego.centers[:, :2]
         self.ego_radii = np.linalg.norm(xy[None, :, :] - xy[:, None, :], axis=-1)
         self.coop_radii = np.linalg.norm(self.offsets[..., :2], axis=-1)
         centers = np.concatenate([self.ego.centers, self.coop.centers])
         self.allowance = 1e-6 * (1.0 + np.max(np.abs(centers), initial=0.0))
-        dims_e, dims_c = self.ego.dims[:, None, :], self.coop.dims[None, :, :]
-        self.same = np.sum(np.square(dims_e - dims_c), axis=-1)
-        self.cross = 4.0 * (dims_e[..., 0] * dims_c[..., 0] + dims_e[..., 1] * dims_c[..., 1])
-        self.needles = rank_deficient(dims_e * dims_c)
+        self.needles = rank_deficient(self.ego.dims[:, None, :] * self.coop.dims[None, :, :])
 
 
-def _anchor_pass(pair: _ScenePair, rows, params: ODistParams):
-    """Score the anchors (i, j) of the ego indices i in rows with every coop
-    index j, under both heading variants when params.try_yaw_flip, else
-    unflipped: one pass for the whole frame.
+def _rot_z(cos, sin):
+    """rot_z's entries [r, c] over arrays of cos and sin."""
+    R = np.zeros((3, 3, *np.shape(cos)))
+    R[0, 0], R[0, 1], R[1, 0], R[1, 1], R[2, 2] = cos, -sin, sin, cos, 1.0
+    return R
 
-    Returns (conf, mean, flip, kept): _pair_up's results for cells (r * V
-    + variant) * m + j, r the position of i in rows and V the number of
-    variants, conf and mean shaped (rows, V, m), kept in (cell, p, q)
-    order, and flip (rows, m), the anchors whose flipped variant wins by
-    _rank_key (ties stay unflipped).
 
-    With theta = phi[i, j], U = ego centers - e_i and V = coop centers -
-    c_j, the center difference of ego p and coop q is U_p - rot_z(theta)
-    V_q, and rot_z(theta + pi) only negates its xy part. The axes term is
-    (l_p - l_q)^2 + (w_p - w_q)^2 + (h_p - h_q)^2
-    + 4 (l_p l_q + w_p w_q) sin^2(delta / 2), delta = phi[p, q] - theta,
-    the same for both variants; sin(delta / 2) is expanded from the
-    half-angle tables. No 1 - cos and no |u|^2 + |v|^2 - 2 u.Rv: those
-    cancel on coincident boxes.
+def _anchor_pass(pair: _ScenePair, params: ODistParams):
+    """Score every anchor (i, j) of the frame, under both heading variants
+    when params.try_yaw_flip, else unflipped, in one pass. Anchor (i, j)'s
+    motion pivots on (e_i, c_j) with R = rot_z(phi[i, j]), or rot_z(phi[i,
+    j] + pi), xy rows negated, in the flipped variant; its pairs take _c2
+    and _da2 as in _score_motions, bit for bit, since rot_z's zero and one
+    entries add exactly. Returns (conf, mean, flip, kept): _pair_up's
+    results for cells (i V + variant) m + j, V the number of variants, conf
+    and mean shaped (n, V, m), kept in (cell, p, q) order, and flip (n, m),
+    the anchors whose flipped variant wins by _rank_key (ties unflipped).
 
-    A pair comes within tau only if its center difference is within
-    reach = tau / (alpha + beta sqrt(8)). rot_z(theta) and rot_z(theta +
-    pi) keep xy lengths and the z term is nonnegative, so under both
-    variants |U_p - rot_z(theta) V_q| >= | |U_p|_xy - |V_q|_xy |, the
-    difference of the radii tables. So the candidates of (i, p) are the
-    (anchor, q) whose radius lies within bound = reach (1 + 1e-9) +
-    pair.allowance of ego_radii[i, p]: with the radii |V_q| of all (anchor,
-    q) sorted once, that is the window between two searchsorted calls on
-    ego_radii[i, p] -/+ bound, and no (rows, m, n, m) grid is built. The
-    windows take the exact test dc2 <= reach^2 (1 + 1e-9) per variant, and
-    one argsort of what passes restores the (cell, p, q) order. The
-    allowance, 1e-6 (1 + the largest |center coordinate|), exceeds the
-    rounding of the radii, of ego_radii -/+ bound and of the rotated
-    offsets, a few ulps of the coordinates, about a billionfold: the
-    windows drop only what the exact test would. The rows run in chunks of
-    about _CANDIDATE_BUDGET window cells; the axes term, _pair_up and the
-    flip tie then run once over the candidates of all chunks.
+    A pair comes within tau only if its center difference is within reach
+    = tau / (alpha + beta sqrt(8)), and a rotation about z keeps xy lengths,
+    so |U_p - R V_q| >= | |U_p|_xy - |V_q|_xy |, U and V the centers minus
+    e_i and c_j. So the candidates of (i, p) are the (anchor, q) whose
+    radius |V_q| lies within bound = reach (1 + 1e-9) + pair.allowance of
+    ego_radii[i, p], a window of the sorted radii. The windows take the
+    exact test c2 <= reach^2 (1 + 1e-9) per variant. The allowance, 1e-6 (1
+    + the largest |center coordinate|), exceeds the rounding of the radii
+    and rotated offsets about a billionfold, so the windows drop only what
+    the exact test would. Rows run in chunks of about _CANDIDATE_BUDGET
+    window cells.
     """
     n, m = pair.needles.shape
-    rows = np.asarray(rows, dtype=np.intp)
-    signs = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None]
-    v = pair.offsets
+    signs = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])
+    e, v = pair.ego.centers.T, pair.offsets.transpose(2, 0, 1).copy()  # [x, p], [x, anchor, q]
     reach = _reach(params)
     bound, bound2 = reach * (1.0 + 1e-9) + pair.allowance, reach * reach * (1.0 + 1e-9)
     order = np.argsort(pair.coop_radii, axis=None, kind="stable")  # flat (anchor, q)
     radii = pair.coop_radii.ravel()[order]
-    ego_radii = pair.ego_radii[rows]  # [row, p]
-    lo = np.searchsorted(radii, ego_radii - bound)
-    count = np.searchsorted(radii, ego_radii + bound, side="right") - lo
-    upto = np.cumsum(count.sum(axis=1))  # window cells of rows[:r + 1]
-    none = np.empty(0, np.intp)
-    near = [(none, none, none, none, np.empty(0))]  # so a frame without rows concatenates
+    lo = np.searchsorted(radii, pair.ego_radii - bound)  # [i, p]
+    count = np.searchsorted(radii, pair.ego_radii + bound, side="right") - lo
+    upto = np.cumsum(count.sum(axis=1))  # window cells of rows 0..i
+    near = [(*[np.empty(0, np.intp)] * 4, np.empty(0))]  # so an empty frame concatenates
     start = 0
-    while start < len(rows):
+    while start < n:
         # the chunk ends at the row where its window cells reach the budget
         done = upto[start - 1] if start else 0
-        stop = min(int(np.searchsorted(upto, done + _CANDIDATE_BUDGET)) + 1, len(rows))
-        chunk = rows[start:stop]
-        cos, sin = pair.cos[chunk][..., None], pair.sin[chunk][..., None]
-        rx = (cos * v[..., 0] - sin * v[..., 1]).ravel()  # [row, anchor, q]
-        ry = (sin * v[..., 0] + cos * v[..., 1]).ravel()
-        u = (pair.ego.centers - pair.ego.centers[chunk][:, None]).reshape(-1, 3)  # [row, p]
+        stop = min(int(np.searchsorted(upto, done + _CANDIDATE_BUDGET)) + 1, n)
+        R = _rot_z(pair.cos[start:stop, :, None], pair.sin[start:stop, :, None])
+        w = _rotated(R[:2, :2], v[:2])  # [x, row, anchor, q]: rot_z's z row and column are (0, 0, 1)
+        u = (e[:, None] - e[:, start:stop, None]).reshape(3, -1)  # [x, (row, p)]
         width = count[start:stop].ravel()
         rp = np.repeat(np.arange(len(width)), width)  # (row, p) of each window cell
         aq = order[np.arange(len(rp)) + np.repeat(lo[start:stop].ravel() - (np.cumsum(width) - width), width)]
-        at = rp // n * (m * m) + aq
-        dz2 = np.square(u[rp, 2] - v[..., 2].take(aq))
-        # dc2 axes: [variant, window cell]
-        dc2 = np.square(u[rp, 0] - signs * rx.take(at)) + np.square(u[rp, 1] - signs * ry.take(at)) + dz2
-        f, k = np.nonzero(dc2 <= bound2)
+        at = np.repeat(np.arange(len(width)) // n * (m * m), width) + aq
+        xy = np.take(w.reshape(2, -1), at, axis=1)[:, None] * signs[:, None]  # [x, variant, window cell]
+        c2 = _c2(np.repeat(u, width, axis=1), (*xy, v[2].take(aq)))  # [variant, window cell]
+        f, k = np.nonzero(c2 <= bound2)
         variant = (start + rp[k] // n) * len(signs) + f
         a, q = np.divmod(aq[k], m)
         p = rp[k] % n
         s = np.argsort(((variant * m + a) * n + p) * m + q)  # into (cell, p, q) order
-        near.append((variant[s], a[s], p[s], q[s], dc2[f[s], k[s]]))
+        near.append((variant[s], a[s], p[s], q[s], c2[f[s], k[s]]))
         start = stop
     variant, a, p, q, c2 = map(np.concatenate, zip(*near))
-    cell, i = variant * m + a, rows[variant // len(signs)]
-    half = pair.sin_half[p, q] * pair.cos_half[i, a] - pair.cos_half[p, q] * pair.sin_half[i, a]
-    da2 = pair.same[p, q] + pair.cross[p, q] * np.square(half)
-    conf, mean, kept = _pair_up(cell, p, q, c2, da2, len(rows) * len(signs) * m, (n, m), params)
-    conf, mean = conf.reshape(len(rows), len(signs), m), mean.reshape(len(rows), len(signs), m)
+    i, sign = variant // len(signs), signs[variant % len(signs)]
+    da2, step = np.empty(len(p)), max(_CANDIDATE_BUDGET // 4, 1)
+    for k in (slice(b, b + step) for b in range(0, len(p), step)):
+        R = _rot_z(sign[k] * pair.cos[i[k], a[k]], sign[k] * pair.sin[i[k], a[k]])  # flipped: xy rows negated
+        da2[k] = _da2(_entries(pair.ego.axes, p[k]), R, _entries(pair.coop.axes, q[k]), sign[k])
+    conf, mean, kept = _pair_up(variant * m + a, p, q, c2, da2, n * len(signs) * m, (n, m), params)
+    conf, mean = conf.reshape(n, len(signs), m), mean.reshape(n, len(signs), m)
     flip = conf[:, -1] > conf[:, 0]
     for r, b in np.argwhere((conf[:, -1] == conf[:, 0]) & (mean[:, -1] < mean[:, 0])):
         flip[r, b] = _rank_key(conf[r, -1, b], mean[r, -1, b]) < _rank_key(conf[r, 0, b], mean[r, 0, b])
@@ -418,49 +420,51 @@ def _anchor_pass(pair: _ScenePair, rows, params: ODistParams):
 
 
 def _pair_scores(frame, anchors) -> list[PairScore]:
-    """The scores of anchors [(r, j), ...], read from the _anchor_pass
-    frame: the winning variant of coop index j in the pass's row r."""
+    """The scores of anchors [(i, j), ...], read from the _anchor_pass
+    frame: the winning variant of each."""
     conf, mean, flip, kept = frame
-    r, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
-    w = flip[r, j]
-    cells = (r * conf.shape[1] + w) * conf.shape[2] + j
+    i, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
+    w = flip[i, j]
+    cells = (i * conf.shape[1] + w) * conf.shape[2] + j
     return _scores((conf.ravel(), mean.ravel(), kept), cells, w)
 
 
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
     """Score anchor pair (ego[i], coop[j]) by whole-scene alignment
-    consistency; the valid pairs come in (ego, coop) index order. Raises
-    DegenerateGeometry for a needle anchor, whose corners fix no rotation."""
-    pair = _ScenePair(ego, coop)
-    if pair.needles[i, j]:  # IndexError for an index out of range
+    consistency: the better by _rank of its motions (see _anchor_pass) under
+    the coop heading as given and, when params.try_yaw_flip, reversed, the
+    given one winning ties; the valid pairs come in (ego, coop) index order.
+    Raises DegenerateGeometry for a needle anchor, whose corners fix no
+    rotation, and IndexError for an index out of range (< 0: from the end)."""
+    e, c = _SceneArrays(ego), _SceneArrays(coop)
+    if rank_deficient(e.dims[i] * c.dims[j]):
         raise DegenerateGeometry(f"anchor ({i}, {j}): rank-deficient cross-covariance")
-    frame = _anchor_pass(pair, [i % len(ego)], params)  # i, j < 0: from the end
-    return _pair_scores(frame, [(0, j % len(coop))])[0]
+    phi = e.yaws[i] - c.yaws[j]
+    R = _rot_z(np.cos(phi), np.sin(phi))
+    flipped = [[False], [True]] if params.try_yaw_flip else [[False]]
+    R = np.array([R, R * _FLIP_AXES[:, None]])[: len(flipped)]  # rot_z(phi + pi) negates the xy rows
+    up = _score_motions(e, c, R, e.centers[[i] * len(R)], c.centers[[j] * len(R)], flipped, params)
+    return min(_scores(up, np.arange(len(R)), np.ravel(flipped)), key=_rank)
 
 
 def alignment_score(
     ego: Scene, coop: Scene, transform: RigidTransform, params: ODistParams = ODistParams()
 ) -> PairScore:
-    """Scene-consistency score of a given transform (no anchor search).
-
-    Pairs are formed exactly as in odist (_pair_up): greedy one-to-one by
-    ascending distance within tau, listed in (ego, coop) index order. The
-    coop headings are scored as given and, when params.try_yaw_flip, also
-    reversed, as the anchors are: the better score by _rank is returned,
-    the given headings winning ties.
-    """
+    """Scene-consistency score of a given transform (no anchor search),
+    paired as in odist (_pair_up). The coop headings are scored as given
+    and, when params.try_yaw_flip, also reversed, from one c2 (the motion
+    pivots on (t, 0)): the better score by _rank is returned, the given
+    headings winning ties."""
     flipped = [False, True] if params.try_yaw_flip else [False]
-    R = np.repeat(transform.rotation[None], len(flipped), axis=0)
-    t = np.repeat(transform.translation[None], len(flipped), axis=0)
-    up = _score_motions(_SceneArrays(ego), _SceneArrays(coop), R, t, flipped, params)
+    R, t = transform.rotation[None], transform.translation[None]
+    up = _score_motions(_SceneArrays(ego), _SceneArrays(coop), R, t, np.zeros((1, 3)), [flipped], params)
     return min(_scores(up, np.arange(len(flipped)), flipped), key=_rank)
 
 
 def _score_anchors(pair: _ScenePair, params: ODistParams):
     """The affinity matrix (each anchor's confidence and winning flip flag,
-    zero for needle anchors) and the _anchor_pass over every ego index
-    that filled it: the one scoring pass over the anchors."""
-    frame = _anchor_pass(pair, range(len(pair.needles)), params)
+    zero for needle anchors) and the _anchor_pass that filled it."""
+    frame = _anchor_pass(pair, params)
     conf, _, flip, _ = frame
     entries = np.where(pair.needles, 0.0, conf.max(axis=1))
     return AffinityMatrix(entries, flip & ~pair.needles), frame
@@ -502,12 +506,11 @@ def _key(score: PairScore) -> tuple:
 def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     """weighted_kabsch of the build_feature_clouds of each valid set key =
     (pairs, flipped) with unit weights, in closed form, all keys at once:
-    the stacked rotations R, translations t and rms residuals. Centered
-    corners are S A^T / 2 (see _distance), so a set's corner
-    cross-covariance is 8 sum de dc^T + 2 sum A_e A_c^T, de and dc the
-    centers minus their means, and a pair's squared corner residuals sum
-    to 8 |r|^2 + 2 |R A_c - A_e|_F^2, r its center residual. The sums run
-    per set, so a set's fit does not depend on the others fitted with it.
+    the stacked R, t, rms residuals and centroids e_bar, c_bar (the fit is x
+    -> e_bar + R (x - c_bar)). Centered corners are S A^T / 2 (_distance),
+    so a set's corner cross-covariance is 8 sum de dc^T + 2 sum A_e A_c^T
+    (de, dc: centers minus means) and a pair's squared corner residuals sum
+    to 8 |r|^2 + 2 |R A_c - A_e|_F^2, r its center residual, per set.
     """
     sizes = np.array([len(pairs) for pairs, _ in keys])
     rows, cols = np.array([ij for pairs, _ in keys for ij in pairs]).T
@@ -527,21 +530,18 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     da = R[seg] @ axes_c - axes_e
     squares = 8.0 * np.einsum("ki,ki->k", r, r) + 2.0 * np.einsum("kij,kij->k", da, da)
     rms = np.sqrt(np.bincount(seg, weights=squares, minlength=len(keys)) / (8 * sizes))
-    return R, t, rms
+    return R, t, rms, e_bar, c_bar
 
 
 def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], params: ODistParams):
     """Refit every anchor's transform on its valid set (_fit) until the
     refit no longer scores better, all anchors in lockstep rounds. This
     ends: each kept refit strictly lowers _rank, and a refit depends only
-    on the valid set it fits, so no valid set comes back. A one-pair valid
-    set is the anchor itself and is left alone.
-
-    Each round fits the valid sets of the anchors still improving that no
-    earlier fit covered, all at once, and scores every new fit in one
-    _score_motions. Returns the refined scores, in the order of anchors,
-    and fits: each fitted key's (R, t, rms) and score. The anchors of a
-    frame often reach the same valid set, and it is fitted once.
+    on the valid set it fits. A one-pair valid set is the anchor itself and
+    is left alone. Each round fits the new valid sets of the still improving
+    anchors at once and scores them in one _score_motions. Returns the
+    refined scores, in the order of anchors, and fits: each fitted key's (R,
+    t, rms) and score.
     """
     fits: dict[tuple, tuple] = {}
     scores = list(anchors)
@@ -550,9 +550,9 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
         keys = [_key(scores[k]) for k in active]
         new = list(dict.fromkeys(key for key in keys if key not in fits))
         if new:
-            R, t, rms = _fit(ego, coop, new)
+            R, t, rms, e_bar, c_bar = _fit(ego, coop, new)
             flipped = [f for _, f in new]
-            up = _score_motions(ego, coop, R, t, flipped, params)
+            up = _score_motions(ego, coop, R, e_bar, c_bar, np.array(flipped)[:, None], params)
             refits = _scores(up, np.arange(len(new)), flipped)
             for k, (key, score) in enumerate(zip(new, refits)):
                 fits[key] = (R[k], t[k], rms[k]), score
@@ -579,7 +579,7 @@ def _associate(ego: Scene, coop: Scene, params: ODistParams) -> tuple[MatchSet, 
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
     key = _key(best)
-    R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(pair.ego, pair.coop, [key])]
+    R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(pair.ego, pair.coop, [key])[:3]]
     fit = RegistrationResult(RigidTransform(R, t), float(rms))
     return MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0])), fit
 

@@ -3,15 +3,17 @@
 The reference is the anchor block of one ego index without the prune: it
 tests every (variant, anchor, ego p, coop q) cell's squared center
 difference against the reach and goes on from np.nonzero of that grid.
-Every row of the pruned frame pass (_anchor_pass over all ego indices)
-must return the same (conf, mean, flip, (cell, p, q, d)), bit for bit and
-with the same dtypes, on generated frames, on frames near the coordinate
-bound (where the rounding allowance matters), on boxes stacked at one xy,
-at the edges of the scoring parameters and on one-box scenes. The pass
-over one row, which odist runs, must give every anchor of that row the
-score the frame pass gives it. All of it holds however the pass splits
-its rows into chunks: at the default candidate budget, at a budget that
-makes every row its own chunk and at one that splits each dense frame
+Every row of the pruned frame pass (_anchor_pass) must return the same
+(conf, mean, flip, (cell, p, q, d)), bit for bit and with the same dtypes,
+on generated frames, on frames near the coordinate bound (where the
+rounding allowance matters), on boxes stacked at one xy, at the edges of
+the scoring parameters and on one-box scenes. The reference takes the axes
+term from the module's own (_da2); its center differences and everything
+after them are its own. odist, which scores an anchor's motions with the
+transform kernel and runs no pass, must give every anchor that is not a
+needle the score the frame pass gives it. All of it holds however the pass
+splits its rows into chunks: at the default candidate budget, at a budget
+that makes every row its own chunk and at one that splits each dense frame
 into at least three.
 """
 from __future__ import annotations
@@ -65,8 +67,11 @@ def dense_block(pair, i, params):
     reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
     f, a, p, q = np.nonzero(dc2 <= reach * reach * (1.0 + 1e-9))
     c2 = dc2[f, a, p, q]
-    half = pair.sin_half[p, q] * pair.cos_half[i, a] - pair.cos_half[p, q] * pair.sin_half[i, a]
-    da2 = pair.same[p, q] + pair.cross[p, q] * np.square(half)
+    # anchor (i, a)'s rotation, xy rows negated in the flipped variant
+    flat = sign.ravel()[f]
+    rotation = association._rot_z(flat * pair.cos[i, a], flat * pair.sin[i, a])
+    axes_e, axes_c = association._entries(pair.ego.axes, p), association._entries(pair.coop.axes, q)
+    da2 = association._da2(axes_e, rotation, axes_c, flat)
     d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
     inside = d <= params.tau
     cell, p, q, d = (f * m + a)[inside], p[inside], q[inside], d[inside]
@@ -90,12 +95,13 @@ def dense_block(pair, i, params):
     return conf, mean, flip, (cell, p, q, d)
 
 
-def assert_same_blocks(ego, coop, params):
+def assert_same_blocks(ego, coop, params, with_odist=True):
     """Every row of the frame pass equals the dense block of its ego index,
-    and odist, which runs the pass on one row, reads the same scores."""
+    and with_odist, odist gives every anchor that is not a needle the score
+    the frame pass gives it."""
     pair = association._ScenePair(ego, coop)
     n, m = pair.needles.shape
-    frame = association._anchor_pass(pair, range(n), params)
+    frame = association._anchor_pass(pair, params)
     conf, mean, flip, (cell, p, q, d) = frame
     width = conf.shape[1] * m  # cells per row
     for i in range(n):
@@ -104,13 +110,11 @@ def assert_same_blocks(ego, coop, params):
         *want, want_kept = dense_block(pair, i, params)
         for g, w in zip(got, [*want, *want_kept]):
             assert g.dtype == w.dtype and np.array_equal(g, w), f"ego index {i}"
-        anchors = [j for j in range(m) if not pair.needles[i, j]]
-        row = association._anchor_pass(pair, [i], params)
-        own = association._pair_scores(row, [(0, j) for j in anchors])
-        assert own == association._pair_scores(frame, [(i, j) for j in anchors]), f"ego index {i}"
-        if anchors:  # odist itself on one coop index per row, spread over the columns
-            j = anchors[(7 * i) % len(anchors)]
-            assert odist(ego, coop, i, j, params) == own[anchors.index(j)], f"anchor ({i}, {j})"
+        if with_odist:
+            anchors = [j for j in range(m) if not pair.needles[i, j]]
+            scores = association._pair_scores(frame, [(i, j) for j in anchors])
+            for j, score in zip(anchors, scores):
+                assert odist(ego, coop, i, j, params) == score, f"anchor ({i}, {j})"
 
 
 def dense_frame(seed, sigma=0.3, yaw_deg=3.0):
@@ -208,8 +212,9 @@ def test_the_middle_budget_splits_dense_frames_into_three_chunks(scene):
 @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
 @pytest.mark.parametrize("scene", SCENES.keys())
 def test_chunked_passes_equal_the_dense_search(scene, params, budget, monkeypatch):
+    # odist runs no pass, so the chunks cannot change what it gives
     monkeypatch.setattr(association, "_CANDIDATE_BUDGET", budget)
-    assert_same_blocks(*SCENES[scene], params)
+    assert_same_blocks(*SCENES[scene], params, with_odist=False)
 
 
 @pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS.keys())
@@ -230,7 +235,7 @@ def test_pairs_on_the_rim_need_the_allowance():
         assert np.any(gap > params.tau * (1.0 + 1e-9))  # within tau, past the reach
         assert_same_blocks(ego, coop, params)
         pair.allowance = 0.0
-        conf, _, _, (cell, _, _, _) = association._anchor_pass(pair, range(len(ego)), params)
+        conf, _, _, (cell, _, _, _) = association._anchor_pass(pair, params)
         width = conf.shape[1] * len(coop)
         for i in range(len(ego)):
             if np.count_nonzero(cell // width == i) < len(dense_block(pair, i, params)[3][0]):
@@ -240,13 +245,57 @@ def test_pairs_on_the_rim_need_the_allowance():
     assert lost, "the rim pairs never reach the edge of a window"
 
 
-def test_a_pass_without_rows_is_empty():
+def anchor_motion_scores(pair, params, anchors):
+    """The transform kernel's score of each anchor (i, j): its motions about
+    (e_i, c_j), rot_z(phi) under the given coop heading and rot_z(phi + pi)
+    under the reversed one, scored in one _score_motions call; the better
+    by _rank, the given heading winning ties."""
+    i, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
+    R = association._rot_z(pair.cos[i, j], pair.sin[i, j]).transpose(2, 0, 1)
+    V = 2 if params.try_yaw_flip else 1
+    # [anchor, variant]: rot_z(phi + pi) negates the xy rows
+    R = np.stack([R, R * association._FLIP_AXES[:, None]], axis=1)[:, :V].reshape(-1, 3, 3)
+    flipped = np.tile([False, True][:V], len(i))
+    e_star, c_star = np.repeat(pair.ego.centers[i], V, axis=0), np.repeat(pair.coop.centers[j], V, axis=0)
+    up = association._score_motions(pair.ego, pair.coop, R, e_star, c_star, flipped[:, None], params)
+    scores = association._scores(up, np.arange(len(flipped)), flipped)
+    return [min(scores[k : k + V], key=association._rank) for k in range(0, len(scores), V)]
+
+
+def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatch):
+    # far from the origin, at the tau edge, the two kernels once rounded
+    # differently, and refinement's first step ranks a refit from one
+    # against its seed from the other: the seeds must be the transform
+    # kernel's scores of the anchors' motions
+    params = ODistParams(tau=5e-4, alpha=1.0, beta=0.0)
+    seeds, refine = [], association._refine
+
+    def refine_spy(ego, coop, anchors, *args):
+        seeds.append(list(anchors))
+        return refine(ego, coop, anchors, *args)
+
+    monkeypatch.setattr(association, "_refine", refine_spy)
+    for seed in (0, 1):
+        ego, coop = rim_pair(params.tau, seed=seed)
+        pair = association._ScenePair(ego, coop)
+        anchors = [tuple(a) for a in np.argwhere(~pair.needles).tolist()]
+        frame = association._anchor_pass(pair, params)
+        assert anchor_motion_scores(pair, params, anchors) == association._pair_scores(frame, anchors)
+        seeds.clear()
+        matches = association.associate(ego, coop, params)
+        assigned = association.solve_assignment(association.build_affinity(ego, coop, params))
+        assert len(matches) > 1 and len(seeds) == 1
+        assert seeds[0] == anchor_motion_scores(pair, params, [(a.ego_index, a.coop_index) for a in assigned])
+
+
+@pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
+def test_a_pass_over_an_empty_scene_is_empty(params):
     ego, coop = SCENES["dense-0"]
-    pair = association._ScenePair(ego, coop)
-    for params in PARAMS.values():
-        conf, mean, flip, kept = association._anchor_pass(pair, [], params)
-        variants = 2 if params.try_yaw_flip else 1
-        assert conf.shape == mean.shape == (0, variants, len(coop)) and flip.shape == (0, len(coop))
+    variants = 2 if params.try_yaw_flip else 1
+    for n, m in ((0, len(coop)), (len(ego), 0), (0, 0)):
+        pair = association._ScenePair(make_scene(ego[:n]), make_scene(coop[:m]))
+        conf, mean, flip, kept = association._anchor_pass(pair, params)
+        assert conf.shape == mean.shape == (n, variants, m) and flip.shape == (n, m)
         assert conf.dtype == np.intp and mean.dtype == np.float64 and flip.dtype == bool
         assert [k.dtype for k in kept] == [np.intp, np.intp, np.intp, np.float64]
         assert all(len(k) == 0 for k in kept)

@@ -242,20 +242,20 @@ def test_associate_scores_each_ego_index_in_one_block(monkeypatch, ego, coop):
     passes, fits = [], []
     anchor_pass, fit, score_motions = association._anchor_pass, association._fit, association._score_motions
 
-    def pass_spy(pair, rows, *args):
-        passes.append(list(rows))
-        return anchor_pass(pair, rows, *args)
+    def pass_spy(pair, *args):
+        passes.append(pair)
+        return anchor_pass(pair, *args)
 
     def fit_spy(*args):
         fits.append(fit(*args))
         return fits[-1]
 
     def motions_spy(ego_a, coop_a, R, *args):
-        assert any(R is rotations for rotations, _, _ in fits), "a motion other than a refit was scored"
+        assert any(R is rotations for rotations, *_ in fits), "a motion other than a refit was scored"
         return score_motions(ego_a, coop_a, R, *args)
 
     monkeypatch.setattr(association, "_anchor_pass", pass_spy)
     monkeypatch.setattr(association, "_fit", fit_spy)
     monkeypatch.setattr(association, "_score_motions", motions_spy)
     assert len(associate(ego, coop)) > 0
-    assert passes == [list(range(len(ego)))]
+    assert len(passes) == 1 and passes[0].needles.shape == (len(ego), len(coop))

@@ -39,7 +39,7 @@ def corner_fit(ego, coop, pairs, flipped):
 
 def closed_form_fit(ego, coop, pairs, flipped):
     arrays = association._SceneArrays
-    R, t, rms = association._fit(arrays(ego), arrays(coop), [(pairs, flipped)])
+    R, t, rms, _, _ = association._fit(arrays(ego), arrays(coop), [(pairs, flipped)])
     return RegistrationResult(RigidTransform(R[0], t[0]), float(rms[0]))
 
 
