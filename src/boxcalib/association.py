@@ -26,17 +26,19 @@ arithmetic serves them all: the squared center difference c2 =
 da2 = |A_e - R A_c|_F^2 (_da2) and one tail (_pair_up) over any number of
 cells: the distance (_distance), the tau gate, the greedy one-to-one
 pairing (_greedy) and the valid-set size and mean, so every PairScore
-lists its valid pairs in (ego, coop) order. Two kernels generate the
-pairs, each run once per frame or refinement round, never per anchor.
-The anchor pass (_anchor_pass) scores every anchor, each about (e_i,
+lists its valid pairs in (ego, coop) order; a fit's rms sums 8 c2 + 2 da2
+over its pairs. Two kernels generate the pairs, each run once per frame or
+refinement round, never per anchor. The anchor pass (_anchor_pass)
+builds the frame's tables and scores every anchor, each about (e_i,
 c_j), on the pairs that windows of sorted xy radii put within reach (a
-rotation about z keeps xy lengths), and fills the affinity matrix;
-refinement starts from the assigned anchors' scores read from it. The
-transform kernel (_score_motions) scores given motions: odist's (an
-anchor's, bit for bit the pass's), a round's refits about their
-centroids (_refine), and alignment_score's and the health check's,
-about (t, 0). One rule ranks scores (_rank): it picks the heading of
-each anchor and of each scored transform, and decides refinement's steps.
+rotation about z keeps xy lengths), in one loop over chunks of rows, and
+fills the affinity matrix; refinement starts from the assigned anchors'
+scores read from it. The transform kernel (_score_motions) scores given
+motions: odist's (an anchor's, bit for bit the pass's), a round's refits
+about their centroids (_refine), and alignment_score's and the health
+check's, about (t, 0). One rule ranks scores (_rank): it picks the
+heading of each anchor and of each scored transform, and decides
+refinement's steps.
 """
 from __future__ import annotations
 
@@ -58,9 +60,9 @@ TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 # where its window cells reach this count, so the pass's temporaries, about
 # 150 bytes per cell, stay near a MB and in cache whatever the frame size.
 # One chunk for a whole 80 x 64 frame traced 122 MB; on 32 x 32 frames
-# 2^13 ran no slower than 2^15 and peaked 2 MB lower. The axes term, about
-# 500 bytes per candidate, runs on blocks of a quarter as many candidates.
+# 2^13 ran no slower than 2^15 and peaked 2 MB lower.
 _CANDIDATE_BUDGET = 1 << 13
+_ALLOWANCE = 1e-6  # the radius windows' rounding allowance per meter (_anchor_pass)
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -324,25 +326,6 @@ def _rank(score: PairScore) -> tuple[float, float]:
     return _rank_key(score.confidence, score.mean_distance)
 
 
-class _ScenePair:
-    """Both scenes' arrays and what all anchors of the pair share: cos and
-    sin of the heading differences phi = yaw_e - yaw_c, the coop offsets
-    c_q - c_j, the xy radii |e_p - e_i| and |c_q - c_j| with the allowance
-    for their rounding, and the needle anchors (registration's rank test)."""
-
-    def __init__(self, ego: Scene, coop: Scene):
-        self.ego, self.coop = _SceneArrays(ego), _SceneArrays(coop)
-        phi = self.ego.yaws[:, None] - self.coop.yaws[None, :]
-        self.cos, self.sin = np.cos(phi), np.sin(phi)
-        self.offsets = self.coop.centers[None, :, :] - self.coop.centers[:, None, :]
-        xy = self.ego.centers[:, :2]
-        self.ego_radii = np.linalg.norm(xy[None, :, :] - xy[:, None, :], axis=-1)
-        self.coop_radii = np.linalg.norm(self.offsets[..., :2], axis=-1)
-        centers = np.concatenate([self.ego.centers, self.coop.centers])
-        self.allowance = 1e-6 * (1.0 + np.max(np.abs(centers), initial=0.0))
-        self.needles = rank_deficient(self.ego.dims[:, None, :] * self.coop.dims[None, :, :])
-
-
 def _rot_z(cos, sin):
     """rot_z's entries [r, c] over arrays of cos and sin."""
     R = np.zeros((3, 3, *np.shape(cos)))
@@ -350,7 +333,7 @@ def _rot_z(cos, sin):
     return R
 
 
-def _anchor_pass(pair: _ScenePair, params: ODistParams):
+def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     """Score every anchor (i, j) of the frame, under both heading variants
     when params.try_yaw_flip, else unflipped, in one pass. Anchor (i, j)'s
     motion pivots on (e_i, c_j) with R = rot_z(phi[i, j]), or rot_z(phi[i,
@@ -365,31 +348,40 @@ def _anchor_pass(pair: _ScenePair, params: ODistParams):
     = tau / (alpha + beta sqrt(8)), and a rotation about z keeps xy lengths,
     so |U_p - R V_q| >= | |U_p|_xy - |V_q|_xy |, U and V the centers minus
     e_i and c_j. So the candidates of (i, p) are the (anchor, q) whose
-    radius |V_q| lies within bound = reach (1 + 1e-9) + pair.allowance of
-    ego_radii[i, p], a window of the sorted radii. The windows take the
-    exact test c2 <= reach^2 (1 + 1e-9) per variant. The allowance, 1e-6 (1
-    + the largest |center coordinate|), exceeds the rounding of the radii
-    and rotated offsets about a billionfold, so the windows drop only what
-    the exact test would. Rows run in chunks of about _CANDIDATE_BUDGET
-    window cells.
+    radius |V_q| lies within bound = reach (1 + 1e-9) + allowance of |U_p|,
+    a window of the sorted radii. The windows take the exact test c2 <=
+    reach^2 (1 + 1e-9) per variant. The allowance, _ALLOWANCE (1 + the
+    largest |center coordinate|), exceeds the rounding of the radii and
+    rotated offsets about a billionfold, so the windows drop only what the
+    exact test would. The pass builds these tables, then runs its rows in
+    chunks of about _CANDIDATE_BUDGET window cells, where the candidates
+    within reach take _da2 of rot_z(phi) and sign +1 under both headings:
+    the flipped variant negates R's xy rows and A_c's xy columns, and
+    (-r)(-a) = r a bit for bit.
     """
-    n, m = pair.needles.shape
+    n, m = len(ego.centers), len(coop.centers)
     signs = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])
-    e, v = pair.ego.centers.T, pair.offsets.transpose(2, 0, 1).copy()  # [x, p], [x, anchor, q]
+    phi = ego.yaws[:, None] - coop.yaws[None, :]
+    cos, sin = np.cos(phi), np.sin(phi)
+    offsets = coop.centers[None, :, :] - coop.centers[:, None, :]  # [anchor, q, x]
+    ego_radii = np.linalg.norm(ego.centers[None, :, :2] - ego.centers[:, None, :2], axis=-1)  # [i, p]
+    coop_radii = np.linalg.norm(offsets[..., :2], axis=-1)
+    largest = np.max(np.abs(np.concatenate([ego.centers, coop.centers])), initial=0.0)
+    e, v = ego.centers.T, offsets.transpose(2, 0, 1).copy()  # [x, p], [x, anchor, q]
     reach = _reach(params)
-    bound, bound2 = reach * (1.0 + 1e-9) + pair.allowance, reach * reach * (1.0 + 1e-9)
-    order = np.argsort(pair.coop_radii, axis=None, kind="stable")  # flat (anchor, q)
-    radii = pair.coop_radii.ravel()[order]
-    lo = np.searchsorted(radii, pair.ego_radii - bound)  # [i, p]
-    count = np.searchsorted(radii, pair.ego_radii + bound, side="right") - lo
+    bound, bound2 = reach * (1.0 + 1e-9) + _ALLOWANCE * (1.0 + largest), reach * reach * (1.0 + 1e-9)
+    order = np.argsort(coop_radii, axis=None, kind="stable")  # flat (anchor, q)
+    radii = coop_radii.ravel()[order]
+    lo = np.searchsorted(radii, ego_radii - bound)  # [i, p]
+    count = np.searchsorted(radii, ego_radii + bound, side="right") - lo
     upto = np.cumsum(count.sum(axis=1))  # window cells of rows 0..i
-    near = [(*[np.empty(0, np.intp)] * 4, np.empty(0))]  # so an empty frame concatenates
+    near = [(*[np.empty(0, np.intp)] * 3, np.empty(0), np.empty(0))]  # so an empty frame concatenates
     start = 0
     while start < n:
         # the chunk ends at the row where its window cells reach the budget
         done = upto[start - 1] if start else 0
         stop = min(int(np.searchsorted(upto, done + _CANDIDATE_BUDGET)) + 1, n)
-        R = _rot_z(pair.cos[start:stop, :, None], pair.sin[start:stop, :, None])
+        R = _rot_z(cos[start:stop, :, None], sin[start:stop, :, None])
         w = _rotated(R[:2, :2], v[:2])  # [x, row, anchor, q]: rot_z's z row and column are (0, 0, 1)
         u = (e[:, None] - e[:, start:stop, None]).reshape(3, -1)  # [x, (row, p)]
         width = count[start:stop].ravel()
@@ -399,19 +391,15 @@ def _anchor_pass(pair: _ScenePair, params: ODistParams):
         xy = np.take(w.reshape(2, -1), at, axis=1)[:, None] * signs[:, None]  # [x, variant, window cell]
         c2 = _c2(np.repeat(u, width, axis=1), (*xy, v[2].take(aq)))  # [variant, window cell]
         f, k = np.nonzero(c2 <= bound2)
-        variant = (start + rp[k] // n) * len(signs) + f
+        i, p = start + rp[k] // n, rp[k] % n
         a, q = np.divmod(aq[k], m)
-        p = rp[k] % n
-        s = np.argsort(((variant * m + a) * n + p) * m + q)  # into (cell, p, q) order
-        near.append((variant[s], a[s], p[s], q[s], c2[f[s], k[s]]))
+        da2 = _da2(_entries(ego.axes, p), _rot_z(cos[i, a], sin[i, a]), _entries(coop.axes, q), 1.0)
+        cell = (i * len(signs) + f) * m + a
+        s = np.argsort((cell * n + p) * m + q)  # into (cell, p, q) order
+        near.append((cell[s], p[s], q[s], c2[f[s], k[s]], da2[s]))
         start = stop
-    variant, a, p, q, c2 = map(np.concatenate, zip(*near))
-    i, sign = variant // len(signs), signs[variant % len(signs)]
-    da2, step = np.empty(len(p)), max(_CANDIDATE_BUDGET // 4, 1)
-    for k in (slice(b, b + step) for b in range(0, len(p), step)):
-        R = _rot_z(sign[k] * pair.cos[i[k], a[k]], sign[k] * pair.sin[i[k], a[k]])  # flipped: xy rows negated
-        da2[k] = _da2(_entries(pair.ego.axes, p[k]), R, _entries(pair.coop.axes, q[k]), sign[k])
-    conf, mean, kept = _pair_up(variant * m + a, p, q, c2, da2, n * len(signs) * m, (n, m), params)
+    cell, p, q, c2, da2 = map(np.concatenate, zip(*near))
+    conf, mean, kept = _pair_up(cell, p, q, c2, da2, n * len(signs) * m, (n, m), params)
     conf, mean = conf.reshape(n, len(signs), m), mean.reshape(n, len(signs), m)
     flip = conf[:, -1] > conf[:, 0]
     for r, b in np.argwhere((conf[:, -1] == conf[:, 0]) & (mean[:, -1] < mean[:, 0])):
@@ -461,18 +449,18 @@ def alignment_score(
     return min(_scores(up, np.arange(len(flipped)), flipped), key=_rank)
 
 
-def _score_anchors(pair: _ScenePair, params: ODistParams):
+def _score_anchors(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     """The affinity matrix (each anchor's confidence and winning flip flag,
     zero for needle anchors) and the _anchor_pass that filled it."""
-    frame = _anchor_pass(pair, params)
+    frame = _anchor_pass(ego, coop, params)
     conf, _, flip, _ = frame
-    entries = np.where(pair.needles, 0.0, conf.max(axis=1))
-    return AffinityMatrix(entries, flip & ~pair.needles), frame
+    needles = rank_deficient(ego.dims[:, None, :] * coop.dims[None, :, :])
+    return AffinityMatrix(np.where(needles, 0.0, conf.max(axis=1)), flip & ~needles), frame
 
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
     """Score every anchor pair; entry (i, j) is its confidence."""
-    return _score_anchors(_ScenePair(ego, coop), params)[0]
+    return _score_anchors(_SceneArrays(ego), _SceneArrays(coop), params)[0]
 
 
 def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
@@ -510,26 +498,26 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     -> e_bar + R (x - c_bar)). Centered corners are S A^T / 2 (_distance),
     so a set's corner cross-covariance is 8 sum de dc^T + 2 sum A_e A_c^T
     (de, dc: centers minus means) and a pair's squared corner residuals sum
-    to 8 |r|^2 + 2 |R A_c - A_e|_F^2, r its center residual, per set.
+    to 8 c2 + 2 da2 (_c2, _da2) of the fit's motion, per set.
     """
     sizes = np.array([len(pairs) for pairs, _ in keys])
     rows, cols = np.array([ij for pairs, _ in keys for ij in pairs]).T
     seg = np.repeat(np.arange(len(keys)), sizes)
     starts = np.cumsum(sizes) - sizes
-    flipped = np.repeat([f for _, f in keys], sizes)[:, None, None]
+    flipped = np.repeat([f for _, f in keys], sizes)
     e, c, axes_e, axes_c = ego.centers[rows], coop.centers[cols], ego.axes[rows], coop.axes[cols]
-    axes_c = np.where(flipped, axes_c * _FLIP_AXES, axes_c)
     e_bar = np.add.reduceat(e, starts) / sizes[:, None]
     c_bar = np.add.reduceat(c, starts) / sizes[:, None]
     de, dc = e - e_bar[seg], c - c_bar[seg]
     H = 8.0 * np.add.reduceat(de[:, :, None] * dc[:, None, :], starts)
-    H += 2.0 * np.add.reduceat(axes_e @ np.swapaxes(axes_c, 1, 2), starts)
+    flipped_c = np.where(flipped[:, None, None], axes_c * _FLIP_AXES, axes_c)
+    H += 2.0 * np.add.reduceat(axes_e @ np.swapaxes(flipped_c, 1, 2), starts)
     R = nearest_rotation(H)
     t = e_bar - np.einsum("kij,kj->ki", R, c_bar)
-    r = np.einsum("kij,kj->ki", R[seg], c) + t[seg] - e
-    da = R[seg] @ axes_c - axes_e
-    squares = 8.0 * np.einsum("ki,ki->k", r, r) + 2.0 * np.einsum("kij,kij->k", da, da)
-    rms = np.sqrt(np.bincount(seg, weights=squares, minlength=len(keys)) / (8 * sizes))
+    Rs = _entries(R, seg)
+    c2 = _c2(de.T, _rotated(Rs, dc.T))
+    da2 = _da2(axes_e.transpose(1, 2, 0), Rs, axes_c.transpose(1, 2, 0), np.where(flipped, -1.0, 1.0))
+    rms = np.sqrt(np.bincount(seg, weights=8.0 * c2 + 2.0 * da2, minlength=len(keys)) / (8 * sizes))
     return R, t, rms, e_bar, c_bar
 
 
@@ -569,17 +557,17 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
 def _associate(ego: Scene, coop: Scene, params: ODistParams) -> tuple[MatchSet, RegistrationResult]:
     """associate's matches and their fit (_fit): the cached fit _refine
     stopped at, or the one fit of a one-pair valid set."""
-    pair = _ScenePair(ego, coop)
-    affinity, frame = _score_anchors(pair, params)
+    arrays = _SceneArrays(ego), _SceneArrays(coop)
+    affinity, frame = _score_anchors(*arrays, params)
     assigned = solve_assignment(affinity)
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
     anchors = _pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
-    refined, fits = _refine(pair.ego, pair.coop, anchors, params)
+    refined, fits = _refine(*arrays, anchors, params)
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
     key = _key(best)
-    R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(pair.ego, pair.coop, [key])[:3]]
+    R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(*arrays, [key])[:3]]
     fit = RegistrationResult(RigidTransform(R, t), float(rms))
     return MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0])), fit
 

@@ -1,20 +1,22 @@
 """The frame pass's radius prune against the dense candidate search.
 
-The reference is the anchor block of one ego index without the prune: it
-tests every (variant, anchor, ego p, coop q) cell's squared center
-difference against the reach and goes on from np.nonzero of that grid.
-Every row of the pruned frame pass (_anchor_pass) must return the same
-(conf, mean, flip, (cell, p, q, d)), bit for bit and with the same dtypes,
-on generated frames, on frames near the coordinate bound (where the
-rounding allowance matters), on boxes stacked at one xy, at the edges of
-the scoring parameters and on one-box scenes. The reference takes the axes
-term from the module's own (_da2); its center differences and everything
-after them are its own. odist, which scores an anchor's motions with the
-transform kernel and runs no pass, must give every anchor that is not a
-needle the score the frame pass gives it. All of it holds however the pass
-splits its rows into chunks: at the default candidate budget, at a budget
-that makes every row its own chunk and at one that splits each dense frame
-into at least three.
+The reference builds the frame's tables itself (Tables) and takes the
+anchor block of one ego index without the prune: it tests every
+(variant, anchor, ego p, coop q) cell's squared center difference against
+the reach and goes on from np.nonzero of that grid. Every row of the
+pruned frame pass (_anchor_pass) must return the same (conf, mean, flip,
+(cell, p, q, d)), bit for bit and with the same dtypes, on generated
+frames, on frames near the coordinate bound (where the rounding allowance
+matters), on boxes stacked at one xy, at the edges of the scoring
+parameters and on one-box scenes. The reference takes the axes term from
+the module's own (_da2), with the reversed heading's rotation (xy rows
+negated) and sign -1 where the pass uses rot_z(phi) and sign +1; its
+center differences and everything after them are its own. odist, which
+scores an anchor's motions with the transform kernel and runs no pass,
+must give every anchor that is not a needle the score the frame pass
+gives it. All of it holds however the pass splits its rows into chunks:
+at the default candidate budget, at a budget that makes every row its own
+chunk and at one that splits each dense frame into at least three.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxcalib import (
     NoiseConfig,
@@ -35,6 +39,7 @@ from boxcalib import (
 from boxcalib import association
 from boxcalib.association import TAU_MAX, _greedy
 from boxcalib.io import MAX_COORDINATE_M
+from boxcalib.registration import rank_deficient
 
 from conftest import make_box, make_scene
 
@@ -48,8 +53,28 @@ PARAMS = {
 }
 
 
+class Tables:
+    """The frame's tables, built here as the reference: both scenes' arrays,
+    cos and sin of the heading differences yaw_e - yaw_c, the coop offsets
+    c_q - c_j, the xy radii |e_p - e_i| and |c_q - c_j|, the radius
+    windows' rounding allowance and the needle anchors."""
+
+    def __init__(self, ego, coop):
+        self.ego, self.coop = association._SceneArrays(ego), association._SceneArrays(coop)
+        phi = self.ego.yaws[:, None] - self.coop.yaws[None, :]
+        self.cos, self.sin = np.cos(phi), np.sin(phi)
+        self.offsets = self.coop.centers[None, :, :] - self.coop.centers[:, None, :]
+        xy = self.ego.centers[:, :2]
+        self.ego_radii = np.linalg.norm(xy[None, :, :] - xy[:, None, :], axis=-1)
+        self.coop_radii = np.linalg.norm(self.offsets[..., :2], axis=-1)
+        centers = np.concatenate([self.ego.centers, self.coop.centers])
+        self.allowance = 1e-6 * (1.0 + np.max(np.abs(centers), initial=0.0))
+        self.needles = rank_deficient(self.ego.dims[:, None, :] * self.coop.dims[None, :, :])
+
+
 def dense_block(pair, i, params):
-    """The anchor block with the full candidate grid, no radius prune."""
+    """The anchor block of pair (Tables) with the full candidate grid, no
+    radius prune."""
     n, m = pair.needles.shape
     sign = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
     cells = len(sign) * m
@@ -99,9 +124,9 @@ def assert_same_blocks(ego, coop, params, with_odist=True):
     """Every row of the frame pass equals the dense block of its ego index,
     and with_odist, odist gives every anchor that is not a needle the score
     the frame pass gives it."""
-    pair = association._ScenePair(ego, coop)
+    pair = Tables(ego, coop)
     n, m = pair.needles.shape
-    frame = association._anchor_pass(pair, params)
+    frame = association._anchor_pass(pair.ego, pair.coop, params)
     conf, mean, flip, (cell, p, q, d) = frame
     width = conf.shape[1] * m  # cells per row
     for i in range(n):
@@ -204,7 +229,7 @@ def window_cells(pair, params):
 @pytest.mark.parametrize("scene", [s for s in SCENES if s.startswith("dense-")])
 def test_the_middle_budget_splits_dense_frames_into_three_chunks(scene):
     # a chunk holds less than the budget plus one row's cells
-    cells = window_cells(association._ScenePair(*SCENES[scene]), PARAMS["default"])
+    cells = window_cells(Tables(*SCENES[scene]), PARAMS["default"])
     assert cells.sum() >= 3 * (BUDGETS["middle"] + cells.max())
 
 
@@ -224,18 +249,20 @@ def test_chunked_one_box_scenes_keep_the_dense_search(params, budget, monkeypatc
     test_one_box_scenes_keep_the_dense_search(params)
 
 
-def test_pairs_on_the_rim_need_the_allowance():
+def test_pairs_on_the_rim_need_the_allowance(monkeypatch):
     params = ODistParams(tau=5e-4, alpha=1.0, beta=0.0)  # reach = tau
-    lost = []  # (seed, ego index) whose rows lose pairs without the allowance
-    for seed in (0, 1):
-        ego, coop = rim_pair(params.tau, seed=seed)
-        pair = association._ScenePair(ego, coop)
+    pairs = {seed: rim_pair(params.tau, seed=seed) for seed in (0, 1)}
+    for ego, coop in pairs.values():
+        pair = Tables(ego, coop)
         cell, p, q, _ = dense_block(pair, 0, params)[3]
         gap = np.abs(pair.ego_radii[0, p] - pair.coop_radii[cell % len(coop), q])
         assert np.any(gap > params.tau * (1.0 + 1e-9))  # within tau, past the reach
         assert_same_blocks(ego, coop, params)
-        pair.allowance = 0.0
-        conf, _, _, (cell, _, _, _) = association._anchor_pass(pair, params)
+    monkeypatch.setattr(association, "_ALLOWANCE", 0.0)
+    lost = []  # (seed, ego index) whose rows lose pairs without the allowance
+    for seed, (ego, coop) in pairs.items():
+        pair = Tables(ego, coop)
+        conf, _, _, (cell, _, _, _) = association._anchor_pass(pair.ego, pair.coop, params)
         width = conf.shape[1] * len(coop)
         for i in range(len(ego)):
             if np.count_nonzero(cell // width == i) < len(dense_block(pair, i, params)[3][0]):
@@ -245,11 +272,33 @@ def test_pairs_on_the_rim_need_the_allowance():
     assert lost, "the rim pairs never reach the edge of a window"
 
 
+def scaled_axes(boxes):
+    """The _entries of the scaled axes of boxes [(dims, yaw), ...]."""
+    arrays = association._SceneArrays(make_scene([make_box((0.0, 0.0, 0.0), d, y) for d, y in boxes]))
+    return association._entries(arrays.axes, np.arange(len(boxes)))
+
+
+BOX = st.tuples(st.tuples(*[st.floats(0.01, 50.0)] * 3), st.floats(-10.0, 10.0))  # (dims, yaw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(BOX, BOX, st.floats(-10.0, 10.0)), min_size=1, max_size=8))
+def test_a_reversed_heading_takes_the_axes_term_of_sign_plus_one(pairs):
+    # the pass scores both coop headings from rot_z(phi) with sign +1: the
+    # reversed heading negates rot_z's xy rows and the coop axes' xy
+    # columns (sign -1), and every product (-r)(-a) is r a bit for bit
+    ego, coop, phi = zip(*pairs)
+    axes_e, axes_c, R = scaled_axes(ego), scaled_axes(coop), association._rot_z(np.cos(phi), np.sin(phi))
+    given_heading = association._da2(axes_e, R, axes_c, 1.0)
+    reversed_heading = association._da2(axes_e, R * association._FLIP_AXES[:, None, None], axes_c, -1.0)
+    assert given_heading.tobytes() == reversed_heading.tobytes()
+
+
 def anchor_motion_scores(pair, params, anchors):
-    """The transform kernel's score of each anchor (i, j): its motions about
-    (e_i, c_j), rot_z(phi) under the given coop heading and rot_z(phi + pi)
-    under the reversed one, scored in one _score_motions call; the better
-    by _rank, the given heading winning ties."""
+    """The transform kernel's score of each anchor (i, j) of pair (Tables):
+    its motions about (e_i, c_j), rot_z(phi) under the given coop heading
+    and rot_z(phi + pi) under the reversed one, scored in one _score_motions
+    call; the better by _rank, the given heading winning ties."""
     i, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
     R = association._rot_z(pair.cos[i, j], pair.sin[i, j]).transpose(2, 0, 1)
     V = 2 if params.try_yaw_flip else 1
@@ -277,9 +326,9 @@ def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatc
     monkeypatch.setattr(association, "_refine", refine_spy)
     for seed in (0, 1):
         ego, coop = rim_pair(params.tau, seed=seed)
-        pair = association._ScenePair(ego, coop)
+        pair = Tables(ego, coop)
         anchors = [tuple(a) for a in np.argwhere(~pair.needles).tolist()]
-        frame = association._anchor_pass(pair, params)
+        frame = association._anchor_pass(pair.ego, pair.coop, params)
         assert anchor_motion_scores(pair, params, anchors) == association._pair_scores(frame, anchors)
         seeds.clear()
         matches = association.associate(ego, coop, params)
@@ -293,8 +342,8 @@ def test_a_pass_over_an_empty_scene_is_empty(params):
     ego, coop = SCENES["dense-0"]
     variants = 2 if params.try_yaw_flip else 1
     for n, m in ((0, len(coop)), (len(ego), 0), (0, 0)):
-        pair = association._ScenePair(make_scene(ego[:n]), make_scene(coop[:m]))
-        conf, mean, flip, kept = association._anchor_pass(pair, params)
+        arrays = association._SceneArrays(make_scene(ego[:n])), association._SceneArrays(make_scene(coop[:m]))
+        conf, mean, flip, kept = association._anchor_pass(*arrays, params)
         assert conf.shape == mean.shape == (n, variants, m) and flip.shape == (n, m)
         assert conf.dtype == np.intp and mean.dtype == np.float64 and flip.dtype == bool
         assert [k.dtype for k in kept] == [np.intp, np.intp, np.intp, np.float64]

@@ -78,30 +78,30 @@ def sequential_refine(ego, coop, score, params, refits):
 
 
 def assigned_anchors(ego, coop, params):
-    pair = association._ScenePair(ego, coop)
-    affinity, frame = association._score_anchors(pair, params)
+    arrays = association._SceneArrays(ego), association._SceneArrays(coop)
+    affinity, frame = association._score_anchors(*arrays, params)
     assigned = solve_assignment(affinity)
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor")
-    return pair, association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
+    return arrays, association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
 
 
 def sequential_associate(ego, coop, params):
     """(refined scores, fitted keys, matches, (R, t, rms)) as the sequential
     refinement gives them."""
-    pair, anchors = assigned_anchors(ego, coop, params)
+    arrays, anchors = assigned_anchors(ego, coop, params)
     refits = {}
-    refined = [sequential_refine(pair.ego, pair.coop, score, params, refits) for score in anchors]
+    refined = [sequential_refine(*arrays, score, params, refits) for score in anchors]
     best = min(refined, key=_rank)
     key = _key(best)
-    fit = refits[key][0] if key in refits else sequential_fit(pair.ego, pair.coop, *key)
+    fit = refits[key][0] if key in refits else sequential_fit(*arrays, *key)
     matches = [(i, j, best.confidence, best.coop_flipped) for i, j in key[0]]
     return refined, set(refits), matches, fit
 
 
 def lockstep_associate(ego, coop, params):
-    pair, anchors = assigned_anchors(ego, coop, params)
-    refined, fits = association._refine(pair.ego, pair.coop, anchors, params)
+    arrays, anchors = assigned_anchors(ego, coop, params)
+    refined, fits = association._refine(*arrays, anchors, params)
     matches, fit = association._associate(ego, coop, params)
     shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
     return refined, set(fits), shown, (fit.transform.rotation, fit.transform.translation, fit.rms_residual)
@@ -185,11 +185,11 @@ def test_the_frames_cover_raising_and_flipped_refinements():
 def test_a_set_fits_the_same_alone_and_in_a_round():
     # a fit depends only on its valid set, not on the sets fitted with it
     ego, coop = dense_frame(0)
-    pair, anchors = assigned_anchors(ego, coop, ODistParams())
+    arrays, anchors = assigned_anchors(ego, coop, ODistParams())
     keys = list(dict.fromkeys(_key(s) for s in anchors if len(s.valid_pairs) >= 2))
     assert len(keys) > 1
-    together = association._fit(pair.ego, pair.coop, keys)
+    together = association._fit(*arrays, keys)
     for k, key in enumerate(keys):
-        alone = association._fit(pair.ego, pair.coop, [key])
+        alone = association._fit(*arrays, [key])
         for a, b in zip(alone, together):
             assert np.array_equal(a[0], b[k]), f"valid set {k}"

@@ -12,7 +12,7 @@ sigma 0.3 m and 3 deg on both views, no top-k prefilter. The boxes lie in
 more at +-30 m. For each frame the script prints:
 
     anchor ms       one run of association._score_anchors on the frame's
-                    _ScenePair
+                    two _SceneArrays, its tables included
     anchors MB      the tracemalloc peak of that call
     associate MB    the tracemalloc peak of association._associate, the
                     whole association of the frame (tables, anchor pass,
@@ -20,7 +20,8 @@ more at +-30 m. For each frame the script prints:
 
 Each peak is measured above what was allocated before the call, in its
 own run. BLAS runs on one thread. Only these module-level names are
-called, so the script also runs in an older checkout that has them.
+called, so the script also runs in an older checkout that has them with
+these signatures.
 """
 from __future__ import annotations
 
@@ -75,11 +76,11 @@ def associate(ego, coop, params):
 def measure(ego, coop) -> tuple[float, float, float]:
     """(anchor ms, anchors MB, associate MB) of one frame."""
     params = ODistParams()
-    pair = association._ScenePair(ego, coop)
+    arrays = association._SceneArrays(ego), association._SceneArrays(coop)
     start = time.perf_counter()
-    association._score_anchors(pair, params)
+    association._score_anchors(*arrays, params)
     ms = 1e3 * (time.perf_counter() - start)
-    return ms, traced_peak_mb(association._score_anchors, pair, params), traced_peak_mb(associate, ego, coop, params)
+    return ms, traced_peak_mb(association._score_anchors, *arrays, params), traced_peak_mb(associate, ego, coop, params)
 
 
 def main(argv=None) -> None:
