@@ -30,9 +30,9 @@ lists its valid pairs in (ego, coop) order; a fit's rms sums 8 c2 + 2 da2
 over its pairs. Two kernels generate the pairs, each run once per frame or
 refinement round, never per anchor. The anchor pass (_anchor_pass)
 builds the frame's tables and scores every anchor, each about (e_i,
-c_j), on the pairs that windows of sorted xy radii put within reach (a
-rotation about z keeps xy lengths), in one loop over chunks of rows, and
-fills the affinity matrix; refinement starts from the assigned anchors'
+c_j), on the pairs that a grid of the offsets in each box's heading frame
+puts within reach (a fixed-radius join), in one loop over chunks of rows,
+and fills the affinity matrix; refinement starts from the assigned anchors'
 scores read from it. The transform kernel (_score_motions) scores given
 motions: odist's (an anchor's, bit for bit the pass's), a round's refits
 about their centroids (_refine), and alignment_score's and the health
@@ -56,13 +56,12 @@ _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 
-# Window cells per chunk of _anchor_pass's rows. A chunk ends at the row
-# where its window cells reach this count, so the pass's temporaries, about
-# 150 bytes per cell, stay near a MB and in cache whatever the frame size.
-# One chunk for a whole 80 x 64 frame traced 122 MB; on 32 x 32 frames
-# 2^13 ran no slower than 2^15 and peaked 2 MB lower.
+# Window cells (one anchor's heading, p and q) per chunk of _anchor_pass's
+# rows: about 180 bytes of temporaries each. One chunk for a whole 80 x 64
+# frame traced 23 MB, 2^13 of them 5.3 MB; on 32 x 32 frames 2^13 ran as
+# fast as 2^15 and 10-15 % faster than 2^11.
 _CANDIDATE_BUDGET = 1 << 13
-_ALLOWANCE = 1e-6  # the radius windows' rounding allowance per meter (_anchor_pass)
+_ALLOWANCE = 1e-6  # the grid windows' rounding allowance per meter (_anchor_pass)
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -345,62 +344,68 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     the anchors whose flipped variant wins by _rank_key (ties unflipped).
 
     A pair comes within tau only if its center difference is within reach
-    = tau / (alpha + beta sqrt(8)), and a rotation about z keeps xy lengths,
-    so |U_p - R V_q| >= | |U_p|_xy - |V_q|_xy |, U and V the centers minus
-    e_i and c_j. So the candidates of (i, p) are the (anchor, q) whose
-    radius |V_q| lies within bound = reach (1 + 1e-9) + allowance of |U_p|,
-    a window of the sorted radii. The windows take the exact test c2 <=
-    reach^2 (1 + 1e-9) per variant. The allowance, _ALLOWANCE (1 + the
-    largest |center coordinate|), exceeds the rounding of the radii and
-    rotated offsets about a billionfold, so the windows drop only what the
-    exact test would. The pass builds these tables, then runs its rows in
-    chunks of about _CANDIDATE_BUDGET window cells, where the candidates
-    within reach take _da2 of rot_z(phi) and sign +1 under both headings:
-    the flipped variant negates R's xy rows and A_c's xy columns, and
-    (-r)(-a) = r a bit for bit.
+    = tau / (alpha + beta sqrt(8)). As rot_z(phi) = rot_z(yaw_i) rot_z(-
+    yaw_j) keeps lengths, |U_p - R V_q|_xy = |P - s Q| for U_p = e_p - e_i,
+    V_q = c_q - c_j, P = rot_z(-yaw_i) U_p, Q = rot_z(-yaw_j) V_q (offsets
+    in the boxes' heading frames) and s = -1 in the flipped variant: the
+    anchor drops out, and the candidates are a fixed-radius join of the n^2
+    points P and the V m^2 points s Q. On a grid of cell size bound = reach
+    (1 + 1e-9) + allowance, each P takes three windows of the s Q sorted by
+    cell key, one per column of its 3 x 3 cells. The allowance, _ALLOWANCE
+    (1 + the largest |center coordinate|), exceeds the rounding of P and Q,
+    computed otherwise than the exact test c2 <= reach^2 (1 + 1e-9), about a
+    billionfold, so the windows drop only what the test would. The test
+    turns s v: R (s v) = s R v bit for bit. Offsets are at most 2 sqrt(2)
+    largest and bound >= 1e-6 (1 + largest): under 5.7e6 cells per axis and
+    keys below 2^46, exact in float64 and intp. Rows run in chunks of about
+    _CANDIDATE_BUDGET window cells, where the candidates within reach take
+    _da2 of rot_z(phi) and sign +1 under both headings: the flipped variant
+    negates R's xy rows and A_c's xy columns, and (-r)(-a) = r a bit for bit.
     """
-    n, m = len(ego.centers), len(coop.centers)
-    signs = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])
+    n, m, V = len(ego.centers), len(coop.centers), 2 if params.try_yaw_flip else 1
     phi = ego.yaws[:, None] - coop.yaws[None, :]
     cos, sin = np.cos(phi), np.sin(phi)
-    offsets = coop.centers[None, :, :] - coop.centers[:, None, :]  # [anchor, q, x]
-    ego_radii = np.linalg.norm(ego.centers[None, :, :2] - ego.centers[:, None, :2], axis=-1)  # [i, p]
-    coop_radii = np.linalg.norm(offsets[..., :2], axis=-1)
     largest = np.max(np.abs(np.concatenate([ego.centers, coop.centers])), initial=0.0)
-    e, v = ego.centers.T, offsets.transpose(2, 0, 1).copy()  # [x, p], [x, anchor, q]
+    u = ego.centers.T[:, None, :] - ego.centers.T[:, :, None]  # [x, i, p]
+    v = coop.centers.T[:, None, None, :] - coop.centers.T[:, :, None, None]  # [x, anchor, 1, q]
+    v = (v * np.array([np.ones(3), _FLIP_AXES]).T[:, None, :V, None]).reshape(3, m, V * m)  # s v_xy
     reach = _reach(params)
     bound, bound2 = reach * (1.0 + 1e-9) + _ALLOWANCE * (1.0 + largest), reach * reach * (1.0 + 1e-9)
-    order = np.argsort(coop_radii, axis=None, kind="stable")  # flat (anchor, q)
-    radii = coop_radii.ravel()[order]
-    lo = np.searchsorted(radii, ego_radii - bound)  # [i, p]
-    count = np.searchsorted(radii, ego_radii + bound, side="right") - lo
-    upto = np.cumsum(count.sum(axis=1))  # window cells of rows 0..i
+    # the coop points s Q, then the ego points P: x + iy turned by rot_z(-yaw) of their boxes
+    z = [(np.exp(-1j * y)[:, None] * (d[0] + 1j * d[1])).ravel() for y, d in [(coop.yaws, v), (ego.yaws, u)]]
+    grid = np.floor(np.concatenate(z).view(float).reshape(-1, 2).T / bound, order="C")  # [x, point]
+    low = np.min(grid, axis=1, initial=0.0) - 1.0  # so a window's keys never wrap to the next column
+    stride = int(np.max(grid[1], initial=0.0) - low[1]) + 2
+    keys = ((grid[0] - low[0]) * stride + (grid[1] - low[1])).astype(np.intp)
+    order, by_key = np.argsort(keys[: V * m * m]), np.argsort(keys[V * m * m :])  # of s Q and of P
+    cells, queries = keys[order], keys[V * m * m :][by_key]  # by cell key: sorted queries search faster
+    del z, grid, keys  # the rows need only the sorted cells and their windows
+    shifts = np.add.outer([-1, 2], [-stride, 0, stride]).reshape(6, 1)  # each column's first and end key
+    found = np.searchsorted(cells, queries + shifts)[:, np.argsort(by_key)]  # back in (i, p) order
+    lo, count = found[:3].T, (found[3:] - found[:3]).T  # [(i, p), column]
+    upto = np.concatenate([[0], np.cumsum(count.reshape(n, 3 * n).sum(axis=1))])  # window cells before row i
     near = [(*[np.empty(0, np.intp)] * 3, np.empty(0), np.empty(0))]  # so an empty frame concatenates
     start = 0
     while start < n:
         # the chunk ends at the row where its window cells reach the budget
-        done = upto[start - 1] if start else 0
-        stop = min(int(np.searchsorted(upto, done + _CANDIDATE_BUDGET)) + 1, n)
-        R = _rot_z(cos[start:stop, :, None], sin[start:stop, :, None])
-        w = _rotated(R[:2, :2], v[:2])  # [x, row, anchor, q]: rot_z's z row and column are (0, 0, 1)
-        u = (e[:, None] - e[:, start:stop, None]).reshape(3, -1)  # [x, (row, p)]
-        width = count[start:stop].ravel()
-        rp = np.repeat(np.arange(len(width)), width)  # (row, p) of each window cell
-        aq = order[np.arange(len(rp)) + np.repeat(lo[start:stop].ravel() - (np.cumsum(width) - width), width)]
-        at = np.repeat(np.arange(len(width)) // n * (m * m), width) + aq
-        xy = np.take(w.reshape(2, -1), at, axis=1)[:, None] * signs[:, None]  # [x, variant, window cell]
-        c2 = _c2(np.repeat(u, width, axis=1), (*xy, v[2].take(aq)))  # [variant, window cell]
-        f, k = np.nonzero(c2 <= bound2)
-        i, p = start + rp[k] // n, rp[k] % n
-        a, q = np.divmod(aq[k], m)
-        da2 = _da2(_entries(ego.axes, p), _rot_z(cos[i, a], sin[i, a]), _entries(coop.axes, q), 1.0)
-        cell = (i * len(signs) + f) * m + a
-        s = np.argsort((cell * n + p) * m + q)  # into (cell, p, q) order
-        near.append((cell[s], p[s], q[s], c2[f[s], k[s]], da2[s]))
+        stop = min(int(np.searchsorted(upto, upto[start] + _CANDIDATE_BUDGET)), n)
+        width = count[start * n : stop * n].ravel()
+        query = np.repeat(np.arange(start * n, stop * n).repeat(3), width)  # (i, p) of each window cell
+        first = lo[start * n : stop * n].ravel() - np.cumsum(width) + width
+        cell = order[np.repeat(first, width) + np.arange(len(query))]  # and its (anchor, variant, q)
+        ia = query // n * m + cell // (V * m)  # (i, anchor)
+        c, s = cos.take(ia), sin.take(ia)
+        vx, vy, vz = v.reshape(3, -1).take(cell, axis=1)
+        c2 = _c2(u.reshape(3, -1).take(query, axis=1), (c * vx - s * vy, s * vx + c * vy, vz))
+        k = np.flatnonzero(c2 <= bound2)
+        (i, a), (f, q), p = np.divmod(ia[k], m), np.divmod(cell[k] % (V * m), m), query[k] % n
+        da2 = _da2(_entries(ego.axes, p), _rot_z(c[k], s[k]), _entries(coop.axes, q), 1.0)
+        cell = (i * V + f) * m + a
+        by = np.argsort((cell * n + p) * m + q)  # into (cell, p, q) order
+        near.append((cell[by], p[by], q[by], c2[k[by]], da2[by]))
         start = stop
-    cell, p, q, c2, da2 = map(np.concatenate, zip(*near))
-    conf, mean, kept = _pair_up(cell, p, q, c2, da2, n * len(signs) * m, (n, m), params)
-    conf, mean = conf.reshape(n, len(signs), m), mean.reshape(n, len(signs), m)
+    conf, mean, kept = _pair_up(*map(np.concatenate, zip(*near)), n * V * m, (n, m), params)
+    conf, mean = conf.reshape(n, V, m), mean.reshape(n, V, m)
     flip = conf[:, -1] > conf[:, 0]
     for r, b in np.argwhere((conf[:, -1] == conf[:, 0]) & (mean[:, -1] < mean[:, 0])):
         flip[r, b] = _rank_key(conf[r, -1, b], mean[r, -1, b]) < _rank_key(conf[r, 0, b], mean[r, 0, b])
@@ -442,10 +447,14 @@ def alignment_score(
     paired as in odist (_pair_up). The coop headings are scored as given
     and, when params.try_yaw_flip, also reversed, from one c2 (the motion
     pivots on (t, 0)): the better score by _rank is returned, the given
-    headings winning ties."""
+    headings winning ties (_alignment, on the scenes' arrays)."""
+    return _alignment(_SceneArrays(ego), _SceneArrays(coop), transform, params)
+
+
+def _alignment(ego: _SceneArrays, coop: _SceneArrays, transform: RigidTransform, params: ODistParams):
     flipped = [False, True] if params.try_yaw_flip else [False]
     R, t = transform.rotation[None], transform.translation[None]
-    up = _score_motions(_SceneArrays(ego), _SceneArrays(coop), R, t, np.zeros((1, 3)), [flipped], params)
+    up = _score_motions(ego, coop, R, t, np.zeros((1, 3)), [flipped], params)
     return min(_scores(up, np.arange(len(flipped)), flipped), key=_rank)
 
 
@@ -554,20 +563,19 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
     return scores, fits
 
 
-def _associate(ego: Scene, coop: Scene, params: ODistParams) -> tuple[MatchSet, RegistrationResult]:
-    """associate's matches and their fit (_fit): the cached fit _refine
-    stopped at, or the one fit of a one-pair valid set."""
-    arrays = _SceneArrays(ego), _SceneArrays(coop)
-    affinity, frame = _score_anchors(*arrays, params)
+def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
+    """associate's matches and their fit (_fit) on the scenes' arrays: the
+    cached fit _refine stopped at, or the one fit of a one-pair valid set."""
+    affinity, frame = _score_anchors(ego, coop, params)
     assigned = solve_assignment(affinity)
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
     anchors = _pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
-    refined, fits = _refine(*arrays, anchors, params)
+    refined, fits = _refine(ego, coop, anchors, params)
     # assigned is in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
     key = _key(best)
-    R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(*arrays, [key])[:3]]
+    R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(ego, coop, [key])[:3]]
     fit = RegistrationResult(RigidTransform(R, t), float(rms))
     return MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0])), fit
 
@@ -583,7 +591,7 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     index wins. Its valid set, sorted by ego index, is returned; every
     match carries the winner's confidence and heading-flip flag.
     """
-    return _associate(ego, coop, params)[0]
+    return _associate(_SceneArrays(ego), _SceneArrays(coop), params)[0]
 
 
 def top_k_by_volume(scene: Scene, k: int | None) -> Scene:

@@ -9,8 +9,9 @@ from .association import (
     MatchSet,
     NoCoVisibleObjects,
     ODistParams,
+    _alignment,
     _associate,
-    alignment_score,
+    _SceneArrays,
     top_k_by_volume,
 )
 from .geometry import RigidTransform, Scene
@@ -51,10 +52,11 @@ def calibrate_scenes(
     DegenerateGeometry if the matched corners do not pin down a rotation.
     """
     start = time.perf_counter()
-    ego_k = top_k_by_volume(ego, top_k)
-    coop_k = top_k_by_volume(coop, top_k)
-    matches, result = _associate(ego_k, coop_k, params)
-    health = alignment_score(ego, coop, result.transform, params)
+    full = _SceneArrays(ego), _SceneArrays(coop)
+    tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
+    kept = [a if t is s else _SceneArrays(t) for a, s, t in zip(full, (ego, coop), tops)]
+    matches, result = _associate(*kept, params)
+    health = _alignment(*full, result.transform, params)
     elapsed = time.perf_counter() - start
     return CalibrationReport(
         transform=result.transform,

@@ -1,22 +1,25 @@
-"""The frame pass's radius prune against the dense candidate search.
+"""The frame pass's grid of candidates against the dense candidate search.
 
 The reference builds the frame's tables itself (Tables) and takes the
-anchor block of one ego index without the prune: it tests every
-(variant, anchor, ego p, coop q) cell's squared center difference against
-the reach and goes on from np.nonzero of that grid. Every row of the
-pruned frame pass (_anchor_pass) must return the same (conf, mean, flip,
-(cell, p, q, d)), bit for bit and with the same dtypes, on generated
-frames, on frames near the coordinate bound (where the rounding allowance
-matters), on boxes stacked at one xy, at the edges of the scoring
-parameters and on one-box scenes. The reference takes the axes term from
-the module's own (_da2), with the reversed heading's rotation (xy rows
-negated) and sign -1 where the pass uses rot_z(phi) and sign +1; its
-center differences and everything after them are its own. odist, which
-scores an anchor's motions with the transform kernel and runs no pass,
-must give every anchor that is not a needle the score the frame pass
-gives it. All of it holds however the pass splits its rows into chunks:
-at the default candidate budget, at a budget that makes every row its own
-chunk and at one that splits each dense frame into at least three.
+anchor block of one ego index without the grid: it tests every (variant,
+anchor, ego p, coop q) cell's squared center difference against the reach
+and goes on from np.nonzero of that array. Every row of the frame pass
+(_anchor_pass), which takes its candidates from a grid of the offsets in
+the boxes' heading frames, must return the same (conf, mean, flip, (cell,
+p, q, d)), bit for bit and with the same dtypes, on generated frames, on
+frames near the coordinate bound (where the rounding allowance matters),
+on boxes stacked at one xy, on small frames laid on the grid's cell edges
+(hypothesis), at the edges of the scoring parameters and on one-box
+scenes. The reference takes the axes term from the module's own (_da2),
+with the reversed heading's rotation (xy rows negated) and sign -1 where
+the pass uses rot_z(phi) and sign +1; its center differences and
+everything after them are its own. odist, which scores an anchor's motions
+with the transform kernel and runs no pass, must give every anchor that is
+not a needle the score the frame pass gives it. All of it holds however
+the pass splits its rows into chunks: at the default candidate budget, at
+a budget that makes every row its own chunk and at one that splits each
+dense frame into at least three, counted by the reference's own grid
+(window_cells).
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ from boxcalib import (
 )
 from boxcalib import association
 from boxcalib.association import TAU_MAX, _greedy
+from boxcalib.geometry import rot_z
 from boxcalib.io import MAX_COORDINATE_M
 from boxcalib.registration import rank_deficient
 
@@ -53,20 +57,27 @@ PARAMS = {
 }
 
 
+def heading_frame(arrays):
+    """[b, q, xy]: the xy offsets of every box q from box b, in b's heading
+    frame, rot_z(-yaw_b) (x_q - x_b), by geometry.rot_z."""
+    offsets = arrays.centers[None, :, :] - arrays.centers[:, None, :]
+    turns = np.array([rot_z(yaw)[:2, :2].T for yaw in arrays.yaws]).reshape(-1, 2, 2)
+    return np.einsum("bxy,bqy->bqx", turns, offsets[..., :2])
+
+
 class Tables:
     """The frame's tables, built here as the reference: both scenes' arrays,
     cos and sin of the heading differences yaw_e - yaw_c, the coop offsets
-    c_q - c_j, the xy radii |e_p - e_i| and |c_q - c_j|, the radius
-    windows' rounding allowance and the needle anchors."""
+    c_q - c_j, the offsets of both scenes in their boxes' heading frames
+    (heading_frame), the grid windows' rounding allowance and the needle
+    anchors."""
 
     def __init__(self, ego, coop):
         self.ego, self.coop = association._SceneArrays(ego), association._SceneArrays(coop)
         phi = self.ego.yaws[:, None] - self.coop.yaws[None, :]
         self.cos, self.sin = np.cos(phi), np.sin(phi)
         self.offsets = self.coop.centers[None, :, :] - self.coop.centers[:, None, :]
-        xy = self.ego.centers[:, :2]
-        self.ego_radii = np.linalg.norm(xy[None, :, :] - xy[:, None, :], axis=-1)
-        self.coop_radii = np.linalg.norm(self.offsets[..., :2], axis=-1)
+        self.ego_frame, self.coop_frame = heading_frame(self.ego), heading_frame(self.coop)
         centers = np.concatenate([self.ego.centers, self.coop.centers])
         self.allowance = 1e-6 * (1.0 + np.max(np.abs(centers), initial=0.0))
         self.needles = rank_deficient(self.ego.dims[:, None, :] * self.coop.dims[None, :, :])
@@ -177,8 +188,7 @@ def stacked_pair():
 def rim_pair(tau, k=12, seed=0):
     # k companions 30-50 km from the anchor box in both views, each coop one
     # farther by tau along the direction the anchor's motion maps it to: the
-    # companion pairs lie tau apart, on the rim of the prune, where rounding
-    # the rotation can put the radii gap past the reach
+    # companion pairs lie tau apart, on the rim of the exact test
     rng = np.random.default_rng(seed)
     yaw_e, yaw_c = rng.uniform(0.0, 2.0 * np.pi, 2)
     phi, r = rng.uniform(0.0, 2.0 * np.pi, k), rng.uniform(3e4, 5e4, k)
@@ -188,6 +198,23 @@ def rim_pair(tau, k=12, seed=0):
     ego = make_scene([make_box(x, yaw=yaw_e) for x in [np.zeros(3), *e]])
     coop = make_scene([make_box(x, yaw=yaw_c) for x in [np.zeros(3), *c]])
     return ego, coop
+
+
+def edge_pair(tau, k=12, seed=0):
+    # each view's boxes on one line along their common heading, k companions
+    # 30-50 km from the anchor box: ego ones on the edges of the grid cells
+    # of a pass without the allowance (cells of tau (1 + 1e-9) in the heading
+    # frame's x), each coop one tau nearer, so the anchor's companion pairs
+    # lie tau apart across an edge, where rounding can put them two cells apart
+    rng = np.random.default_rng(seed)
+    yaw_e, yaw_c = rng.uniform(0.0, 2.0 * np.pi, 2)
+    cell = tau * (1.0 + 1e-9)
+    x = rng.integers(int(3e4 / cell), int(5e4 / cell), k) * cell
+
+    def line(yaw, along):
+        return make_scene([make_box((t * math.cos(yaw), t * math.sin(yaw), 0.0), yaw=yaw) for t in along])
+
+    return line(yaw_e, [0.0, *x]), line(yaw_c, [0.0, *(x - tau)])
 
 
 SCENES = {
@@ -215,15 +242,26 @@ def test_one_box_scenes_keep_the_dense_search(params):
 # candidate budgets of _anchor_pass's chunks besides the module's own: one
 # that puts every row in a chunk of its own, over budget, and one that
 # splits every dense frame into several chunks
-BUDGETS = {"row": 1, "middle": 1 << 11}
+BUDGETS = {"row": 1, "middle": 1 << 10}
+
+
+def grid_cells(pair, params):
+    """The cells, on the grid of the pass's window size, of the ego offsets
+    [i, p] and of the coop offsets [j, q] under each heading variant [s, j,
+    q], both (..., xy), from the reference's heading frames."""
+    reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
+    size = reach * (1.0 + 1e-9) + pair.allowance
+    signs = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
+    return np.floor(pair.ego_frame / size), np.floor(signs * pair.coop_frame / size)
 
 
 def window_cells(pair, params):
-    """The (i, p, j, q) cells within the radius bound, per ego index i."""
-    reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
-    bound = reach * (1.0 + 1e-9) + pair.allowance
-    gap = np.abs(pair.ego_radii[:, :, None, None] - pair.coop_radii[None, None])
-    return np.count_nonzero(gap <= bound, axis=(1, 2, 3))
+    """The (p, variant, j, q) window cells of each ego index i: the ego
+    offset's and the variant's coop offset's cells are next to each other
+    (or the same) along both axes."""
+    ego, coop = grid_cells(pair, params)
+    near = np.all(np.abs(ego[:, :, None, None, None] - coop[None, None]) <= 1.0, axis=-1)
+    return np.count_nonzero(near, axis=(1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("scene", [s for s in SCENES if s.startswith("dense-")])
@@ -250,13 +288,20 @@ def test_chunked_one_box_scenes_keep_the_dense_search(params, budget, monkeypatc
 
 
 def test_pairs_on_the_rim_need_the_allowance(monkeypatch):
-    params = ODistParams(tau=5e-4, alpha=1.0, beta=0.0)  # reach = tau
-    pairs = {seed: rim_pair(params.tau, seed=seed) for seed in (0, 1)}
+    params = ODistParams(tau=5e-5, alpha=1.0, beta=0.0)  # reach = tau
+    pairs = {seed: edge_pair(params.tau, seed=seed) for seed in (0, 1)}
     for ego, coop in pairs.values():
         pair = Tables(ego, coop)
         cell, p, q, _ = dense_block(pair, 0, params)[3]
-        gap = np.abs(pair.ego_radii[0, p] - pair.coop_radii[cell % len(coop), q])
-        assert np.any(gap > params.tau * (1.0 + 1e-9))  # within tau, past the reach
+        # the exact test keeps some of anchor (0, 0)'s companion pairs, 30-50 km out
+        assert np.any((cell == 0) & (p == q) & (p > 0))
+        monkeypatch.setattr(pair, "allowance", 0.0)
+        ego_cells, _ = grid_cells(pair, params)
+        # without the allowance the ego companions lie on cell edges along x,
+        # and all offsets in one row of cells along y, so the keys stay exact
+        x = pair.ego_frame[0, 1:, 0] / (params.tau * (1.0 + 1e-9))
+        assert np.allclose(x, np.round(x), rtol=0.0, atol=1e-6)
+        assert np.ptp(ego_cells[..., 1]) <= 1.0 and np.all(np.abs(pair.coop_frame[..., 1]) < 1e-9)
         assert_same_blocks(ego, coop, params)
     monkeypatch.setattr(association, "_ALLOWANCE", 0.0)
     lost = []  # (seed, ego index) whose rows lose pairs without the allowance
@@ -267,9 +312,50 @@ def test_pairs_on_the_rim_need_the_allowance(monkeypatch):
         for i in range(len(ego)):
             if np.count_nonzero(cell // width == i) < len(dense_block(pair, i, params)[3][0]):
                 lost.append((seed, i))
-    # at seed 1 rounding puts rim pairs that the exact test keeps outside
-    # the radius windows of a pass without the allowance
-    assert lost, "the rim pairs never reach the edge of a window"
+    # rounding puts companion pairs that the exact test keeps two cells
+    # apart, outside the windows of a pass without the allowance
+    assert lost, "the rim pairs never leave a window"
+
+
+ANGLE = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+
+@st.composite
+def grid_frames(draw):
+    """(ego, coop, params) of a small frame laid on the pass's grid. A coop
+    box at -bound along x sets the largest coordinate, so the cell size,
+    reach (1 + 1e-9) + 1e-6 (1 + bound), is known; the ego boxes share one
+    heading and sit whole cells apart along its axes, and the coop boxes are
+    ego boxes turned about z, some reversed, each pushed up to twice the
+    reach along its heading, so offsets in the heading frames fall on cell
+    edges and pairs on the rim of tau."""
+    params = ODistParams(
+        tau=draw(st.floats(1e-6, TAU_MAX)),
+        **draw(st.sampled_from([{}, {"alpha": 0.0}, {"beta": 0.0}])),
+        try_yaw_flip=draw(st.booleans()),
+    )
+    bound = draw(st.sampled_from([50.0, 1e3, MAX_COORDINATE_M]))
+    reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
+    cell = reach * (1.0 + 1e-9) + 1e-6 * (1.0 + bound)
+    yaw, turn = draw(ANGLE), draw(ANGLE)
+    steps = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=5))
+    ego_at = [np.array([0.5, -0.5, 0.0]) * bound + rot_z(yaw) @ (a * cell, b * cell, 0.0) for a, b in steps]
+    ego = make_scene([make_box(x, yaw=yaw) for x in ego_at])
+    coop = [make_box((-bound, 0.0, 0.0), yaw=draw(ANGLE))]
+    for x in ego_at[: draw(st.integers(1, len(ego_at)))]:
+        heading = yaw + turn + draw(st.sampled_from([0.0, math.pi]))
+        push = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])) * reach
+        moved = np.array([-0.25, 0.25, 0.0]) * bound + rot_z(turn) @ (x - ego_at[0]) + rot_z(heading) @ (push, 0.0, 0.0)
+        coop.append(make_box(moved, yaw=heading))
+    return ego, make_scene(coop), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_frames())
+def test_the_pass_equals_the_dense_search_on_grid_frames(frame):
+    # the superset argument and the key bound, at the edges of the cells,
+    # the coordinates and the scoring parameters
+    assert_same_blocks(*frame)
 
 
 def scaled_axes(boxes):

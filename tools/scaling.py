@@ -14,8 +14,8 @@ more at +-30 m. For each frame the script prints:
     anchor ms       one run of association._score_anchors on the frame's
                     two _SceneArrays, its tables included
     anchors MB      the tracemalloc peak of that call
-    associate MB    the tracemalloc peak of association._associate, the
-                    whole association of the frame (tables, anchor pass,
+    associate MB    the tracemalloc peak of association.associate, the
+                    whole association of the frame (arrays, anchor pass,
                     assignment and refinement)
 
 Each peak is measured above what was allocated before the call, in its
@@ -68,7 +68,7 @@ def traced_peak_mb(fn, *args) -> float:
 
 def associate(ego, coop, params):
     try:
-        association._associate(ego, coop, params)
+        association.associate(ego, coop, params)
     except association.NoCoVisibleObjects:
         pass
 

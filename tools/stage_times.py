@@ -9,21 +9,22 @@ The frames are those of tools/calibration_digest.py: Sweep15(501) trials
 is timed by wrapping the function that runs it:
 
     top-k        top_k_by_volume of both scenes
-    scene pair   what association._associate builds before its anchor
-                 pass: both scenes' _SceneArrays (older checkouts build
-                 the scene pair's tables here too; now the anchor pass
-                 builds them, and they count in its row)
+    scene pair   the scenes' _SceneArrays: those calibrate_scenes builds,
+                 plus whatever association._associate builds before its
+                 anchor pass (older checkouts build the arrays, and the
+                 scene pair's tables, there)
     anchor pass  association._score_anchors, every anchor's score
     assignment   association.solve_assignment
     refinement   the rest of association._associate: refits and the winner
-    health       alignment_score of the final transform on the full scenes
+    health       the alignment score of the final transform on the full
+                 scenes (_alignment, or alignment_score in older checkouts)
     other        the rest of calibrate_scenes, wrappers included
 
 A value is the stage's total over a workload's frames in the fastest of
 the repeats, divided by the number of frames; the total row is timed the
 same way and is not the sum of the rows above it. BLAS runs on one
-thread. Only these module-level names are wrapped, so the script also
-times an older checkout that has them.
+thread. Only these module-level names are wrapped, each where the
+checkout has it, so the script also times older checkouts.
 """
 from __future__ import annotations
 
@@ -45,13 +46,17 @@ from workloads import Dense32, Sweep15  # noqa: E402
 
 SEED = 501
 STAGES = ("top-k", "scene pair", "anchor pass", "assignment", "refinement", "health", "other")
-# (module, attribute, stage) of every wrapped function; "associate" is the
-# outer span that the scene pair and refinement rows are parts of
+# (module, attribute, stage) of every wrapped function a checkout has;
+# "associate" is the outer span that refinement and the "gap", the scene
+# pair's part inside it, are parts of; "arrays" is the scene pair's part
+# outside it
 WRAPPED = (
     (pipeline, "top_k_by_volume", "top-k"),
+    (pipeline, "_SceneArrays", "arrays"),
     (association, "_score_anchors", "anchor pass"),
     (association, "solve_assignment", "assignment"),
     (pipeline, "_associate", "associate"),
+    (pipeline, "_alignment", "health"),
     (pipeline, "alignment_score", "health"),
 )
 
@@ -60,7 +65,7 @@ def _timed(fn, stage: str, spent: dict[str, float]):
     def wrapper(*args, **kwargs):
         start = spent[f"{stage} entry"] = time.perf_counter()
         if stage == "anchor pass":  # since _associate was entered
-            spent["scene pair"] += start - spent["associate entry"]
+            spent["gap"] += start - spent["associate entry"]
         try:
             return fn(*args, **kwargs)
         finally:
@@ -71,7 +76,7 @@ def _timed(fn, stage: str, spent: dict[str, float]):
 
 def one_repeat(frames, top_k, spent: dict[str, float]) -> dict[str, float]:
     """Calibrate every frame once; the seconds spent in each stage."""
-    spent.update({name: 0.0 for name in ("scene pair", *(stage for _, _, stage in WRAPPED))})
+    spent.update({name: 0.0 for name in ("gap", *(stage for _, _, stage in WRAPPED))})
     total = 0.0
     for ego, coop in frames:
         start = time.perf_counter()
@@ -80,9 +85,10 @@ def one_repeat(frames, top_k, spent: dict[str, float]) -> dict[str, float]:
         except pipeline.CALIBRATION_FAILURES:
             pass
         total += time.perf_counter() - start
-    stages = {name: spent[name] for name in ("top-k", "scene pair", "anchor pass", "assignment", "health")}
-    stages["refinement"] = spent["associate"] - stages["scene pair"] - stages["anchor pass"] - stages["assignment"]
-    stages["other"] = total - spent["associate"] - stages["top-k"] - stages["health"]
+    stages = {name: spent[name] for name in ("top-k", "anchor pass", "assignment", "health")}
+    stages["scene pair"] = spent["gap"] + spent["arrays"]
+    stages["refinement"] = spent["associate"] - spent["gap"] - stages["anchor pass"] - stages["assignment"]
+    stages["other"] = total - spent["associate"] - spent["arrays"] - stages["top-k"] - stages["health"]
     stages["total"] = total
     return stages
 
@@ -104,7 +110,8 @@ def main(argv=None) -> None:
 
     spent: dict[str, float] = {}
     for module, attr, stage in WRAPPED:
-        setattr(module, attr, _timed(getattr(module, attr), stage, spent))
+        if hasattr(module, attr):
+            setattr(module, attr, _timed(getattr(module, attr), stage, spent))
     columns = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, cls, count in (("sweep15", Sweep15, args.sweep_frames), ("dense32", Dense32, args.dense_frames)):
