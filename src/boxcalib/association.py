@@ -75,16 +75,14 @@ class ODistParams:
     tau gates the per-pair distance when forming the valid set. alpha and beta
     weight the center-distance and corner-distance terms of box_distance;
     the default beta = 1/sqrt(8) puts the 8-corner Frobenius norm on a
-    per-corner scale. try_yaw_flip additionally evaluates every anchor and
-    every scored transform under a reversed coop heading convention (yaw +
-    pi) and keeps the better variant, which recovers detectors that
-    disagree about the front of a box.
+    per-corner scale. Every anchor and every scored transform keeps the
+    better of the coop heading as given and reversed (yaw + pi), which
+    recovers detectors that disagree about the front of a box.
     """
 
     tau: float = 3.0
     alpha: float = 1.0
     beta: float = math.sqrt(0.125)
-    try_yaw_flip: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.tau <= TAU_MAX):
@@ -333,15 +331,15 @@ def _rot_z(cos, sin):
 
 
 def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
-    """Score every anchor (i, j) of the frame, under both heading variants
-    when params.try_yaw_flip, else unflipped, in one pass. Anchor (i, j)'s
+    """Score every anchor (i, j) of the frame under both heading variants,
+    the coop heading as given and reversed, in one pass. Anchor (i, j)'s
     motion pivots on (e_i, c_j) with R = rot_z(phi[i, j]), or rot_z(phi[i,
     j] + pi), xy rows negated, in the flipped variant; its pairs take _c2
     and _da2 as in _score_motions, bit for bit, since rot_z's zero and one
     entries add exactly. Returns (conf, mean, flip, kept): _pair_up's
-    results for cells (i V + variant) m + j, V the number of variants, conf
-    and mean shaped (n, V, m), kept in (cell, p, q) order, and flip (n, m),
-    the anchors whose flipped variant wins by _rank_key (ties unflipped).
+    results for cells (2 i + variant) m + j, conf and mean shaped (n, 2,
+    m), kept in (cell, p, q) order, and flip (n, m), the anchors whose
+    flipped variant wins by _rank_key (ties unflipped).
 
     A pair comes within tau only if its center difference is within reach
     = tau / (alpha + beta sqrt(8)). As rot_z(phi) = rot_z(yaw_i) rot_z(-
@@ -349,7 +347,7 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     V_q = c_q - c_j, P = rot_z(-yaw_i) U_p, Q = rot_z(-yaw_j) V_q (offsets
     in the boxes' heading frames) and s = -1 in the flipped variant: the
     anchor drops out, and the candidates are a fixed-radius join of the n^2
-    points P and the V m^2 points s Q. On a grid of cell size bound = reach
+    points P and the 2 m^2 points s Q. On a grid of cell size bound = reach
     (1 + 1e-9) + allowance, each P takes three windows of the s Q sorted by
     cell key, one per column of its 3 x 3 cells. The allowance, _ALLOWANCE
     (1 + the largest |center coordinate|), exceeds the rounding of P and Q,
@@ -362,13 +360,13 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     _da2 of rot_z(phi) and sign +1 under both headings: the flipped variant
     negates R's xy rows and A_c's xy columns, and (-r)(-a) = r a bit for bit.
     """
-    n, m, V = len(ego.centers), len(coop.centers), 2 if params.try_yaw_flip else 1
+    n, m, V = len(ego.centers), len(coop.centers), 2  # V: the heading variants
     phi = ego.yaws[:, None] - coop.yaws[None, :]
     cos, sin = np.cos(phi), np.sin(phi)
     largest = np.max(np.abs(np.concatenate([ego.centers, coop.centers])), initial=0.0)
     u = ego.centers.T[:, None, :] - ego.centers.T[:, :, None]  # [x, i, p]
     v = coop.centers.T[:, None, None, :] - coop.centers.T[:, :, None, None]  # [x, anchor, 1, q]
-    v = (v * np.array([np.ones(3), _FLIP_AXES]).T[:, None, :V, None]).reshape(3, m, V * m)  # s v_xy
+    v = (v * np.array([np.ones(3), _FLIP_AXES]).T[:, None, :, None]).reshape(3, m, V * m)  # s v_xy
     reach = _reach(params)
     bound, bound2 = reach * (1.0 + 1e-9) + _ALLOWANCE * (1.0 + largest), reach * reach * (1.0 + 1e-9)
     # the coop points s Q, then the ego points P: x + iy turned by rot_z(-yaw) of their boxes
@@ -406,9 +404,9 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
         start = stop
     conf, mean, kept = _pair_up(*map(np.concatenate, zip(*near)), n * V * m, (n, m), params)
     conf, mean = conf.reshape(n, V, m), mean.reshape(n, V, m)
-    flip = conf[:, -1] > conf[:, 0]
-    for r, b in np.argwhere((conf[:, -1] == conf[:, 0]) & (mean[:, -1] < mean[:, 0])):
-        flip[r, b] = _rank_key(conf[r, -1, b], mean[r, -1, b]) < _rank_key(conf[r, 0, b], mean[r, 0, b])
+    flip = conf[:, 1] > conf[:, 0]
+    for r, b in np.argwhere((conf[:, 1] == conf[:, 0]) & (mean[:, 1] < mean[:, 0])):
+        flip[r, b] = _rank_key(conf[r, 1, b], mean[r, 1, b]) < _rank_key(conf[r, 0, b], mean[r, 0, b])
     return conf, mean, flip, kept
 
 
@@ -425,37 +423,34 @@ def _pair_scores(frame, anchors) -> list[PairScore]:
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
     """Score anchor pair (ego[i], coop[j]) by whole-scene alignment
     consistency: the better by _rank of its motions (see _anchor_pass) under
-    the coop heading as given and, when params.try_yaw_flip, reversed, the
-    given one winning ties; the valid pairs come in (ego, coop) index order.
-    Raises DegenerateGeometry for a needle anchor, whose corners fix no
-    rotation, and IndexError for an index out of range (< 0: from the end)."""
+    the coop heading as given and reversed, the given one winning ties; the
+    valid pairs come in (ego, coop) index order. Raises DegenerateGeometry
+    for a needle anchor, whose corners fix no rotation, and IndexError for
+    an index out of range (< 0: from the end)."""
     e, c = _SceneArrays(ego), _SceneArrays(coop)
     if rank_deficient(e.dims[i] * c.dims[j]):
         raise DegenerateGeometry(f"anchor ({i}, {j}): rank-deficient cross-covariance")
     phi = e.yaws[i] - c.yaws[j]
     R = _rot_z(np.cos(phi), np.sin(phi))
-    flipped = [[False], [True]] if params.try_yaw_flip else [[False]]
-    R = np.array([R, R * _FLIP_AXES[:, None]])[: len(flipped)]  # rot_z(phi + pi) negates the xy rows
-    up = _score_motions(e, c, R, e.centers[[i] * len(R)], c.centers[[j] * len(R)], flipped, params)
-    return min(_scores(up, np.arange(len(R)), np.ravel(flipped)), key=_rank)
+    R = np.array([R, R * _FLIP_AXES[:, None]])  # rot_z(phi + pi) negates the xy rows
+    up = _score_motions(e, c, R, e.centers[[i, i]], c.centers[[j, j]], [[False], [True]], params)
+    return min(_scores(up, np.arange(2), [False, True]), key=_rank)
 
 
 def alignment_score(
     ego: Scene, coop: Scene, transform: RigidTransform, params: ODistParams = ODistParams()
 ) -> PairScore:
     """Scene-consistency score of a given transform (no anchor search),
-    paired as in odist (_pair_up). The coop headings are scored as given
-    and, when params.try_yaw_flip, also reversed, from one c2 (the motion
-    pivots on (t, 0)): the better score by _rank is returned, the given
-    headings winning ties (_alignment, on the scenes' arrays)."""
+    paired as in odist (_pair_up), under the coop headings as given and
+    reversed from one c2 (the motion pivots on (t, 0)): the better by _rank,
+    the given headings winning ties (_alignment, on the scenes' arrays)."""
     return _alignment(_SceneArrays(ego), _SceneArrays(coop), transform, params)
 
 
 def _alignment(ego: _SceneArrays, coop: _SceneArrays, transform: RigidTransform, params: ODistParams):
-    flipped = [False, True] if params.try_yaw_flip else [False]
     R, t = transform.rotation[None], transform.translation[None]
-    up = _score_motions(ego, coop, R, t, np.zeros((1, 3)), [flipped], params)
-    return min(_scores(up, np.arange(len(flipped)), flipped), key=_rank)
+    up = _score_motions(ego, coop, R, t, np.zeros((1, 3)), [[False, True]], params)
+    return min(_scores(up, np.arange(2), [False, True]), key=_rank)
 
 
 def _score_anchors(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):

@@ -299,7 +299,6 @@ def _convert_range(value, path, where):
 # The JSON values a scalar field takes, by its annotation: a bool is
 # neither an int nor a float, though Python makes it an int.
 _SCALARS = {
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
 }

@@ -52,20 +52,23 @@ def calibrate_scenes(
     DegenerateGeometry if the matched corners do not pin down a rotation.
     """
     start = time.perf_counter()
-    full = _SceneArrays(ego), _SceneArrays(coop)
-    tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
-    kept = [a if t is s else _SceneArrays(t) for a, s, t in zip(full, (ego, coop), tops)]
-    matches, result = _associate(*kept, params)
-    health = _alignment(*full, result.transform, params)
-    elapsed = time.perf_counter() - start
+    matches, result, health = _calibrate(ego, coop, (_SceneArrays(ego), _SceneArrays(coop)), params, top_k)
     return CalibrationReport(
         transform=result.transform,
         matches=matches,
         rms_residual=result.rms_residual,
         health_confidence=health.confidence,
         health_mean_distance=health.mean_distance,
-        elapsed_s=elapsed,
+        elapsed_s=time.perf_counter() - start,
     )
+
+
+def _calibrate(ego: Scene, coop: Scene, full, params: ODistParams, top_k: int | None):
+    """calibrate_scenes's matches, fit and health on the scenes' arrays full."""
+    tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
+    kept = [a if t is s else _SceneArrays(t) for a, s, t in zip(full, (ego, coop), tops)]
+    matches, result = _associate(*kept, params)
+    return matches, result, _alignment(*full, result.transform, params)
 
 
 def trial_error(

@@ -11,7 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from boxcalib import DetectionBox, RigidTransform, Scene
+from boxcalib import DetectionBox, ODistParams, RigidTransform, Scene
+from boxcalib import association
 
 
 def make_box(center, dims=(4.0, 2.0, 1.5), yaw=0.0, confidence=1.0, label=None):
@@ -41,6 +42,16 @@ def spread_scene(n, seed=0, span=25.0, min_sep=6.0):
         for c in centers
     ]
     return make_scene(boxes)
+
+
+def given_heading_score(ego, coop, transform, params=ODistParams()):
+    """alignment_score of transform with the coop headings as given only,
+    none reversed: the transform kernel's call alignment_score makes, with
+    one heading variant. Not an oracle: it is the package's own kernel."""
+    arrays = association._SceneArrays(ego), association._SceneArrays(coop)
+    R, t = transform.rotation[None], transform.translation[None]
+    up = association._score_motions(*arrays, R, t, np.zeros((1, 3)), [[False]], params)
+    return association._scores(up, np.arange(1), [False])[0]
 
 
 def yaw_transform(yaw, translation=(0.0, 0.0, 0.0)):

@@ -53,7 +53,6 @@ PARAMS = {
     "small-tau": ODistParams(tau=0.2),
     "alpha-0": ODistParams(alpha=0.0),
     "beta-0": ODistParams(beta=0.0),
-    "no-flip": ODistParams(try_yaw_flip=False),
 }
 
 
@@ -87,7 +86,7 @@ def dense_block(pair, i, params):
     """The anchor block of pair (Tables) with the full candidate grid, no
     radius prune."""
     n, m = pair.needles.shape
-    sign = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
+    sign = np.array([1.0, -1.0])[:, None, None, None]
     cells = len(sign) * m
     u = pair.ego.centers - pair.ego.centers[i]
     v = pair.offsets
@@ -251,7 +250,7 @@ def grid_cells(pair, params):
     q], both (..., xy), from the reference's heading frames."""
     reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
     size = reach * (1.0 + 1e-9) + pair.allowance
-    signs = np.array([1.0, -1.0] if params.try_yaw_flip else [1.0])[:, None, None, None]
+    signs = np.array([1.0, -1.0])[:, None, None, None]
     return np.floor(pair.ego_frame / size), np.floor(signs * pair.coop_frame / size)
 
 
@@ -332,7 +331,6 @@ def grid_frames(draw):
     params = ODistParams(
         tau=draw(st.floats(1e-6, TAU_MAX)),
         **draw(st.sampled_from([{}, {"alpha": 0.0}, {"beta": 0.0}])),
-        try_yaw_flip=draw(st.booleans()),
     )
     bound = draw(st.sampled_from([50.0, 1e3, MAX_COORDINATE_M]))
     reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
@@ -387,14 +385,13 @@ def anchor_motion_scores(pair, params, anchors):
     call; the better by _rank, the given heading winning ties."""
     i, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
     R = association._rot_z(pair.cos[i, j], pair.sin[i, j]).transpose(2, 0, 1)
-    V = 2 if params.try_yaw_flip else 1
     # [anchor, variant]: rot_z(phi + pi) negates the xy rows
-    R = np.stack([R, R * association._FLIP_AXES[:, None]], axis=1)[:, :V].reshape(-1, 3, 3)
-    flipped = np.tile([False, True][:V], len(i))
-    e_star, c_star = np.repeat(pair.ego.centers[i], V, axis=0), np.repeat(pair.coop.centers[j], V, axis=0)
+    R = np.stack([R, R * association._FLIP_AXES[:, None]], axis=1).reshape(-1, 3, 3)
+    flipped = np.tile([False, True], len(i))
+    e_star, c_star = np.repeat(pair.ego.centers[i], 2, axis=0), np.repeat(pair.coop.centers[j], 2, axis=0)
     up = association._score_motions(pair.ego, pair.coop, R, e_star, c_star, flipped[:, None], params)
     scores = association._scores(up, np.arange(len(flipped)), flipped)
-    return [min(scores[k : k + V], key=association._rank) for k in range(0, len(scores), V)]
+    return [min(scores[k : k + 2], key=association._rank) for k in range(0, len(scores), 2)]
 
 
 def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatch):
@@ -426,11 +423,10 @@ def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatc
 @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())
 def test_a_pass_over_an_empty_scene_is_empty(params):
     ego, coop = SCENES["dense-0"]
-    variants = 2 if params.try_yaw_flip else 1
     for n, m in ((0, len(coop)), (len(ego), 0), (0, 0)):
         arrays = association._SceneArrays(make_scene(ego[:n])), association._SceneArrays(make_scene(coop[:m]))
         conf, mean, flip, kept = association._anchor_pass(*arrays, params)
-        assert conf.shape == mean.shape == (n, variants, m) and flip.shape == (n, m)
+        assert conf.shape == mean.shape == (n, 2, m) and flip.shape == (n, m)
         assert conf.dtype == np.intp and mean.dtype == np.float64 and flip.dtype == bool
         assert [k.dtype for k in kept] == [np.intp, np.intp, np.intp, np.float64]
         assert all(len(k) == 0 for k in kept)

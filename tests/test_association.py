@@ -36,6 +36,7 @@ from boxcalib import (
 )
 from conftest import (
     assignment_max_oracle,
+    given_heading_score,
     make_box,
     make_scene,
     spread_scene,
@@ -250,15 +251,14 @@ def seven_noisy():
 
 def test_alignment_score_takes_the_better_coop_heading():
     ego, coop, truth = seven_noisy()
-    as_given = ODistParams(try_yaw_flip=False)
-    given = alignment_score(ego, coop, truth, as_given)
+    given = given_heading_score(ego, coop, truth)
     score = alignment_score(ego, reversed_headings(coop), truth)
     assert score.coop_flipped
     assert score.confidence == given.confidence == len(ego)
     assert [p[:2] for p in score.valid_pairs] == [p[:2] for p in given.valid_pairs]
     assert score.mean_distance == pytest.approx(given.mean_distance, abs=1e-12)
-    # with flips off only the headings as given are scored
-    assert alignment_score(ego, reversed_headings(coop), truth, as_given).confidence < len(ego)
+    # the headings as given alone do not pair the reversed scene
+    assert given_heading_score(ego, reversed_headings(coop), truth).confidence < len(ego)
 
 
 def test_alignment_score_ties_keep_the_given_heading():
@@ -270,11 +270,10 @@ def test_alignment_score_ties_keep_the_given_heading():
 
 
 def test_alignment_score_of_the_given_heading_is_pinned_bit_for_bit():
-    # the values of the one-heading alignment_score on this pair: scoring
+    # the values of the given heading's score alone on this pair: scoring
     # the reversed heading beside it must not move a bit of them
     ego, coop, truth = seven_noisy()
-    for params in (ODistParams(try_yaw_flip=False), ODistParams()):
-        score = alignment_score(ego, coop, truth, params)
+    for score in (given_heading_score(ego, coop, truth), alignment_score(ego, coop, truth)):
         assert (score.confidence, score.mean_distance.hex(), score.coop_flipped) == (
             15.0, "0x1.a20e036c8fff4p+0", False
         )
@@ -679,14 +678,6 @@ def test_reversed_coop_headings_are_recovered_when_enabled():
     assert np.all(np.diag(m.coop_flip))
     matches = associate(ego, coop)
     assert all(m.coop_yaw_flipped for m in matches)
-
-
-def test_reversed_headings_break_consensus_when_flips_are_disabled():
-    ego = spread_scene(5, seed=50)
-    coop = make_scene([with_flipped_yaw(b) for b in ego], agent_id="coop")
-    m = build_affinity(ego, coop, ODistParams(try_yaw_flip=False))
-    assert np.max(m.entries) <= 1.0
-    assert not np.any(m.coop_flip)
 
 
 def test_congruent_single_boxes_keep_the_unflipped_heading():

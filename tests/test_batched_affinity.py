@@ -1,19 +1,17 @@
 """build_affinity's anchor blocks against the transform kernel.
 
-The reference scores each anchor through the public transform path:
-alignment_score under pair_hypothesis with try_yaw_flip off, once on the
-coop scene and once on a copy with every heading reversed, the better
-variant by confidence and then mean distance to 1e-9 m, the unflipped
-one winning ties. The blocks must give the same entries and flip flags
+The reference scores each anchor's pair_hypothesis through the transform
+kernel with the coop headings as given only (given_heading_score), once
+on the coop scene and once on a copy with every heading reversed, the
+better variant by confidence and then mean distance to 1e-9 m, the
+unflipped one winning ties. The blocks must give the same entries and flip flags
 exactly, on generated scenes and on fixtures built at the edges of the
 pairing rules. An anchor must score the same through odist as in the
 affinity, with the same valid pairs in the same order as its own
-transform's alignment_score, and associate must score every anchor in
+transform's score, and associate must score every anchor in
 one pass over the ego boxes.
 """
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +22,6 @@ from boxcalib import (
     ODistParams,
     Scene,
     SynthConfig,
-    alignment_score,
     associate,
     build_affinity,
     grid_product,
@@ -35,7 +32,7 @@ from boxcalib import (
 )
 from boxcalib import association
 
-from conftest import make_box, make_scene
+from conftest import given_heading_score, make_box, make_scene
 
 SWEEP_GRID = grid_product((0.0, 0.5, 1.0, 2.0), (0.0, 10.0, 25.0))  # boxcalib sweep's default grid
 CENTER_ONLY = ODistParams(alpha=1.0, beta=0.0)
@@ -51,14 +48,13 @@ def transform_scores(ego, coop, params):
     scored under its own headings alone, so the heading rule is derived
     here, not taken from alignment_score."""
     reversed_coop = Scene(tuple(with_flipped_yaw(b) for b in coop))
-    variants = (coop, reversed_coop) if params.try_yaw_flip else (coop,)
-    as_given = replace(params, try_yaw_flip=False)
     scores = {}
     for i in range(len(ego)):
         for j in range(len(coop)):
             try:
                 scores[i, j] = [
-                    alignment_score(ego, c, pair_hypothesis(ego[i], c[j]), as_given) for c in variants
+                    given_heading_score(ego, c, pair_hypothesis(ego[i], c[j]), params)
+                    for c in (coop, reversed_coop)
                 ]
             except DegenerateGeometry:
                 scores[i, j] = None
@@ -129,12 +125,9 @@ def sweep_pair(cell):
     return noisy_pair(base, SWEEP_GRID[cell], np.random.SeedSequence([7, cell]))[:2]
 
 
-@pytest.mark.parametrize(
-    "params", [ODistParams(), ODistParams(try_yaw_flip=False)], ids=["flip", "no-flip"]
-)
-def test_sweep_cells_match_the_scalar_kernel(params):
+def test_sweep_cells_match_the_scalar_kernel():
     for cell in range(len(SWEEP_GRID)):
-        assert_matches_reference(*sweep_pair(cell), params)
+        assert_matches_reference(*sweep_pair(cell))
 
 
 def test_dense_pair_with_private_boxes_matches_the_scalar_kernel():

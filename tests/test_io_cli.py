@@ -233,7 +233,7 @@ def test_state_files_are_validated(tmp_path):
 
 
 FULL_CONFIG = {
-    "odist": {"tau": 2.5, "alpha": 1.0, "beta": 0.5, "try_yaw_flip": False},
+    "odist": {"tau": 2.5, "alpha": 1.0, "beta": 0.5},
     "top_k": 10,
     "monitor": {"theta_boot": 0.5, "theta_monitor": 0.75, "min_confidence": 4},
     "synth": {"n_boxes": 9, "x_range": [-20, 20], "min_separation": 4.0, "seed": 5},
@@ -244,7 +244,6 @@ FULL_CONFIG = {
 def test_config_sections_load_and_default(tmp_path):
     cfg = config_from_dict(FULL_CONFIG)
     assert cfg.odist.tau == 2.5
-    assert cfg.odist.try_yaw_flip is False
     assert cfg.top_k == 10
     assert cfg.monitor.min_confidence == 4
     assert cfg.synth.n_boxes == 9
@@ -299,14 +298,13 @@ def test_config_section_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        # each loaded: the flip stayed on, the support gate was fractional,
-        # tau was True, and n_boxes failed inside NumPy under synth
-        ({"odist": {"try_yaw_flip": "no"}}, "odist.try_yaw_flip: expected a boolean, got 'no'"),
+        # each loaded: the support gate was fractional, tau was True, and
+        # n_boxes failed inside NumPy under synth
         ({"monitor": {"min_confidence": 2.5}}, "monitor.min_confidence: expected an integer, got 2.5"),
         ({"odist": {"tau": True}}, "odist.tau: expected a number, got True"),
         ({"synth": {"n_boxes": 2.5}}, "synth.n_boxes: expected an integer, got 2.5"),
     ],
-    ids=["bool", "int", "float", "n_boxes"],
+    ids=["int", "float", "n_boxes"],
 )
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, doc, message):
     ego_path, coop_path, _ = write_pair(tmp_path)
@@ -430,10 +428,13 @@ def test_calibrate_overflowing_coordinates_exits_2(tmp_path, capsys):
 
 
 def test_retired_options_exit_2(tmp_path, capsys):
-    # there is no mean-distance gate (tau1), no retry count (max_retries)
-    # and no guard switch (generic_guard: a guard_tolerance of 0 is off)
+    # there is no mean-distance gate (tau1), no retry count (max_retries),
+    # no guard switch (generic_guard: a guard_tolerance of 0 is off) and no
+    # heading switch (try_yaw_flip: both coop headings are always scored)
     ego_path, coop_path, _ = write_pair(tmp_path)
-    for section, key in (("odist", "tau1"), ("monitor", "max_retries"), ("synth", "generic_guard")):
+    for section, key in (
+        ("odist", "tau1"), ("monitor", "max_retries"), ("synth", "generic_guard"), ("odist", "try_yaw_flip")
+    ):
         cfg_path = write_json(tmp_path, "cfg.json", {section: {key: 1}})
         rc = cli.main(["calibrate", str(ego_path), str(coop_path), "--config", str(cfg_path)])
         assert rc == 2

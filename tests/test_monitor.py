@@ -25,6 +25,7 @@ from boxcalib import (
     transform_scene,
     with_flipped_yaw,
 )
+from boxcalib import association
 from boxcalib.io import state_from_dict, state_to_dict
 from boxcalib.monitor import unreadable_frame
 from conftest import make_box, make_scene, spread_scene, yaw_transform
@@ -248,6 +249,32 @@ def test_step_recalibrates_on_the_first_attempt():
     assert state.last_health == health
     assert (state.status, state.frame_count) == (MonitorStatus.CALIBRATED, 5)
     assert np.array_equal(state.current_extrinsic.translation, expected.transform.translation)
+
+
+def test_a_frame_builds_the_scene_arrays_once(monkeypatch):
+    # the health check and the calibration score the same two scenes, so
+    # a frame builds their arrays once: at boot, on a healthy frame and on
+    # one whose held extrinsic fails its check (scenes within top_k, so
+    # the calibration builds no others)
+    ego, coop, t_true = scene_pair()
+    builds, init = [], association._SceneArrays.__init__
+
+    def counted(self, scene):
+        builds.append(len(scene))
+        init(self, scene)
+
+    monkeypatch.setattr(association._SceneArrays, "__init__", counted)
+    wrong = RigidTransform(t_true.rotation, t_true.translation + 50.0)
+    frames = {
+        EventKind.BOOT_CALIBRATED: MonitorState.initial(),
+        EventKind.HEALTH_OK: MonitorState(t_true, MonitorStatus.CALIBRATED, None, 4),
+        EventKind.RECALIBRATED: MonitorState(wrong, MonitorStatus.CALIBRATED, None, 4),
+    }
+    for kind, state in frames.items():
+        builds.clear()
+        _, events = step(state, ego, coop)
+        assert kinds(events) == [kind]
+        assert builds == [len(ego), len(coop)], kind
 
 
 def test_runtime_failure_keeps_the_measured_health():

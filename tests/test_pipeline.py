@@ -19,9 +19,11 @@ from boxcalib import (
     Scene,
     SynthConfig,
     apply_transform,
+    build_affinity,
     calibrate_scenes,
     compose,
     generate_scene_pair,
+    grid_product,
     invert,
     noisy_pair,
     random_yaw_transform,
@@ -32,6 +34,7 @@ from boxcalib import (
     with_flipped_yaw,
 )
 from boxcalib.io import report_to_dict
+from boxcalib.pipeline import CALIBRATION_FAILURES
 from conftest import make_box, make_scene, spread_scene, yaw_transform
 
 
@@ -162,6 +165,50 @@ def test_reversed_coop_headings_report_the_same_health():
     assert rte(t_true.translation, report.transform.translation) < 1e-9
     assert report.health_confidence == given.health_confidence == len(ego)
     assert report.health_mean_distance == pytest.approx(given.health_mean_distance, abs=1e-12)
+
+
+SWEEP_GRID = grid_product((0.0, 0.5, 1.0, 2.0), (0.0, 10.0, 25.0))  # boxcalib sweep's default grid
+
+
+def sweep_frame(seed, k):
+    """Trial k of a Sweep15 benchmark run of the given seed: 15 boxes seen
+    by both agents, the grid cells round-robin."""
+    cell = k % len(SWEEP_GRID)
+    base = SynthConfig(n_boxes=15, visibility=1.0)
+    return noisy_pair(base, SWEEP_GRID[cell], np.random.SeedSequence([seed, cell, k // len(SWEEP_GRID)]))[:2]
+
+
+def calibrated_or_none(ego, coop):
+    try:
+        return calibrate_scenes(ego, coop)
+    except CALIBRATION_FAILURES:
+        return None
+
+
+@pytest.mark.parametrize("seed", [501, 502, 503])
+def test_the_coop_heading_convention_does_not_change_a_calibration(seed):
+    # reversing every coop heading swaps the two heading variants of every
+    # score: a result of two or more matches keeps its pairs, confidences,
+    # health and transform, only the flip flags toggle, and every affinity
+    # entry stays. A one-match result is left out: its two headings tie,
+    # and the tie goes to the unflipped one (7 of the three seeds' first
+    # 240 frames, all at sigma = 2 m)
+    compared = 0
+    for k in range(120):
+        ego, coop = sweep_frame(seed, k)
+        reversed_coop = make_scene([with_flipped_yaw(b) for b in coop], agent_id="coop")
+        assert np.array_equal(build_affinity(ego, coop).entries, build_affinity(ego, reversed_coop).entries)
+        given, flipped = calibrated_or_none(ego, coop), calibrated_or_none(ego, reversed_coop)
+        if not any(r is not None and len(r.matches) >= 2 for r in (given, flipped)):
+            continue
+        compared += 1
+        assert given is not None and flipped is not None, k
+        toggled = [(m.ego_index, m.coop_index, m.confidence, not m.coop_yaw_flipped) for m in flipped.matches]
+        assert toggled == [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in given.matches], k
+        assert flipped.health_confidence == given.health_confidence, k
+        assert rte(given.transform.translation, flipped.transform.translation) <= 1e-9, k
+        assert rre(given.transform.rotation, flipped.transform.rotation) <= 1e-9, k
+    assert compared >= 115
 
 
 # ---- invariances of calibrate_scenes on noise-free scene pairs ----
