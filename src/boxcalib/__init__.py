@@ -48,7 +48,7 @@ from .association import (
     top_k_by_volume,
 )
 from .metrics import EmptyTrialSet, MetricSummary, TrialError, rre, rte, summarize
-from .pipeline import DEFAULT_TOP_K, CalibrationReport, calibrate_scenes
+from .pipeline import DEFAULT_TOP_K, CalibrationReport, CalibrationTrace, calibrate_scenes
 from .synth import (
     NoiseConfig,
     PlacementFailure,
@@ -86,7 +86,7 @@ __all__ = [
     "PairScore", "alignment_score", "associate", "box_distance",
     "build_affinity", "odist", "solve_assignment", "top_k_by_volume",
     "EmptyTrialSet", "MetricSummary", "TrialError", "rre", "rte", "summarize",
-    "DEFAULT_TOP_K", "CalibrationReport", "calibrate_scenes",
+    "DEFAULT_TOP_K", "CalibrationReport", "CalibrationTrace", "calibrate_scenes",
     "NoiseConfig", "PlacementFailure", "SweepCell", "SynthConfig",
     "generate_scene_pair", "grid_product", "inject_noise",
     "kappa_for_circular_std", "noise_sweep", "noisy_pair", "random_yaw_transform",

@@ -43,6 +43,7 @@ refinement's steps.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -560,9 +561,13 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
 
 def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     """associate's matches and their fit (_fit) on the scenes' arrays: the
-    cached fit _refine stopped at, or the one fit of a one-pair valid set."""
+    cached fit _refine stopped at, or the one fit of a one-pair valid set;
+    and the seconds of the anchor pass, the assignment and the rest."""
+    start = time.perf_counter()
     affinity, frame = _score_anchors(ego, coop, params)
+    scored = time.perf_counter()
     assigned = solve_assignment(affinity)
+    solved = time.perf_counter()
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
     anchors = _pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
@@ -572,7 +577,8 @@ def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     key = _key(best)
     R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(ego, coop, [key])[:3]]
     fit = RegistrationResult(RigidTransform(R, t), float(rms))
-    return MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0])), fit
+    matches = MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0]))
+    return matches, fit, (scored - start, solved - scored, time.perf_counter() - solved)
 
 
 def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> MatchSet:

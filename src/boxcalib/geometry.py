@@ -62,7 +62,8 @@ class DetectionBox:
             raise ValueError(f"dims must be positive, got {self.dims}")
         if not math.isfinite(self.yaw):
             raise ValueError("yaw must be finite")
-        object.__setattr__(self, "yaw", float(self.yaw) % TWO_PI)
+        yaw = float(self.yaw) % TWO_PI  # a tiny negative yaw rounds up to 2*pi
+        object.__setattr__(self, "yaw", 0.0 if yaw == TWO_PI else yaw)
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 

@@ -192,6 +192,7 @@ def report_to_dict(report: CalibrationReport) -> dict:
         "health_confidence": report.health_confidence,
         "health_mean_distance": _finite_or_none(report.health_mean_distance),
         "elapsed_s": report.elapsed_s,
+        "trace": asdict(report.trace),
     }
 
 

@@ -120,7 +120,7 @@ def step(
             return kept, [MonitorEvent(frame, EventKind.HEALTH_OK, *measured, 0)]
 
     try:
-        _, fit, score = _calibrate(ego, coop, arrays, params, top_k)
+        _, fit, score, _ = _calibrate(ego, coop, arrays, params, top_k)
     except CALIBRATION_FAILURES:
         fit, health = None, (0.0, math.inf)
     else:

@@ -25,8 +25,23 @@ CALIBRATION_FAILURES = (NoCoVisibleObjects, DegenerateGeometry)
 
 
 @dataclass(frozen=True)
+class CalibrationTrace:
+    """Seconds one calibrate_scenes call spent in each of its stages; they
+    are disjoint parts of its elapsed_s."""
+
+    top_k_s: float  # top_k_by_volume of both scenes
+    scene_arrays_s: float  # every scene's arrays built, the full scenes' and the kept ones'
+    anchor_pass_s: float  # every anchor's score and the affinity matrix
+    assignment_s: float  # solve_assignment
+    refinement_s: float  # the assigned anchors' refits, the winner and its fit
+    health_s: float  # the final transform's alignment score on the full scenes
+
+
+@dataclass(frozen=True)
 class CalibrationReport:
-    """Estimated coop-to-ego transform plus diagnostics."""
+    """Estimated coop-to-ego transform plus diagnostics. The matches index
+    the scenes as top_k_by_volume(scene, top_k) returns them, which are the
+    caller's indices only when top_k is None or no smaller than the scene."""
 
     transform: RigidTransform
     matches: MatchSet
@@ -34,6 +49,7 @@ class CalibrationReport:
     health_confidence: float  # valid-set size of the final transform on the full scenes
     health_mean_distance: float
     elapsed_s: float
+    trace: CalibrationTrace
 
 
 def calibrate_scenes(
@@ -48,11 +64,14 @@ def calibrate_scenes(
     objects are detected more consistently and their corners constrain
     the alignment better per pair. The transform and rms_residual are the
     corner fit of the matches with equal weights, which association
-    computed once while refining. Raises NoCoVisibleObjects if association finds nothing and
+    computed once while refining. The matches index the kept scenes, not
+    the caller's. Raises NoCoVisibleObjects if association finds nothing and
     DegenerateGeometry if the matched corners do not pin down a rotation.
     """
     start = time.perf_counter()
-    matches, result, health = _calibrate(ego, coop, (_SceneArrays(ego), _SceneArrays(coop)), params, top_k)
+    full = _SceneArrays(ego), _SceneArrays(coop)
+    arrays_s = time.perf_counter() - start
+    matches, result, health, (top_k_s, kept_s, *stages) = _calibrate(ego, coop, full, params, top_k)
     return CalibrationReport(
         transform=result.transform,
         matches=matches,
@@ -60,15 +79,24 @@ def calibrate_scenes(
         health_confidence=health.confidence,
         health_mean_distance=health.mean_distance,
         elapsed_s=time.perf_counter() - start,
+        trace=CalibrationTrace(top_k_s, arrays_s + kept_s, *stages),
     )
 
 
 def _calibrate(ego: Scene, coop: Scene, full, params: ODistParams, top_k: int | None):
-    """calibrate_scenes's matches, fit and health on the scenes' arrays full."""
+    """calibrate_scenes's matches, fit and health on the scenes' arrays
+    full, and the seconds of its stages in CalibrationTrace's order, the
+    kept scenes' arrays only under scene arrays."""
+    start = time.perf_counter()
     tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
+    topped = time.perf_counter()
     kept = [a if t is s else _SceneArrays(t) for a, s, t in zip(full, (ego, coop), tops)]
-    matches, result = _associate(*kept, params)
-    return matches, result, _alignment(*full, result.transform, params)
+    built = time.perf_counter()
+    matches, result, associated = _associate(*kept, params)
+    matched = time.perf_counter()
+    health = _alignment(*full, result.transform, params)
+    seconds = (topped - start, built - topped, *associated, time.perf_counter() - matched)
+    return matches, result, health, seconds
 
 
 def trial_error(

@@ -114,10 +114,8 @@ def nearest_rotation(H: np.ndarray) -> np.ndarray:
         raise DegenerateGeometry(
             f"cross-covariance{at or ''} is rank-deficient (singular values {S[tuple(at)]})"
         )
-    D = np.zeros(H.shape)
-    D[..., 0, 0] = D[..., 1, 1] = 1.0
-    D[..., 2, 2] = np.sign(np.linalg.det(U @ Vt))
-    return U @ D @ Vt
+    U[..., :, 2] *= np.sign(np.linalg.det(U @ Vt))[..., None]  # U diag(1, 1, det)
+    return U @ Vt
 
 
 def pair_hypothesis(ego_box: DetectionBox, coop_box: DetectionBox) -> RigidTransform:

@@ -78,6 +78,12 @@ def test_box_yaw_normalizes_into_one_turn():
     assert make_box((0, 0, 0), yaw=2 * math.pi).yaw == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("yaw", [-1e-17, -5e-324])
+def test_a_tiny_negative_yaw_folds_to_zero_not_one_turn(yaw):
+    assert yaw % (2 * math.pi) == 2 * math.pi  # the float remainder rounds up
+    assert make_box((0, 0, 0), yaw=yaw).yaw == 0.0
+
+
 def test_box_rejects_bad_inputs():
     with pytest.raises(ValueError):
         make_box((0, 0, 0), dims=(0.0, 1.0, 1.0))

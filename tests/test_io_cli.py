@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from boxcalib import (
+    DEFAULT_TOP_K,
     DegenerateGeometry,
     MonitorState,
     MonitorStatus,
@@ -20,6 +21,7 @@ from boxcalib import (
     invert,
     rre,
     rte,
+    top_k_by_volume,
     transform_scene,
 )
 from boxcalib.io import (
@@ -61,6 +63,14 @@ def test_scene_round_trip_is_lossless(tmp_path):
         assert a.yaw == b.yaw
         assert a.confidence == b.confidence
         assert a.label == b.label
+
+
+def test_a_tiny_negative_yaw_round_trips_as_zero(tmp_path):
+    # -1e-17 % 2*pi rounds to 2*pi itself, which the box folds to 0.0
+    scene = make_scene([make_box((0, 0, 0), yaw=-1e-17), make_box((9, 0, 0), yaw=-5e-324)])
+    save_scene(scene, tmp_path / "scene.json")
+    loaded = load_scene(tmp_path / "scene.json")
+    assert [b.yaw for b in scene] == [b.yaw for b in loaded] == [0.0, 0.0]
 
 
 def test_class_key_maps_to_the_label_field(tmp_path):
@@ -371,6 +381,29 @@ def test_calibrate_recovers_a_known_transform(tmp_path, capsys):
     estimate = load_extrinsic(out_path)
     assert rre(t_true.rotation, estimate.rotation) < 1e-6
     assert rte(t_true.translation, estimate.translation) < 1e-6
+
+
+def test_calibrate_match_indices_are_those_of_the_top_k_scenes(tmp_path, capsys):
+    # 20 boxes, more than the default top 15, listed in reverse in the coop
+    # file: the printed indices index the kept scenes, not the input files
+    ego = spread_scene(20, seed=4)
+    t_true = yaw_transform(0.9, (6.0, -2.0, 0.3))
+    coop = make_scene(reversed(transform_scene(invert(t_true), ego).boxes))
+    save_scene(ego, tmp_path / "ego.json")
+    save_scene(coop, tmp_path / "coop.json")
+    assert cli.main(["calibrate", str(tmp_path / "ego.json"), str(tmp_path / "coop.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    pairs = [(m["ego_index"], m["coop_index"]) for m in doc["matches"]]
+    ego_k, coop_k = top_k_by_volume(ego, DEFAULT_TOP_K), top_k_by_volume(coop, DEFAULT_TOP_K)
+
+    def gaps(ego_scene, coop_scene):  # meters between each matched pair under the truth
+        return [np.linalg.norm(t_true.rotation @ coop_scene[j].center + t_true.translation - ego_scene[i].center)
+                for i, j in pairs]
+
+    assert len(pairs) == DEFAULT_TOP_K
+    assert max(gaps(ego_k, coop_k)) < 1e-6
+    assert max(gaps(ego, coop)) > 1.0  # the same indices read against the files
+    assert len(doc["trace"]) == 6 and all(math.isfinite(s) and s >= 0.0 for s in doc["trace"].values())
 
 
 def test_calibrate_empty_coop_exits_no_covisible(tmp_path, capsys):

@@ -102,7 +102,7 @@ def sequential_associate(ego, coop, params):
 def lockstep_associate(ego, coop, params):
     arrays, anchors = assigned_anchors(ego, coop, params)
     refined, fits = association._refine(*arrays, anchors, params)
-    matches, fit = association._associate(*arrays, params)
+    matches, fit, _ = association._associate(*arrays, params)
     shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
     return refined, set(fits), shown, (fit.transform.rotation, fit.transform.translation, fit.rms_residual)
 

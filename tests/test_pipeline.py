@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from boxcalib import (
     DEFAULT_TOP_K,
     CalibrationReport,
+    CalibrationTrace,
     NoCoVisibleObjects,
     NoiseConfig,
     RigidTransform,
@@ -60,6 +61,16 @@ def test_report_diagnostics_describe_a_clean_solution():
     assert report.health_mean_distance == pytest.approx(0.0, abs=1e-9)
     assert report.elapsed_s > 0.0
     assert all(m.confidence == len(ego) for m in report.matches)
+
+
+@pytest.mark.parametrize("n_boxes", [10, 30])  # the scenes kept whole, and cut to the top 15
+def test_trace_splits_the_elapsed_time_into_its_stages(n_boxes):
+    *_, report = calibrated_pair(5, n_boxes=n_boxes)
+    seconds = dataclasses.astuple(report.trace)
+    assert isinstance(report.trace, CalibrationTrace)
+    assert len(seconds) == 6
+    assert all(math.isfinite(s) and s >= 0.0 for s in seconds)
+    assert sum(seconds) <= report.elapsed_s
 
 
 def test_partial_visibility_still_recovers_the_truth():
@@ -131,6 +142,11 @@ def test_report_serializes_to_plain_json_types():
         "health_confidence",
         "health_mean_distance",
         "elapsed_s",
+        "trace",
+    }
+    assert d["trace"] == dataclasses.asdict(report.trace)
+    assert set(d["trace"]) == {
+        "top_k_s", "scene_arrays_s", "anchor_pass_s", "assignment_s", "refinement_s", "health_s"
     }
     assert len(d["rotation"]) == 9
     assert len(d["translation"]) == 3

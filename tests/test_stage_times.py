@@ -1,6 +1,7 @@
 """tools/stage_times.py on two frames, one of each workload."""
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,40 @@ def test_stage_times_rejects_a_repeat_count_below_one():
         [sys.executable, str(TOOL), "--repeats", "0"], capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 2 and "--repeats" in done.stderr
+
+
+def boxcalib_names(tree: ast.AST) -> set[str]:
+    """The names a module binds to boxcalib or its contents; fails on an
+    imported private name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "boxcalib":
+            for alias in node.names:
+                assert not alias.name.startswith("_"), f"imports boxcalib's {alias.name}"
+                names.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names if a.name.split(".")[0] == "boxcalib")
+    return names
+
+
+def root_name(node: ast.AST) -> str | None:
+    """The name an attribute chain a.b.c starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_stage_times_reads_only_public_names_and_patches_nothing():
+    # the tool reads the report's trace; a private name or an assigned
+    # attribute of the package would tie it to the pipeline's layout again
+    tree = ast.parse(TOOL.read_text())
+    names = boxcalib_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and root_name(node) in names:
+            assert not node.attr.startswith("_"), f"line {node.lineno} reads {node.attr}"
+            assert isinstance(node.ctx, ast.Load), f"line {node.lineno} assigns {node.attr}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id not in ("setattr", "delattr"), f"line {node.lineno} calls {node.func.id}"
+            if node.func.id == "getattr" and root_name(node.args[0]) in names:
+                attr = node.args[1]
+                assert isinstance(attr, ast.Constant) and not attr.value.startswith("_"), f"line {node.lineno}"

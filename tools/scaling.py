@@ -19,9 +19,7 @@ more at +-30 m. For each frame the script prints:
                     assignment and refinement)
 
 Each peak is measured above what was allocated before the call, in its
-own run. BLAS runs on one thread. Only these module-level names are
-called, so the script also runs in an older checkout that has them with
-these signatures.
+own run. BLAS runs on one thread.
 """
 from __future__ import annotations
 
