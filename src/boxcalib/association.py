@@ -13,12 +13,14 @@ is scored by how well the rest of the scene lines up:
 Anchor confidences fill an affinity matrix and one Hungarian solve picks
 the candidate anchors: the one-to-one assignment with maximum total
 affinity, minus zero entries, ties broken as the installed scipy's solver
-breaks them (solve_assignment). Each assigned anchor is refined on its
-valid set by closed-form fits of the pairs' corners (_fit) to a fixed
-point, and the final matches are the refined consensus (valid set) of the
-best assigned anchor, as in LO-RANSAC: pairs the assignment picked only
-because they agree with themselves never join it. Each distinct valid set
-is fit once, and the winner's fit is the calibration's transform.
+breaks them (solve_assignment). Only the best five assigned anchors by
+unrefined score (_REFINED) are refined, each on its valid set by
+closed-form fits of the pairs' corners (_fit) to a fixed point, and the
+final matches are the refined consensus (valid set) of the best refined
+anchor, as in LO-RANSAC: pairs the assignment picked only because they
+agree with themselves never join it, and the local step runs only on
+hypotheses that can still win. Each distinct valid set is fit once, and
+the winner's fit is the calibration's transform.
 
 Every score is of rigid motions x -> e* + R (x - c*), and one pair
 arithmetic serves them all: the squared center difference c2 =
@@ -32,12 +34,13 @@ refinement round, never per anchor. The anchor pass (_anchor_pass)
 builds the frame's tables and scores every anchor, each about (e_i,
 c_j), on the pairs that a grid of the offsets in each box's heading frame
 puts within reach (a fixed-radius join), in one loop over chunks of rows,
-and fills the affinity matrix; refinement starts from the assigned anchors'
-scores read from it. The transform kernel (_score_motions) scores given
-motions: odist's (an anchor's, bit for bit the pass's), a round's refits
-about their centroids (_refine), and alignment_score's and the health
-check's, about (t, 0). One rule ranks scores (_rank): it picks the
-heading of each anchor and of each scored transform, and decides
+and fills the affinity matrix; refinement starts from the best five
+assigned anchors' scores read from it. The transform kernel
+(_score_motions) scores given motions: odist's (an anchor's, bit for bit
+the pass's), a round's refits about their centroids (_refine), and
+alignment_score's and the health check's, about (t, 0). One rule ranks
+scores (_rank): it picks the heading of each anchor and of each scored
+transform, chooses the anchors refinement starts from, and decides
 refinement's steps.
 """
 from __future__ import annotations
@@ -63,6 +66,16 @@ TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 # fast as 2^15 and 10-15 % faster than 2^11.
 _CANDIDATE_BUDGET = 1 << 13
 _ALLOWANCE = 1e-6  # the grid windows' rounding allowance per meter (_anchor_pass)
+
+# Refinement starts from the _REFINED best assigned anchors by unrefined
+# _rank: LO-RANSAC (Chum, Matas & Kittler, DAGM 2003) runs its local step
+# only on hypotheses that can still win. Against refining every assigned
+# anchor, on Dense32(501) frames 0-63 the valid sets fitted per frame went
+# 22.1 -> 2.9 in 2.08 -> 1.19 fitting rounds at the same match precision
+# and recall (BENCH_23.json); over 240 Sweep15 trials at seeds 501-503 the
+# results within 1 m went 115/117/118 -> 113/117/120 and the pooled recall
+# fell by at most 0.75 %.
+_REFINED = 5
 
 
 class NoCoVisibleObjects(RuntimeError):
@@ -533,16 +546,18 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
     on the valid set it fits. A one-pair valid set is the anchor itself and
     is left alone. Each round fits the new valid sets of the still improving
     anchors at once and scores them in one _score_motions. Returns the
-    refined scores, in the order of anchors, and fits: each fitted key's (R,
-    t, rms) and score.
+    refined scores, in the order of anchors, fits: each fitted key's (R, t,
+    rms) and score, and the number of rounds that fitted new valid sets.
     """
     fits: dict[tuple, tuple] = {}
     scores = list(anchors)
     active = [k for k, score in enumerate(scores) if len(score.valid_pairs) >= 2]
+    rounds = 0
     while active:
         keys = [_key(scores[k]) for k in active]
         new = list(dict.fromkeys(key for key in keys if key not in fits))
         if new:
+            rounds += 1
             R, t, rms, e_bar, c_bar = _fit(ego, coop, new)
             flipped = [f for _, f in new]
             up = _score_motions(ego, coop, R, e_bar, c_bar, np.array(flipped)[:, None], params)
@@ -556,13 +571,14 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
                 scores[k] = refined
                 improving.append(k)
         active = improving
-    return scores, fits
+    return scores, fits, rounds
 
 
 def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     """associate's matches and their fit (_fit) on the scenes' arrays: the
     cached fit _refine stopped at, or the one fit of a one-pair valid set;
-    and the seconds of the anchor pass, the assignment and the rest."""
+    the seconds of the anchor pass, the assignment and the rest; and the
+    refinement rounds and the valid sets fitted, that one fit included."""
     start = time.perf_counter()
     affinity, frame = _score_anchors(ego, coop, params)
     scored = time.perf_counter()
@@ -571,26 +587,31 @@ def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
     anchors = _pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
-    refined, fits = _refine(ego, coop, anchors, params)
-    # assigned is in ascending ego index and min keeps the first of equals
+    # the _REFINED best by a stable sort, so ties keep ego order, then back in ego order
+    seeds = sorted(sorted(range(len(anchors)), key=lambda k: _rank(anchors[k]))[:_REFINED])
+    refined, fits, rounds = _refine(ego, coop, [anchors[k] for k in seeds], params)
+    # the seeds are in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
     key = _key(best)
+    sets = len(fits) + (key not in fits)
     R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(ego, coop, [key])[:3]]
     fit = RegistrationResult(RigidTransform(R, t), float(rms))
     matches = MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0]))
-    return matches, fit, (scored - start, solved - scored, time.perf_counter() - solved)
+    return matches, fit, (scored - start, solved - scored, time.perf_counter() - solved), (rounds, sets)
 
 
 def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> MatchSet:
-    """Full association: the refined consensus of the best assigned anchor.
+    """Full association: the refined consensus of the best refined anchor.
 
     The affinity matrix and the optimal assignment choose the candidate
-    anchors by their unrefined confidences. Each assigned anchor's score,
-    read from the pass that filled its affinity entry (_pair_scores), is
-    refined to a fixed point (see _refine); the one with the highest
-    refined confidence, then the least mean distance, then the lowest ego
-    index wins. Its valid set, sorted by ego index, is returned; every
-    match carries the winner's confidence and heading-flip flag.
+    anchors by their unrefined confidences. Only the best five assigned
+    anchors by unrefined score (_rank, ties to the lower ego index) are
+    refined: each one's score, read from the pass that filled its affinity
+    entry (_pair_scores), is refined to a fixed point (see _refine); the
+    one with the highest refined confidence, then the least mean distance,
+    then the lowest ego index wins. Its valid set, sorted by ego index, is
+    returned; every match carries the winner's confidence and heading-flip
+    flag.
     """
     return _associate(_SceneArrays(ego), _SceneArrays(coop), params)[0]
 

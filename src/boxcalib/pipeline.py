@@ -26,15 +26,17 @@ CALIBRATION_FAILURES = (NoCoVisibleObjects, DegenerateGeometry)
 
 @dataclass(frozen=True)
 class CalibrationTrace:
-    """Seconds one calibrate_scenes call spent in each of its stages; they
-    are disjoint parts of its elapsed_s."""
+    """Seconds one calibrate_scenes call spent in each of its stages, which
+    are disjoint parts of its elapsed_s, and what refinement counted."""
 
     top_k_s: float  # top_k_by_volume of both scenes
     scene_arrays_s: float  # every scene's arrays built, the full scenes' and the kept ones'
     anchor_pass_s: float  # every anchor's score and the affinity matrix
     assignment_s: float  # solve_assignment
-    refinement_s: float  # the assigned anchors' refits, the winner and its fit
+    refinement_s: float  # the best five assigned anchors' refits, the winner and its fit
     health_s: float  # the final transform's alignment score on the full scenes
+    refinement_rounds: int  # refinement rounds that fitted new valid sets, one _fit each
+    sets_fitted: int  # distinct valid sets fitted, a one-pair winner's one fit included
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def calibrate_scenes(
     start = time.perf_counter()
     full = _SceneArrays(ego), _SceneArrays(coop)
     arrays_s = time.perf_counter() - start
-    matches, result, health, (top_k_s, kept_s, *stages) = _calibrate(ego, coop, full, params, top_k)
+    matches, result, health, (top_k_s, kept_s, *traced) = _calibrate(ego, coop, full, params, top_k)
     return CalibrationReport(
         transform=result.transform,
         matches=matches,
@@ -79,24 +81,25 @@ def calibrate_scenes(
         health_confidence=health.confidence,
         health_mean_distance=health.mean_distance,
         elapsed_s=time.perf_counter() - start,
-        trace=CalibrationTrace(top_k_s, arrays_s + kept_s, *stages),
+        trace=CalibrationTrace(top_k_s, arrays_s + kept_s, *traced),
     )
 
 
 def _calibrate(ego: Scene, coop: Scene, full, params: ODistParams, top_k: int | None):
     """calibrate_scenes's matches, fit and health on the scenes' arrays
-    full, and the seconds of its stages in CalibrationTrace's order, the
-    kept scenes' arrays only under scene arrays."""
+    full, and the seconds of its stages and refinement's counts in
+    CalibrationTrace's order, the kept scenes' arrays only under scene
+    arrays."""
     start = time.perf_counter()
     tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
     topped = time.perf_counter()
     kept = [a if t is s else _SceneArrays(t) for a, s, t in zip(full, (ego, coop), tops)]
     built = time.perf_counter()
-    matches, result, associated = _associate(*kept, params)
+    matches, result, associated, counts = _associate(*kept, params)
     matched = time.perf_counter()
     health = _alignment(*full, result.transform, params)
-    seconds = (topped - start, built - topped, *associated, time.perf_counter() - matched)
-    return matches, result, health, seconds
+    traced = (topped - start, built - topped, *associated, time.perf_counter() - matched, *counts)
+    return matches, result, health, traced
 
 
 def trial_error(

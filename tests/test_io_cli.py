@@ -403,7 +403,9 @@ def test_calibrate_match_indices_are_those_of_the_top_k_scenes(tmp_path, capsys)
     assert len(pairs) == DEFAULT_TOP_K
     assert max(gaps(ego_k, coop_k)) < 1e-6
     assert max(gaps(ego, coop)) > 1.0  # the same indices read against the files
-    assert len(doc["trace"]) == 6 and all(math.isfinite(s) and s >= 0.0 for s in doc["trace"].values())
+    seconds = [s for name, s in doc["trace"].items() if name.endswith("_s")]
+    assert len(seconds) == 6 and all(math.isfinite(s) and s >= 0.0 for s in seconds)
+    assert doc["trace"]["refinement_rounds"] >= 1 and doc["trace"]["sets_fitted"] >= 1
 
 
 def test_calibrate_empty_coop_exits_no_covisible(tmp_path, capsys):

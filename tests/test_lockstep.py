@@ -4,7 +4,9 @@ The reference below is the refinement association ran before its rounds
 were batched: each assigned anchor in turn refits its valid set with one
 closed-form fit and scores the refit with one dense transform score, until
 the refit no longer ranks better, sharing one cache of fits by valid set;
-the best refined anchor wins. Both start from the same assigned anchors.
+the best refined anchor wins. Both refine only the best five assigned
+anchors, which the test picks itself: a stable sort by unrefined _rank, so
+ties keep ego order, the first five, put back in ego order.
 Every anchor must end at the same valid set with the same confidence and
 flip flag, the same valid sets must be fitted, the winner's matches must
 be identical and its transform and rms must agree within TOL; a frame
@@ -38,6 +40,7 @@ from test_anchor_prune import dense_frame
 from test_fit import noisy_frames
 
 TOL = 1e-12
+REFINED = 5  # the assigned anchors refinement starts from
 
 
 def sequential_fit(ego, coop, pairs, flipped):
@@ -86,10 +89,17 @@ def assigned_anchors(ego, coop, params):
     return arrays, association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
 
 
+def best_anchors(anchors):
+    """The REFINED best anchors by _rank (a stable sort), in their given order."""
+    best = sorted(range(len(anchors)), key=lambda k: _rank(anchors[k]))[:REFINED]
+    return [anchors[k] for k in sorted(best)]
+
+
 def sequential_associate(ego, coop, params):
     """(refined scores, fitted keys, matches, (R, t, rms)) as the sequential
     refinement gives them."""
     arrays, anchors = assigned_anchors(ego, coop, params)
+    anchors = best_anchors(anchors)
     refits = {}
     refined = [sequential_refine(*arrays, score, params, refits) for score in anchors]
     best = min(refined, key=_rank)
@@ -101,8 +111,8 @@ def sequential_associate(ego, coop, params):
 
 def lockstep_associate(ego, coop, params):
     arrays, anchors = assigned_anchors(ego, coop, params)
-    refined, fits = association._refine(*arrays, anchors, params)
-    matches, fit, _ = association._associate(*arrays, params)
+    refined, fits, _ = association._refine(*arrays, best_anchors(anchors), params)
+    matches, fit, *_ = association._associate(*arrays, params)
     shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
     return refined, set(fits), shown, (fit.transform.rotation, fit.transform.translation, fit.rms_residual)
 
@@ -147,7 +157,8 @@ FRAMES = {
     "dense-32x32": dense_frame(0),
     "fixed-point": fixed_point_frame(),
     "overflow": overflow_frame(),
-    "overflow-with-others": overflow_frame(near=5),
+    # four ordinary boxes: an overflowing set ranks among the best five anchors
+    "overflow-with-others": overflow_frame(near=4),
 }
 
 

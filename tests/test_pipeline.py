@@ -66,11 +66,25 @@ def test_report_diagnostics_describe_a_clean_solution():
 @pytest.mark.parametrize("n_boxes", [10, 30])  # the scenes kept whole, and cut to the top 15
 def test_trace_splits_the_elapsed_time_into_its_stages(n_boxes):
     *_, report = calibrated_pair(5, n_boxes=n_boxes)
-    seconds = dataclasses.astuple(report.trace)
+    seconds = [s for name, s in dataclasses.asdict(report.trace).items() if name.endswith("_s")]
     assert isinstance(report.trace, CalibrationTrace)
     assert len(seconds) == 6
     assert all(math.isfinite(s) and s >= 0.0 for s in seconds)
     assert sum(seconds) <= report.elapsed_s
+
+
+def test_trace_counts_the_refinement_rounds_and_the_sets_fitted():
+    # a winner of two or more pairs was fitted while refining; a lone pair
+    # is fitted once, after refinement, in no round
+    lone = make_scene([make_box((1.0, 2.0, 0.0), yaw=0.3)])
+    reports = [calibrated_pair(seed, n_boxes=n)[-1] for seed, n in ((5, 10), (5, 30), (8, 3))]
+    reports.append(calibrate_scenes(lone, lone))
+    for report in reports:
+        counts = report.trace.refinement_rounds, report.trace.sets_fitted
+        assert all(type(c) is int and c >= 0 for c in counts)
+        if len(report.matches) >= 2:
+            assert report.trace.sets_fitted >= 1 and report.trace.refinement_rounds >= 1
+    assert (reports[-1].trace.refinement_rounds, reports[-1].trace.sets_fitted) == (0, 1)
 
 
 def test_partial_visibility_still_recovers_the_truth():
@@ -146,7 +160,8 @@ def test_report_serializes_to_plain_json_types():
     }
     assert d["trace"] == dataclasses.asdict(report.trace)
     assert set(d["trace"]) == {
-        "top_k_s", "scene_arrays_s", "anchor_pass_s", "assignment_s", "refinement_s", "health_s"
+        "top_k_s", "scene_arrays_s", "anchor_pass_s", "assignment_s", "refinement_s", "health_s",
+        "refinement_rounds", "sets_fitted",
     }
     assert len(d["rotation"]) == 9
     assert len(d["translation"]) == 3

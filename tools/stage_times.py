@@ -12,7 +12,8 @@ stages are those of the report's trace (CalibrationTrace):
     scene pair   every scene's arrays, the full scenes' and the kept ones'
     anchor pass  every anchor's score and the affinity matrix
     assignment   solve_assignment
-    refinement   the assigned anchors' refits, the winner and its fit
+    refinement   the best five assigned anchors' refits, the winner and its
+                 fit
     health       the alignment score of the final transform on the full
                  scenes
     other        the rest of the call: the total minus the stages above
