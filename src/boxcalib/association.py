@@ -25,8 +25,9 @@ the winner's fit is the calibration's transform.
 Every score is of rigid motions x -> e* + R (x - c*), and one pair
 arithmetic serves them all: the squared center difference c2 =
 |(e_p - e*) - R (c_q - c*)|^2 (_c2), the squared scaled-axes difference
-da2 = |A_e - R A_c|_F^2 (_da2) and one tail (_pair_up) over any number of
-cells: the distance (_distance), the tau gate, the greedy one-to-one
+da2 = |A_e - R A_c|_F^2 (_da2), a reversed coop heading being one more
+row of A_c (_SceneArrays.headed), and one tail (_pair_up) over any number
+of cells: the distance (_distance), the tau gate, the greedy one-to-one
 pairing (_greedy) and the valid-set size and mean, so every PairScore
 lists its valid pairs in (ego, coop) order; a fit's rms sums 8 c2 + 2 da2
 over its pairs. Two kernels generate the pairs, each run once per frame or
@@ -36,12 +37,13 @@ c_j), on the pairs that a grid of the offsets in each box's heading frame
 puts within reach (a fixed-radius join), in one loop over chunks of rows,
 and fills the affinity matrix; refinement starts from the best five
 assigned anchors' scores read from it. The transform kernel
-(_score_motions) scores given motions: odist's (an anchor's, bit for bit
-the pass's), a round's refits about their centroids (_refine), and
-alignment_score's and the health check's, about (t, 0). One rule ranks
-scores (_rank): it picks the heading of each anchor and of each scored
-transform, chooses the anchors refinement starts from, and decides
-refinement's steps.
+(_score_motions) scores given motions, one PairScore each, under one coop
+heading each: odist's two (an anchor's, bit for bit the pass's), a
+round's refits about their centroids (_refine), and alignment_score's
+and the health check's two, about (t, 0). One rule ranks scores (_rank):
+it picks the heading of each anchor and of each scored transform,
+chooses the anchors refinement starts from, and decides refinement's
+steps.
 """
 from __future__ import annotations
 
@@ -175,7 +177,7 @@ def box_distance(a: DetectionBox, b: DetectionBox, params: ODistParams = ODistPa
     """alpha * |center difference| + beta * Frobenius norm of corner difference."""
     one_a, one_b = _SceneArrays(Scene((a,))), _SceneArrays(Scene((b,)))
     c2 = _c2(one_a.centers.T, one_b.centers.T)
-    da2 = _da2(_entries(one_a.axes, [0]), np.eye(3)[..., None], _entries(one_b.axes, [0]), 1.0)
+    da2 = _da2(_entries(one_a.axes, [0]), np.eye(3)[..., None], _entries(one_b.axes, [0]))
     return float(_distance(c2, da2, params)[0])
 
 
@@ -192,10 +194,12 @@ class _SceneArrays:
         yaws = self.yaws.tolist()
         cos, sin = np.array([math.cos(y) for y in yaws]), np.array([math.sin(y) for y in yaws])
         length, width, height = self.dims.T
-        self.axes = np.zeros((n, 3, 3))
-        self.axes[:, 0, 0], self.axes[:, 0, 1] = cos * length, -sin * width
-        self.axes[:, 1, 0], self.axes[:, 1, 1] = sin * length, cos * width
-        self.axes[:, 2, 2] = height
+        axes = np.zeros((n, 3, 3))
+        axes[:, 0, 0], axes[:, 0, 1] = cos * length, -sin * width
+        axes[:, 1, 0], axes[:, 1, 1] = sin * length, cos * width
+        axes[:, 2, 2] = height
+        self.headed = np.concatenate([axes, axes * _FLIP_AXES])  # row n + q: box q reversed (yaw + pi)
+        self.axes = self.headed[:n]
 
 
 def _distance(c2: np.ndarray, da2: np.ndarray, params: ODistParams) -> np.ndarray:
@@ -294,12 +298,11 @@ def _entries(matrices, index):
     return np.take(matrices.transpose(1, 2, 0), index, axis=-1)
 
 
-def _da2(axes_e, R, axes_c, sign):
-    """Pairs' squared axes difference |A_e - R A_c diag(sign, sign, 1)|_F^2
-    from the entries (3, 3, s) of A_e, R and A_c (_entries), sign -1 where
-    the coop heading is reversed. Only A_c's nonzero entries enter: columns
-    0 and 1 have no z row, and column 2 is (0, 0, height)."""
-    d = axes_e[:, :2] - _rotated(R[:, :2, None], sign * axes_c[:2, :2])  # [r, c < 2]
+def _da2(axes_e, R, axes_c):
+    """Pairs' squared axes difference |A_e - R A_c|_F^2 from the entries
+    (3, 3, s) of A_e, R and A_c (_entries). Only A_c's nonzero entries
+    enter: columns 0 and 1 have no z row, and column 2 is (0, 0, height)."""
+    d = axes_e[:, :2] - _rotated(R[:, :2, None], axes_c[:2, :2])  # [r, c < 2]
     d *= d
     h = axes_e[:, 2] - R[:, 2] * axes_c[2, 2]  # [r, c = 2]
     h *= h
@@ -308,21 +311,19 @@ def _da2(axes_e, R, axes_c, sign):
 
 
 def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, e_star, c_star, flipped, params: ODistParams):
-    """Score the coop scene moved by each motion x -> e*[k] + R[k] (x -
-    c*[k]), k < K, under the coop headings of row k of flipped (K, V),
-    reversed where flipped[k, v] (A -> R[k] A diag(-1, -1, 1)): _pair_up's
-    (conf, mean, kept) of cells k V + v. A motion's headings share its c2,
-    and only pairs within reach (see _anchor_pass) take the axes term."""
+    """The PairScore of the coop scene moved by each motion x -> e*[k] +
+    R[k] (x - c*[k]), k < K, under the coop headings as given, or reversed
+    where flipped[k] (the coop axes headed[m + q]). Only pairs within reach
+    (see _anchor_pass) take the axes term."""
     flipped = np.asarray(flipped, dtype=bool)
-    (K, V), n, m = flipped.shape, len(ego.centers), len(coop.centers)
+    K, n, m = len(flipped), len(ego.centers), len(coop.centers)
     u = ego.centers.T[:, None, :, None] - e_star.T[:, :, None, None]  # [x, k, p, 1]
     v = coop.centers.T[:, None, :] - c_star.T[:, :, None]  # [x, k, q]
     c2 = _c2(u, _rotated(R.transpose(1, 2, 0)[..., None], v)[:, :, None, :])  # [k, p, q]
     reach = _reach(params)
-    k, h, p, q = np.nonzero(np.repeat((c2 <= reach * reach * (1.0 + 1e-9))[:, None], V, axis=1))
-    sign = np.where(flipped[k, h], -1.0, 1.0)
-    da2 = _da2(_entries(ego.axes, p), _entries(R, k), _entries(coop.axes, q), sign)
-    return _pair_up(k * V + h, p, q, c2[k, p, q], da2, K * V, (n, m), params)
+    k, p, q = np.nonzero(c2 <= reach * reach * (1.0 + 1e-9))
+    da2 = _da2(_entries(ego.axes, p), _entries(R, k), _entries(coop.headed, q + m * flipped[k]))
+    return _scores(_pair_up(k, p, q, c2[k, p, q], da2, K, (n, m), params), np.arange(K), flipped)
 
 
 def _rank_key(confidence: float, mean_distance: float) -> tuple[float, float]:
@@ -371,8 +372,9 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     largest and bound >= 1e-6 (1 + largest): under 5.7e6 cells per axis and
     keys below 2^46, exact in float64 and intp. Rows run in chunks of about
     _CANDIDATE_BUDGET window cells, where the candidates within reach take
-    _da2 of rot_z(phi) and sign +1 under both headings: the flipped variant
-    negates R's xy rows and A_c's xy columns, and (-r)(-a) = r a bit for bit.
+    _da2 of rot_z(phi) and the given coop axes under both headings: the
+    flipped variant's rot_z(phi + pi) and reversed axes negate R's xy rows
+    and A_c's xy columns, and (-r)(-a) = r a bit for bit.
     """
     n, m, V = len(ego.centers), len(coop.centers), 2  # V: the heading variants
     phi = ego.yaws[:, None] - coop.yaws[None, :]
@@ -411,7 +413,7 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
         c2 = _c2(u.reshape(3, -1).take(query, axis=1), (c * vx - s * vy, s * vx + c * vy, vz))
         k = np.flatnonzero(c2 <= bound2)
         (i, a), (f, q), p = np.divmod(ia[k], m), np.divmod(cell[k] % (V * m), m), query[k] % n
-        da2 = _da2(_entries(ego.axes, p), _rot_z(c[k], s[k]), _entries(coop.axes, q), 1.0)
+        da2 = _da2(_entries(ego.axes, p), _rot_z(c[k], s[k]), _entries(coop.axes, q))
         cell = (i * V + f) * m + a
         by = np.argsort((cell * n + p) * m + q)  # into (cell, p, q) order
         near.append((cell[by], p[by], q[by], c2[k[by]], da2[by]))
@@ -447,8 +449,7 @@ def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistPa
     phi = e.yaws[i] - c.yaws[j]
     R = _rot_z(np.cos(phi), np.sin(phi))
     R = np.array([R, R * _FLIP_AXES[:, None]])  # rot_z(phi + pi) negates the xy rows
-    up = _score_motions(e, c, R, e.centers[[i, i]], c.centers[[j, j]], [[False], [True]], params)
-    return min(_scores(up, np.arange(2), [False, True]), key=_rank)
+    return min(_score_motions(e, c, R, e.centers[[i, i]], c.centers[[j, j]], [False, True], params), key=_rank)
 
 
 def alignment_score(
@@ -456,15 +457,14 @@ def alignment_score(
 ) -> PairScore:
     """Scene-consistency score of a given transform (no anchor search),
     paired as in odist (_pair_up), under the coop headings as given and
-    reversed from one c2 (the motion pivots on (t, 0)): the better by _rank,
-    the given headings winning ties (_alignment, on the scenes' arrays)."""
+    reversed (the motion pivots on (t, 0)): the better by _rank, the given
+    headings winning ties (_alignment, on the scenes' arrays)."""
     return _alignment(_SceneArrays(ego), _SceneArrays(coop), transform, params)
 
 
 def _alignment(ego: _SceneArrays, coop: _SceneArrays, transform: RigidTransform, params: ODistParams):
-    R, t = transform.rotation[None], transform.translation[None]
-    up = _score_motions(ego, coop, R, t, np.zeros((1, 3)), [[False, True]], params)
-    return min(_scores(up, np.arange(2), [False, True]), key=_rank)
+    R, t = np.array([transform.rotation] * 2), np.array([transform.translation] * 2)
+    return min(_score_motions(ego, coop, R, t, np.zeros((2, 3)), [False, True], params), key=_rank)
 
 
 def _score_anchors(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
@@ -523,18 +523,18 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     seg = np.repeat(np.arange(len(keys)), sizes)
     starts = np.cumsum(sizes) - sizes
     flipped = np.repeat([f for _, f in keys], sizes)
-    e, c, axes_e, axes_c = ego.centers[rows], coop.centers[cols], ego.axes[rows], coop.axes[cols]
+    e, c = ego.centers[rows], coop.centers[cols]
+    axes_e, axes_c = ego.axes[rows], coop.headed[cols + len(coop.centers) * flipped]
     e_bar = np.add.reduceat(e, starts) / sizes[:, None]
     c_bar = np.add.reduceat(c, starts) / sizes[:, None]
     de, dc = e - e_bar[seg], c - c_bar[seg]
     H = 8.0 * np.add.reduceat(de[:, :, None] * dc[:, None, :], starts)
-    flipped_c = np.where(flipped[:, None, None], axes_c * _FLIP_AXES, axes_c)
-    H += 2.0 * np.add.reduceat(axes_e @ np.swapaxes(flipped_c, 1, 2), starts)
+    H += 2.0 * np.add.reduceat(axes_e @ np.swapaxes(axes_c, 1, 2), starts)
     R = nearest_rotation(H)
     t = e_bar - np.einsum("kij,kj->ki", R, c_bar)
     Rs = _entries(R, seg)
     c2 = _c2(de.T, _rotated(Rs, dc.T))
-    da2 = _da2(axes_e.transpose(1, 2, 0), Rs, axes_c.transpose(1, 2, 0), np.where(flipped, -1.0, 1.0))
+    da2 = _da2(axes_e.transpose(1, 2, 0), Rs, axes_c.transpose(1, 2, 0))
     rms = np.sqrt(np.bincount(seg, weights=8.0 * c2 + 2.0 * da2, minlength=len(keys)) / (8 * sizes))
     return R, t, rms, e_bar, c_bar
 
@@ -559,9 +559,7 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
         if new:
             rounds += 1
             R, t, rms, e_bar, c_bar = _fit(ego, coop, new)
-            flipped = [f for _, f in new]
-            up = _score_motions(ego, coop, R, e_bar, c_bar, np.array(flipped)[:, None], params)
-            refits = _scores(up, np.arange(len(new)), flipped)
+            refits = _score_motions(ego, coop, R, e_bar, c_bar, [f for _, f in new], params)
             for k, (key, score) in enumerate(zip(new, refits)):
                 fits[key] = (R[k], t[k], rms[k]), score
         improving = []
@@ -586,10 +584,11 @@ def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     solved = time.perf_counter()
     if len(assigned) == 0:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
-    anchors = _pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
-    # the _REFINED best by a stable sort, so ties keep ego order, then back in ego order
-    seeds = sorted(sorted(range(len(anchors)), key=lambda k: _rank(anchors[k]))[:_REFINED])
-    refined, fits, rounds = _refine(ego, coop, [anchors[k] for k in seeds], params)
+    conf, mean, flip, _ = frame  # an anchor's pass score is in cell (i, flip[i, j], j)
+    cells = [(a.ego_index, int(flip[a.ego_index, a.coop_index]), a.coop_index) for a in assigned]
+    # the _REFINED best by _rank, a stable sort so ties keep ego order, then back in ego order
+    seeds = sorted(sorted(cells, key=lambda c: _rank_key(conf[c], mean[c]))[:_REFINED])
+    refined, fits, rounds = _refine(ego, coop, _pair_scores(frame, [(i, j) for i, _, j in seeds]), params)
     # the seeds are in ascending ego index and min keeps the first of equals
     best = min(refined, key=_rank)
     key = _key(best)

@@ -47,11 +47,10 @@ def spread_scene(n, seed=0, span=25.0, min_sep=6.0):
 def given_heading_score(ego, coop, transform, params=ODistParams()):
     """alignment_score of transform with the coop headings as given only,
     none reversed: the transform kernel's call alignment_score makes, with
-    one heading variant. Not an oracle: it is the package's own kernel."""
+    one motion, unflipped. Not an oracle: it is the package's own kernel."""
     arrays = association._SceneArrays(ego), association._SceneArrays(coop)
     R, t = transform.rotation[None], transform.translation[None]
-    up = association._score_motions(*arrays, R, t, np.zeros((1, 3)), [[False]], params)
-    return association._scores(up, np.arange(1), [False])[0]
+    return association._score_motions(*arrays, R, t, np.zeros((1, 3)), [False], params)[0]
 
 
 def yaw_transform(yaw, translation=(0.0, 0.0, 0.0)):

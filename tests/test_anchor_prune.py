@@ -11,15 +11,15 @@ frames near the coordinate bound (where the rounding allowance matters),
 on boxes stacked at one xy, on small frames laid on the grid's cell edges
 (hypothesis), at the edges of the scoring parameters and on one-box
 scenes. The reference takes the axes term from the module's own (_da2),
-with the reversed heading's rotation (xy rows negated) and sign -1 where
-the pass uses rot_z(phi) and sign +1; its center differences and
-everything after them are its own. odist, which scores an anchor's motions
-with the transform kernel and runs no pass, must give every anchor that is
-not a needle the score the frame pass gives it. All of it holds however
-the pass splits its rows into chunks: at the default candidate budget, at
-a budget that makes every row its own chunk and at one that splits each
-dense frame into at least three, counted by the reference's own grid
-(window_cells).
+with the reversed heading's rotation (xy rows negated) and reversed coop
+axes (_SceneArrays.headed) where the pass uses rot_z(phi) and the given
+axes; its center differences and everything after them are its own.
+odist, which scores an anchor's motions with the transform kernel and
+runs no pass, must give every anchor that is not a needle the score the
+frame pass gives it. All of it holds however the pass splits its rows
+into chunks: at the default candidate budget, at a budget that makes
+every row its own chunk and at one that splits each dense frame into at
+least three, counted by the reference's own grid (window_cells).
 """
 from __future__ import annotations
 
@@ -105,8 +105,8 @@ def dense_block(pair, i, params):
     # anchor (i, a)'s rotation, xy rows negated in the flipped variant
     flat = sign.ravel()[f]
     rotation = association._rot_z(flat * pair.cos[i, a], flat * pair.sin[i, a])
-    axes_e, axes_c = association._entries(pair.ego.axes, p), association._entries(pair.coop.axes, q)
-    da2 = association._da2(axes_e, rotation, axes_c, flat)
+    axes_e, axes_c = association._entries(pair.ego.axes, p), association._entries(pair.coop.headed, q + m * f)
+    da2 = association._da2(axes_e, rotation, axes_c)
     d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
     inside = d <= params.tau
     cell, p, q, d = (f * m + a)[inside], p[inside], q[inside], d[inside]
@@ -357,9 +357,10 @@ def test_the_pass_equals_the_dense_search_on_grid_frames(frame):
 
 
 def scaled_axes(boxes):
-    """The _entries of the scaled axes of boxes [(dims, yaw), ...]."""
+    """The _entries of the scaled axes of boxes [(dims, yaw), ...], under
+    their headings as given and reversed (_SceneArrays.headed)."""
     arrays = association._SceneArrays(make_scene([make_box((0.0, 0.0, 0.0), d, y) for d, y in boxes]))
-    return association._entries(arrays.axes, np.arange(len(boxes)))
+    return np.split(association._entries(arrays.headed, np.arange(2 * len(boxes))), 2, axis=-1)
 
 
 BOX = st.tuples(st.tuples(*[st.floats(0.01, 50.0)] * 3), st.floats(-10.0, 10.0))  # (dims, yaw)
@@ -367,14 +368,15 @@ BOX = st.tuples(st.tuples(*[st.floats(0.01, 50.0)] * 3), st.floats(-10.0, 10.0))
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(BOX, BOX, st.floats(-10.0, 10.0)), min_size=1, max_size=8))
-def test_a_reversed_heading_takes_the_axes_term_of_sign_plus_one(pairs):
-    # the pass scores both coop headings from rot_z(phi) with sign +1: the
-    # reversed heading negates rot_z's xy rows and the coop axes' xy
-    # columns (sign -1), and every product (-r)(-a) is r a bit for bit
+def test_a_reversed_heading_under_phi_plus_pi_takes_the_axes_term_of_the_given_one(pairs):
+    # the pass scores both coop headings from rot_z(phi) and the given
+    # axes: the reversed heading negates rot_z's xy rows and the coop
+    # axes' xy columns, and every product (-r)(-a) is r a bit for bit
     ego, coop, phi = zip(*pairs)
-    axes_e, axes_c, R = scaled_axes(ego), scaled_axes(coop), association._rot_z(np.cos(phi), np.sin(phi))
-    given_heading = association._da2(axes_e, R, axes_c, 1.0)
-    reversed_heading = association._da2(axes_e, R * association._FLIP_AXES[:, None, None], axes_c, -1.0)
+    (axes_e, _), (given, reversed_axes) = scaled_axes(ego), scaled_axes(coop)
+    R = association._rot_z(np.cos(phi), np.sin(phi))
+    given_heading = association._da2(axes_e, R, given)
+    reversed_heading = association._da2(axes_e, R * association._FLIP_AXES[:, None, None], reversed_axes)
     assert given_heading.tobytes() == reversed_heading.tobytes()
 
 
@@ -389,8 +391,7 @@ def anchor_motion_scores(pair, params, anchors):
     R = np.stack([R, R * association._FLIP_AXES[:, None]], axis=1).reshape(-1, 3, 3)
     flipped = np.tile([False, True], len(i))
     e_star, c_star = np.repeat(pair.ego.centers[i], 2, axis=0), np.repeat(pair.coop.centers[j], 2, axis=0)
-    up = association._score_motions(pair.ego, pair.coop, R, e_star, c_star, flipped[:, None], params)
-    scores = association._scores(up, np.arange(len(flipped)), flipped)
+    scores = association._score_motions(pair.ego, pair.coop, R, e_star, c_star, flipped, params)
     return [min(scores[k : k + 2], key=association._rank) for k in range(0, len(scores), 2)]
 
 

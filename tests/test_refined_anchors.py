@@ -90,6 +90,26 @@ def test_refine_receives_the_best_five_assigned_anchors_in_ego_order(monkeypatch
     assert more >= 20, "too few frames choose among more than five anchors"
 
 
+def test_only_the_refined_anchors_get_a_pair_score(monkeypatch):
+    # the assigned anchors are ranked on the pass's arrays; a PairScore
+    # (a tuple of every valid pair) is built only for the ones refined
+    params = ODistParams()
+    received, pair_scores = [], association._pair_scores
+
+    def pair_scores_spy(frame, anchors):
+        received.append(len(anchors))
+        return pair_scores(frame, anchors)
+
+    for ego, coop in (dense_frame(k) for k in range(2)):
+        arrays, anchors = assigned_anchors(ego, coop, params)
+        assert len(anchors) > REFINED
+        monkeypatch.setattr(association, "_pair_scores", pair_scores_spy)
+        received.clear()
+        association._associate(*arrays, params)
+        monkeypatch.undo()
+        assert received == [REFINED]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_a_winner_among_the_best_five_calibrates_as_refining_them_all(seed):
     params = ODistParams()

@@ -66,6 +66,14 @@ def calibration_line(ego, coop, top_k) -> str:
     )
 
 
+def monitor_line(state, events) -> str:
+    """A monitor frame's events (kind, confidence, mean distance, attempt)
+    and the status and extrinsic the state holds after them."""
+    shown = " ".join(f"{e.kind.value},{e.confidence!r},{e.mean_distance!r},{e.attempt}" for e in events)
+    held = "none" if state.current_extrinsic is None else _hex(state.current_extrinsic)
+    return f"{shown} status {state.status.value} held {held}"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -85,11 +93,7 @@ def main() -> None:
         for f in range(MONITOR_FRAMES):
             ego, coop = (bio.load_scene(p) for p in stream.scene_paths(f))
             state, events = step(state, ego, coop)
-            shown = " ".join(
-                f"{e.kind.value},{e.confidence!r},{e.mean_distance!r},{e.attempt}" for e in events
-            )
-            held = "none" if state.current_extrinsic is None else _hex(state.current_extrinsic)
-            print(f"monitor {f} {shown} status {state.status.value} held {held}")
+            print(f"monitor {f} {monitor_line(state, events)}")
 
 
 if __name__ == "__main__":
