@@ -43,7 +43,8 @@ round's refits about their centroids (_refine), and alignment_score's
 and the health check's two, about (t, 0). One rule ranks scores (_rank):
 it picks the heading of each anchor and of each scored transform,
 chooses the anchors refinement starts from, and decides refinement's
-steps.
+steps. The kernels take the scenes' arrays (_SceneArrays), which a scene
+builds once, on first use (Scene._arrays), and every entry point reads.
 """
 from __future__ import annotations
 
@@ -54,11 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import DetectionBox, RigidTransform, Scene
+from .geometry import _FLIP_AXES, DetectionBox, RigidTransform, Scene, _SceneArrays
 from .registration import DegenerateGeometry, RegistrationResult, nearest_rotation, rank_deficient
-
-# A reversed heading (yaw + pi) negates a box's length and width axes.
-_FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 
@@ -175,31 +173,10 @@ class AffinityMatrix:
 
 def box_distance(a: DetectionBox, b: DetectionBox, params: ODistParams = ODistParams()) -> float:
     """alpha * |center difference| + beta * Frobenius norm of corner difference."""
-    one_a, one_b = _SceneArrays(Scene((a,))), _SceneArrays(Scene((b,)))
+    one_a, one_b = Scene((a,))._arrays, Scene((b,))._arrays
     c2 = _c2(one_a.centers.T, one_b.centers.T)
     da2 = _da2(_entries(one_a.axes, [0]), np.eye(3)[..., None], _entries(one_b.axes, [0]))
     return float(_distance(c2, da2, params)[0])
-
-
-class _SceneArrays:
-    """Stacked per-scene geometry reused across anchor evaluations: centers,
-    dims, yaws and the scaled axes A = rot_z(yaw) @ diag(dims) of each box."""
-
-    def __init__(self, scene: Scene):
-        n = len(scene)
-        self.centers = np.array([b.center for b in scene]).reshape(n, 3)
-        self.dims = np.array([b.dims for b in scene]).reshape(n, 3)
-        self.yaws = np.array([b.yaw for b in scene])
-        # rot_z's math.cos and math.sin, so the axes are rot_z(yaw) * dims bit for bit
-        yaws = self.yaws.tolist()
-        cos, sin = np.array([math.cos(y) for y in yaws]), np.array([math.sin(y) for y in yaws])
-        length, width, height = self.dims.T
-        axes = np.zeros((n, 3, 3))
-        axes[:, 0, 0], axes[:, 0, 1] = cos * length, -sin * width
-        axes[:, 1, 0], axes[:, 1, 1] = sin * length, cos * width
-        axes[:, 2, 2] = height
-        self.headed = np.concatenate([axes, axes * _FLIP_AXES])  # row n + q: box q reversed (yaw + pi)
-        self.axes = self.headed[:n]
 
 
 def _distance(c2: np.ndarray, da2: np.ndarray, params: ODistParams) -> np.ndarray:
@@ -443,7 +420,7 @@ def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistPa
     valid pairs come in (ego, coop) index order. Raises DegenerateGeometry
     for a needle anchor, whose corners fix no rotation, and IndexError for
     an index out of range (< 0: from the end)."""
-    e, c = _SceneArrays(ego), _SceneArrays(coop)
+    e, c = ego._arrays, coop._arrays
     if rank_deficient(e.dims[i] * c.dims[j]):
         raise DegenerateGeometry(f"anchor ({i}, {j}): rank-deficient cross-covariance")
     phi = e.yaws[i] - c.yaws[j]
@@ -458,13 +435,10 @@ def alignment_score(
     """Scene-consistency score of a given transform (no anchor search),
     paired as in odist (_pair_up), under the coop headings as given and
     reversed (the motion pivots on (t, 0)): the better by _rank, the given
-    headings winning ties (_alignment, on the scenes' arrays)."""
-    return _alignment(_SceneArrays(ego), _SceneArrays(coop), transform, params)
-
-
-def _alignment(ego: _SceneArrays, coop: _SceneArrays, transform: RigidTransform, params: ODistParams):
+    headings winning ties."""
     R, t = np.array([transform.rotation] * 2), np.array([transform.translation] * 2)
-    return min(_score_motions(ego, coop, R, t, np.zeros((2, 3)), [False, True], params), key=_rank)
+    scores = _score_motions(ego._arrays, coop._arrays, R, t, np.zeros((2, 3)), [False, True], params)
+    return min(scores, key=_rank)
 
 
 def _score_anchors(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
@@ -478,7 +452,7 @@ def _score_anchors(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
     """Score every anchor pair; entry (i, j) is its confidence."""
-    return _score_anchors(_SceneArrays(ego), _SceneArrays(coop), params)[0]
+    return _score_anchors(ego._arrays, coop._arrays, params)[0]
 
 
 def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
@@ -612,7 +586,7 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     returned; every match carries the winner's confidence and heading-flip
     flag.
     """
-    return _associate(_SceneArrays(ego), _SceneArrays(coop), params)[0]
+    return _associate(ego._arrays, coop._arrays, params)[0]
 
 
 def top_k_by_volume(scene: Scene, k: int | None) -> Scene:

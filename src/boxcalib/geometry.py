@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,9 @@ _CORNER_SIGNS = np.array([
     [-1, -1, -1],
 ], dtype=float)
 # fmt: on
+
+# A reversed heading (yaw + pi) negates a box's length and width axes.
+_FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
 
 def _as_readonly(a, shape):
@@ -95,6 +99,35 @@ class Scene:
 
     def __getitem__(self, i: int) -> DetectionBox:
         return self.boxes[i]
+
+    @cached_property
+    def _arrays(self) -> _SceneArrays:
+        """The scene's stacked geometry, built on first use and shared by
+        every later call on the scene."""
+        return _SceneArrays(self)
+
+
+class _SceneArrays:
+    """A scene's stacked geometry, read-only: centers, dims, yaws and the
+    scaled axes A = rot_z(yaw) @ diag(dims) of each box."""
+
+    def __init__(self, scene: Scene):
+        n = len(scene)
+        self.centers = np.array([b.center for b in scene]).reshape(n, 3)
+        self.dims = np.array([b.dims for b in scene]).reshape(n, 3)
+        self.yaws = np.array([b.yaw for b in scene])
+        # rot_z's math.cos and math.sin, so the axes are rot_z(yaw) * dims bit for bit
+        yaws = self.yaws.tolist()
+        cos, sin = np.array([math.cos(y) for y in yaws]), np.array([math.sin(y) for y in yaws])
+        length, width, height = self.dims.T
+        axes = np.zeros((n, 3, 3))
+        axes[:, 0, 0], axes[:, 0, 1] = cos * length, -sin * width
+        axes[:, 1, 0], axes[:, 1, 1] = sin * length, cos * width
+        axes[:, 2, 2] = height
+        self.headed = np.concatenate([axes, axes * _FLIP_AXES])  # row n + q: box q reversed (yaw + pi)
+        for table in (self.centers, self.dims, self.yaws, self.headed):
+            table.setflags(write=False)
+        self.axes = self.headed[:n]  # a view, read-only too
 
 
 @dataclass(frozen=True)

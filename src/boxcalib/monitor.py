@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .association import ODistParams, _alignment, _SceneArrays, alignment_score
+from .association import ODistParams, alignment_score
 from .geometry import RigidTransform, Scene
-from .pipeline import CALIBRATION_FAILURES, DEFAULT_TOP_K, _calibrate
+from .pipeline import CALIBRATION_FAILURES, DEFAULT_TOP_K, calibrate_scenes
 
 
 @dataclass(frozen=True)
@@ -106,28 +106,26 @@ def step(
     attempt 1, carrying the health of the calibrated transform (0 and inf
     when calibration found none).
     """
-    arrays = _SceneArrays(ego), _SceneArrays(coop)  # for the health check and the calibration alike
     frame = state.frame_count
     boot_phase = frame == 0 or state.status is MonitorStatus.UNCALIBRATED
     theta = cfg.theta_boot if boot_phase else cfg.theta_monitor
 
     measured: tuple[float, float] | None = None
     if state.current_extrinsic is not None:
-        score = _alignment(*arrays, state.current_extrinsic, params)
-        measured = score.confidence, score.mean_distance
+        measured = health_check(ego, coop, state.current_extrinsic, params)
         if _healthy(*measured, theta, cfg.min_confidence):
             kept = MonitorState(state.current_extrinsic, MonitorStatus.CALIBRATED, measured, frame + 1)
             return kept, [MonitorEvent(frame, EventKind.HEALTH_OK, *measured, 0)]
 
     try:
-        _, fit, score, _ = _calibrate(ego, coop, arrays, params, top_k)
+        report = calibrate_scenes(ego, coop, params, top_k)
     except CALIBRATION_FAILURES:
-        fit, health = None, (0.0, math.inf)
+        report, health = None, (0.0, math.inf)
     else:
-        health = score.confidence, score.mean_distance
-    if fit is not None and _healthy(*health, theta, cfg.min_confidence):
+        health = report.health_confidence, report.health_mean_distance
+    if report is not None and _healthy(*health, theta, cfg.min_confidence):
         kind = EventKind.BOOT_CALIBRATED if boot_phase else EventKind.RECALIBRATED
-        new_state = MonitorState(fit.transform, MonitorStatus.CALIBRATED, health, frame + 1)
+        new_state = MonitorState(report.transform, MonitorStatus.CALIBRATED, health, frame + 1)
     else:
         if boot_phase:
             kind = EventKind.ALERT_RAISED

@@ -5,15 +5,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .association import (
-    MatchSet,
-    NoCoVisibleObjects,
-    ODistParams,
-    _alignment,
-    _associate,
-    _SceneArrays,
-    top_k_by_volume,
-)
+from .association import MatchSet, NoCoVisibleObjects, ODistParams, _associate, alignment_score, top_k_by_volume
 from .geometry import RigidTransform, Scene
 from .metrics import TrialError, rre, rte
 from .registration import DegenerateGeometry
@@ -30,7 +22,7 @@ class CalibrationTrace:
     are disjoint parts of its elapsed_s, and what refinement counted."""
 
     top_k_s: float  # top_k_by_volume of both scenes
-    scene_arrays_s: float  # every scene's arrays built, the full scenes' and the kept ones'
+    scene_arrays_s: float  # the arrays this call built, 0 for a scene whose arrays an earlier call built
     anchor_pass_s: float  # every anchor's score and the affinity matrix
     assignment_s: float  # solve_assignment
     refinement_s: float  # the best five assigned anchors' refits, the winner and its fit
@@ -71,35 +63,23 @@ def calibrate_scenes(
     DegenerateGeometry if the matched corners do not pin down a rotation.
     """
     start = time.perf_counter()
-    full = _SceneArrays(ego), _SceneArrays(coop)
-    arrays_s = time.perf_counter() - start
-    matches, result, health, (top_k_s, kept_s, *traced) = _calibrate(ego, coop, full, params, top_k)
-    return CalibrationReport(
-        transform=result.transform,
-        matches=matches,
-        rms_residual=result.rms_residual,
-        health_confidence=health.confidence,
-        health_mean_distance=health.mean_distance,
-        elapsed_s=time.perf_counter() - start,
-        trace=CalibrationTrace(top_k_s, arrays_s + kept_s, *traced),
-    )
-
-
-def _calibrate(ego: Scene, coop: Scene, full, params: ODistParams, top_k: int | None):
-    """calibrate_scenes's matches, fit and health on the scenes' arrays
-    full, and the seconds of its stages and refinement's counts in
-    CalibrationTrace's order, the kept scenes' arrays only under scene
-    arrays."""
-    start = time.perf_counter()
     tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
     topped = time.perf_counter()
-    kept = [a if t is s else _SceneArrays(t) for a, s, t in zip(full, (ego, coop), tops)]
+    kept = [scene._arrays for scene in (*tops, ego, coop)][:2]  # the full scenes' too, for the health check
     built = time.perf_counter()
-    matches, result, associated, counts = _associate(*kept, params)
+    matches, fit, seconds, counts = _associate(*kept, params)  # seconds: anchor pass, assignment, refinement
     matched = time.perf_counter()
-    health = _alignment(*full, result.transform, params)
-    traced = (topped - start, built - topped, *associated, time.perf_counter() - matched, *counts)
-    return matches, result, health, traced
+    health = alignment_score(ego, coop, fit.transform, params)
+    end = time.perf_counter()
+    return CalibrationReport(
+        transform=fit.transform,
+        matches=matches,
+        rms_residual=fit.rms_residual,
+        health_confidence=health.confidence,
+        health_mean_distance=health.mean_distance,
+        elapsed_s=end - start,
+        trace=CalibrationTrace(topped - start, built - topped, *seconds, end - matched, *counts),
+    )
 
 
 def trial_error(

@@ -128,13 +128,10 @@ def _distance_multisets_generic(centers: np.ndarray, tolerance: float) -> bool:
     if n < 3:
         return True
     d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-    profiles = np.sort(
-        np.array([np.delete(d[i], i) for i in range(n)]), axis=1
-    )
-    for i in range(n):
-        for k in range(i + 1, n):
-            if np.max(np.abs(profiles[i] - profiles[k])) < tolerance:
-                return False
+    profiles = np.sort(d, axis=1)[:, 1:]  # each row without its leading self-distance 0.0
+    for i in range(n - 1):
+        if np.any(np.max(np.abs(profiles[i + 1 :] - profiles[i]), axis=1) < tolerance):
+            return False
     return True
 
 

@@ -10,9 +10,24 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from boxcalib import DetectionBox, ODistParams, RigidTransform, Scene
 from boxcalib import association
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The sizes of the scenes whose arrays (_SceneArrays) get built, in
+    build order."""
+    built, init = [], association._SceneArrays.__init__
+
+    def counted(self, scene):
+        built.append(len(scene))
+        init(self, scene)
+
+    monkeypatch.setattr(association._SceneArrays, "__init__", counted)
+    return built
 
 
 def make_box(center, dims=(4.0, 2.0, 1.5), yaw=0.0, confidence=1.0, label=None):

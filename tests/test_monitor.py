@@ -1,7 +1,9 @@
 """Boot calibration, health gating, and the monitor state machine."""
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from boxcalib import (
     transform_scene,
     with_flipped_yaw,
 )
-from boxcalib import association
+from boxcalib import monitor
 from boxcalib.io import state_from_dict, state_to_dict
 from boxcalib.monitor import unreadable_frame
 from conftest import make_box, make_scene, spread_scene, yaw_transform
@@ -251,19 +253,13 @@ def test_step_recalibrates_on_the_first_attempt():
     assert np.array_equal(state.current_extrinsic.translation, expected.transform.translation)
 
 
-def test_a_frame_builds_the_scene_arrays_once(monkeypatch):
+def test_a_frame_builds_the_scene_arrays_once(builds):
     # the health check and the calibration score the same two scenes, so
     # a frame builds their arrays once: at boot, on a healthy frame and on
     # one whose held extrinsic fails its check (scenes within top_k, so
-    # the calibration builds no others)
+    # the calibration builds no others); each frame has scenes of its own,
+    # and a repeated step on the same scenes builds nothing
     ego, coop, t_true = scene_pair()
-    builds, init = [], association._SceneArrays.__init__
-
-    def counted(self, scene):
-        builds.append(len(scene))
-        init(self, scene)
-
-    monkeypatch.setattr(association._SceneArrays, "__init__", counted)
     wrong = RigidTransform(t_true.rotation, t_true.translation + 50.0)
     frames = {
         EventKind.BOOT_CALIBRATED: MonitorState.initial(),
@@ -271,10 +267,23 @@ def test_a_frame_builds_the_scene_arrays_once(monkeypatch):
         EventKind.RECALIBRATED: MonitorState(wrong, MonitorStatus.CALIBRATED, None, 4),
     }
     for kind, state in frames.items():
+        ego, coop = (make_scene(s.boxes, s.agent_id) for s in (ego, coop))
         builds.clear()
         _, events = step(state, ego, coop)
         assert kinds(events) == [kind]
         assert builds == [len(ego), len(coop)], kind
+        _, again = step(state, ego, coop)
+        assert again == events and builds == [len(ego), len(coop)], kind
+
+
+def test_the_monitor_imports_no_private_name():
+    # step reads the health check and the calibration report; a private
+    # name of another module would tie it to their internals again
+    tree = ast.parse(Path(monitor.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("boxcalib")):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, f"line {node.lineno} imports {private}"
 
 
 def test_runtime_failure_keeps_the_measured_health():

@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from boxcalib import (
     DEFAULT_TOP_K,
+    ODistParams,
     CalibrationReport,
     CalibrationTrace,
     NoCoVisibleObjects,
@@ -19,14 +22,18 @@ from boxcalib import (
     RigidTransform,
     Scene,
     SynthConfig,
+    alignment_score,
     apply_transform,
+    associate,
     build_affinity,
     calibrate_scenes,
     compose,
     generate_scene_pair,
     grid_product,
+    health_check,
     invert,
     noisy_pair,
+    odist,
     random_yaw_transform,
     rre,
     rte,
@@ -359,3 +366,86 @@ def test_permuting_the_noisy_boxes_permutes_the_matches(sigma, visibility):
             for m in shuffled.matches
         } == {(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in report.matches}
         assert max_entry_difference(shuffled.transform, report.transform) <= 1e-9
+
+
+# ---- a scene builds its arrays once, on first use ----
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_a_scene_builds_its_arrays_once_across_the_entry_points(builds):
+    ego = spread_scene(8, seed=21)
+    truth = yaw_transform(0.6, (5.0, -4.0, 0.3))
+    coop = transform_scene(invert(truth), ego)
+    odist(ego, coop, 0, 0)
+    alignment_score(ego, coop, truth)
+    health_check(ego, coop, truth)
+    build_affinity(ego, coop)
+    associate(ego, coop)
+    calibrate_scenes(ego, coop)
+    assert builds == [len(ego), len(coop)]
+
+
+def test_a_trimmed_scene_builds_its_own_arrays(builds):
+    ego = spread_scene(20, seed=22)
+    coop = transform_scene(invert(yaw_transform(0.4, (3.0, 2.0, 0.0))), ego)
+    calibrate_scenes(ego, coop, top_k=15)
+    assert sorted(builds) == [15, 15, 20, 20]
+    kept = top_k_by_volume(ego, 15)
+    assert kept._arrays is not ego._arrays
+    assert np.array_equal(kept._arrays.centers, [b.center for b in kept])
+    assert top_k_by_volume(ego, 20)._arrays is ego._arrays  # kept whole: the scene itself
+
+
+def test_a_replaced_scene_builds_fresh_arrays(builds):
+    scene = spread_scene(5, seed=23)
+    first = scene._arrays
+    copy = dataclasses.replace(scene)
+    assert copy._arrays is not first and copy._arrays is copy._arrays
+    assert builds == [5, 5]
+    assert np.array_equal(copy._arrays.headed, first.headed)
+
+
+@pytest.mark.parametrize("table", ["centers", "dims", "yaws", "headed", "axes"])
+def test_a_cached_table_is_read_only(table):
+    # every later call on the scene shares the table
+    values = getattr(spread_scene(4, seed=24)._arrays, table)
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        values += 1.0
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    path = sys.path[:]
+    sys.path.insert(0, str(BENCH))  # workloads imports its neighbours
+    try:
+        import workloads
+    finally:
+        sys.path[:] = path
+    return workloads
+
+
+def report_fields(ego, coop, top_k):
+    """A calibration's transform bytes, matches, rms and health, or the
+    name of the failure it raised."""
+    try:
+        report = calibrate_scenes(ego, coop, ODistParams(), top_k)
+    except CALIBRATION_FAILURES as e:
+        return type(e).__name__
+    t = report.transform
+    health = report.health_confidence, report.health_mean_distance
+    return t.rotation.tobytes(), t.translation.tobytes(), report.matches, report.rms_residual, health
+
+
+@pytest.mark.parametrize("name, frames", [("Sweep15", 6), ("Dense32", 2)])
+def test_calibrating_the_same_scenes_twice_gives_the_same_report(workloads, tmp_path, name, frames):
+    # the second call finds every array built; the benchmark's repeated
+    # calibrate_scenes check relies on it giving the same answer bit for bit
+    workload = getattr(workloads, name)(501, tmp_path)
+    for k in range(frames):
+        ego, coop = workload.frame(k)[:2]
+        first = report_fields(ego, coop, workload.top_k)
+        assert not isinstance(first, str), k
+        assert report_fields(ego, coop, workload.top_k) == first, k

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ ROWS = ("top-k", "scene pair", "anchor pass", "assignment", "refinement", "healt
 
 def test_stage_times_prints_every_stage_of_both_workloads():
     done = subprocess.run(
-        [sys.executable, str(TOOL), "--repeats", "1", "--sweep-frames", "1", "--dense-frames", "1"],
+        [sys.executable, str(TOOL), "--repeats", "2", "--sweep-frames", "1", "--dense-frames", "1"],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -24,6 +25,27 @@ def test_stage_times_prints_every_stage_of_both_workloads():
         assert len(values) == 8 and values[1::2] == ["ms", "%", "ms", "%"]
         assert all(float(v) >= 0.0 for v in values[::2]), line
     assert lines[-1].split()[3] == "100.0"
+    # each repeat builds the scenes' arrays anew (see the next test)
+    scene_pair = lines[ROWS.index("scene pair")]
+    assert all(float(v) > 0.0 for v in scene_pair[14:].split()[::4]), scene_pair
+
+
+def test_every_repeat_calibrates_scenes_whose_arrays_are_yet_to_be_built(builds, monkeypatch, tmp_path):
+    # a scene builds its arrays once, on first use, so repeats on the same
+    # scene objects would time no scene pair after the first
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # the script sets them; restored after the test
+    path = sys.path[:]  # the script puts src/ and bench/ first
+    try:
+        spec = importlib.util.spec_from_file_location("stage_times", TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+    finally:
+        sys.path[:] = path
+    frames = [tuple(tool.Sweep15(tool.SEED, tmp_path).frame(k)[:2]) for k in range(2)]
+    builds.clear()
+    tool.stage_times(frames, tool.Sweep15.top_k, 3)
+    assert builds == [len(s) for _ in range(3) for frame in frames for s in frame]
 
 
 def test_stage_times_rejects_a_repeat_count_below_one():

@@ -132,6 +132,41 @@ def test_zero_guard_tolerance_turns_the_guard_off():
         SynthConfig(generic_guard=False)
 
 
+def double_loop_generic(centers, tolerance):
+    """The guard as it was written before it compared rows at once: each
+    box's distances to the others, sorted, against every later box's."""
+    n = centers.shape[0]
+    if n < 3:
+        return True
+    d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
+    profiles = np.sort(np.array([np.delete(d[i], i) for i in range(n)]), axis=1)
+    for i in range(n):
+        for k in range(i + 1, n):
+            if np.max(np.abs(profiles[i] - profiles[k])) < tolerance:
+                return False
+    return True
+
+
+def test_the_guard_decides_as_the_double_loop_does():
+    # random layouts, and regular polygons with a little jitter, which the
+    # guard rejects at most tolerances; 0-2 boxes and tolerance 0 included
+    rng = np.random.default_rng(126)
+    decisions = set()
+    for trial in range(600):
+        n = int(rng.integers(0, 25))
+        if trial % 2:
+            turn = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+            centers = 10.0 * np.stack([np.cos(turn), np.sin(turn), np.zeros(n)], axis=1)
+            centers += rng.normal(0.0, 0.05, (n, 3))
+        else:
+            centers = rng.uniform(-30.0, 30.0, (n, 3))
+        for tolerance in (0.0, 0.1, 1.5, 5.0, 20.0):
+            expected = double_loop_generic(centers, tolerance)
+            assert _distance_multisets_generic(centers, tolerance) is expected, (trial, n, tolerance)
+            decisions.add((n < 3, tolerance == 0.0, expected))
+    assert {(False, False, True), (False, False, False), (True, False, True), (False, True, True)} <= decisions
+
+
 # ---- inject_noise ----
 
 

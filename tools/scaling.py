@@ -12,11 +12,12 @@ sigma 0.3 m and 3 deg on both views, no top-k prefilter. The boxes lie in
 more at +-30 m. For each frame the script prints:
 
     anchor ms       one run of association._score_anchors on the frame's
-                    two _SceneArrays, its tables included
+                    two scenes' arrays, its tables included
     anchors MB      the tracemalloc peak of that call
-    associate MB    the tracemalloc peak of association.associate, the
-                    whole association of the frame (arrays, anchor pass,
-                    assignment and refinement)
+    associate MB    the tracemalloc peak of association.associate on fresh
+                    copies of the frame's scenes, the whole association of
+                    the frame (arrays, anchor pass, assignment and
+                    refinement)
 
 Each peak is measured above what was allocated before the call, in its
 own run. BLAS runs on one thread.
@@ -39,7 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from boxcalib import NoiseConfig, ODistParams, SynthConfig, association, noisy_pair  # noqa: E402
+from boxcalib import NoiseConfig, ODistParams, Scene, SynthConfig, association, noisy_pair  # noqa: E402
 
 SEED = 15
 DENSE_BOXES = 80  # above this many boxes the square grows to keep their density
@@ -65,8 +66,9 @@ def traced_peak_mb(fn, *args) -> float:
 
 
 def associate(ego, coop, params):
+    """associate on fresh copies of the scenes, so that it builds their arrays."""
     try:
-        association.associate(ego, coop, params)
+        association.associate(*(Scene(s.boxes, s.agent_id, s.frame_id) for s in (ego, coop)), params)
     except association.NoCoVisibleObjects:
         pass
 
@@ -74,7 +76,7 @@ def associate(ego, coop, params):
 def measure(ego, coop) -> tuple[float, float, float]:
     """(anchor ms, anchors MB, associate MB) of one frame."""
     params = ODistParams()
-    arrays = association._SceneArrays(ego), association._SceneArrays(coop)
+    arrays = ego._arrays, coop._arrays
     start = time.perf_counter()
     association._score_anchors(*arrays, params)
     ms = 1e3 * (time.perf_counter() - start)
