@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .association import ODistParams
-from .geometry import DetectionBox, RigidTransform, Scene
+from .geometry import RigidTransform, Scene
 from .monitor import MonitorConfig, MonitorEvent, MonitorState, MonitorStatus
 from .pipeline import DEFAULT_TOP_K, CalibrationReport
 from .registration import nearest_rotation
@@ -79,7 +79,9 @@ def _vector(value, length, path, where) -> list[float]:
     return [_number(v, path, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_box(entry, path, where) -> DetectionBox:
+def _parse_box(entry, path, where) -> tuple:
+    """(center, dims, yaw, confidence, label) of one box, checked as
+    DetectionBox checks a box and with its messages."""
     if not isinstance(entry, dict):
         raise ParseError(path, where, "expected an object")
     for key in ("center", "dims"):
@@ -102,10 +104,11 @@ def _parse_box(entry, path, where) -> DetectionBox:
     label = entry.get("class")
     if label is not None and not isinstance(label, str):
         raise ParseError(path, f"{where}.class", "expected a string")
-    try:
-        return DetectionBox(center, dims, yaw, confidence, label)
-    except ValueError as e:
-        raise ParseError(path, where, str(e)) from e
+    if not all(v > 0 for v in dims):
+        raise ParseError(path, where, f"dims must be positive, got {np.array(dims)}")
+    if not 0.0 <= confidence <= 1.0:
+        raise ParseError(path, where, f"confidence must be in [0, 1], got {confidence}")
+    return center, dims, yaw, confidence, label
 
 
 def load_scene(path) -> Scene:
@@ -118,10 +121,13 @@ def load_scene(path) -> Scene:
         raise ParseError(path, "frame_id", "expected an integer")
     if not isinstance(doc.get("boxes"), list):
         raise ParseError(path, "boxes", "expected a list")
-    boxes = tuple(
-        _parse_box(entry, path, f"boxes[{i}]") for i, entry in enumerate(doc["boxes"])
+    boxes = [_parse_box(entry, path, f"boxes[{i}]") for i, entry in enumerate(doc["boxes"])]
+    centers, dims, yaws, confidences, labels = zip(*boxes) if boxes else [()] * 5
+    n = len(boxes)
+    return Scene.from_arrays(
+        np.reshape(centers, (n, 3)), np.reshape(dims, (n, 3)), yaws, confidences, labels,
+        doc["agent_id"], doc["frame_id"],
     )
-    return Scene(boxes, doc["agent_id"], doc["frame_id"])
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ive
 
 from .association import ODistParams
-from .geometry import DetectionBox, RigidTransform, Scene, invert, transform_box
+from .geometry import TWO_PI, RigidTransform, Scene, _transformed_boxes, invert
 from .metrics import MetricSummary, TrialError, summarize
 from .pipeline import DEFAULT_TOP_K, trial_error
 
@@ -81,12 +82,14 @@ class NoiseConfig:
             raise ValueError("yaw_std_deg must be in [0, 180]")
 
 
+@lru_cache(maxsize=256)
 def kappa_for_circular_std(std_rad: float) -> float:
     """Von Mises concentration whose circular standard deviation equals std_rad.
 
     Inverts sqrt(-2 ln(I1(k)/I0(k))) numerically. The common shortcut
     k = 1/std^2 overshoots the dispersion by ~6% already at 25 deg, which
-    is outside the tolerance the noise model is tested to.
+    is outside the tolerance the noise model is tested to. Solved once per
+    std: a sweep asks for the same few stds in every trial.
     """
     if std_rad <= 0:
         raise ValueError("std_rad must be positive")
@@ -105,22 +108,36 @@ def inject_noise(scene: Scene, noise: NoiseConfig) -> Scene:
     """Perturb box centers and yaws; dims and confidences are untouched.
 
     Zero noise on an axis skips drawing for that axis, so a (0, 0) config
-    returns a bit-identical scene.
+    returns a bit-identical scene. Box by box, the draws are three normals
+    for the center, then one von Mises for the yaw; with one axis on, that
+    axis's draws for all boxes are one call, which is the same stream.
     """
     if noise.sigma_pos == 0.0 and noise.yaw_std_deg == 0.0:
         return scene
     rng = np.random.default_rng(noise.seed)
-    kappa = (
-        kappa_for_circular_std(math.radians(noise.yaw_std_deg))
-        if noise.yaw_std_deg > 0
-        else None
+    arrays, n = scene._arrays, len(scene)
+    centers, yaws = arrays.centers, arrays.yaws
+    if noise.yaw_std_deg == 0.0:
+        centers = centers + rng.normal(0.0, noise.sigma_pos, (n, 3))
+    else:
+        kappa = kappa_for_circular_std(math.radians(noise.yaw_std_deg))
+        if noise.sigma_pos == 0.0:
+            yaws = yaws + rng.vonmises(0.0, kappa, n)
+        else:
+            shift, turn = np.empty((n, 3)), np.empty(n)
+            for i in range(n):
+                shift[i] = rng.normal(0.0, noise.sigma_pos, 3)
+                turn[i] = rng.vonmises(0.0, kappa)
+            centers, yaws = centers + shift, yaws + turn
+    return Scene.from_arrays(
+        centers,
+        arrays.dims,
+        yaws,
+        [b.confidence for b in scene],
+        [b.label for b in scene],
+        scene.agent_id,
+        scene.frame_id,
     )
-    boxes = []
-    for b in scene.boxes:
-        center = b.center + rng.normal(0.0, noise.sigma_pos, 3) if noise.sigma_pos > 0 else b.center
-        yaw = b.yaw + float(rng.vonmises(0.0, kappa)) if kappa is not None else b.yaw
-        boxes.append(DetectionBox(center, b.dims, yaw, b.confidence, b.label))
-    return Scene(tuple(boxes), scene.agent_id, scene.frame_id)
 
 
 def _distance_multisets_generic(centers: np.ndarray, tolerance: float) -> bool:
@@ -129,10 +146,45 @@ def _distance_multisets_generic(centers: np.ndarray, tolerance: float) -> bool:
         return True
     d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
     profiles = np.sort(d, axis=1)[:, 1:]  # each row without its leading self-distance 0.0
-    for i in range(n - 1):
-        if np.any(np.max(np.abs(profiles[i + 1 :] - profiles[i]), axis=1) < tolerance):
+    # a block of rows against every row after the block's first, about
+    # _GUARD_CELLS profile entries per step; a pair counts if its second row
+    # comes after its first (np.triu)
+    start = 0
+    while start < n - 1:
+        rows = max(1, _GUARD_CELLS // ((n - 1 - start) * (n - 1)))
+        later = profiles[start + 1 :]
+        gaps = np.max(np.abs(later[None, :, :] - profiles[start : start + rows, None, :]), axis=2)
+        if np.any(np.triu(gaps < tolerance)):
             return False
+        start += rows
     return True
+
+
+# profile entries compared in one step of the genericity guard: a layout of
+# up to 26 boxes takes one step, and the temporaries of larger ones stay small
+_GUARD_CELLS = 1 << 14
+
+# a candidate this close to min_separation, relatively, is decided by the
+# per-pair norm; every other is decided by far more than rounding
+_SEPARATION_MARGIN = 1e-9
+
+
+def _separated(candidate: np.ndarray, placed: np.ndarray, separation: float) -> bool:
+    """Whether candidate is at least separation from every placed center,
+    decided exactly as np.linalg.norm(candidate - p) >= separation for each
+    placed p would. That norm's rounding (a BLAS dot) differs from a
+    vectorized sum of squares in the last bit, so only the pairs that are
+    within _SEPARATION_MARGIN of the limit take it."""
+    if not len(placed):
+        return True
+    d = placed - candidate
+    squares = np.einsum("ij,ij->i", d, d)
+    closest, clear = squares.min(), (separation * (1.0 + _SEPARATION_MARGIN)) ** 2
+    if closest >= clear:
+        return True
+    if closest < (separation * (1.0 - _SEPARATION_MARGIN)) ** 2:
+        return False
+    return all(np.linalg.norm(candidate - p) >= separation for p in placed[squares < clear])
 
 
 def generate_scene_pair(cfg: SynthConfig) -> tuple[Scene, Scene, RigidTransform]:
@@ -145,39 +197,37 @@ def generate_scene_pair(cfg: SynthConfig) -> tuple[Scene, Scene, RigidTransform]
     """
     rng = np.random.default_rng(cfg.seed)
     lows = np.array([cfg.x_range[0], cfg.y_range[0], cfg.z_range[0]])
-    highs = np.array([cfg.x_range[1], cfg.y_range[1], cfg.z_range[1]])
+    spans = np.array([cfg.x_range[1], cfg.y_range[1], cfg.z_range[1]]) - lows
     budget = 10 * cfg.n_boxes * 100
 
-    centers: list[np.ndarray] = []
-    while len(centers) < cfg.n_boxes:
+    centers, placed = np.empty((cfg.n_boxes, 3)), 0
+    while placed < cfg.n_boxes:
         if budget <= 0:
             raise PlacementFailure(
                 f"could not place {cfg.n_boxes} boxes with separation "
                 f"{cfg.min_separation} in the allotted attempts"
             )
         budget -= 1
-        c = rng.uniform(lows, highs)
-        if all(np.linalg.norm(c - p) >= cfg.min_separation for p in centers):
-            centers.append(c)
-            if len(centers) == cfg.n_boxes and not _distance_multisets_generic(
-                np.array(centers), cfg.guard_tolerance
-            ):
-                centers = []
+        c = lows + spans * rng.random(3)  # rng.uniform(lows, highs), one draw per coordinate
+        if _separated(c, centers[:placed], cfg.min_separation):
+            centers[placed] = c
+            placed += 1
+            if placed == cfg.n_boxes and not _distance_multisets_generic(centers, cfg.guard_tolerance):
+                placed = 0
 
+    # per box: three dims, then the yaw, each as rng.uniform draws it (low + span * u)
     dims_lo = np.array([r[0] for r in cfg.dims_range])
     dims_hi = np.array([r[1] for r in cfg.dims_range])
-    boxes = tuple(
-        DetectionBox(c, rng.uniform(dims_lo, dims_hi), rng.uniform(0.0, 2.0 * math.pi))
-        for c in centers
-    )
-    ego = Scene(boxes, agent_id="ego", frame_id=0)
+    u = rng.random((cfg.n_boxes, 4))
+    dims = dims_lo + (dims_hi - dims_lo) * u[:, :3]
+    ego = Scene.from_arrays(centers, dims, TWO_PI * u[:, 3], agent_id="ego", frame_id=0)
 
     n_coop = max(1, int(round(cfg.visibility * cfg.n_boxes)))
     subset = rng.permutation(cfg.n_boxes)[:n_coop]
     transform = cfg.coop_transform if cfg.coop_transform is not None else RigidTransform.identity()
-    to_coop = invert(transform)
-    coop = Scene(
-        tuple(transform_box(to_coop, boxes[i]) for i in subset),
+    arrays = ego._arrays
+    coop = Scene.from_arrays(
+        *_transformed_boxes(invert(transform), arrays.centers[subset], arrays.dims[subset], arrays.yaws[subset]),
         agent_id="coop",
         frame_id=0,
     )

@@ -19,12 +19,14 @@ from boxcalib import association
 @pytest.fixture
 def builds(monkeypatch):
     """The sizes of the scenes whose arrays (_SceneArrays) get built, in
-    build order."""
+    build order. Scene.from_arrays builds them with the scene, so a test
+    that counts the builds of a later call hands it Scene(s.boxes, ...)
+    copies."""
     built, init = [], association._SceneArrays.__init__
 
-    def counted(self, scene):
-        built.append(len(scene))
-        init(self, scene)
+    def counted(self, centers, dims, yaws):
+        built.append(len(yaws))
+        init(self, centers, dims, yaws)
 
     monkeypatch.setattr(association._SceneArrays, "__init__", counted)
     return built
@@ -63,7 +65,7 @@ def given_heading_score(ego, coop, transform, params=ODistParams()):
     """alignment_score of transform with the coop headings as given only,
     none reversed: the transform kernel's call alignment_score makes, with
     one motion, unflipped. Not an oracle: it is the package's own kernel."""
-    arrays = association._SceneArrays(ego), association._SceneArrays(coop)
+    arrays = ego._arrays, coop._arrays
     R, t = transform.rotation[None], transform.translation[None]
     return association._score_motions(*arrays, R, t, np.zeros((1, 3)), [False], params)[0]
 

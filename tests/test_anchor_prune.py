@@ -72,7 +72,7 @@ class Tables:
     anchors."""
 
     def __init__(self, ego, coop):
-        self.ego, self.coop = association._SceneArrays(ego), association._SceneArrays(coop)
+        self.ego, self.coop = ego._arrays, coop._arrays
         phi = self.ego.yaws[:, None] - self.coop.yaws[None, :]
         self.cos, self.sin = np.cos(phi), np.sin(phi)
         self.offsets = self.coop.centers[None, :, :] - self.coop.centers[:, None, :]
@@ -359,7 +359,7 @@ def test_the_pass_equals_the_dense_search_on_grid_frames(frame):
 def scaled_axes(boxes):
     """The _entries of the scaled axes of boxes [(dims, yaw), ...], under
     their headings as given and reversed (_SceneArrays.headed)."""
-    arrays = association._SceneArrays(make_scene([make_box((0.0, 0.0, 0.0), d, y) for d, y in boxes]))
+    arrays = make_scene([make_box((0.0, 0.0, 0.0), d, y) for d, y in boxes])._arrays
     return np.split(association._entries(arrays.headed, np.arange(2 * len(boxes))), 2, axis=-1)
 
 
@@ -428,7 +428,7 @@ def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatc
 def test_a_pass_over_an_empty_scene_is_empty(params):
     ego, coop = SCENES["dense-0"]
     for n, m in ((0, len(coop)), (len(ego), 0), (0, 0)):
-        arrays = association._SceneArrays(make_scene(ego[:n])), association._SceneArrays(make_scene(coop[:m]))
+        arrays = make_scene(ego[:n])._arrays, make_scene(coop[:m])._arrays
         conf, mean, flip, kept = association._anchor_pass(*arrays, params)
         assert conf.shape == mean.shape == (n, 2, m) and flip.shape == (n, m)
         assert conf.dtype == np.intp and mean.dtype == np.float64 and flip.dtype == bool

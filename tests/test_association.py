@@ -664,7 +664,7 @@ def test_refinement_runs_to_its_fixed_point():
     for j, b in enumerate(clean_coop):
         gap = np.linalg.norm(ego_centers - apply_transform(truth, b.center), axis=1)
         true_pairs.add((int(gap.argmin()), j))
-    arrays, params = (association._SceneArrays(ego), association._SceneArrays(coop)), ODistParams()
+    arrays, params = (ego._arrays, coop._arrays), ODistParams()
     affinity, frame = association._score_anchors(*arrays, params)
     anchors = association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in solve_assignment(affinity)])
     refined, _, _ = association._refine(*arrays, anchors, params)

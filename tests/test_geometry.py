@@ -125,6 +125,134 @@ def test_scene_indexing_and_iteration():
 
 def test_scene_allows_zero_boxes():
     assert len(make_scene([])) == 0
+    assert len(Scene.from_arrays(np.zeros((0, 3)), np.zeros((0, 3)), [])) == 0
+
+
+# ---- Scene.from_arrays ----
+
+
+def random_boxes(n, seed=0):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-30.0, 30.0, (n, 3))
+    dims = rng.uniform(0.5, 6.0, (n, 3))
+    yaws = rng.uniform(-10.0, 10.0, n)
+    return centers, dims, yaws, rng.uniform(0.0, 1.0, n), [None, "car"] * (n // 2) + [None] * (n % 2)
+
+
+def test_from_arrays_equals_the_scene_of_its_boxes():
+    centers, dims, yaws, confidences, labels = random_boxes(9)
+    built = Scene.from_arrays(centers, dims, yaws, confidences, labels, "a", 4)
+    boxes = Scene(
+        tuple(map(DetectionBox, centers, dims, yaws.tolist(), confidences.tolist(), labels)), "a", 4
+    )
+    assert (built.agent_id, built.frame_id, len(built)) == ("a", 4, 9)
+    for x, y in zip(built, boxes, strict=True):
+        assert x.center.tobytes() == y.center.tobytes() and x.dims.tobytes() == y.dims.tobytes()
+        assert (x.yaw, x.confidence, x.label) == (y.yaw, y.confidence, y.label)
+        assert type(x.yaw) is type(y.yaw) is float
+    for table in ("centers", "dims", "yaws", "headed", "axes"):
+        a, b = getattr(built._arrays, table), getattr(boxes._arrays, table)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), table
+    defaults = Scene.from_arrays(centers, dims, yaws)[0]
+    assert (defaults.confidence, defaults.label) == (1.0, None)
+
+
+def test_from_arrays_keeps_its_own_read_only_copies():
+    centers, dims, yaws, _, _ = random_boxes(4)
+    scene = Scene.from_arrays(centers, dims, yaws)
+    centers[0, 0], dims[0, 0] = 99.0, 99.0
+    assert scene[0].center[0] != 99.0 and scene[0].dims[0] != 99.0
+    arrays = scene._arrays
+    assert np.shares_memory(scene[2].center, arrays.centers) and np.shares_memory(scene[2].dims, arrays.dims)
+    for values in (scene[0].center, scene[0].dims, arrays.centers, arrays.dims, arrays.yaws, arrays.headed):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
+@pytest.mark.parametrize("yaw", [-1e-17, -5e-324])
+def test_from_arrays_folds_a_tiny_negative_yaw_to_zero(yaw):
+    scene = Scene.from_arrays(np.zeros((2, 3)), np.ones((2, 3)), [yaw, -math.pi / 2])
+    assert [b.yaw for b in scene] == [0.0, make_box((0, 0, 0), yaw=-math.pi / 2).yaw]
+    assert scene._arrays.yaws.tolist() == [b.yaw for b in scene]
+
+
+BAD_ROWS = {
+    "center NaN": dict(center=(0.0, math.nan, 0.0)),
+    "center inf": dict(center=(math.inf, 0.0, 0.0)),
+    "dims inf": dict(dims=(1.0, math.inf, 1.0)),
+    "dims zero": dict(dims=(0.0, 1.0, 1.0)),
+    "dims negative": dict(dims=(1.0, 1.0, -2.0)),
+    "yaw NaN": dict(yaw=math.nan),
+    "yaw inf": dict(yaw=-math.inf),
+    "confidence above": dict(confidence=1.5),
+    "confidence below": dict(confidence=-0.1),
+    "confidence NaN": dict(confidence=math.nan),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS)
+def test_from_arrays_rejects_what_a_box_rejects(bad):
+    row = dict(center=(1.0, 2.0, 3.0), dims=(4.0, 2.0, 1.5), yaw=0.3, confidence=0.5) | BAD_ROWS[bad]
+    with pytest.raises(ValueError) as rejected:
+        DetectionBox(np.array(row["center"]), np.array(row["dims"]), row["yaw"], row["confidence"])
+    centers, dims, yaws, confidences, _ = random_boxes(5, seed=1)
+    centers[3], dims[3], yaws[3], confidences[3] = row["center"], row["dims"], row["yaw"], row["confidence"]
+    with pytest.raises(ValueError) as info:
+        Scene.from_arrays(centers, dims, yaws, confidences)
+    assert str(info.value) == str(rejected.value)
+
+
+@pytest.mark.parametrize(
+    "centers, dims, yaws, extra",
+    [
+        (np.zeros((3, 2)), np.ones((3, 3)), np.zeros(3), {}),
+        (np.zeros((3, 3)), np.ones((3, 4)), np.zeros(3), {}),
+        (np.zeros((3, 3)), np.ones((2, 3)), np.zeros(3), {}),
+        (np.zeros((3, 3)), np.ones((3, 3)), np.zeros(2), {}),
+        (np.zeros((3, 3)), np.ones((3, 3)), np.zeros((3, 1)), {}),
+        (np.zeros(3), np.ones(3), 0.0, {}),
+        (np.zeros((3, 3)), np.ones((3, 3)), np.zeros(3), {"confidences": np.ones(2)}),
+        (np.zeros((3, 3)), np.ones((3, 3)), np.zeros(3), {"labels": ["a", "b"]}),
+    ],
+)
+def test_from_arrays_rejects_mismatched_shapes(centers, dims, yaws, extra):
+    with pytest.raises(ValueError):
+        Scene.from_arrays(centers, dims, yaws, **extra)
+
+
+def per_box_transform(t, box):
+    """transform_box as it mapped one box before it shared the stacked
+    arithmetic: (center, yaw) by its closed form, one box at a time."""
+    A = t.rotation @ rot_z(box.yaw)
+    l2, w2 = box.dims[0] ** 2, box.dims[1] ** 2  # NumPy scalars: libm pow
+    yaw = math.atan2(A[1, 0] * l2 - A[0, 1] * w2, A[0, 0] * l2 + A[1, 1] * w2)
+    return t.rotation @ box.center + t.translation, yaw
+
+
+def test_transform_scene_maps_each_box_as_the_per_box_closed_form_does():
+    # yaw-only and general rotations of boxes whose length and width have
+    # a libm square (Python's x ** 2) that differs from x * x in the last
+    # bit: squaring them as an array would change about a fifth of the yaws
+    rng = np.random.default_rng(5)
+    pool = rng.uniform(1.0, 6.0, 400_000)
+    trap = pool[np.array([x**2 for x in pool.tolist()]) != pool * pool]
+    half = len(trap) // 2
+    dims = np.repeat(np.stack([trap[:half], trap[half : 2 * half], np.full(half, 1.5)], axis=1), 10, axis=0)
+    n = len(dims)
+    assert n > 1000
+    scene = Scene.from_arrays(rng.uniform(-30.0, 30.0, (n, 3)), dims, rng.uniform(0.0, 7.0, n))
+    for seed in range(4):
+        k = rng.normal(size=3)
+        k /= np.linalg.norm(k)
+        K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        tilted = np.eye(3) + math.sin(1.1) * K + (1 - math.cos(1.1)) * K @ K  # 1.1 rad about k
+        t = RigidTransform(rot_z(0.7 * seed) if seed % 2 else tilted, 10.0 * k)
+        moved = transform_scene(t, scene)
+        for box, new in zip(scene, moved, strict=True):
+            center, yaw = per_box_transform(t, box)
+            one = transform_box(t, box)
+            assert center.tobytes() == new.center.tobytes() == one.center.tobytes()
+            assert DetectionBox(center, box.dims, yaw).yaw == new.yaw == one.yaw
 
 
 # ---- RigidTransform ----

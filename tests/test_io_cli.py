@@ -140,6 +140,29 @@ def test_box_invariant_violations_surface_as_parse_errors(tmp_path):
         load_scene(write_json(tmp_path, "s.json", json.loads(json.dumps(doc).replace("Infinity", "1e999"))))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("dims", [4.0, -2.0, 1.5]), ("confidence", 1.5)],
+    ids=["dims must be positive", "confidence must be in [0, 1]"],
+)
+def test_an_invalid_box_names_its_index_with_the_box_message(tmp_path, capsys, key, value):
+    # the scene is built from arrays after every box is read; the row that
+    # a box would refuse still names its index and the box's own message
+    doc = scene_doc()
+    doc["boxes"] += [dict(doc["boxes"][0], center=[9, 0, 0]), dict(doc["boxes"][0], center=[0, 9, 0], **{key: value})]
+    path = write_json(tmp_path, "s.json", doc)
+    with pytest.raises(ValueError) as refused:
+        make_box((0, 9, 0), **{key: value})
+    with pytest.raises(ParseError) as info:
+        load_scene(path)
+    assert info.value.where == "boxes[2]"
+    assert str(info.value) == f"{path}: boxes[2]: {refused.value}"
+    good = tmp_path / "good.json"
+    save_scene(spread_scene(3, seed=1), good)
+    assert cli.main(["calibrate", str(path), str(good)]) == 2
+    assert f"boxes[2]: {refused.value}" in capsys.readouterr().err
+
+
 def test_invalid_json_reports_the_location(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")

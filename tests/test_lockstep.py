@@ -81,7 +81,7 @@ def sequential_refine(ego, coop, score, params, refits):
 
 
 def assigned_anchors(ego, coop, params):
-    arrays = association._SceneArrays(ego), association._SceneArrays(coop)
+    arrays = ego._arrays, coop._arrays
     affinity, frame = association._score_anchors(*arrays, params)
     assigned = solve_assignment(affinity)
     if len(assigned) == 0:

@@ -31,6 +31,7 @@ from boxcalib import (
     generate_scene_pair,
     grid_product,
     health_check,
+    inject_noise,
     invert,
     noisy_pair,
     odist,
@@ -41,7 +42,7 @@ from boxcalib import (
     transform_scene,
     with_flipped_yaw,
 )
-from boxcalib.io import report_to_dict
+from boxcalib.io import load_scene, report_to_dict, save_scene
 from boxcalib.pipeline import CALIBRATION_FAILURES
 from conftest import make_box, make_scene, spread_scene, yaw_transform
 
@@ -373,10 +374,17 @@ def test_permuting_the_noisy_boxes_permutes_the_matches(sigma, visibility):
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def unbuilt(*scenes):
+    """Copies of the scenes whose arrays are yet to be built (transform_scene
+    builds them with the scene)."""
+    return [Scene(s.boxes, s.agent_id, s.frame_id) for s in scenes]
+
+
 def test_a_scene_builds_its_arrays_once_across_the_entry_points(builds):
     ego = spread_scene(8, seed=21)
     truth = yaw_transform(0.6, (5.0, -4.0, 0.3))
-    coop = transform_scene(invert(truth), ego)
+    ego, coop = unbuilt(ego, transform_scene(invert(truth), ego))
+    builds.clear()
     odist(ego, coop, 0, 0)
     alignment_score(ego, coop, truth)
     health_check(ego, coop, truth)
@@ -388,13 +396,30 @@ def test_a_scene_builds_its_arrays_once_across_the_entry_points(builds):
 
 def test_a_trimmed_scene_builds_its_own_arrays(builds):
     ego = spread_scene(20, seed=22)
-    coop = transform_scene(invert(yaw_transform(0.4, (3.0, 2.0, 0.0))), ego)
+    ego, coop = unbuilt(ego, transform_scene(invert(yaw_transform(0.4, (3.0, 2.0, 0.0))), ego))
+    builds.clear()
     calibrate_scenes(ego, coop, top_k=15)
     assert sorted(builds) == [15, 15, 20, 20]
     kept = top_k_by_volume(ego, 15)
     assert kept._arrays is not ego._arrays
     assert np.array_equal(kept._arrays.centers, [b.center for b in kept])
     assert top_k_by_volume(ego, 20)._arrays is ego._arrays  # kept whole: the scene itself
+
+
+def test_synthesized_and_loaded_scenes_arrive_with_their_arrays(builds, tmp_path):
+    # generate_scene_pair, inject_noise, transform_scene and load_scene
+    # build a scene's arrays with it, so a calibration builds none
+    ego, coop, truth = generate_scene_pair(SynthConfig(n_boxes=12, seed=3))
+    save_scene(ego, tmp_path / "ego.json")
+    scenes = (
+        load_scene(tmp_path / "ego.json"),
+        inject_noise(coop, NoiseConfig(0.5, 10.0, seed=4)),
+        transform_scene(invert(truth), ego),
+    )
+    builds.clear()
+    for scene in (coop, *scenes):
+        calibrate_scenes(ego, scene)
+    assert builds == []
 
 
 def test_a_replaced_scene_builds_fresh_arrays(builds):

@@ -61,7 +61,7 @@ def refine_all(ego, coop, params):
 
 def calibrated(ego, coop, params):
     """_associate's matches (with the flag), R and t bytes and rms."""
-    arrays = association._SceneArrays(ego), association._SceneArrays(coop)
+    arrays = ego._arrays, coop._arrays
     matches, fit, *_ = association._associate(*arrays, params)
     shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
     R, t = fit.transform.rotation, fit.transform.translation

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
-ROWS = ("top-k", "scene pair", "anchor pass", "assignment", "refinement", "health", "other", "total")
+ROWS = ("top-k", "scene pair", "anchor pass", "assignment", "refinement", "health", "other", "total", "synthesis")
 
 
 def test_stage_times_prints_every_stage_of_both_workloads():
@@ -24,7 +24,9 @@ def test_stage_times_prints_every_stage_of_both_workloads():
         values = line[14:].split()  # two columns of "<ms> ms <share> %"
         assert len(values) == 8 and values[1::2] == ["ms", "%", "ms", "%"]
         assert all(float(v) >= 0.0 for v in values[::2]), line
-    assert lines[-1].split()[3] == "100.0"
+    assert lines[ROWS.index("total")].split()[3] == "100.0"
+    synthesis = lines[ROWS.index("synthesis")]  # the frames' making, beside the calibration
+    assert all(float(v) > 0.0 for v in synthesis[14:].split()[::4]), synthesis
     # each repeat builds the scenes' arrays anew (see the next test)
     scene_pair = lines[ROWS.index("scene pair")]
     assert all(float(v) > 0.0 for v in scene_pair[14:].split()[::4]), scene_pair

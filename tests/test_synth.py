@@ -1,7 +1,9 @@
 """Synthetic scene generation, noise injection, and the sweep harness."""
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from boxcalib import (
     NoiseConfig,
     PlacementFailure,
+    Scene,
     SynthConfig,
     apply_transform,
     generate_scene_pair,
@@ -17,9 +20,10 @@ from boxcalib import (
     kappa_for_circular_std,
     noise_sweep,
     noisy_pair,
+    random_yaw_transform,
 )
-from boxcalib.geometry import RigidTransform
-from boxcalib.synth import _distance_multisets_generic
+from boxcalib.geometry import DetectionBox, RigidTransform
+from boxcalib.synth import _distance_multisets_generic, _separated
 
 
 def box_key(box):
@@ -167,6 +171,36 @@ def test_the_guard_decides_as_the_double_loop_does():
     assert {(False, False, True), (False, False, False), (True, False, True), (False, True, True)} <= decisions
 
 
+def per_pair_separated(candidate, placed, separation):
+    """The placement test as generate_scene_pair wrote it before it tested a
+    candidate against all placed centers at once."""
+    return all(np.linalg.norm(candidate - p) >= separation for p in placed)
+
+
+def test_the_placement_test_decides_as_the_per_pair_loop_does():
+    # random layouts; integer grids, whose 3-4-5 distances sit exactly at a
+    # separation of 5; and centers a few ulps either side of the separation,
+    # where a vectorized sum of squares and the per-pair norm can round apart
+    rng = np.random.default_rng(26)
+    decisions = set()
+    for trial in range(3000):
+        kind, k = trial % 3, int(rng.integers(0, 20))
+        separation = float(rng.choice([0.5, 1.0, 5.0, 7.3]))
+        if kind == 0:
+            candidate, placed = rng.uniform(-30.0, 30.0, 3), rng.uniform(-30.0, 30.0, (k, 3))
+        elif kind == 1:
+            candidate, placed, separation = rng.integers(-6, 7, 3) * 1.0, rng.integers(-6, 7, (k, 3)) * 1.0, 5.0
+        else:
+            candidate = rng.uniform(-30.0, 30.0, 3)
+            toward = rng.normal(size=(k, 3))
+            toward /= np.linalg.norm(toward, axis=1)[:, None]
+            placed = candidate + separation * toward * (1.0 + rng.integers(-4, 5, (k, 1)) * 2.0**-52)
+        expected = per_pair_separated(candidate, placed, separation)
+        assert _separated(candidate, placed, separation) is expected, (trial, kind)
+        decisions.add((kind, expected))
+    assert decisions == {(kind, decided) for kind in range(3) for decided in (False, True)}
+
+
 # ---- inject_noise ----
 
 
@@ -197,14 +231,10 @@ def test_noise_is_deterministic_under_seed():
 
 def big_flat_scene(n):
     """A dense single-use scene for Monte-Carlo noise statistics."""
-    from conftest import make_box, make_scene
-
     side = int(math.ceil(math.sqrt(n)))
-    boxes = [
-        make_box((100.0 * (i % side), 100.0 * (i // side), 0.0), yaw=0.0)
-        for i in range(n)
-    ]
-    return make_scene(boxes)
+    i = np.arange(n)
+    centers = np.stack([100.0 * (i % side), 100.0 * (i // side), np.zeros(n)], axis=1)
+    return Scene.from_arrays(centers, np.tile([4.0, 2.0, 1.5], (n, 1)), np.zeros(n), agent_id="test")
 
 
 def test_position_noise_matches_the_half_normal_mean():
@@ -236,6 +266,15 @@ def test_kappa_inversion_hits_the_requested_spread_exactly():
         assert math.sqrt(-2.0 * math.log(r)) == pytest.approx(s, rel=1e-9)
 
 
+def test_a_cached_kappa_equals_a_fresh_solve_bit_for_bit():
+    for std_deg in (0.5, 3.0, 10.0, 25.0, 90.0, 180.0):
+        s = math.radians(std_deg)
+        fresh = kappa_for_circular_std.__wrapped__(s)  # the solve, uncached
+        first, again = kappa_for_circular_std(s), kappa_for_circular_std(s)
+        assert np.float64(first).tobytes() == np.float64(fresh).tobytes()
+        assert again is first  # served from the cache
+
+
 def test_kappa_validation():
     with pytest.raises(ValueError):
         kappa_for_circular_std(0.0)
@@ -245,6 +284,33 @@ def test_kappa_validation():
         NoiseConfig(-0.1, 0.0)
     with pytest.raises(ValueError):
         NoiseConfig(0.0, 181.0)
+
+
+def per_box_noise(scene, noise):
+    """inject_noise as it drew before its draws were batched: box by box,
+    three normals for the center, then one von Mises for the yaw."""
+    rng = np.random.default_rng(noise.seed)
+    kappa = kappa_for_circular_std(math.radians(noise.yaw_std_deg)) if noise.yaw_std_deg > 0 else None
+    boxes = []
+    for b in scene:
+        center = b.center + rng.normal(0.0, noise.sigma_pos, 3) if noise.sigma_pos > 0 else b.center
+        yaw = b.yaw + float(rng.vonmises(0.0, kappa)) if kappa is not None else b.yaw
+        boxes.append(DetectionBox(center, b.dims, yaw, b.confidence, b.label))
+    return boxes
+
+
+@pytest.mark.parametrize("sigma, yaw_std", [(0.5, 0.0), (2.0, 0.0), (0.0, 1e-4), (0.0, 10.0), (0.0, 180.0), (0.3, 3.0)])
+def test_batched_draws_match_the_per_box_draws(sigma, yaw_std):
+    # one axis on draws all boxes in one call; both on keep the per-box
+    # interleaving; yaw stds from von Mises's wrapped-normal branch (a
+    # tiny std, a huge kappa) to its flattest (180 deg)
+    for seed in range(20):
+        ego, coop, _ = generate_scene_pair(SynthConfig(n_boxes=12, visibility=0.5, seed=seed))
+        for scene in (ego, coop, Scene(ego.boxes[::-1], "boxes")):
+            noise = NoiseConfig(sigma, yaw_std, seed=100 + seed)
+            for a, b in zip(inject_noise(scene, noise), per_box_noise(scene, noise), strict=True):
+                assert a.center.tobytes() == b.center.tobytes() and a.dims.tobytes() == b.dims.tobytes()
+                assert (a.yaw, a.confidence, a.label) == (b.yaw, b.confidence, b.label)
 
 
 # ---- noisy_pair ----
@@ -324,3 +390,52 @@ def test_sweep_counts_failed_trials_in_the_totals():
 def test_sweep_rejects_an_empty_grid():
     with pytest.raises(ValueError):
         noise_sweep([], SynthConfig(n_boxes=5), n_trials=1)
+
+
+# ---- the random streams, pinned ----
+
+
+def seeds(*entropy, count):
+    return [int(s) for s in np.random.SeedSequence(list(entropy)).generate_state(count, np.uint64)]
+
+
+def synthesized_scenes():
+    """Every scene synthesis makes for Sweep15(501) trials 0-23 (each noise
+    cell twice) and Dense32(501) frames 0-3, drawn as bench/workloads.py
+    draws them: generate_scene_pair's two scenes, then the two inject_noise
+    calls. The cells cover each noise axis alone, both and neither; the
+    dense ego scene is made from boxes, the others from arrays."""
+    grid = grid_product((0.0, 0.5, 1.0, 2.0), (0.0, 10.0, 25.0))
+    for k in range(24):
+        cell, trial = k % len(grid), k // len(grid)
+        s_scene, s_transform, s_ego, s_coop = seeds(501, cell, trial, count=4)
+        transform = random_yaw_transform(np.random.default_rng(s_transform))
+        ego, coop, _ = generate_scene_pair(
+            SynthConfig(n_boxes=15, visibility=1.0, seed=s_scene, coop_transform=transform)
+        )
+        yield from (ego, coop)
+        yield inject_noise(ego, replace(grid[cell], seed=s_ego))
+        yield inject_noise(coop, replace(grid[cell], seed=s_coop))
+    for k in range(4):
+        s_scene, s_transform, s_drop, s_ego, s_coop = seeds(501, k, count=5)
+        transform = random_yaw_transform(np.random.default_rng(s_transform))
+        ego_all, coop, _ = generate_scene_pair(
+            SynthConfig(n_boxes=40, visibility=0.8, seed=s_scene, coop_transform=transform)
+        )
+        dropped = set(np.random.default_rng(s_drop).choice(len(ego_all), 8, replace=False).tolist())
+        ego = Scene(tuple(b for i, b in enumerate(ego_all) if i not in dropped), "ego")
+        noise = NoiseConfig(0.3, 3.0) if k % 2 else NoiseConfig()
+        yield from (ego_all, coop)
+        yield inject_noise(ego, replace(noise, seed=s_ego))
+        yield inject_noise(coop, replace(noise, seed=s_coop))
+
+
+def test_synthesis_draws_the_pinned_streams():
+    # the bytes of every center, dims and yaw, as the box-by-box generator
+    # drew them (NumPy 2.4's Generator streams; a NumPy whose distributions
+    # draw differently changes the hash at every commit alike)
+    digest = hashlib.sha256()
+    for scene in synthesized_scenes():
+        for box in scene:
+            digest.update(box.center.tobytes() + box.dims.tobytes() + np.float64(box.yaw).tobytes())
+    assert digest.hexdigest() == "8f190679849173ee516aa863bb14f38524cf2ddc314e0111360df48e49e50f70"

@@ -24,7 +24,11 @@ Only the total is timed here. A frame whose calibration fails returns no
 report, so its time counts in total and other alone. A value is the
 stage's total over a workload's frames in the fastest of the repeats,
 divided by the number of frames; the total row is timed the same way and
-is not the sum of the rows above it. BLAS runs on one thread.
+is not the sum of the rows above it. A last row, synthesis, times the
+making of the frames beside the calibration: workload.frame(k) over the
+same frames (the scene pair, its noise and the benchmark's ground truth),
+the fastest of the repeats, its share taken of the calibration total.
+BLAS runs on one thread.
 """
 from __future__ import annotations
 
@@ -88,6 +92,17 @@ def stage_times(frames, top_k, repeats: int) -> dict[str, float]:
     return {name: 1e3 * min(run[name] for run in runs) / len(frames) for name in runs[0]}
 
 
+def synthesis_ms(workload, count: int, repeats: int) -> float:
+    """Milliseconds per frame of workload.frame(k) for k < count, the fastest of the repeats."""
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for k in range(count):
+            workload.frame(k)
+        runs.append(time.perf_counter() - start)
+    return 1e3 * min(runs) / count
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -104,10 +119,12 @@ def main(argv=None) -> None:
                 continue
             workload = cls(SEED, Path(tmp))
             frames = [tuple(workload.frame(k)[:2]) for k in range(count)]
-            columns.append((f"{name} ({count} frames)", stage_times(frames, workload.top_k, args.repeats)))
+            times = stage_times(frames, workload.top_k, args.repeats)
+            times["synthesis"] = synthesis_ms(workload, count, args.repeats)
+            columns.append((f"{name} ({count} frames)", times))
 
     print(f"{'ms per frame':<14}" + "".join(f"{title:>26}" for title, _ in columns))
-    for stage in (*STAGES, "total"):
+    for stage in (*STAGES, "total", "synthesis"):
         cells = [f"{t[stage]:9.3f} ms {100 * t[stage] / t['total']:5.1f} %" for _, t in columns]
         print(f"{stage:<14}" + "".join(f"{cell:>26}" for cell in cells))
 
