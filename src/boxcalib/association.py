@@ -23,28 +23,33 @@ hypotheses that can still win. Each distinct valid set is fit once, and
 the winner's fit is the calibration's transform.
 
 Every score is of rigid motions x -> e* + R (x - c*), and one pair
-arithmetic serves them all: the squared center difference c2 =
-|(e_p - e*) - R (c_q - c*)|^2 (_c2), the squared scaled-axes difference
-da2 = |A_e - R A_c|_F^2 (_da2), a reversed coop heading being one more
-row of A_c (_SceneArrays.headed), and one tail (_pair_up) over any number
-of cells: the distance (_distance), the tau gate, the greedy one-to-one
-pairing (_greedy) and the valid-set size and mean, so every PairScore
-lists its valid pairs in (ego, coop) order; a fit's rms sums 8 c2 + 2 da2
-over its pairs. Two kernels generate the pairs, each run once per frame or
-refinement round, never per anchor. The anchor pass (_anchor_pass)
-builds the frame's tables and scores every anchor, each about (e_i,
-c_j), on the pairs that a grid of the offsets in each box's heading frame
-puts within reach (a fixed-radius join), in one loop over chunks of rows,
-and fills the affinity matrix; refinement starts from the best five
-assigned anchors' scores read from it. The transform kernel
-(_score_motions) scores given motions, one PairScore each, under one coop
-heading each: odist's two (an anchor's, bit for bit the pass's), a
-round's refits about their centroids (_refine), and alignment_score's
-and the health check's two, about (t, 0). One rule ranks scores (_rank):
-it picks the heading of each anchor and of each scored transform,
-chooses the anchors refinement starts from, and decides refinement's
-steps. The kernels take the scenes' arrays (_SceneArrays), which a scene
-builds once, on first use (Scene._arrays), and every entry point reads.
+arithmetic serves them all: the squared center difference c2 = |(e_p -
+e*) - R (c_q - c*)|^2 (_c2), the squared scaled-axes difference da2 =
+|A_e - R A_c|_F^2 (_da2), and one tail (_pair_up) over any number of
+cells. _da2 reads one table per scene (_SceneArrays.packed): the five
+nonzero entries of each box's scaled axes, A00, A01, A10, A11 and A22,
+one contiguous row each, a reversed coop heading being one more column.
+A refit's or a stored transform's R enters whole; an anchor's rotation
+about z enters as its xy block, so no zero entry is gathered or
+multiplied. The tail is the distance (_distance), the tau gate, the
+greedy one-to-one pairing (_greedy) and the valid-set size and mean, so
+every PairScore lists its valid pairs in (ego, coop) order; a fit's rms
+sums 8 c2 + 2 da2 over its pairs. Two kernels generate the pairs, each
+run once per frame or refinement round, never per anchor. The anchor
+pass (_anchor_pass) builds the frame's tables and scores every anchor,
+each about (e_i, c_j), on the pairs that a grid of the offsets in each
+box's heading frame puts within reach (a fixed-radius join), in one loop
+over chunks of rows, and fills the affinity matrix; refinement starts
+from the best five assigned anchors' scores read from it. The transform
+kernel (_score_motions) scores given motions, one PairScore each, under
+one coop heading each: odist's two (an anchor's, bit for bit the
+pass's), a round's refits about their centroids (_refine), and
+alignment_score's and the health check's two, about (t, 0). One rule
+ranks scores (_rank): it picks the heading of each anchor and of each
+scored transform, chooses the anchors refinement starts from, and
+decides refinement's steps. The kernels take the scenes' arrays
+(_SceneArrays), which a scene builds once, on first use (Scene._arrays),
+and every entry point reads.
 """
 from __future__ import annotations
 
@@ -61,9 +66,13 @@ from .registration import DegenerateGeometry, RegistrationResult, nearest_rotati
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 
 # Window cells (one anchor's heading, p and q) per chunk of _anchor_pass's
-# rows: about 180 bytes of temporaries each. One chunk for a whole 80 x 64
-# frame traced 23 MB, 2^13 of them 5.3 MB; on 32 x 32 frames 2^13 ran as
-# fast as 2^15 and 10-15 % faster than 2^11.
+# rows: about 105 bytes of temporaries each (200 when _da2 gathered full 3x3
+# entries), by the tracemalloc peak's slope from 2^11 to 2^12 cells on
+# Dense32(501) frames 0-15, which hold about 7,300 cells each. There 2^13
+# ran as fast as 2^14 (one chunk a frame), and 9 % and 24 % faster than
+# 2^12 and 2^11 (median ratios over 30 interleaved passes), at a pass peak
+# of 1.5 MB against 1.0 and 0.8 MB. One chunk for a whole 80 x 64 frame
+# traced 17 MB, 2^13 of them 5.2 MB.
 _CANDIDATE_BUDGET = 1 << 13
 _ALLOWANCE = 1e-6  # the grid windows' rounding allowance per meter (_anchor_pass)
 
@@ -175,7 +184,7 @@ def box_distance(a: DetectionBox, b: DetectionBox, params: ODistParams = ODistPa
     """alpha * |center difference| + beta * Frobenius norm of corner difference."""
     one_a, one_b = Scene((a,))._arrays, Scene((b,))._arrays
     c2 = _c2(one_a.centers.T, one_b.centers.T)
-    da2 = _da2(_entries(one_a.axes, [0]), np.eye(3)[..., None], _entries(one_b.axes, [0]))
+    da2 = _da2(one_a.packed[:, :1], np.eye(3)[..., None], one_b.packed[:, :1])
     return float(_distance(c2, da2, params)[0])
 
 
@@ -270,36 +279,49 @@ def _c2(u, w):
     return c2
 
 
-def _entries(matrices, index):
-    """The entries [r, c] of the 3x3 matrices[index], each contiguous."""
-    return np.take(matrices.transpose(1, 2, 0), index, axis=-1)
-
-
-def _da2(axes_e, R, axes_c):
-    """Pairs' squared axes difference |A_e - R A_c|_F^2 from the entries
-    (3, 3, s) of A_e, R and A_c (_entries). Only A_c's nonzero entries
-    enter: columns 0 and 1 have no z row, and column 2 is (0, 0, height)."""
-    d = axes_e[:, :2] - _rotated(R[:, :2, None], axes_c[:2, :2])  # [r, c < 2]
-    d *= d
-    h = axes_e[:, 2] - R[:, 2] * axes_c[2, 2]  # [r, c = 2]
-    h *= h
-    rows = d[:, 0] + d[:, 1] + h
-    return rows[0] + rows[1] + rows[2]
+def _da2(e, R, c):
+    """Pairs' squared axes difference |A_e - R A_c|_F^2 from their columns
+    e and c of the axes tables (_SceneArrays.packed: A00, A01, A10, A11,
+    A22) and R's entries R[r, c], each an array over the pairs: a general
+    rotation's three rows, or a rotation about z's xy block alone, [[cos,
+    -sin], [sin, cos]]. An axes matrix has no z entry in columns 0 and 1
+    and column 2 is (0, 0, height), so row r < 2 of the difference is (e_r0
+    - (R A_c)_r0, e_r1 - (R A_c)_r1, -R_r2 A22) and row 2 is (-(R A_c)_20,
+    -(R A_c)_21, e_22 - R_22 A22). Each row sums its squares in column
+    order and the rows add in order. A rotation about z has z row and
+    column (0, 0, 1): its terms off the xy block and the height add exact
+    zeros to those sums, so skipping them changes no bit."""
+    x, y = R[:, 0] * c[0], R[:, 0] * c[1]
+    x += R[:, 1] * c[2]
+    y += R[:, 1] * c[3]  # (R A_c)[r, :2] for R's rows r
+    np.subtract(e[0:4:2], x[:2], out=x[:2])  # A_e's column 0 in rows 0 and 1: A00, A10
+    np.subtract(e[1:4:2], y[:2], out=y[:2])  # and its column 1: A01, A11
+    x *= x
+    x += np.square(y, out=y)
+    if len(R) == 2:  # a rotation about z: row 2 is (0, 0, e_22 - A22)
+        h = e[4] - c[4]
+        return x[0] + x[1] + np.square(h, out=h)
+    h = R[:, 2] * c[4]  # (R A_c)[r, 2]
+    np.subtract(e[4], h[2], out=h[2])
+    x += np.square(h, out=h)
+    return x[0] + x[1] + x[2]
 
 
 def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, e_star, c_star, flipped, params: ODistParams):
     """The PairScore of the coop scene moved by each motion x -> e*[k] +
     R[k] (x - c*[k]), k < K, under the coop headings as given, or reversed
-    where flipped[k] (the coop axes headed[m + q]). Only pairs within reach
-    (see _anchor_pass) take the axes term."""
+    where flipped[k] (the coop axes in packed column m + q). Only pairs
+    within reach (see _anchor_pass) take the axes term."""
     flipped = np.asarray(flipped, dtype=bool)
     K, n, m = len(flipped), len(ego.centers), len(coop.centers)
     u = ego.centers.T[:, None, :, None] - e_star.T[:, :, None, None]  # [x, k, p, 1]
     v = coop.centers.T[:, None, :] - c_star.T[:, :, None]  # [x, k, q]
-    c2 = _c2(u, _rotated(R.transpose(1, 2, 0)[..., None], v)[:, :, None, :])  # [k, p, q]
+    R = R.transpose(1, 2, 0)  # [r, c, k]
+    c2 = _c2(u, _rotated(R[..., None], v)[:, :, None, :])  # [k, p, q]
     reach = _reach(params)
     k, p, q = np.nonzero(c2 <= reach * reach * (1.0 + 1e-9))
-    da2 = _da2(_entries(ego.axes, p), _entries(R, k), _entries(coop.headed, q + m * flipped[k]))
+    axes_e, axes_c = ego.packed.take(p, axis=1), coop.packed.take(q + m * flipped[k], axis=1)
+    da2 = _da2(axes_e, R.take(k, axis=-1), axes_c)
     return _scores(_pair_up(k, p, q, c2[k, p, q], da2, K, (n, m), params), np.arange(K), flipped)
 
 
@@ -313,13 +335,6 @@ def _rank_key(confidence: float, mean_distance: float) -> tuple[float, float]:
 
 def _rank(score: PairScore) -> tuple[float, float]:
     return _rank_key(score.confidence, score.mean_distance)
-
-
-def _rot_z(cos, sin):
-    """rot_z's entries [r, c] over arrays of cos and sin."""
-    R = np.zeros((3, 3, *np.shape(cos)))
-    R[0, 0], R[0, 1], R[1, 0], R[1, 1], R[2, 2] = cos, -sin, sin, cos, 1.0
-    return R
 
 
 def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
@@ -349,9 +364,10 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     largest and bound >= 1e-6 (1 + largest): under 5.7e6 cells per axis and
     keys below 2^46, exact in float64 and intp. Rows run in chunks of about
     _CANDIDATE_BUDGET window cells, where the candidates within reach take
-    _da2 of rot_z(phi) and the given coop axes under both headings: the
-    flipped variant's rot_z(phi + pi) and reversed axes negate R's xy rows
-    and A_c's xy columns, and (-r)(-a) = r a bit for bit.
+    _da2 of rot_z(phi)'s xy block, [[cos, -sin], [sin, cos]], and the given
+    coop axes under both headings: the flipped variant's rot_z(phi + pi) and reversed
+    axes negate R's xy rows and A_c's xy columns, and (-r)(-a) = r a bit
+    for bit.
     """
     n, m, V = len(ego.centers), len(coop.centers), 2  # V: the heading variants
     phi = ego.yaws[:, None] - coop.yaws[None, :]
@@ -390,7 +406,8 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
         c2 = _c2(u.reshape(3, -1).take(query, axis=1), (c * vx - s * vy, s * vx + c * vy, vz))
         k = np.flatnonzero(c2 <= bound2)
         (i, a), (f, q), p = np.divmod(ia[k], m), np.divmod(cell[k] % (V * m), m), query[k] % n
-        da2 = _da2(_entries(ego.axes, p), _rot_z(c[k], s[k]), _entries(coop.axes, q))
+        c, s = c[k], s[k]
+        da2 = _da2(ego.packed.take(p, axis=1), np.array([[c, -s], [s, c]]), coop.packed.take(q, axis=1))
         cell = (i * V + f) * m + a
         by = np.argsort((cell * n + p) * m + q)  # into (cell, p, q) order
         near.append((cell[by], p[by], q[by], c2[k[by]], da2[by]))
@@ -424,7 +441,8 @@ def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistPa
     if rank_deficient(e.dims[i] * c.dims[j]):
         raise DegenerateGeometry(f"anchor ({i}, {j}): rank-deficient cross-covariance")
     phi = e.yaws[i] - c.yaws[j]
-    R = _rot_z(np.cos(phi), np.sin(phi))
+    cos, sin = np.cos(phi), np.sin(phi)
+    R = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
     R = np.array([R, R * _FLIP_AXES[:, None]])  # rot_z(phi + pi) negates the xy rows
     return min(_score_motions(e, c, R, e.centers[[i, i]], c.centers[[j, j]], [False, True], params), key=_rank)
 
@@ -498,7 +516,8 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     starts = np.cumsum(sizes) - sizes
     flipped = np.repeat([f for _, f in keys], sizes)
     e, c = ego.centers[rows], coop.centers[cols]
-    axes_e, axes_c = ego.axes[rows], coop.headed[cols + len(coop.centers) * flipped]
+    heads = cols + len(coop.centers) * flipped
+    axes_e, axes_c = ego.axes[rows], coop.headed[heads]
     e_bar = np.add.reduceat(e, starts) / sizes[:, None]
     c_bar = np.add.reduceat(c, starts) / sizes[:, None]
     de, dc = e - e_bar[seg], c - c_bar[seg]
@@ -506,9 +525,9 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     H += 2.0 * np.add.reduceat(axes_e @ np.swapaxes(axes_c, 1, 2), starts)
     R = nearest_rotation(H)
     t = e_bar - np.einsum("kij,kj->ki", R, c_bar)
-    Rs = _entries(R, seg)
+    Rs = R.transpose(1, 2, 0).take(seg, axis=-1)
     c2 = _c2(de.T, _rotated(Rs, dc.T))
-    da2 = _da2(axes_e.transpose(1, 2, 0), Rs, axes_c.transpose(1, 2, 0))
+    da2 = _da2(ego.packed.take(rows, axis=1), Rs, coop.packed.take(heads, axis=1))
     rms = np.sqrt(np.bincount(seg, weights=8.0 * c2 + 2.0 * da2, minlength=len(keys)) / (8 * sizes))
     return R, t, rms, e_bar, c_bar
 

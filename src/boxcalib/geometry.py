@@ -33,6 +33,12 @@ _CORNER_SIGNS = np.array([
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
+# A box's scaled axes' nonzero entries, A00, A01, A10, A11 and A22
+# (_SceneArrays.packed): their flat positions in the 3x3 matrix, and their
+# signs under the reversed heading.
+_PACKED = np.array([0, 1, 3, 4, 8])
+_FLIP_PACKED = _FLIP_AXES[[0, 1, 0, 1, 2], None]
+
 
 def _as_readonly(a, shape):
     out = np.asarray(a, dtype=float)
@@ -161,23 +167,38 @@ class Scene:
 
 class _SceneArrays:
     """A scene's stacked geometry, read-only: centers (n, 3), dims (n, 3),
-    yaws (n,) and the scaled axes A = rot_z(yaw) @ diag(dims) of each box."""
+    yaws (n,) and the scaled axes A = rot_z(yaw) @ diag(dims) of each box,
+    under its heading as given (columns q) and reversed (yaw + pi, columns n
+    + q). The kernels read the axes from packed, C-contiguous of shape (5,
+    2n): the only nonzero entries of each A, A00, A01, A10, A11 and A22,
+    one row each, so a gather of boxes takes five contiguous rows and no
+    zero. headed holds the same axes as 3x3 matrices, rows in packed's
+    column order, and axes its first n rows; they are built on first use,
+    which only a fit's cross-covariance makes (association._fit)."""
 
     def __init__(self, centers: np.ndarray, dims: np.ndarray, yaws: np.ndarray):
-        n = len(yaws)
         self.centers, self.dims, self.yaws = centers, dims, yaws
         # rot_z's math.cos and math.sin, so the axes are rot_z(yaw) * dims bit for bit
         yaws = yaws.tolist()
         cos, sin = np.array([math.cos(y) for y in yaws]), np.array([math.sin(y) for y in yaws])
         length, width, height = dims.T
-        axes = np.zeros((n, 3, 3))
-        axes[:, 0, 0], axes[:, 0, 1] = cos * length, -sin * width
-        axes[:, 1, 0], axes[:, 1, 1] = sin * length, cos * width
-        axes[:, 2, 2] = height
-        self.headed = np.concatenate([axes, axes * _FLIP_AXES])  # row n + q: box q reversed (yaw + pi)
-        for table in (self.centers, self.dims, self.yaws, self.headed):
+        given = np.array([cos * length, -sin * width, sin * length, cos * width, height])
+        self.packed = np.concatenate([given, given * _FLIP_PACKED], axis=1)
+        for table in (self.centers, self.dims, self.yaws, self.packed):
             table.setflags(write=False)
-        self.axes = self.headed[:n]  # a view, read-only too
+
+    @cached_property
+    def headed(self) -> np.ndarray:
+        n = len(self.yaws)
+        axes = np.zeros((n, 3, 3))
+        axes.reshape(n, 9)[:, _PACKED] = self.packed[:, :n].T
+        headed = np.concatenate([axes, axes * _FLIP_AXES])  # row n + q: box q reversed
+        headed.setflags(write=False)
+        return headed
+
+    @property
+    def axes(self) -> np.ndarray:
+        return self.headed[: len(self.yaws)]
 
 
 @dataclass(frozen=True)

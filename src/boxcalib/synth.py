@@ -61,6 +61,8 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if not (-math.inf < lo <= hi < math.inf):
                 raise ValueError(f"{name} must be a finite (min, max) pair with min <= max")
+            if not math.isfinite(hi - lo):  # the centers are drawn as min + (max - min) * u
+                raise ValueError(f"{name} must span a finite max - min, got ({lo}, {hi})")
         if len(self.dims_range) != 3 or any(not 0 < lo <= hi < math.inf for lo, hi in self.dims_range):
             raise ValueError("dims_range must be three finite positive (min, max) pairs")
 

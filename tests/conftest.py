@@ -70,6 +70,36 @@ def given_heading_score(ego, coop, transform, params=ODistParams()):
     return association._score_motions(*arrays, R, t, np.zeros((1, 3)), [False], params)[0]
 
 
+def entries_reference(matrices, index):
+    """The entries [r, c] of the 3x3 matrices[index], each contiguous: how
+    the kernels gathered rotations and scaled axes before the packed axes
+    table (_SceneArrays.packed)."""
+    return np.take(matrices.transpose(1, 2, 0), index, axis=-1)
+
+
+def rot_z_reference(cos, sin):
+    """The entries [r, c] of rot_z over arrays of cos and sin, zeros and
+    one included."""
+    R = np.zeros((3, 3, *np.shape(cos)))
+    R[0, 0], R[0, 1], R[1, 0], R[1, 1], R[2, 2] = cos, -sin, sin, cos, 1.0
+    return R
+
+
+def da2_reference(axes_e, R, axes_c):
+    """|A_e - R A_c|_F^2 from the full entries (3, 3, s) of A_e, R and A_c
+    (entries_reference), every zero of A_e and R multiplied: the form of
+    association._da2 before the packed table. Only A_c's nonzero entries
+    enter: columns 0 and 1 have no z row, and column 2 is (0, 0, height)."""
+    w = R[:, 0, None] * axes_c[0, :2]
+    w += R[:, 1, None] * axes_c[1, :2]  # (R A_c)[r, c < 2]
+    d = axes_e[:, :2] - w
+    d *= d
+    h = axes_e[:, 2] - R[:, 2] * axes_c[2, 2]  # [r, c = 2]
+    h *= h
+    rows = d[:, 0] + d[:, 1] + h
+    return rows[0] + rows[1] + rows[2]
+
+
 def yaw_transform(yaw, translation=(0.0, 0.0, 0.0)):
     return RigidTransform.from_yaw(yaw, np.asarray(translation, dtype=float))
 

@@ -10,10 +10,11 @@ p, q, d)), bit for bit and with the same dtypes, on generated frames, on
 frames near the coordinate bound (where the rounding allowance matters),
 on boxes stacked at one xy, on small frames laid on the grid's cell edges
 (hypothesis), at the edges of the scoring parameters and on one-box
-scenes. The reference takes the axes term from the module's own (_da2),
-with the reversed heading's rotation (xy rows negated) and reversed coop
-axes (_SceneArrays.headed) where the pass uses rot_z(phi) and the given
-axes; its center differences and everything after them are its own.
+scenes. The reference takes the axes term from the module's own (_da2)
+on the packed axes table (_SceneArrays.packed), with the reversed
+heading's rotation (xy rows negated) and reversed coop axes (the table's
+columns m + q) where the pass uses rot_z(phi) and the given axes; its
+center differences and everything after them are its own.
 odist, which scores an anchor's motions with the transform kernel and
 runs no pass, must give every anchor that is not a needle the score the
 frame pass gives it. All of it holds however the pass splits its rows
@@ -45,7 +46,7 @@ from boxcalib.geometry import rot_z
 from boxcalib.io import MAX_COORDINATE_M
 from boxcalib.registration import rank_deficient
 
-from conftest import make_box, make_scene
+from conftest import make_box, make_scene, rot_z_reference
 
 PARAMS = {
     "default": ODistParams(),
@@ -102,11 +103,11 @@ def dense_block(pair, i, params):
     reach = params.tau / (params.alpha + params.beta * math.sqrt(8.0))
     f, a, p, q = np.nonzero(dc2 <= reach * reach * (1.0 + 1e-9))
     c2 = dc2[f, a, p, q]
-    # anchor (i, a)'s rotation, xy rows negated in the flipped variant
+    # anchor (i, a)'s rotation about z, xy rows negated in the flipped variant
     flat = sign.ravel()[f]
-    rotation = association._rot_z(flat * pair.cos[i, a], flat * pair.sin[i, a])
-    axes_e, axes_c = association._entries(pair.ego.axes, p), association._entries(pair.coop.headed, q + m * f)
-    da2 = association._da2(axes_e, rotation, axes_c)
+    cos, sin = flat * pair.cos[i, a], flat * pair.sin[i, a]
+    axes_e, axes_c = pair.ego.packed[:, p], pair.coop.packed[:, q + m * f]
+    da2 = association._da2(axes_e, np.array([[cos, -sin], [sin, cos]]), axes_c)
     d = params.alpha * np.sqrt(c2) + params.beta * np.sqrt(8.0 * c2 + 2.0 * da2)
     inside = d <= params.tau
     cell, p, q, d = (f * m + a)[inside], p[inside], q[inside], d[inside]
@@ -357,10 +358,10 @@ def test_the_pass_equals_the_dense_search_on_grid_frames(frame):
 
 
 def scaled_axes(boxes):
-    """The _entries of the scaled axes of boxes [(dims, yaw), ...], under
-    their headings as given and reversed (_SceneArrays.headed)."""
+    """The packed axes (_SceneArrays.packed) of boxes [(dims, yaw), ...],
+    under their headings as given and reversed."""
     arrays = make_scene([make_box((0.0, 0.0, 0.0), d, y) for d, y in boxes])._arrays
-    return np.split(association._entries(arrays.headed, np.arange(2 * len(boxes))), 2, axis=-1)
+    return np.split(arrays.packed, 2, axis=-1)
 
 
 BOX = st.tuples(st.tuples(*[st.floats(0.01, 50.0)] * 3), st.floats(-10.0, 10.0))  # (dims, yaw)
@@ -374,9 +375,9 @@ def test_a_reversed_heading_under_phi_plus_pi_takes_the_axes_term_of_the_given_o
     # axes' xy columns, and every product (-r)(-a) is r a bit for bit
     ego, coop, phi = zip(*pairs)
     (axes_e, _), (given, reversed_axes) = scaled_axes(ego), scaled_axes(coop)
-    R = association._rot_z(np.cos(phi), np.sin(phi))
-    given_heading = association._da2(axes_e, R, given)
-    reversed_heading = association._da2(axes_e, R * association._FLIP_AXES[:, None, None], reversed_axes)
+    cos, sin = np.cos(phi), np.sin(phi)
+    given_heading = association._da2(axes_e, np.array([[cos, -sin], [sin, cos]]), given)
+    reversed_heading = association._da2(axes_e, np.array([[-cos, sin], [-sin, -cos]]), reversed_axes)
     assert given_heading.tobytes() == reversed_heading.tobytes()
 
 
@@ -386,7 +387,7 @@ def anchor_motion_scores(pair, params, anchors):
     and rot_z(phi + pi) under the reversed one, scored in one _score_motions
     call; the better by _rank, the given heading winning ties."""
     i, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
-    R = association._rot_z(pair.cos[i, j], pair.sin[i, j]).transpose(2, 0, 1)
+    R = rot_z_reference(pair.cos[i, j], pair.sin[i, j]).transpose(2, 0, 1)
     # [anchor, variant]: rot_z(phi + pi) negates the xy rows
     R = np.stack([R, R * association._FLIP_AXES[:, None]], axis=1).reshape(-1, 3, 3)
     flipped = np.tile([False, True], len(i))

@@ -723,6 +723,17 @@ def test_sweep_flags_override_the_config(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["x_range", "y_range", "z_range"])
+def test_sweep_config_range_whose_span_overflows_exits_2_naming_the_field(tmp_path, capsys, name):
+    # the sweep placed infinite centers and exited 2 with "non-finite values"
+    cfg_path = write_json(tmp_path, "cfg.json", {"synth": {name: [-1e308, 1e308]}})
+    args = ["sweep", "--config", str(cfg_path), "--trials", "1", "--sigma", "0", "--yaw-std", "0"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert f"{cfg_path}: synth: {name} must span a finite max - min" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("command", ["sweep", "eval"])
 def test_invalid_success_threshold_exits_2_before_any_trial(

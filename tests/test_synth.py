@@ -127,6 +127,17 @@ def test_placement_ranges_must_be_finite_and_ordered(name, bounds):
     assert ego[0].center["xyz".index(name[0])] == 2.0
 
 
+@pytest.mark.parametrize("name", ["x_range", "y_range", "z_range"])
+def test_placement_ranges_must_span_a_finite_width(name):
+    # each bound is finite but max - min overflows: generate_scene_pair
+    # placed infinite centers and failed with "non-finite values"
+    with pytest.raises(ValueError, match=f"{name} must span a finite max - min"):
+        SynthConfig(**{name: (-1e308, 1e308)})
+    wide = SynthConfig(n_boxes=1, **{name: (-8e307, 8e307)})
+    ego, _, _ = generate_scene_pair(wide)
+    assert np.isfinite(ego[0].center).all()
+
+
 def test_zero_guard_tolerance_turns_the_guard_off():
     # an equilateral triangle: every box sees the same distances
     centers = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [5.0, 5.0 * math.sqrt(3.0), 0.0]])
