@@ -15,12 +15,13 @@ the candidate anchors: the one-to-one assignment with maximum total
 affinity, minus zero entries, ties broken as the installed scipy's solver
 breaks them (solve_assignment). Only the best five assigned anchors by
 unrefined score (_REFINED) are refined, each on its valid set by
-closed-form fits of the pairs' corners (_fit) to a fixed point, and the
-final matches are the refined consensus (valid set) of the best refined
-anchor, as in LO-RANSAC: pairs the assignment picked only because they
-agree with themselves never join it, and the local step runs only on
-hypotheses that can still win. Each distinct valid set is fit once, and
-the winner's fit is the calibration's transform.
+closed-form fits of the pairs' corners by a yaw and a translation (_fit)
+to a fixed point, and the final matches are the refined consensus (valid
+set) of the best refined anchor, as in LO-RANSAC: pairs the assignment
+picked only because they agree with themselves never join it, and the
+local step runs only on hypotheses that can still win. Each distinct
+valid set is fit once, and the winner's fit is the calibration's
+transform.
 
 Every score is of rigid motions x -> e* + R (x - c*), and one pair
 arithmetic serves them all: the squared center difference c2 = |(e_p -
@@ -28,26 +29,26 @@ e*) - R (c_q - c*)|^2 (_c2), the squared scaled-axes difference da2 =
 |A_e - R A_c|_F^2 (_da2), and one tail (_pair_up) over any number of
 cells. _da2 reads one table per scene (_SceneArrays.packed): the five
 nonzero entries of each box's scaled axes, A00, A01, A10, A11 and A22,
-one contiguous row each, a reversed coop heading being one more column.
-A refit's or a stored transform's R enters whole; an anchor's rotation
-about z enters as its xy block, so no zero entry is gathered or
-multiplied. The tail is the distance (_distance), the tau gate, the
-greedy one-to-one pairing (_greedy) and the valid-set size and mean, so
-every PairScore lists its valid pairs in (ego, coop) order; a fit's rms
-sums 8 c2 + 2 da2 over its pairs. Two kernels generate the pairs, each
-run once per frame or refinement round, never per anchor. The anchor
-pass (_anchor_pass) builds the frame's tables and scores every anchor,
-each about (e_i, c_j), on the pairs that a grid of the offsets in each
-box's heading frame puts within reach (a fixed-radius join), in one loop
-over chunks of rows, and fills the affinity matrix; refinement starts
-from the best five assigned anchors' scores read from it. The transform
-kernel (_score_motions) scores given motions, one PairScore each, under
-one coop heading each: odist's two (an anchor's, bit for bit the
-pass's), a round's refits about their centroids (_refine), and
-alignment_score's and the health check's two, about (t, 0). One rule
-ranks scores (_rank): it picks the heading of each anchor and of each
-scored transform, chooses the anchors refinement starts from, and
-decides refinement's steps. The kernels take the scenes' arrays
+one contiguous row each, a reversed coop heading being one more column. A
+stored transform's R (it may tilt) and a refit's enter whole; an anchor's
+rotation about z, and a fit's in its rms, enter as their xy block, so no
+zero entry is gathered or multiplied. The tail is the distance
+(_distance), the tau gate, the greedy one-to-one pairing (_greedy) and
+the valid-set size and mean, so every PairScore lists its valid pairs in
+(ego, coop) order; a fit's rms sums 8 c2 + 2 da2 over its pairs. Two
+kernels generate the pairs, each run once per frame or refinement round,
+never per anchor. The anchor pass (_anchor_pass) builds the frame's
+tables and scores every anchor, each about (e_i, c_j), on the pairs that
+a grid of the offsets in each box's heading frame puts within reach (a
+fixed-radius join), in one loop over chunks of rows, and fills the
+affinity matrix; refinement starts from the best five assigned anchors'
+scores read from it. The transform kernel (_score_motions) scores given
+motions, one PairScore each, under one coop heading each: odist's two (an
+anchor's, bit for bit the pass's), a round's refits about their centroids
+(_refine), and alignment_score's and the health check's two, about (t,
+0). One rule ranks scores (_rank): it picks the heading of each anchor
+and of each scored transform, chooses the anchors refinement starts from,
+and decides refinement's steps. The kernels take the scenes' arrays
 (_SceneArrays), which a scene builds once, on first use (Scene._arrays),
 and every entry point reads.
 """
@@ -61,7 +62,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import _FLIP_AXES, DetectionBox, RigidTransform, Scene, _SceneArrays
-from .registration import DegenerateGeometry, RegistrationResult, nearest_rotation, rank_deficient
+from .registration import RANK_RATIO_MIN, DegenerateGeometry, RegistrationResult, rank_deficient
 
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 
@@ -72,7 +73,7 @@ TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 # ran as fast as 2^14 (one chunk a frame), and 9 % and 24 % faster than
 # 2^12 and 2^11 (median ratios over 30 interleaved passes), at a pass peak
 # of 1.5 MB against 1.0 and 0.8 MB. One chunk for a whole 80 x 64 frame
-# traced 17 MB, 2^13 of them 5.2 MB.
+# traced 17 MB, 2^13 of them 3.6 MB (5.2 MB holding the tables in the tail).
 _CANDIDATE_BUDGET = 1 << 13
 _ALLOWANCE = 1e-6  # the grid windows' rounding allowance per meter (_anchor_pass)
 
@@ -365,9 +366,9 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     keys below 2^46, exact in float64 and intp. Rows run in chunks of about
     _CANDIDATE_BUDGET window cells, where the candidates within reach take
     _da2 of rot_z(phi)'s xy block, [[cos, -sin], [sin, cos]], and the given
-    coop axes under both headings: the flipped variant's rot_z(phi + pi) and reversed
-    axes negate R's xy rows and A_c's xy columns, and (-r)(-a) = r a bit
-    for bit.
+    coop axes under both headings: the flipped variant's rot_z(phi + pi) and
+    reversed axes negate R's xy rows and A_c's xy columns, and (-r)(-a) = r
+    a bit for bit.
     """
     n, m, V = len(ego.centers), len(coop.centers), 2  # V: the heading variants
     phi = ego.yaws[:, None] - coop.yaws[None, :]
@@ -412,7 +413,9 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
         by = np.argsort((cell * n + p) * m + q)  # into (cell, p, q) order
         near.append((cell[by], p[by], q[by], c2[k[by]], da2[by]))
         start = stop
-    conf, mean, kept = _pair_up(*map(np.concatenate, zip(*near)), n * V * m, (n, m), params)
+    del u, v, order, cells, lo, count  # the grid tables, before the tail
+    near = [np.concatenate(column) for column in zip(*near)]  # and the chunk list
+    conf, mean, kept = _pair_up(*near, n * V * m, (n, m), params)
     conf, mean = conf.reshape(n, V, m), mean.reshape(n, V, m)
     flip = conf[:, 1] > conf[:, 0]
     for r, b in np.argwhere((conf[:, 1] == conf[:, 0]) & (mean[:, 1] < mean[:, 0])):
@@ -502,32 +505,48 @@ def _key(score: PairScore) -> tuple:
 
 
 def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
-    """weighted_kabsch of the build_feature_clouds of each valid set key =
-    (pairs, flipped) with unit weights, in closed form, all keys at once:
-    the stacked R, t, rms residuals and centroids e_bar, c_bar (the fit is x
-    -> e_bar + R (x - c_bar)). Centered corners are S A^T / 2 (_distance),
-    so a set's corner cross-covariance is 8 sum de dc^T + 2 sum A_e A_c^T
-    (de, dc: centers minus means) and a pair's squared corner residuals sum
-    to 8 c2 + 2 da2 (_c2, _da2) of the fit's motion, per set.
-    """
+    """The least-squares fit of the pairs' corners by a yaw rotation plus a
+    translation, the only motion that maps boxes onto boxes, for each valid
+    set key = (pairs, flipped) with unit weights, all keys at once: the
+    stacked R = rot_z(theta), t, rms residuals and centroids e_bar, c_bar
+    (the fit is x -> e_bar + R (x - c_bar)). Centered corners are S A^T / 2
+    (_distance), so a set's corner cross-covariance is H = 8 sum de dc^T +
+    2 sum A_e A_c^T (de, dc: centers minus means), and theta = atan2(b, a)
+    for a + ib = H00 + H11 + i (H10 - H01) (Umeyama, IEEE TPAMI 1991, in
+    2-D): as x + iy, 8 conj(dc) de summed over the xy offsets plus 2 conj(A_c
+    col) A_e col over the axes' xy columns (packed rows 0, 2 and 1, 3). A
+    pair's squared corner residuals sum to 8 c2 + 2 da2 (_c2, _da2 of R's
+    xy block). A set fixes no yaw, and raises DegenerateGeometry, if a + ib
+    is not finite or |a + ib| <= RANK_RATIO_MIN sum (8 |de| |dc| + 2 |A_e|_F
+    |A_c|_F), its Cauchy-Schwarz bound. A level needle fixes a yaw, but
+    needle anchors keep their zero affinity (_score_anchors)."""
     sizes = np.array([len(pairs) for pairs, _ in keys])
     rows, cols = np.array([ij for pairs, _ in keys for ij in pairs]).T
     seg = np.repeat(np.arange(len(keys)), sizes)
     starts = np.cumsum(sizes) - sizes
-    flipped = np.repeat([f for _, f in keys], sizes)
+    heads = cols + len(coop.centers) * np.repeat([f for _, f in keys], sizes)
     e, c = ego.centers[rows], coop.centers[cols]
-    heads = cols + len(coop.centers) * flipped
-    axes_e, axes_c = ego.axes[rows], coop.headed[heads]
-    e_bar = np.add.reduceat(e, starts) / sizes[:, None]
-    c_bar = np.add.reduceat(c, starts) / sizes[:, None]
+    axes_e, axes_c = ego.packed.take(rows, axis=1), coop.packed.take(heads, axis=1)
+    e_bar, c_bar = (np.add.reduceat(x, starts) / sizes[:, None] for x in (e, c))
     de, dc = e - e_bar[seg], c - c_bar[seg]
-    H = 8.0 * np.add.reduceat(de[:, :, None] * dc[:, None, :], starts)
-    H += 2.0 * np.add.reduceat(axes_e @ np.swapaxes(axes_c, 1, 2), starts)
-    R = nearest_rotation(H)
+    z = 8.0 * (dc[:, 0] - 1j * dc[:, 1]) * (de[:, 0] + 1j * de[:, 1])
+    z += 2.0 * (axes_c[0] - 1j * axes_c[2]) * (axes_e[0] + 1j * axes_e[2])
+    z += 2.0 * (axes_c[1] - 1j * axes_c[3]) * (axes_e[1] + 1j * axes_e[3])
+    z = np.add.reduceat(z, starts)
+    norms = 8.0 * np.linalg.norm(de, axis=1) * np.linalg.norm(dc, axis=1)
+    norms += 2.0 * np.linalg.norm(axes_e, axis=0) * np.linalg.norm(axes_c, axis=0)
+    bound = np.add.reduceat(norms, starts)
+    bad = np.flatnonzero(~np.isfinite(z) | (np.abs(z) <= RANK_RATIO_MIN * bound))
+    if len(bad):
+        raise DegenerateGeometry(f"valid set {bad[0]} fixes no yaw (a + ib = {z[bad[0]]}, bound {bound[bad[0]]})")
+    theta = np.arctan2(z.imag, z.real)
+    cos, sin = np.cos(theta), np.sin(theta)
+    R = np.zeros((len(keys), 3, 3))
+    R[:, 0, 0], R[:, 0, 1], R[:, 1, 0], R[:, 1, 1], R[:, 2, 2] = cos, -sin, sin, cos, 1.0
     t = e_bar - np.einsum("kij,kj->ki", R, c_bar)
-    Rs = R.transpose(1, 2, 0).take(seg, axis=-1)
-    c2 = _c2(de.T, _rotated(Rs, dc.T))
-    da2 = _da2(ego.packed.take(rows, axis=1), Rs, coop.packed.take(heads, axis=1))
+    xy = np.array([[cos, -sin], [sin, cos]]).take(seg, axis=-1)
+    c2 = _c2(de.T, (*_rotated(xy, dc.T[:2]), dc[:, 2]))
+    da2 = _da2(axes_e, xy, axes_c)
     rms = np.sqrt(np.bincount(seg, weights=8.0 * c2 + 2.0 * da2, minlength=len(keys)) / (8 * sizes))
     return R, t, rms, e_bar, c_bar
 

@@ -33,12 +33,6 @@ _CORNER_SIGNS = np.array([
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
-# A box's scaled axes' nonzero entries, A00, A01, A10, A11 and A22
-# (_SceneArrays.packed): their flat positions in the 3x3 matrix, and their
-# signs under the reversed heading.
-_PACKED = np.array([0, 1, 3, 4, 8])
-_FLIP_PACKED = _FLIP_AXES[[0, 1, 0, 1, 2], None]
-
 
 def _as_readonly(a, shape):
     out = np.asarray(a, dtype=float)
@@ -172,9 +166,7 @@ class _SceneArrays:
     + q). The kernels read the axes from packed, C-contiguous of shape (5,
     2n): the only nonzero entries of each A, A00, A01, A10, A11 and A22,
     one row each, so a gather of boxes takes five contiguous rows and no
-    zero. headed holds the same axes as 3x3 matrices, rows in packed's
-    column order, and axes its first n rows; they are built on first use,
-    which only a fit's cross-covariance makes (association._fit)."""
+    zero."""
 
     def __init__(self, centers: np.ndarray, dims: np.ndarray, yaws: np.ndarray):
         self.centers, self.dims, self.yaws = centers, dims, yaws
@@ -183,22 +175,9 @@ class _SceneArrays:
         cos, sin = np.array([math.cos(y) for y in yaws]), np.array([math.sin(y) for y in yaws])
         length, width, height = dims.T
         given = np.array([cos * length, -sin * width, sin * length, cos * width, height])
-        self.packed = np.concatenate([given, given * _FLIP_PACKED], axis=1)
+        self.packed = np.concatenate([given, given * _FLIP_AXES[[0, 1, 0, 1, 2], None]], axis=1)
         for table in (self.centers, self.dims, self.yaws, self.packed):
             table.setflags(write=False)
-
-    @cached_property
-    def headed(self) -> np.ndarray:
-        n = len(self.yaws)
-        axes = np.zeros((n, 3, 3))
-        axes.reshape(n, 9)[:, _PACKED] = self.packed[:, :n].T
-        headed = np.concatenate([axes, axes * _FLIP_AXES])  # row n + q: box q reversed
-        headed.setflags(write=False)
-        return headed
-
-    @property
-    def axes(self) -> np.ndarray:
-        return self.headed[: len(self.yaws)]
 
 
 @dataclass(frozen=True)

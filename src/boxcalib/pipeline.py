@@ -57,10 +57,10 @@ def calibrate_scenes(
     Large boxes are kept (top_k per scene) before association: bigger
     objects are detected more consistently and their corners constrain
     the alignment better per pair. The transform and rms_residual are the
-    corner fit of the matches with equal weights, which association
-    computed once while refining. The matches index the kept scenes, not
-    the caller's. Raises NoCoVisibleObjects if association finds nothing and
-    DegenerateGeometry if the matched corners do not pin down a rotation.
+    yaw-and-translation fit of the matches' corners with equal weights,
+    which association computed once while refining. The matches index the
+    kept scenes, not the caller's. Raises NoCoVisibleObjects if association
+    finds nothing and DegenerateGeometry if the matches fix no yaw.
     """
     start = time.perf_counter()
     tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole

@@ -1,9 +1,9 @@
 """Rigid registration from box corners.
 
-association fits valid sets in closed form (association._fit) and keeps
-only the rotation step (nearest_rotation) and the rank test of this
-module. The corner path below is public and is the reference the closed
-forms are tested against:
+association fits valid sets by a yaw and a translation in closed form
+(association._fit) and keeps only the rank test of this module, for
+needle anchors. The corner path below is public and is the 6-DoF
+reference the closed forms are tested against:
 
 * pair_hypothesis: the exact rigid motion mapping one box onto another,
   the Kabsch fit of the two 8x3 corner matrices. Corner rows correspond
@@ -45,9 +45,9 @@ def rank_deficient(singular_values: np.ndarray) -> np.ndarray:
 
 class DegenerateGeometry(ValueError):
     """The geometry fixes no rotation: a cross-covariance fails the rank
-    test (rank_deficient) or is not finite. Raised for weighted point sets
-    with fewer than 3 effective points or collinear after centering, and
-    for a needle box pair, whose corners span no plane."""
+    test (rank_deficient) or is not finite, as for weighted point sets with
+    fewer than 3 effective points or collinear after centering and for a
+    needle box pair; or a valid set fixes no yaw (association._fit)."""
 
 
 class EmptyMatchSet(ValueError):

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from boxcalib import DetectionBox, ODistParams, RigidTransform, Scene
+from boxcalib import DetectionBox, ODistParams, RigidTransform, Scene, rot_z
 from boxcalib import association
 
 
@@ -68,6 +68,14 @@ def given_heading_score(ego, coop, transform, params=ODistParams()):
     arrays = ego._arrays, coop._arrays
     R, t = transform.rotation[None], transform.translation[None]
     return association._score_motions(*arrays, R, t, np.zeros((1, 3)), [False], params)[0]
+
+
+def axes_reference(arrays):
+    """The scaled axes rot_z(yaw) * dims of a scene's boxes (_SceneArrays)
+    as 3x3 matrices by geometry.rot_z, zeros included, under the headings
+    as given and reversed (rows n + q): apart from the packed table."""
+    axes = np.array([rot_z(yaw) * dims for dims, yaw in zip(arrays.dims, arrays.yaws)]).reshape(-1, 3, 3)
+    return np.concatenate([axes, axes * association._FLIP_AXES])
 
 
 def entries_reference(matrices, index):

@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 
 import boxcalib
 from boxcalib import association
-from boxcalib.geometry import rot_z
 
-from conftest import da2_reference, entries_reference, make_box, make_scene, rot_z_reference
+from conftest import axes_reference, da2_reference, entries_reference, make_box, make_scene, rot_z_reference
 
 BOX = st.tuples(st.tuples(*[st.floats(0.01, 50.0)] * 3), st.floats(-10.0, 10.0))  # (dims, yaw)
 QUATERNION = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda w: sum(x * x for x in w) > 1e-3)
@@ -30,11 +29,9 @@ QUATERNION = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda w: sum(x * x f
 
 def scene_arrays(boxes):
     """The _SceneArrays of boxes [(dims, yaw), ...] at the origin, and the
-    reference's scaled axes, rot_z(yaw) * dims by geometry.rot_z, under the
-    headings as given and reversed (rows n + q), zeros included."""
+    reference's scaled axes (conftest's axes_reference)."""
     arrays = make_scene([make_box((0.0, 0.0, 0.0), d, y) for d, y in boxes])._arrays
-    axes = np.array([rot_z(yaw) * dims for dims, yaw in zip(arrays.dims, arrays.yaws)]).reshape(-1, 3, 3)
-    return arrays, np.concatenate([axes, axes * association._FLIP_AXES])
+    return arrays, axes_reference(arrays)
 
 
 def rotation(w):
@@ -105,23 +102,20 @@ def test_reversed_headings_read_the_tables_second_half(pairs):
 def test_the_table_holds_the_axes_nonzero_entries_contiguous_and_read_only():
     for n in (0, 1, 5):
         arrays, headed = scene_arrays([((4.0 + k, 2.0, 1.5 + k), 0.7 * k - 1.0) for k in range(n)])
-        packed, flat = arrays.packed, arrays.headed.reshape(2 * n, 9)
+        packed, flat = arrays.packed, headed.reshape(2 * n, 9)
         assert packed.shape == (5, 2 * n) and packed.dtype == float
         assert packed.flags.c_contiguous and not packed.flags.writeable
-        assert not arrays.headed.flags.writeable and not arrays.axes.flags.writeable
-        # headed, built on first use from packed, is rot_z(yaw) * dims under
-        # both headings bit for bit, the signs of its zeros included
-        assert arrays.headed.tobytes() == headed.tobytes()
-        assert arrays.axes.tobytes() == headed[:n].tobytes()
-        # A00, A01, A10, A11, A22, in headed order; headed's other entries are zero
+        # A00, A01, A10, A11, A22 of rot_z(yaw) * dims under both headings,
+        # bit for bit; the other entries are zero
         assert packed.tobytes() == np.ascontiguousarray(flat[:, [0, 1, 3, 4, 8]].T).tobytes()
         assert not np.any(flat[:, [2, 5, 6, 7]])
 
 
 def test_no_module_of_the_package_gathers_3x3_entries():
-    # the kernels read the packed table: the 3x3 gather (_entries) and the
-    # rot_z stack (_rot_z) are gone, with no definition and no caller
+    # the kernels read the packed table: the 3x3 gather (_entries), the
+    # rot_z stack (_rot_z) and the 3x3 axes tables (headed, axes) are gone,
+    # with no definition and no caller
     for path in sorted(Path(boxcalib.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            assert name not in ("_entries", "_rot_z"), f"{path.name}:{node.lineno} uses {name}"
+            assert name not in ("_entries", "_rot_z", "headed", "axes"), f"{path.name}:{node.lineno} uses {name}"

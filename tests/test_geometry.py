@@ -150,7 +150,7 @@ def test_from_arrays_equals_the_scene_of_its_boxes():
         assert x.center.tobytes() == y.center.tobytes() and x.dims.tobytes() == y.dims.tobytes()
         assert (x.yaw, x.confidence, x.label) == (y.yaw, y.confidence, y.label)
         assert type(x.yaw) is type(y.yaw) is float
-    for table in ("centers", "dims", "yaws", "headed", "axes"):
+    for table in ("centers", "dims", "yaws", "packed"):
         a, b = getattr(built._arrays, table), getattr(boxes._arrays, table)
         assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), table
     defaults = Scene.from_arrays(centers, dims, yaws)[0]
@@ -164,7 +164,7 @@ def test_from_arrays_keeps_its_own_read_only_copies():
     assert scene[0].center[0] != 99.0 and scene[0].dims[0] != 99.0
     arrays = scene._arrays
     assert np.shares_memory(scene[2].center, arrays.centers) and np.shares_memory(scene[2].dims, arrays.dims)
-    for values in (scene[0].center, scene[0].dims, arrays.centers, arrays.dims, arrays.yaws, arrays.headed):
+    for values in (scene[0].center, scene[0].dims, arrays.centers, arrays.dims, arrays.yaws, arrays.packed):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 1.0
 

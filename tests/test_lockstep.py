@@ -2,11 +2,11 @@
 
 The reference below is the refinement association ran before its rounds
 were batched: each assigned anchor in turn refits its valid set with one
-closed-form fit and scores the refit with one dense transform score, until
-the refit no longer ranks better, sharing one cache of fits by valid set;
-the best refined anchor wins. Both refine only the best five assigned
-anchors, which the test picks itself: a stable sort by unrefined _rank, so
-ties keep ego order, the first five, put back in ego order.
+yaw-only closed-form fit and scores the refit with one dense transform
+score, until the refit no longer ranks better, sharing one cache of fits
+by valid set; the best refined anchor wins. Both refine only the best five
+assigned anchors, which the test picks itself: a stable sort by unrefined
+_rank, so ties keep ego order, the first five, put back in ego order.
 Every anchor must end at the same valid set with the same confidence and
 flip flag, the same valid sets must be fitted, the winner's matches must
 be identical and its transform and rms must agree within TOL; a frame
@@ -32,10 +32,11 @@ from boxcalib import (
     with_flipped_yaw,
 )
 from boxcalib import association
-from boxcalib.association import _FLIP_AXES, _key, _pair_up, _rank
-from boxcalib.registration import nearest_rotation
+from boxcalib.association import _key, _pair_up, _rank
+from boxcalib.geometry import rot_z
+from boxcalib.registration import RANK_RATIO_MIN
 
-from conftest import make_box, make_scene
+from conftest import axes_reference, make_box, make_scene
 from test_anchor_prune import dense_frame
 from test_fit import noisy_frames
 
@@ -44,13 +45,21 @@ REFINED = 5  # the assigned anchors refinement starts from
 
 
 def sequential_fit(ego, coop, pairs, flipped):
-    """The closed-form fit of one valid set: (R, t, rms)."""
+    """The yaw-only closed-form fit of one valid set: (R, t, rms). The yaw
+    is atan2(b, a) of the corner cross-covariance H's a = H00 + H11 and b =
+    H10 - H01, and a set fixes no yaw when (a, b) is not finite or no longer
+    than RANK_RATIO_MIN times its Cauchy-Schwarz bound."""
     rows, cols = np.array(pairs).T
-    e, c, axes_e = ego.centers[rows], coop.centers[cols], ego.axes[rows]
-    axes_c = coop.axes[cols] * _FLIP_AXES if flipped else coop.axes[cols]
+    axes_e, axes_c = axes_reference(ego)[rows], axes_reference(coop)[cols + len(coop.yaws) * flipped]
+    e, c = ego.centers[rows], coop.centers[cols]
     e_bar, c_bar = e.mean(axis=0), c.mean(axis=0)
     H = 8.0 * (e - e_bar).T @ (c - c_bar) + 2.0 * np.einsum("kij,klj->il", axes_e, axes_c)
-    R = nearest_rotation(H)
+    a, b = H[0, 0] + H[1, 1], H[1, 0] - H[0, 1]
+    bound = 8.0 * np.linalg.norm(e - e_bar, axis=1) @ np.linalg.norm(c - c_bar, axis=1)
+    bound += 2.0 * np.linalg.norm(axes_e, axis=(1, 2)) @ np.linalg.norm(axes_c, axis=(1, 2))
+    if not (math.isfinite(a) and math.isfinite(b)) or math.hypot(a, b) <= RANK_RATIO_MIN * bound:
+        raise DegenerateGeometry("the valid set fixes no yaw")
+    R = rot_z(math.atan2(b, a))
     t = e_bar - R @ c_bar
     r, da = c @ R.T + t - e, R @ axes_c - axes_e
     return R, t, math.sqrt((8.0 * np.sum(r * r) + 2.0 * np.sum(da * da)) / (8 * len(rows)))
@@ -58,9 +67,10 @@ def sequential_fit(ego, coop, pairs, flipped):
 
 def sequential_score(ego, coop, R, t, flipped, params):
     """The dense one-cell score of the coop scene moved by (R, t)."""
-    axes = R @ coop.axes * _FLIP_AXES if flipped else R @ coop.axes
+    m = len(coop.yaws)
+    axes = R @ axes_reference(coop)[m * flipped : m * flipped + m]
     dc = ego.centers[:, None, :] - (coop.centers @ R.T + t)[None, :, :]
-    da = ego.axes[:, None] - axes[None, :]
+    da = axes_reference(ego)[: len(ego.yaws), None] - axes[None, :]
     c2, da2 = np.einsum("ijk,ijk->ij", dc, dc), np.einsum("ijkl,ijkl->ij", da, da)
     p, q = np.divmod(np.arange(c2.size), c2.shape[1])
     up = _pair_up(np.zeros(c2.size, np.intp), p, q, c2.ravel(), da2.ravel(), 1, c2.shape, params)

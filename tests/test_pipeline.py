@@ -428,10 +428,10 @@ def test_a_replaced_scene_builds_fresh_arrays(builds):
     copy = dataclasses.replace(scene)
     assert copy._arrays is not first and copy._arrays is copy._arrays
     assert builds == [5, 5]
-    assert np.array_equal(copy._arrays.headed, first.headed)
+    assert np.array_equal(copy._arrays.packed, first.packed)
 
 
-@pytest.mark.parametrize("table", ["centers", "dims", "yaws", "headed", "axes"])
+@pytest.mark.parametrize("table", ["centers", "dims", "yaws", "packed"])
 def test_a_cached_table_is_read_only(table):
     # every later call on the scene shares the table
     values = getattr(spread_scene(4, seed=24)._arrays, table)

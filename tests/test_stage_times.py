@@ -81,7 +81,11 @@ def root_name(node: ast.AST) -> str | None:
 def test_stage_times_reads_only_public_names_and_patches_nothing():
     # the tool reads the report's trace; a private name or an assigned
     # attribute of the package would tie it to the pipeline's layout again
-    tree = ast.parse(TOOL.read_text())
+    assert_reads_only_public_names_and_patches_nothing(TOOL)
+
+
+def assert_reads_only_public_names_and_patches_nothing(tool: Path) -> None:
+    tree = ast.parse(tool.read_text())
     names = boxcalib_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and root_name(node) in names:
