@@ -10,18 +10,20 @@ is scored by how well the rest of the scene lines up:
   greedy one-to-one pairing by ascending distance, and
 * mean_distance: the mean pair distance over that valid set.
 
-Anchor confidences fill an affinity matrix and one Hungarian solve picks
-the candidate anchors: the one-to-one assignment with maximum total
-affinity, minus zero entries, ties broken as the installed scipy's solver
-breaks them (solve_assignment). Only the best five assigned anchors by
-unrefined score (_REFINED) are refined, each on its valid set by
+Anchor confidences fill an affinity matrix, and refinement starts from
+its best five nonzero anchors by unrefined score (_REFINED, _seeds), ties
+to the lower (ego, coop) index. Each is refined on its valid set by
 closed-form fits of the pairs' corners by a yaw and a translation (_fit)
 to a fixed point, and the final matches are the refined consensus (valid
-set) of the best refined anchor, as in LO-RANSAC: pairs the assignment
-picked only because they agree with themselves never join it, and the
-local step runs only on hypotheses that can still win. Each distinct
-valid set is fit once, and the winner's fit is the calibration's
-transform.
+set) of the best refined anchor, as in LO-RANSAC: pairs that agree only
+with themselves never join it, and the local step runs only on
+hypotheses that can still win. Each distinct valid set is fit once, and
+the winner's fit is the calibration's transform. The paper's
+optimal-transport stage, one Hungarian solve of the affinity matrix
+(solve_assignment), stays public but is off this path: the assignment
+only chose which anchors to refine, and the best five anchors may share
+a box, which one-to-one assignment would forbid. It is the one user of
+scipy here, imported when first called.
 
 Every score is of rigid motions x -> e* + R (x - c*), and one pair
 arithmetic serves them all: the squared center difference c2 = |(e_p -
@@ -41,13 +43,14 @@ never per anchor. The anchor pass (_anchor_pass) builds the frame's
 tables and scores every anchor, each about (e_i, c_j), on the pairs that
 a grid of the offsets in each box's heading frame puts within reach (a
 fixed-radius join), in one loop over chunks of rows, and fills the
-affinity matrix; refinement starts from the best five assigned anchors'
-scores read from it. The transform kernel (_score_motions) scores given
-motions, one PairScore each, under one coop heading each: odist's two (an
-anchor's, bit for bit the pass's), a round's refits about their centroids
-(_refine), and alignment_score's and the health check's two, about (t,
-0). One rule ranks scores (_rank): it picks the heading of each anchor
-and of each scored transform, chooses the anchors refinement starts from,
+affinity matrix; refinement starts from the best five anchors' scores
+read from it. The transform kernel (_score_motions) scores given motions,
+one PairScore each, under one coop heading each: odist's two (an
+anchor's, bit for bit the pass's), and a transform's two about (t, 0):
+alignment_score's, the health check's and each refit's (_refine), so the
+winner's refit carries the calibration's health on scenes kept whole.
+One rule ranks scores (_rank): it picks the heading of each anchor and
+of each scored transform, chooses the anchors refinement starts from,
 and decides refinement's steps. The kernels take the scenes' arrays
 (_SceneArrays), which a scene builds once, on first use (Scene._arrays),
 and every entry point reads.
@@ -59,7 +62,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import _FLIP_AXES, DetectionBox, RigidTransform, Scene, _SceneArrays
 from .registration import RANK_RATIO_MIN, DegenerateGeometry, RegistrationResult, rank_deficient
@@ -77,12 +79,13 @@ TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 _CANDIDATE_BUDGET = 1 << 13
 _ALLOWANCE = 1e-6  # the grid windows' rounding allowance per meter (_anchor_pass)
 
-# Refinement starts from the _REFINED best assigned anchors by unrefined
-# _rank: LO-RANSAC (Chum, Matas & Kittler, DAGM 2003) runs its local step
-# only on hypotheses that can still win. Against refining every assigned
-# anchor, on Dense32(501) frames 0-63 the valid sets fitted per frame went
-# 22.1 -> 2.9 in 2.08 -> 1.19 fitting rounds at the same match precision
-# and recall (BENCH_23.json); over 240 Sweep15 trials at seeds 501-503 the
+# Refinement starts from the _REFINED best anchors by unrefined _rank
+# (_seeds): LO-RANSAC (Chum, Matas & Kittler, DAGM 2003) runs its local
+# step only on hypotheses that can still win. With the seeds taken from
+# the assigned anchors, against refining every assigned anchor, on
+# Dense32(501) frames 0-63 the valid sets fitted per frame went 22.1 ->
+# 2.9 in 2.08 -> 1.19 fitting rounds at the same match precision and
+# recall (BENCH_23.json); over 240 Sweep15 trials at seeds 501-503 the
 # results within 1 m went 115/117/118 -> 113/117/120 and the pooled recall
 # fell by at most 0.75 %.
 _REFINED = 5
@@ -413,6 +416,11 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
         by = np.argsort((cell * n + p) * m + q)  # into (cell, p, q) order
         near.append((cell[by], p[by], q[by], c2[k[by]], da2[by]))
         start = stop
+    # The last chunk's temporaries live on to the return, below the tail's
+    # arrays. Freed first, they lower the traced peak but sit at the top of
+    # the heap, which glibc's default trim threshold returns to the system:
+    # a 32 x 32 frame then faults about 190 pages back in per pass and ran
+    # 9 % slower (BENCH_29.json).
     del u, v, order, cells, lo, count  # the grid tables, before the tail
     near = [np.concatenate(column) for column in zip(*near)]  # and the chunk list
     conf, mean, kept = _pair_up(*near, n * V * m, (n, m), params)
@@ -455,8 +463,8 @@ def alignment_score(
 ) -> PairScore:
     """Scene-consistency score of a given transform (no anchor search),
     paired as in odist (_pair_up), under the coop headings as given and
-    reversed (the motion pivots on (t, 0)): the better by _rank, the given
-    headings winning ties."""
+    reversed (the motion pivots on (t, 0), as refinement scores its refits):
+    the better by _rank, the given headings winning ties."""
     R, t = np.array([transform.rotation] * 2), np.array([transform.translation] * 2)
     scores = _score_motions(ego._arrays, coop._arrays, R, t, np.zeros((2, 3)), [False, True], params)
     return min(scores, key=_rank)
@@ -478,7 +486,9 @@ def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams())
 
 def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
     """One-to-one assignment maximizing total affinity: one Hungarian
-    solve (scipy's linear_sum_assignment).
+    solve (scipy's linear_sum_assignment), the paper's optimal-transport
+    stage. associate does not call it (see _seeds); scipy is imported on
+    the first call, so calibration loads no scipy module.
 
     The total is optimal, and zero entries are never selected (an
     unsupported pairing is worse than no pairing; dropping them from the
@@ -486,6 +496,8 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
     ego index. Among assignments of equal total, the installed scipy's
     solver decides which one is returned.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if not isinstance(affinity, AffinityMatrix):
         affinity = AffinityMatrix(affinity)
     entries, flips = affinity.entries, affinity.coop_flip
@@ -508,8 +520,8 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     """The least-squares fit of the pairs' corners by a yaw rotation plus a
     translation, the only motion that maps boxes onto boxes, for each valid
     set key = (pairs, flipped) with unit weights, all keys at once: the
-    stacked R = rot_z(theta), t, rms residuals and centroids e_bar, c_bar
-    (the fit is x -> e_bar + R (x - c_bar)). Centered corners are S A^T / 2
+    stacked R = rot_z(theta), t = e_bar - R c_bar for the centroids e_bar
+    and c_bar, and the rms residuals. Centered corners are S A^T / 2
     (_distance), so a set's corner cross-covariance is H = 8 sum de dc^T +
     2 sum A_e A_c^T (de, dc: centers minus means), and theta = atan2(b, a)
     for a + ib = H00 + H11 + i (H10 - H01) (Umeyama, IEEE TPAMI 1991, in
@@ -548,7 +560,7 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     c2 = _c2(de.T, (*_rotated(xy, dc.T[:2]), dc[:, 2]))
     da2 = _da2(axes_e, xy, axes_c)
     rms = np.sqrt(np.bincount(seg, weights=8.0 * c2 + 2.0 * da2, minlength=len(keys)) / (8 * sizes))
-    return R, t, rms, e_bar, c_bar
+    return R, t, rms
 
 
 def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], params: ODistParams):
@@ -557,9 +569,12 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
     ends: each kept refit strictly lowers _rank, and a refit depends only
     on the valid set it fits. A one-pair valid set is the anchor itself and
     is left alone. Each round fits the new valid sets of the still improving
-    anchors at once and scores them in one _score_motions. Returns the
+    anchors at once and scores each refit (R, t) about (t, 0) under both
+    coop headings in one _score_motions, as alignment_score scores (R, t);
+    the refit's score is the one under its valid set's heading. Returns the
     refined scores, in the order of anchors, fits: each fitted key's (R, t,
-    rms) and score, and the number of rounds that fitted new valid sets.
+    rms) and its two scores (headings as given, reversed), and the number
+    of rounds that fitted new valid sets.
     """
     fits: dict[tuple, tuple] = {}
     scores = list(anchors)
@@ -570,13 +585,14 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
         new = list(dict.fromkeys(key for key in keys if key not in fits))
         if new:
             rounds += 1
-            R, t, rms, e_bar, c_bar = _fit(ego, coop, new)
-            refits = _score_motions(ego, coop, R, e_bar, c_bar, [f for _, f in new], params)
-            for k, (key, score) in enumerate(zip(new, refits)):
-                fits[key] = (R[k], t[k], rms[k]), score
+            R, t, rms = _fit(ego, coop, new)
+            motions = R.repeat(2, axis=0), t.repeat(2, axis=0), np.zeros((2 * len(new), 3))
+            both = _score_motions(ego, coop, *motions, [False, True] * len(new), params)
+            for k, key in enumerate(new):
+                fits[key] = (R[k], t[k], rms[k]), (both[2 * k], both[2 * k + 1])
         improving = []
         for k, key in zip(active, keys):
-            refined = fits[key][1]
+            refined = fits[key][1][key[1]]  # the refit's score under its valid set's heading
             if _rank(refined) < _rank(scores[k]):
                 scores[k] = refined
                 improving.append(k)
@@ -584,43 +600,63 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
     return scores, fits, rounds
 
 
+def _seeds(entries: np.ndarray, mean: np.ndarray) -> list[tuple[int, int]]:
+    """The anchors refinement starts from, in (ego, coop) order: the first
+    _REFINED of a stable sort by _rank_key of every nonzero anchor (i, j) of
+    the affinity entries, with the mean distance of its winning variant,
+    taken in (ego, coop) order, so ties go to the lower index. NumPy keeps
+    the anchors no worse than the _REFINED-th best by (entry, mean) but for
+    1e-6 m of mean, a superset of those _rank_key's rounding can tie with
+    it, and Python sorts only those."""
+    i, j = np.nonzero(entries)
+    conf, mean = entries[i, j], mean[i, j]
+    if len(conf) > _REFINED:
+        last = np.lexsort((mean, -conf))[_REFINED - 1]
+        near = (conf > conf[last]) | ((conf == conf[last]) & (mean <= mean[last] + 1e-6))
+        i, j, conf, mean = i[near], j[near], conf[near], mean[near]
+    conf, mean = conf.tolist(), mean.tolist()
+    best = sorted(range(len(conf)), key=lambda k: _rank_key(conf[k], mean[k]))[:_REFINED]
+    return [(int(i[k]), int(j[k])) for k in sorted(best)]
+
+
 def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     """associate's matches and their fit (_fit) on the scenes' arrays: the
     cached fit _refine stopped at, or the one fit of a one-pair valid set;
-    the seconds of the anchor pass, the assignment and the rest; and the
-    refinement rounds and the valid sets fitted, that one fit included."""
+    the fit's alignment_score on these arrays, read from refinement (None
+    for a one-pair valid set, which refinement does not fit); the seconds
+    of the anchor pass and of the rest; and the refinement rounds and the
+    valid sets fitted, that one fit included."""
     start = time.perf_counter()
     affinity, frame = _score_anchors(ego, coop, params)
     scored = time.perf_counter()
-    assigned = solve_assignment(affinity)
-    solved = time.perf_counter()
-    if len(assigned) == 0:
+    _, mean, flip, _ = frame  # an anchor's pass score is in cell (i, flip[i, j], j)
+    seeds = _seeds(affinity.entries, np.where(flip, mean[:, 1], mean[:, 0]))
+    if not seeds:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
-    conf, mean, flip, _ = frame  # an anchor's pass score is in cell (i, flip[i, j], j)
-    cells = [(a.ego_index, int(flip[a.ego_index, a.coop_index]), a.coop_index) for a in assigned]
-    # the _REFINED best by _rank, a stable sort so ties keep ego order, then back in ego order
-    seeds = sorted(sorted(cells, key=lambda c: _rank_key(conf[c], mean[c]))[:_REFINED])
-    refined, fits, rounds = _refine(ego, coop, _pair_scores(frame, [(i, j) for i, _, j in seeds]), params)
-    # the seeds are in ascending ego index and min keeps the first of equals
+    refined, fits, rounds = _refine(ego, coop, _pair_scores(frame, seeds), params)
+    # the seeds are in (ego, coop) order and min keeps the first of equals
     best = min(refined, key=_rank)
     key = _key(best)
     sets = len(fits) + (key not in fits)
-    R, t, rms = fits[key][0] if key in fits else [x[0] for x in _fit(ego, coop, [key])[:3]]
+    if key in fits:
+        (R, t, rms), headings = fits[key]
+        health = min(headings, key=_rank)  # as alignment_score: the given headings win ties
+    else:
+        (R, t, rms), health = [x[0] for x in _fit(ego, coop, [key])], None
     fit = RegistrationResult(RigidTransform(R, t), float(rms))
     matches = MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0]))
-    return matches, fit, (scored - start, solved - scored, time.perf_counter() - solved), (rounds, sets)
+    return matches, fit, health, (scored - start, time.perf_counter() - scored), (rounds, sets)
 
 
 def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> MatchSet:
     """Full association: the refined consensus of the best refined anchor.
 
-    The affinity matrix and the optimal assignment choose the candidate
-    anchors by their unrefined confidences. Only the best five assigned
-    anchors by unrefined score (_rank, ties to the lower ego index) are
-    refined: each one's score, read from the pass that filled its affinity
-    entry (_pair_scores), is refined to a fixed point (see _refine); the
-    one with the highest refined confidence, then the least mean distance,
-    then the lowest ego index wins. Its valid set, sorted by ego index, is
+    Only the best five nonzero anchors of the affinity matrix by unrefined
+    score (_rank, ties to the lower (ego, coop) index; _seeds) are refined:
+    each one's score, read from the pass that filled its affinity entry
+    (_pair_scores), is refined to a fixed point (see _refine); the one with
+    the highest refined confidence, then the least mean distance, then the
+    lowest (ego, coop) index wins. Its valid set, sorted by ego index, is
     returned; every match carries the winner's confidence and heading-flip
     flag.
     """

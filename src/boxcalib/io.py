@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -48,6 +49,8 @@ def _read_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(path, f"line {e.lineno}, column {e.colno}", e.msg) from e
+    except (ValueError, RecursionError) as e:  # an integer beyond int()'s digit limit, or nesting too deep
+        raise ParseError(path, "<file>", str(e)) from e
 
 
 def _atomic_write(path, text: str) -> None:
@@ -68,9 +71,18 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _number(value, path, where) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    """value as a float; a JSON integer beyond float range is refused as a
+    non-finite float is."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(path, where, f"expected a finite number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ParseError(path, where, f"expected a finite number, got an integer of {digits} digits") from None
+    if not math.isfinite(number):
+        raise ParseError(path, where, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _vector(value, length, path, where) -> list[float]:
@@ -304,10 +316,14 @@ def _convert_range(value, path, where):
 
 
 # The JSON values a scalar field takes, by its annotation: a bool is
-# neither an int nor a float, though Python makes it an int.
+# neither an int nor a float, though Python makes it an int, and a float
+# field's int must convert to a float without overflow.
 _SCALARS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "float": (
+        lambda v: isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max,
+        "a number",
+    ),
 }
 
 # Fields whose JSON form needs converting, by "section.field"

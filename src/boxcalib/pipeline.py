@@ -1,4 +1,12 @@
-"""End-to-end calibration of a scene pair, and its error against a known transform."""
+"""End-to-end calibration of a scene pair, and its error against a known transform.
+
+calibrate_scenes keeps the largest boxes, associates them (association:
+the anchor pass, then refinement of the best anchors), and reports the
+winner's fit with its health on the full scenes. Refinement already
+scored the winner's fit as alignment_score does, so when both scenes are
+kept whole the health is read from it; otherwise the fit is scored once
+more on the full scenes. The path loads no scipy module.
+"""
 from __future__ import annotations
 
 import math
@@ -24,9 +32,8 @@ class CalibrationTrace:
     top_k_s: float  # top_k_by_volume of both scenes
     scene_arrays_s: float  # the arrays this call built, 0 for a scene whose arrays an earlier call built
     anchor_pass_s: float  # every anchor's score and the affinity matrix
-    assignment_s: float  # solve_assignment
-    refinement_s: float  # the best five assigned anchors' refits, the winner and its fit
-    health_s: float  # the final transform's alignment score on the full scenes
+    refinement_s: float  # the choice of the best five anchors, their refits, the winner and its fit
+    health_s: float  # the final transform's alignment score on the full scenes, unless refinement scored it
     refinement_rounds: int  # refinement rounds that fitted new valid sets, one _fit each
     sets_fitted: int  # distinct valid sets fitted, a one-pair winner's one fit included
 
@@ -59,17 +66,21 @@ def calibrate_scenes(
     the alignment better per pair. The transform and rms_residual are the
     yaw-and-translation fit of the matches' corners with equal weights,
     which association computed once while refining. The matches index the
-    kept scenes, not the caller's. Raises NoCoVisibleObjects if association
-    finds nothing and DegenerateGeometry if the matches fix no yaw.
+    kept scenes, not the caller's. The health is the transform's
+    alignment_score on the full scenes: read from refinement when top_k
+    kept both scenes whole and the matches are more than one pair, scored
+    anew otherwise. Raises NoCoVisibleObjects if association finds nothing
+    and DegenerateGeometry if the matches fix no yaw.
     """
     start = time.perf_counter()
     tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
     topped = time.perf_counter()
     kept = [scene._arrays for scene in (*tops, ego, coop)][:2]  # the full scenes' too, for the health check
     built = time.perf_counter()
-    matches, fit, seconds, counts = _associate(*kept, params)  # seconds: anchor pass, assignment, refinement
+    matches, fit, health, seconds, counts = _associate(*kept, params)  # seconds: anchor pass, refinement
     matched = time.perf_counter()
-    health = alignment_score(ego, coop, fit.transform, params)
+    if health is None or tops[0] is not ego or tops[1] is not coop:
+        health = alignment_score(ego, coop, fit.transform, params)
     end = time.perf_counter()
     return CalibrationReport(
         transform=fit.transform,

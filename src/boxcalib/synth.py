@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ive
 
 from .association import ODistParams
 from .geometry import TWO_PI, RigidTransform, Scene, _transformed_boxes, invert
@@ -91,13 +89,16 @@ def kappa_for_circular_std(std_rad: float) -> float:
     Inverts sqrt(-2 ln(I1(k)/I0(k))) numerically. The common shortcut
     k = 1/std^2 overshoots the dispersion by ~6% already at 25 deg, which
     is outside the tolerance the noise model is tested to. Solved once per
-    std: a sweep asks for the same few stds in every trial.
+    std: a sweep asks for the same few stds in every trial. scipy is
+    imported on the first solve, so only yaw noise loads it.
     """
     if std_rad <= 0:
         raise ValueError("std_rad must be positive")
     if std_rad < 1e-4:
         # Asymptotic: std^2 ~ 1/k - 1/(2k^2); the correction is negligible here.
         return 1.0 / std_rad**2 + 0.5
+    from scipy.optimize import brentq
+    from scipy.special import ive
 
     def gap(k: float) -> float:
         rbar = ive(1, k) / ive(0, k)

@@ -400,8 +400,8 @@ def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatc
     # far from the origin, at the tau edge, the two kernels once rounded
     # differently, and refinement's first step ranks a refit from one
     # against its seed from the other: the seeds must be the transform
-    # kernel's scores of the anchors' motions, of the five best assigned
-    # anchors (a stable sort by _rank) in ego order
+    # kernel's scores of the anchors' motions, of the five best nonzero
+    # anchors (a stable sort by _rank) in (ego, coop) order
     params = ODistParams(tau=5e-4, alpha=1.0, beta=0.0)
     seeds, refine = [], association._refine
 
@@ -415,14 +415,14 @@ def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatc
         pair = Tables(ego, coop)
         anchors = [tuple(a) for a in np.argwhere(~pair.needles).tolist()]
         frame = association._anchor_pass(pair.ego, pair.coop, params)
-        assert anchor_motion_scores(pair, params, anchors) == association._pair_scores(frame, anchors)
+        kernel = anchor_motion_scores(pair, params, anchors)
+        assert kernel == association._pair_scores(frame, anchors)
         seeds.clear()
         matches = association.associate(ego, coop, params)
-        assigned = association.solve_assignment(association.build_affinity(ego, coop, params))
         assert len(matches) > 1 and len(seeds) == 1
-        kernel = anchor_motion_scores(pair, params, [(a.ego_index, a.coop_index) for a in assigned])
-        best = sorted(range(len(kernel)), key=lambda k: association._rank(kernel[k]))[:5]
-        assert len(assigned) > 5 and seeds[0] == [kernel[k] for k in sorted(best)]
+        nonzero = [k for k, score in enumerate(kernel) if score.confidence > 0]  # anchors in (ego, coop) order
+        best = sorted(nonzero, key=lambda k: association._rank(kernel[k]))[:5]
+        assert len(nonzero) > 5 and seeds[0] == [kernel[k] for k in sorted(best)]
 
 
 @pytest.mark.parametrize("params", PARAMS.values(), ids=PARAMS.keys())

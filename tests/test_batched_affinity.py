@@ -9,7 +9,8 @@ exactly, on generated scenes and on fixtures built at the edges of the
 pairing rules. An anchor must score the same through odist as in the
 affinity, with the same valid pairs in the same order as its own
 transform's score, and associate must score every anchor in
-one pass over the ego boxes.
+one pass over the ego boxes and then score only refinement's refits,
+each under both coop headings.
 """
 from __future__ import annotations
 
@@ -228,11 +229,12 @@ def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
     "ego, coop",
     [pytest.param(*dense_pair(), id="dense"), pytest.param(*sweep_pair(7), id="sweep")],
 )
-def test_associate_scores_each_ego_index_in_one_block(monkeypatch, ego, coop):
+def test_associate_scores_each_ego_index_in_one_block_then_only_refits_under_both_headings(monkeypatch, ego, coop):
     # one anchor pass scores every ego index once and fills the affinity;
-    # the assigned anchors' scores are read from it, not scored again, and
-    # the only motions scored afterwards are refits
-    passes, fits = [], []
+    # the seeds' scores are read from it, not scored again, and the only
+    # motions scored afterwards are refits, each about (t, 0) under the
+    # coop headings as given and reversed, as alignment_score scores them
+    passes, fits, motions = [], [], []
     anchor_pass, fit, score_motions = association._anchor_pass, association._fit, association._score_motions
 
     def pass_spy(ego_a, coop_a, *args):
@@ -243,12 +245,17 @@ def test_associate_scores_each_ego_index_in_one_block(monkeypatch, ego, coop):
         fits.append(fit(*args))
         return fits[-1]
 
-    def motions_spy(ego_a, coop_a, R, *args):
-        assert any(R is rotations for rotations, *_ in fits), "a motion other than a refit was scored"
-        return score_motions(ego_a, coop_a, R, *args)
+    def motions_spy(ego_a, coop_a, R, e_star, c_star, flipped, params):
+        motions.append(len(flipped))
+        R_fit, t_fit, _ = fits[-1]
+        assert len(motions) <= len(fits), "a motion other than a refit was scored"
+        assert np.array_equal(R, R_fit.repeat(2, axis=0)) and np.array_equal(e_star, t_fit.repeat(2, axis=0))
+        assert not np.any(c_star) and list(flipped) == [False, True] * len(R_fit)
+        return score_motions(ego_a, coop_a, R, e_star, c_star, flipped, params)
 
     monkeypatch.setattr(association, "_anchor_pass", pass_spy)
     monkeypatch.setattr(association, "_fit", fit_spy)
     monkeypatch.setattr(association, "_score_motions", motions_spy)
-    assert len(associate(ego, coop)) > 0
+    assert len(associate(ego, coop)) > 1
     assert passes == [(len(ego), len(coop))]
+    assert motions == [2 * len(R) for R, *_ in fits]

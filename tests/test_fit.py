@@ -58,7 +58,7 @@ def corner_fit(ego, coop, pairs, flipped):
 
 
 def closed_form_fit(ego, coop, pairs, flipped):
-    R, t, rms, _, _ = association._fit(ego._arrays, coop._arrays, [(pairs, flipped)])
+    R, t, rms = association._fit(ego._arrays, coop._arrays, [(pairs, flipped)])
     return RegistrationResult(RigidTransform(R[0], t[0]), float(rms[0]))
 
 

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,55 @@ def test_box_invariant_violations_surface_as_parse_errors(tmp_path):
         load_scene(write_json(tmp_path, "s.json", json.loads(json.dumps(doc).replace("Infinity", "1e999"))))
 
 
+HUGE = 10**400  # a JSON integer beyond float range: float() of it raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("center", [0, HUGE, 0], "center[1]"),
+        ("dims", [4, 2, -HUGE], "dims[2]"),
+        ("yaw", HUGE, "yaw"),
+        ("yaw_deg", -HUGE, "yaw_deg"),
+        ("confidence", HUGE, "confidence"),
+    ],
+    ids=["center", "dims", "yaw", "yaw_deg", "confidence"],
+)
+def test_an_integer_beyond_float_range_is_a_parse_error_naming_its_field(tmp_path, capsys, key, value, where):
+    doc = scene_doc(**{key: value})
+    if key == "yaw_deg":
+        del doc["boxes"][0]["yaw"]
+    path = write_json(tmp_path, "s.json", doc)
+    with pytest.raises(ParseError, match=r"expected a finite number, got an integer of 401 digits") as info:
+        load_scene(path)
+    assert info.value.where == f"boxes[0].{where}"
+    good = tmp_path / "good.json"
+    save_scene(spread_scene(3, seed=1), good)
+    assert cli.main(["calibrate", str(path), str(good)]) == 2
+    assert f"boxes[0].{where}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # json refuses an integer literal of more than 4300 digits with a plain ValueError
+        (json.dumps(scene_doc()).replace('"yaw": 0.3', '"yaw": ' + "7" * 5000), "digits"),
+        # and nesting deeper than the interpreter's recursion limit with a RecursionError
+        ('{"agent_id": "a", "frame_id": 0, "boxes": ' + "[" * 100_000 + "]" * 100_000 + "}", "recursion"),
+    ],
+    ids=["digit limit", "nesting"],
+)
+def test_json_the_decoder_refuses_is_a_parse_error(tmp_path, capsys, text, message):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_scene(path)
+    good = tmp_path / "good.json"
+    save_scene(spread_scene(3, seed=1), good)
+    assert cli.main(["calibrate", str(path), str(good)]) == 2
+    assert "s.json: <file>:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("dims", [4.0, -2.0, 1.5]), ("confidence", 1.5)],
@@ -206,6 +256,16 @@ def test_bad_extrinsics_are_rejected():
         extrinsic_from_dict({"translation": [0, 0, 0]})
 
 
+def test_extrinsic_integers_beyond_float_range_are_parse_errors(tmp_path):
+    good = extrinsic_to_dict(yaw_transform(0.4, (1.0, 2.0, 0.0)))
+    for key, k in (("rotation", 4), ("translation", 2)):
+        doc = dict(good, **{key: [HUGE if i == k else v for i, v in enumerate(good[key])]})
+        with pytest.raises(ParseError, match=re.escape(f"{key}[{k}]: expected a finite number")):
+            extrinsic_from_dict(doc)
+        with pytest.raises(ParseError, match=re.escape(f"{key}[{k}]")):
+            load_extrinsic(write_json(tmp_path, "t.json", doc))
+
+
 # ---- monitor state files ----
 
 
@@ -260,6 +320,19 @@ def test_state_files_are_validated(tmp_path):
     with pytest.raises(ParseError, match="frame_count"):
         load_state(write_json(tmp_path, "s.json", {"status": "Uncalibrated", "frame_count": -1,
                                                    "last_health": None, "extrinsic": None}))
+
+
+def test_state_integers_beyond_float_range_are_parse_errors(tmp_path):
+    extrinsic = extrinsic_to_dict(yaw_transform(0.5, (1, 2, 3)))
+    base = {"status": "Calibrated", "frame_count": 3, "last_health": [5, 0.25], "extrinsic": extrinsic}
+    for change, where in [
+        ({"last_health": [HUGE, 0.25]}, "last_health[0]"),
+        ({"last_health": [5, -HUGE]}, "last_health[1]"),
+        ({"extrinsic": dict(extrinsic, translation=[0, HUGE, 0])}, "translation[1]"),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(f"{where}: expected a finite number")):
+            load_state(write_json(tmp_path, "s.json", dict(base, **change)))
+    assert load_state(write_json(tmp_path, "s.json", base)).last_health == (5.0, 0.25)
 
 
 # ---- run configuration ----
@@ -346,6 +419,14 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, doc, message):
     assert f"{cfg_path}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("noise", "sigma_pos"), ("synth", "min_separation"), ("odist", "tau")])
+def test_config_number_beyond_float_range_exits_2(tmp_path, capsys, section, key):
+    cfg_path = write_json(tmp_path, "cfg.json", {section: {key: HUGE}})
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{cfg_path}: {section}.{key}: expected a number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_number_fields_take_integers():
     cfg = config_from_dict({"odist": {"tau": 2, "alpha": 1}, "noise": {"seed": 4}})
     assert (cfg.odist.tau, cfg.odist.alpha, cfg.noise.seed) == (2, 1, 4)
@@ -427,7 +508,7 @@ def test_calibrate_match_indices_are_those_of_the_top_k_scenes(tmp_path, capsys)
     assert max(gaps(ego_k, coop_k)) < 1e-6
     assert max(gaps(ego, coop)) > 1.0  # the same indices read against the files
     seconds = [s for name, s in doc["trace"].items() if name.endswith("_s")]
-    assert len(seconds) == 6 and all(math.isfinite(s) and s >= 0.0 for s in seconds)
+    assert len(seconds) == 5 and all(math.isfinite(s) and s >= 0.0 for s in seconds)
     assert doc["trace"]["refinement_rounds"] >= 1 and doc["trace"]["sets_fitted"] >= 1
 
 
@@ -891,6 +972,22 @@ def test_monitor_unreadable_frame_degrades_and_continues(tmp_path, capsys):
     events = read_events(out)
     assert [e["kind"] for e in events] == ["BootCalibrated", "DegradedEntered", "HealthOk"]
     assert events[1]["mean_distance"] is None
+    assert "status: Calibrated after 3 frames" in captured.out
+
+
+def test_monitor_records_a_frame_with_an_integer_beyond_float_range_as_unreadable(tmp_path, capsys):
+    stream = write_stream(tmp_path, "stream", monitor_frames(3))
+    doc = json.loads((stream / "01.coop.json").read_text())
+    doc["boxes"][2]["confidence"] = HUGE
+    (stream / "01.coop.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["monitor", str(stream), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "frame 01" in captured.err and "boxes[2].confidence: expected a finite number" in captured.err
+    events = read_events(out)
+    kinds = [(e["kind"], e["attempt"]) for e in events]
+    assert kinds == [("BootCalibrated", 1), ("DegradedEntered", 0), ("HealthOk", 0)]
+    assert events[1]["confidence"] == 0.0 and events[1]["mean_distance"] is None
     assert "status: Calibrated after 3 frames" in captured.out
 
 

@@ -5,8 +5,9 @@ were batched: each assigned anchor in turn refits its valid set with one
 yaw-only closed-form fit and scores the refit with one dense transform
 score, until the refit no longer ranks better, sharing one cache of fits
 by valid set; the best refined anchor wins. Both refine only the best five
-assigned anchors, which the test picks itself: a stable sort by unrefined
-_rank, so ties keep ego order, the first five, put back in ego order.
+nonzero anchors of the affinity matrix, which the test picks itself: a
+stable sort by unrefined _rank of every nonzero anchor in (ego, coop)
+order, so ties keep that order, the first five, put back in that order.
 Every anchor must end at the same valid set with the same confidence and
 flip flag, the same valid sets must be fitted, the winner's matches must
 be identical and its transform and rms must agree within TOL; a frame
@@ -27,7 +28,6 @@ from boxcalib import (
     RigidTransform,
     SynthConfig,
     noisy_pair,
-    solve_assignment,
     transform_box,
     with_flipped_yaw,
 )
@@ -41,7 +41,7 @@ from test_anchor_prune import dense_frame
 from test_fit import noisy_frames
 
 TOL = 1e-12
-REFINED = 5  # the assigned anchors refinement starts from
+REFINED = 5  # the anchors refinement starts from
 
 
 def sequential_fit(ego, coop, pairs, flipped):
@@ -90,13 +90,15 @@ def sequential_refine(ego, coop, score, params, refits):
     return score
 
 
-def assigned_anchors(ego, coop, params):
+def nonzero_anchors(ego, coop, params):
+    """The scenes' arrays and the pass scores of every anchor of nonzero
+    affinity, in (ego, coop) order."""
     arrays = ego._arrays, coop._arrays
     affinity, frame = association._score_anchors(*arrays, params)
-    assigned = solve_assignment(affinity)
-    if len(assigned) == 0:
+    nonzero = [(i, j) for i, row in enumerate(affinity.entries.tolist()) for j, a in enumerate(row) if a > 0]
+    if not nonzero:
         raise NoCoVisibleObjects("no anchor")
-    return arrays, association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
+    return arrays, association._pair_scores(frame, nonzero)
 
 
 def best_anchors(anchors):
@@ -108,7 +110,7 @@ def best_anchors(anchors):
 def sequential_associate(ego, coop, params):
     """(refined scores, fitted keys, matches, (R, t, rms)) as the sequential
     refinement gives them."""
-    arrays, anchors = assigned_anchors(ego, coop, params)
+    arrays, anchors = nonzero_anchors(ego, coop, params)
     anchors = best_anchors(anchors)
     refits = {}
     refined = [sequential_refine(*arrays, score, params, refits) for score in anchors]
@@ -120,7 +122,7 @@ def sequential_associate(ego, coop, params):
 
 
 def lockstep_associate(ego, coop, params):
-    arrays, anchors = assigned_anchors(ego, coop, params)
+    arrays, anchors = nonzero_anchors(ego, coop, params)
     refined, fits, _ = association._refine(*arrays, best_anchors(anchors), params)
     matches, fit, *_ = association._associate(*arrays, params)
     shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
@@ -206,7 +208,7 @@ def test_the_frames_cover_raising_and_flipped_refinements():
 def test_a_set_fits_the_same_alone_and_in_a_round():
     # a fit depends only on its valid set, not on the sets fitted with it
     ego, coop = dense_frame(0)
-    arrays, anchors = assigned_anchors(ego, coop, ODistParams())
+    arrays, anchors = nonzero_anchors(ego, coop, ODistParams())
     keys = list(dict.fromkeys(_key(s) for s in anchors if len(s.valid_pairs) >= 2))
     assert len(keys) > 1
     together = association._fit(*arrays, keys)

@@ -76,7 +76,7 @@ def test_trace_splits_the_elapsed_time_into_its_stages(n_boxes):
     *_, report = calibrated_pair(5, n_boxes=n_boxes)
     seconds = [s for name, s in dataclasses.asdict(report.trace).items() if name.endswith("_s")]
     assert isinstance(report.trace, CalibrationTrace)
-    assert len(seconds) == 6
+    assert len(seconds) == 5
     assert all(math.isfinite(s) and s >= 0.0 for s in seconds)
     assert sum(seconds) <= report.elapsed_s
 
@@ -168,7 +168,7 @@ def test_report_serializes_to_plain_json_types():
     }
     assert d["trace"] == dataclasses.asdict(report.trace)
     assert set(d["trace"]) == {
-        "top_k_s", "scene_arrays_s", "anchor_pass_s", "assignment_s", "refinement_s", "health_s",
+        "top_k_s", "scene_arrays_s", "anchor_pass_s", "refinement_s", "health_s",
         "refinement_rounds", "sets_fitted",
     }
     assert len(d["rotation"]) == 9

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
-ROWS = ("top-k", "scene pair", "anchor pass", "assignment", "refinement", "health", "other", "total", "synthesis")
+ROWS = ("top-k", "scene pair", "anchor pass", "refinement", "health", "other", "total", "synthesis")
 
 
 def test_stage_times_prints_every_stage_of_both_workloads():

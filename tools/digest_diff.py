@@ -1,6 +1,7 @@
 """Compare two outputs of tools/calibration_digest.py within a tolerance.
 
     python3 tools/digest_diff.py old.txt new.txt
+    python3 tools/digest_diff.py --summary old.txt new.txt
 
 Every line must match token for token, except the floats of a
 calibration's transform and rms, its health mean distance, each monitor
@@ -10,6 +11,14 @@ Affinities, matches, confidences, event kinds, statuses and everything
 else must be identical. Prints the largest deviation of each kind of
 float; exits 0 when the digests agree, 1 on any other difference (the
 first few are printed), 2 on a usage error.
+
+--summary counts what a change that moves results on purpose moved, per
+workload: the affinity lines that are byte-identical, the calibration
+lines whose matches changed (a raise counts as its own matches) and
+those that changed otherwise, and the monitor lines whose event kinds or
+status changed and those that changed otherwise. It exits 0 when the two
+digests hold the same lines in the same order (workload, frame and line
+kind), 1 when they do not, and 2 on a usage error.
 """
 from __future__ import annotations
 
@@ -100,11 +109,63 @@ def compare(old: list[str], new: list[str]) -> tuple[dict[str, float], list[str]
     return worst, problems
 
 
+def _kind(tokens: list[str]) -> str:
+    """A digest line's kind: affinity, calibration or monitor."""
+    if tokens[0] == "monitor":
+        return "monitor"
+    return "affinity" if tokens[2] == "affinity" else "calibration"
+
+
+def _outcome(tokens: list[str]) -> tuple:
+    """What --summary compares beyond bytes: a calibration line's matches
+    (or what it raised), a monitor line's event kinds and status."""
+    if tokens[0] == "monitor":
+        end = tokens.index("status")
+        return tuple(event.split(",")[0] for event in tokens[2:end]), tokens[end + 1]
+    return tuple(tokens[2 : tokens.index("transform")] if "transform" in tokens else tokens[2:])
+
+
+def summarize(old: list[str], new: list[str]) -> tuple[list[str], list[str]]:
+    """(count lines, problems): per workload and line kind, how many lines
+    changed, and how; problems name lines the two digests do not share."""
+    problems = []
+    if len(old) != len(new):
+        problems.append(f"line counts differ: {len(old)} vs {len(new)}")
+    counts: dict[tuple[str, str], list[int]] = {}  # (kind, workload): [lines, changed, outcome changed]
+    for number, (a, b) in enumerate(zip(old, new), start=1):
+        ta, tb = a.split(), b.split()
+        if len(ta) < 3 or len(tb) < 3 or ta[:2] != tb[:2] or _kind(ta) != _kind(tb):
+            problems.append(f"line {number}: not the same frame and line kind")
+            continue
+        count = counts.setdefault((_kind(ta), ta[0]), [0, 0, 0])
+        count[0] += 1
+        if a != b:
+            count[1] += 1
+            count[2] += _outcome(ta) != _outcome(tb)
+    lines = []
+    for (kind, workload), (total, changed, moved) in counts.items():
+        if kind == "affinity":
+            lines.append(f"{workload} affinity lines byte-identical: {total - changed} of {total}")
+        else:
+            what = "matches" if kind == "calibration" else "event kinds or status"
+            name = workload if kind == workload else f"{workload} {kind}"
+            lines.append(f"{name} lines whose {what} changed: {moved} of {total}")
+            lines.append(f"{name} lines changed otherwise: {changed - moved} of {total}")
+    return lines, problems
+
+
 def main(argv: list[str]) -> int:
+    summary = argv[:1] == ["--summary"]
+    if summary:
+        argv = argv[1:]
     if len(argv) != 2:
-        print("usage: digest_diff.py OLD NEW", file=sys.stderr)
+        print("usage: digest_diff.py [--summary] OLD NEW", file=sys.stderr)
         return 2
     old, new = (open(path).read().splitlines() for path in argv)
+    if summary:
+        lines, problems = summarize(old, new)
+        print("\n".join(lines + problems[:10]))
+        return 1 if problems else 0
     worst, problems = compare(old, new)
     for kind in KINDS:
         print(f"{kind} max deviation {worst[kind]:.3g}")

@@ -16,8 +16,7 @@ more at +-30 m. For each frame the script prints:
     anchors MB      the tracemalloc peak of that call
     associate MB    the tracemalloc peak of association.associate on fresh
                     copies of the frame's scenes, the whole association of
-                    the frame (arrays, anchor pass, assignment and
-                    refinement)
+                    the frame (arrays, anchor pass and refinement)
 
 Each peak is measured above what was allocated before the call, in its
 own run. BLAS runs on one thread.

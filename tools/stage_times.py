@@ -13,11 +13,11 @@ stages are those of the report's trace (CalibrationTrace):
                  (a scene builds its arrays once, on first use, so each
                  repeat calibrates fresh copies of the frames' scenes)
     anchor pass  every anchor's score and the affinity matrix
-    assignment   solve_assignment
-    refinement   the best five assigned anchors' refits, the winner and its
-                 fit
+    refinement   the choice of the best five anchors, their refits, the
+                 winner and its fit
     health       the alignment score of the final transform on the full
-                 scenes
+                 scenes, when refinement did not score it (a scene cut by
+                 top-k, or a one-pair winner)
     other        the rest of the call: the total minus the stages above
 
 Only the total is timed here. A frame whose calibration fails returns no
@@ -55,7 +55,6 @@ TRACED = (
     ("top-k", "top_k_s"),
     ("scene pair", "scene_arrays_s"),
     ("anchor pass", "anchor_pass_s"),
-    ("assignment", "assignment_s"),
     ("refinement", "refinement_s"),
     ("health", "health_s"),
 )
