@@ -229,7 +229,7 @@ def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
     "ego, coop",
     [pytest.param(*dense_pair(), id="dense"), pytest.param(*sweep_pair(7), id="sweep")],
 )
-def test_associate_scores_each_ego_index_in_one_block_then_only_refits_under_both_headings(monkeypatch, ego, coop):
+def test_associate_scores_each_ego_index_in_one_block(monkeypatch, ego, coop):
     # one anchor pass scores every ego index once and fills the affinity;
     # the seeds' scores are read from it, not scored again, and the only
     # motions scored afterwards are refits, each about (t, 0) under the

@@ -129,7 +129,7 @@ def refine_spy(monkeypatch):
     return seeds
 
 
-def test_refine_receives_the_first_five_of_a_stable_sort_of_every_nonzero_anchor(monkeypatch):
+def test_refine_receives_the_first_five_of_a_stable_sort_of_nonzero_anchors(monkeypatch):
     params = ODistParams()
     seeds = refine_spy(monkeypatch)
     frames = [frame[:2] for frame in FRAMES[501][:48]] + [dense_frame(k) for k in range(4)]
@@ -167,7 +167,7 @@ def test_only_the_refined_anchors_get_a_pair_score(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_a_winner_among_the_best_five_calibrates_as_refining_every_nonzero_anchor(seed):
+def test_a_winner_among_the_best_five_calibrates_as_refining_them_all(seed):
     params = ODistParams()
     compared = 0
     for ego, coop, _, _ in FRAMES[seed]:
