@@ -215,6 +215,7 @@ def cmd_monitor(args) -> int:
                 state, events = step(state, ego, coop, cfg.monitor, cfg.odist, cfg.top_k)
             for event in events:
                 events_file.write(json.dumps(bio.event_to_dict(event), allow_nan=False) + "\n")
+            events_file.flush()  # a resumed run must find every event of the state it resumes from
             if state.current_extrinsic is not None:
                 bio.save_extrinsic(state.current_extrinsic, extrinsic_path)
             bio.save_state(state, state_path)

@@ -3,9 +3,19 @@ state and events, eval manifests, run configuration.
 
 All writers emit strict JSON with full-precision floats, so a save/load
 round trip reproduces values exactly. A non-finite mean distance is
-written as null; any other non-finite value fails to write. Extrinsic and
-state files are written atomically (temp file, then rename) because the
-monitor persists them while running.
+written as null; any other non-finite value fails to write.
+
+Every reader takes the file's bytes and decodes them as UTF-8; a file that
+cannot be read or decoded is a ParseError at "<file>". A scene's boxes are
+read in one pass into one (n, 8) table of center, dims, yaw and
+confidence: one sweep over the values refuses anything but a JSON number,
+and the range checks run over the whole table. Only a list that pass
+refuses is read again box by box, to name the first faulty field.
+
+Extrinsic and state files are written atomically because the monitor
+persists them while running: the text goes to a new, uniquely named file
+beside the target (created exclusively, with mode 0o666 under the umask,
+as a plain write creates a file), which is then renamed over the target.
 """
 from __future__ import annotations
 
@@ -13,7 +23,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -42,32 +51,33 @@ class ParseError(ValueError):
 
 def _read_json(path) -> object:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(path, "<file>", str(e)) from e
     try:
-        return json.loads(text)
+        return json.loads(data.decode())
     except json.JSONDecodeError as e:
         raise ParseError(path, f"line {e.lineno}, column {e.colno}", e.msg) from e
-    except (ValueError, RecursionError) as e:  # an integer beyond int()'s digit limit, or nesting too deep
+    except (ValueError, RecursionError) as e:  # not UTF-8, beyond int()'s digit limit, or nested too deep
         raise ParseError(path, "<file>", str(e)) from e
 
 
 def _atomic_write(path, text: str) -> None:
-    """Replace path with text through a temporary file beside it. An
-    OSError names path, not the temporary file."""
-    path = Path(path)
-    tmp = None
+    """Replace path with text: create a uniquely named sibling, write it,
+    rename it over path. The sibling is removed only if that fails. An
+    OSError names path, not the sibling."""
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, str(path)) from e
-    finally:
-        if tmp is not None and os.path.exists(tmp):
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as f:
+                f.write(text.encode())
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, str(Path(path))) from e
 
 
 def _number(value, path, where) -> float:
@@ -93,7 +103,9 @@ def _vector(value, length, path, where) -> list[float]:
 
 def _parse_box(entry, path, where) -> tuple:
     """(center, dims, yaw, confidence, label) of one box, checked as
-    DetectionBox checks a box and with its messages."""
+    DetectionBox checks a box and with its messages. load_scene reads a
+    box list with it only to name the first faulty field of a list that
+    _box_table refused; the tests read with it as _box_table's reference."""
     if not isinstance(entry, dict):
         raise ParseError(path, where, "expected an object")
     for key in ("center", "dims"):
@@ -123,7 +135,55 @@ def _parse_box(entry, path, where) -> tuple:
     return center, dims, yaw, confidence, label
 
 
+_DEG_TO_RAD = math.pi / 180.0  # math.radians multiplies by this same constant
+
+# Inclusive bounds of each column of a box table, center (3), dims (3), yaw,
+# confidence: center and dims within MAX_COORDINATE_M, dims from the
+# smallest positive float, any finite yaw, confidence in [0, 1]. A NaN is
+# within no bounds.
+_LOW = np.array([-MAX_COORDINATE_M] * 3 + [math.ulp(0.0)] * 3 + [-sys.float_info.max, 0.0])
+_HIGH = np.array([MAX_COORDINATE_M] * 6 + [sys.float_info.max, 1.0])
+
+
+def _box_table(boxes: list) -> tuple[np.ndarray, list] | None:
+    """The (n, 8) table and the labels of boxes, read in one pass and
+    checked as _parse_box checks them; None when a box fails any check."""
+    values, degrees, labels = [], [], []
+    for entry in boxes:
+        if type(entry) is not dict:
+            return None
+        center, dims = entry.get("center"), entry.get("dims")
+        if type(center) is not list or type(dims) is not list or len(center) != 3 or len(dims) != 3:
+            return None
+        has_rad = "yaw" in entry
+        if has_rad == ("yaw_deg" in entry):
+            return None
+        label = entry.get("class")
+        if label is not None and type(label) is not str:
+            return None
+        values += center
+        values += dims
+        values += (entry["yaw"] if has_rad else entry["yaw_deg"], entry.get("confidence", 1.0))
+        degrees.append(not has_rad)
+        labels.append(label)
+    # anything but an int or a float is refused here (type() tells a bool
+    # from an int); an int beyond float range fails to convert
+    if not set(map(type, values)) <= {float, int}:
+        return None
+    try:
+        table = np.array(values, dtype=float).reshape(len(labels), len(_LOW))
+    except OverflowError:
+        return None
+    if not ((_LOW <= table) & (table <= _HIGH)).all():
+        return None
+    table[degrees, 6] *= _DEG_TO_RAD
+    return table, labels
+
+
 def load_scene(path) -> Scene:
+    """The scene of a JSON scene file. Its boxes are read in one pass into
+    one table; only when that pass refuses them are they read again box by
+    box, to raise the ParseError that names the first faulty field."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(path, "<root>", "expected an object")
@@ -133,12 +193,14 @@ def load_scene(path) -> Scene:
         raise ParseError(path, "frame_id", "expected an integer")
     if not isinstance(doc.get("boxes"), list):
         raise ParseError(path, "boxes", "expected a list")
-    boxes = [_parse_box(entry, path, f"boxes[{i}]") for i, entry in enumerate(doc["boxes"])]
-    centers, dims, yaws, confidences, labels = zip(*boxes) if boxes else [()] * 5
-    n = len(boxes)
+    read = _box_table(doc["boxes"])
+    if read is None:
+        for i, entry in enumerate(doc["boxes"]):
+            _parse_box(entry, path, f"boxes[{i}]")
+        raise AssertionError(f"{path}: the one-pass read refused boxes that read one by one")
+    table, labels = read
     return Scene.from_arrays(
-        np.reshape(centers, (n, 3)), np.reshape(dims, (n, 3)), yaws, confidences, labels,
-        doc["agent_id"], doc["frame_id"],
+        table[:, :3], table[:, 3:6], table[:, 6], table[:, 7], labels, doc["agent_id"], doc["frame_id"]
     )
 
 

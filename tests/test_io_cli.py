@@ -6,7 +6,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from boxcalib import (
     top_k_by_volume,
     transform_scene,
 )
+from boxcalib import io as bio
 from boxcalib.io import (
     MAX_COORDINATE_M,
     ParseError,
@@ -335,6 +338,32 @@ def test_state_integers_beyond_float_range_are_parse_errors(tmp_path):
     assert load_state(write_json(tmp_path, "s.json", base)).last_health == (5.0, 0.25)
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_state_and_extrinsic_files_get_the_mode_of_a_scene_file(tmp_path, umask):
+    # a consumer running as another user reads the monitor's files as it
+    # reads a scene file: both are created 0o666 under the umask
+    state = MonitorState(yaw_transform(0.5, (1, 2, 3)), MonitorStatus.CALIBRATED, (5.0, 0.25), 1)
+    previous = os.umask(umask)
+    try:
+        save_scene(spread_scene(3, seed=1), tmp_path / "scene.json")
+        save_state(state, tmp_path / "state.json")
+        save_extrinsic(state.current_extrinsic, tmp_path / "extrinsic.json")
+        save_state(state, tmp_path / "state.json")  # a replaced file too
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["scene.json", "state.json", "extrinsic.json"], 0o666 & ~umask)
+
+
+def test_a_failed_atomic_write_leaves_no_file_beside_its_target_and_names_it(tmp_path):
+    target = tmp_path / "state.json"
+    target.mkdir()  # the rename over a directory fails after the write
+    with pytest.raises(OSError) as info:
+        save_state(MonitorState.initial(), target)
+    assert info.value.filename == str(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"] and target.is_dir()
+
+
 # ---- run configuration ----
 
 
@@ -529,6 +558,20 @@ def test_calibrate_parse_failure_exits_2_and_names_the_field(tmp_path, capsys):
     rc = cli.main(["calibrate", str(bad), str(good)])
     assert rc == 2
     assert "boxes[0].center" in capsys.readouterr().err
+
+
+def test_calibrate_a_scene_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    ego_path, coop_path, _ = write_pair(tmp_path)
+    doc = json.loads(ego_path.read_text())
+    doc["boxes"][0]["class"] = "café"
+    ego_path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        load_scene(ego_path)
+    assert info.value.where == "<file>" and "'utf-8' codec can't decode byte 0xe9" in str(info.value)
+    assert cli.main(["calibrate", str(ego_path), str(coop_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {ego_path}: <file>: 'utf-8' codec can't decode")
+    assert captured.out == ""
 
 
 def test_calibrate_missing_file_exits_2(tmp_path, capsys):
@@ -989,6 +1032,46 @@ def test_monitor_records_a_frame_with_an_integer_beyond_float_range_as_unreadabl
     assert kinds == [("BootCalibrated", 1), ("DegradedEntered", 0), ("HealthOk", 0)]
     assert events[1]["confidence"] == 0.0 and events[1]["mean_distance"] is None
     assert "status: Calibrated after 3 frames" in captured.out
+
+
+def test_monitor_records_a_frame_that_is_not_utf8_as_unreadable(tmp_path, capsys):
+    stream = write_stream(tmp_path, "stream", monitor_frames(3))
+    bad = stream / "01.coop.json"
+    bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+    out = tmp_path / "out"
+    assert cli.main(["monitor", str(stream), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert f"frame 01: {bad}: <file>: 'utf-8' codec can't decode byte 0xff" in captured.err
+    events = read_events(out)
+    assert [(e["frame_id"], e["kind"]) for e in events] == [
+        (0, "BootCalibrated"), (1, "DegradedEntered"), (2, "HealthOk")
+    ]
+    assert "status: Calibrated after 3 frames" in captured.out
+
+
+def test_monitor_events_are_on_disk_before_the_state_of_their_frame(tmp_path, capsys, monkeypatch):
+    # a run killed after any frame's state.json resumes with all of that
+    # frame's events, and the events of every frame before it, on disk
+    stream = write_stream(tmp_path, "stream", monitor_frames(2, n_drifted=3))
+    (stream / "02.ego.json").write_text("{ garbage")
+    out = tmp_path / "out"
+    on_disk = []
+    save_state = bio.save_state
+
+    def spy(state, path):
+        on_disk.append((state.frame_count, (out / "events.jsonl").read_text()))
+        save_state(state, path)
+
+    monkeypatch.setattr(bio, "save_state", spy)
+    assert cli.main(["monitor", str(stream), "--out", str(out)]) == 0
+    capsys.readouterr()
+    events = read_events(out)
+    assert [e["kind"] for e in events] == [
+        "BootCalibrated", "HealthOk", "DegradedEntered", "Recalibrated", "HealthOk"
+    ]
+    assert [count for count, _ in on_disk] == [1, 2, 3, 4, 5]
+    for count, text in on_disk:
+        assert [json.loads(line) for line in text.splitlines()] == [e for e in events if e["frame_id"] < count]
 
 
 def test_monitor_lost_covisibility_alert_vs_degraded(tmp_path, capsys):
