@@ -528,10 +528,11 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     2-D): as x + iy, 8 conj(dc) de summed over the xy offsets plus 2 conj(A_c
     col) A_e col over the axes' xy columns (packed rows 0, 2 and 1, 3). A
     pair's squared corner residuals sum to 8 c2 + 2 da2 (_c2, _da2 of R's
-    xy block). A set fixes no yaw, and raises DegenerateGeometry, if a + ib
-    is not finite or |a + ib| <= RANK_RATIO_MIN sum (8 |de| |dc| + 2 |A_e|_F
-    |A_c|_F), its Cauchy-Schwarz bound. A level needle fixes a yaw, but
-    needle anchors keep their zero affinity (_score_anchors)."""
+    xy block). Also returns fixed, whether each set fixes a yaw: it does not
+    if a + ib is not finite or |a + ib| <= RANK_RATIO_MIN sum (8 |de| |dc|
+    + 2 |A_e|_F |A_c|_F), its Cauchy-Schwarz bound, and then its (R, t,
+    rms) mean nothing. A level needle fixes a yaw, but needle anchors keep
+    their zero affinity (_score_anchors)."""
     sizes = np.array([len(pairs) for pairs, _ in keys])
     rows, cols = np.array([ij for pairs, _ in keys for ij in pairs]).T
     seg = np.repeat(np.arange(len(keys)), sizes)
@@ -547,10 +548,7 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     z = np.add.reduceat(z, starts)
     norms = 8.0 * np.linalg.norm(de, axis=1) * np.linalg.norm(dc, axis=1)
     norms += 2.0 * np.linalg.norm(axes_e, axis=0) * np.linalg.norm(axes_c, axis=0)
-    bound = np.add.reduceat(norms, starts)
-    bad = np.flatnonzero(~np.isfinite(z) | (np.abs(z) <= RANK_RATIO_MIN * bound))
-    if len(bad):
-        raise DegenerateGeometry(f"valid set {bad[0]} fixes no yaw (a + ib = {z[bad[0]]}, bound {bound[bad[0]]})")
+    fixed = np.isfinite(z) & (np.abs(z) > RANK_RATIO_MIN * np.add.reduceat(norms, starts))
     theta = np.arctan2(z.imag, z.real)
     cos, sin = np.cos(theta), np.sin(theta)
     R = np.zeros((len(keys), 3, 3))
@@ -560,40 +558,42 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     c2 = _c2(de.T, (*_rotated(xy, dc.T[:2]), dc[:, 2]))
     da2 = _da2(axes_e, xy, axes_c)
     rms = np.sqrt(np.bincount(seg, weights=8.0 * c2 + 2.0 * da2, minlength=len(keys)) / (8 * sizes))
-    return R, t, rms
+    return R, t, rms, fixed
 
 
 def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], params: ODistParams):
     """Refit every anchor's transform on its valid set (_fit) until the
     refit no longer scores better, all anchors in lockstep rounds. This
     ends: each kept refit strictly lowers _rank, and a refit depends only
-    on the valid set it fits. A one-pair valid set is the anchor itself and
-    is left alone. Each round fits the new valid sets of the still improving
-    anchors at once and scores each refit (R, t) about (t, 0) under both
-    coop headings in one _score_motions, as alignment_score scores (R, t);
-    the refit's score is the one under its valid set's heading. Returns the
-    refined scores, in the order of anchors, fits: each fitted key's (R, t,
-    rms) and its two scores (headings as given, reversed), and the number
-    of rounds that fitted new valid sets.
+    on the valid set it fits. The refit of a set that fixes no yaw is never
+    kept. Each round fits the new valid sets of the still improving anchors
+    at once and scores each refit (R, t) about (t, 0) under both coop
+    headings in one _score_motions, as alignment_score scores (R, t); the
+    refit's score is the one under its valid set's heading. Returns the
+    refined scores, in the order of anchors, each with its key in fits;
+    fits: each fitted key's (R, t, rms), its two scores (headings as given,
+    reversed) and whether it fixes a yaw; and the rounds that fitted new
+    valid sets.
     """
     fits: dict[tuple, tuple] = {}
     scores = list(anchors)
-    active = [k for k, score in enumerate(scores) if len(score.valid_pairs) >= 2]
+    active = list(range(len(scores)))
     rounds = 0
     while active:
         keys = [_key(scores[k]) for k in active]
         new = list(dict.fromkeys(key for key in keys if key not in fits))
         if new:
             rounds += 1
-            R, t, rms = _fit(ego, coop, new)
+            R, t, rms, fixed = _fit(ego, coop, new)
             motions = R.repeat(2, axis=0), t.repeat(2, axis=0), np.zeros((2 * len(new), 3))
             both = _score_motions(ego, coop, *motions, [False, True] * len(new), params)
             for k, key in enumerate(new):
-                fits[key] = (R[k], t[k], rms[k]), (both[2 * k], both[2 * k + 1])
+                fits[key] = (R[k], t[k], rms[k]), (both[2 * k], both[2 * k + 1]), bool(fixed[k])
         improving = []
         for k, key in zip(active, keys):
-            refined = fits[key][1][key[1]]  # the refit's score under its valid set's heading
-            if _rank(refined) < _rank(scores[k]):
+            _, headings, fixes = fits[key]
+            refined = headings[key[1]]  # the refit's score under its valid set's heading
+            if fixes and _rank(refined) < _rank(scores[k]):
                 scores[k] = refined
                 improving.append(k)
         active = improving
@@ -620,12 +620,12 @@ def _seeds(entries: np.ndarray, mean: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
-    """associate's matches and their fit (_fit) on the scenes' arrays: the
-    cached fit _refine stopped at, or the one fit of a one-pair valid set;
-    the fit's alignment_score on these arrays, read from refinement (None
-    for a one-pair valid set, which refinement does not fit); the seconds
-    of the anchor pass and of the rest; and the refinement rounds and the
-    valid sets fitted, that one fit included."""
+    """associate's matches and their fit (_fit), the cached fit _refine
+    stopped at; the fit's alignment_score on these arrays, read from
+    refinement; the seconds of the anchor pass and of the rest; and the
+    refinement rounds and the valid sets fitted. Raises DegenerateGeometry
+    if the winner's valid set fixes no yaw, whatever the other seeds' sets
+    do."""
     start = time.perf_counter()
     affinity, frame = _score_anchors(ego, coop, params)
     scored = time.perf_counter()
@@ -637,15 +637,13 @@ def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     # the seeds are in (ego, coop) order and min keeps the first of equals
     best = min(refined, key=_rank)
     key = _key(best)
-    sets = len(fits) + (key not in fits)
-    if key in fits:
-        (R, t, rms), headings = fits[key]
-        health = min(headings, key=_rank)  # as alignment_score: the given headings win ties
-    else:
-        (R, t, rms), health = [x[0] for x in _fit(ego, coop, [key])], None
+    (R, t, rms), headings, fixes = fits[key]
+    if not fixes:
+        raise DegenerateGeometry(f"the winning valid set {key[0]} fixes no yaw")
+    health = min(headings, key=_rank)  # as alignment_score: the given headings win ties
     fit = RegistrationResult(RigidTransform(R, t), float(rms))
     matches = MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0]))
-    return matches, fit, health, (scored - start, time.perf_counter() - scored), (rounds, sets)
+    return matches, fit, health, (scored - start, time.perf_counter() - scored), (rounds, len(fits))
 
 
 def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> MatchSet:

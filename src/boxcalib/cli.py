@@ -202,6 +202,7 @@ def cmd_monitor(args) -> int:
     else:
         state = MonitorState.initial()
 
+    written = None  # the extrinsic this run last wrote: a health frame holds it unchanged
     with open(events_path, "a") as events_file:
         for stem, ego_path, coop_path in _stream_frames(args.stream):
             try:
@@ -216,8 +217,9 @@ def cmd_monitor(args) -> int:
             for event in events:
                 events_file.write(json.dumps(bio.event_to_dict(event), allow_nan=False) + "\n")
             events_file.flush()  # a resumed run must find every event of the state it resumes from
-            if state.current_extrinsic is not None:
+            if state.current_extrinsic is not None and state.current_extrinsic is not written:
                 bio.save_extrinsic(state.current_extrinsic, extrinsic_path)
+                written = state.current_extrinsic
             bio.save_state(state, state_path)
     print(f"status: {state.status.value} after {state.frame_count} frames")
     return EXIT_OK

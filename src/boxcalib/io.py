@@ -105,7 +105,7 @@ def _parse_box(entry, path, where) -> tuple:
     """(center, dims, yaw, confidence, label) of one box, checked as
     DetectionBox checks a box and with its messages. load_scene reads a
     box list with it only to name the first faulty field of a list that
-    _box_table refused; the tests read with it as _box_table's reference."""
+    its one-pass read refused; the tests read with it as their reference."""
     if not isinstance(entry, dict):
         raise ParseError(path, where, "expected an object")
     for key in ("center", "dims"):
@@ -137,17 +137,11 @@ def _parse_box(entry, path, where) -> tuple:
 
 _DEG_TO_RAD = math.pi / 180.0  # math.radians multiplies by this same constant
 
-# Inclusive bounds of each column of a box table, center (3), dims (3), yaw,
-# confidence: center and dims within MAX_COORDINATE_M, dims from the
-# smallest positive float, any finite yaw, confidence in [0, 1]. A NaN is
-# within no bounds.
-_LOW = np.array([-MAX_COORDINATE_M] * 3 + [math.ulp(0.0)] * 3 + [-sys.float_info.max, 0.0])
-_HIGH = np.array([MAX_COORDINATE_M] * 6 + [sys.float_info.max, 1.0])
-
 
 def _box_table(boxes: list) -> tuple[np.ndarray, list] | None:
-    """The (n, 8) table and the labels of boxes, read in one pass and
-    checked as _parse_box checks them; None when a box fails any check."""
+    """The (n, 8) table and the labels of boxes, read in one pass; None if
+    a JSON type or structure check fails or a center or dims entry is not
+    within MAX_COORDINATE_M (a NaN never is). Scene.from_arrays checks the rest."""
     values, degrees, labels = [], [], []
     for entry in boxes:
         if type(entry) is not dict:
@@ -171,10 +165,10 @@ def _box_table(boxes: list) -> tuple[np.ndarray, list] | None:
     if not set(map(type, values)) <= {float, int}:
         return None
     try:
-        table = np.array(values, dtype=float).reshape(len(labels), len(_LOW))
+        table = np.array(values, dtype=float).reshape(len(labels), 8)
     except OverflowError:
         return None
-    if not ((_LOW <= table) & (table <= _HIGH)).all():
+    if not (np.abs(table[:, :6]) <= MAX_COORDINATE_M).all():
         return None
     table[degrees, 6] *= _DEG_TO_RAD
     return table, labels
@@ -182,8 +176,8 @@ def _box_table(boxes: list) -> tuple[np.ndarray, list] | None:
 
 def load_scene(path) -> Scene:
     """The scene of a JSON scene file. Its boxes are read in one pass into
-    one table; only when that pass refuses them are they read again box by
-    box, to raise the ParseError that names the first faulty field."""
+    one table and one Scene.from_arrays; only if either refuses them are
+    they read box by box, to raise the ParseError naming the first fault."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(path, "<root>", "expected an object")
@@ -194,14 +188,17 @@ def load_scene(path) -> Scene:
     if not isinstance(doc.get("boxes"), list):
         raise ParseError(path, "boxes", "expected a list")
     read = _box_table(doc["boxes"])
-    if read is None:
-        for i, entry in enumerate(doc["boxes"]):
-            _parse_box(entry, path, f"boxes[{i}]")
-        raise AssertionError(f"{path}: the one-pass read refused boxes that read one by one")
-    table, labels = read
-    return Scene.from_arrays(
-        table[:, :3], table[:, 3:6], table[:, 6], table[:, 7], labels, doc["agent_id"], doc["frame_id"]
-    )
+    if read is not None:
+        table, labels = read
+        try:
+            return Scene.from_arrays(
+                table[:, :3], table[:, 3:6], table[:, 6], table[:, 7], labels, doc["agent_id"], doc["frame_id"]
+            )
+        except ValueError:
+            pass  # the box-by-box read below names the field
+    for i, entry in enumerate(doc["boxes"]):
+        _parse_box(entry, path, f"boxes[{i}]")
+    raise AssertionError(f"{path}: the one-pass read refused boxes that read one by one")
 
 
 def scene_to_dict(scene: Scene) -> dict:

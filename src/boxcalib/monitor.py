@@ -54,7 +54,7 @@ class MonitorEvent:
     kind: EventKind
     confidence: float
     mean_distance: float
-    attempt: int  # 1 for the outcome of the frame's calibration, 0 for health events
+    attempt: int  # 1 for the outcome of the frame's calibration, 0 where none ran: health, unreadable frame
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ class CalibrationTrace:
     refinement_s: float  # the choice of the best five anchors, their refits, the winner and its fit
     health_s: float  # the final transform's alignment score on the full scenes, unless refinement scored it
     refinement_rounds: int  # refinement rounds that fitted new valid sets, one _fit each
-    sets_fitted: int  # distinct valid sets fitted, a one-pair winner's one fit included
+    sets_fitted: int  # distinct valid sets fitted, every seed's own set included
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ def calibrate_scenes(
     which association computed once while refining. The matches index the
     kept scenes, not the caller's. The health is the transform's
     alignment_score on the full scenes: read from refinement when top_k
-    kept both scenes whole and the matches are more than one pair, scored
-    anew otherwise. Raises NoCoVisibleObjects if association finds nothing
-    and DegenerateGeometry if the matches fix no yaw.
+    kept both scenes whole, scored anew otherwise. Raises NoCoVisibleObjects
+    if association finds nothing and DegenerateGeometry if the matches fix
+    no yaw, not if only a losing seed's valid set does.
     """
     start = time.perf_counter()
     tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
@@ -79,7 +79,7 @@ def calibrate_scenes(
     built = time.perf_counter()
     matches, fit, health, seconds, counts = _associate(*kept, params)  # seconds: anchor pass, refinement
     matched = time.perf_counter()
-    if health is None or tops[0] is not ego or tops[1] is not coop:
+    if tops[0] is not ego or tops[1] is not coop:
         health = alignment_score(ego, coop, fit.transform, params)
     end = time.perf_counter()
     return CalibrationReport(

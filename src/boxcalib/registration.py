@@ -47,7 +47,7 @@ class DegenerateGeometry(ValueError):
     """The geometry fixes no rotation: a cross-covariance fails the rank
     test (rank_deficient) or is not finite, as for weighted point sets with
     fewer than 3 effective points or collinear after centering and for a
-    needle box pair; or a valid set fixes no yaw (association._fit)."""
+    needle box pair; or the winner's valid set fixes no yaw (association)."""
 
 
 class EmptyMatchSet(ValueError):

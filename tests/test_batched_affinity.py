@@ -247,7 +247,7 @@ def test_associate_scores_each_ego_index_in_one_block(monkeypatch, ego, coop):
 
     def motions_spy(ego_a, coop_a, R, e_star, c_star, flipped, params):
         motions.append(len(flipped))
-        R_fit, t_fit, _ = fits[-1]
+        R_fit, t_fit, _, _ = fits[-1]
         assert len(motions) <= len(fits), "a motion other than a refit was scored"
         assert np.array_equal(R, R_fit.repeat(2, axis=0)) and np.array_equal(e_star, t_fit.repeat(2, axis=0))
         assert not np.any(c_star) and list(flipped) == [False, True] * len(R_fit)

@@ -28,6 +28,7 @@ from boxcalib import (
     DegenerateGeometry,
     Match,
     MatchSet,
+    NoCoVisibleObjects,
     NoiseConfig,
     RigidTransform,
     SynthConfig,
@@ -58,7 +59,8 @@ def corner_fit(ego, coop, pairs, flipped):
 
 
 def closed_form_fit(ego, coop, pairs, flipped):
-    R, t, rms = association._fit(ego._arrays, coop._arrays, [(pairs, flipped)])
+    R, t, rms, fixed = association._fit(ego._arrays, coop._arrays, [(pairs, flipped)])
+    assert fixed.tolist() == [True], "the set fixes no yaw"
     return RegistrationResult(RigidTransform(R[0], t[0]), float(rms[0]))
 
 
@@ -173,24 +175,28 @@ def test_every_fitted_rotation_is_a_yaw():
 
 
 @pytest.mark.parametrize(
-    "ego_boxes, coop_boxes",
+    "ego_boxes, coop_boxes, failure",
     [
         # squares of coordinates near 1e155 overflow the cross-covariance
         ([make_box((1e155, 0, 0)), make_box((0, 1e155, 0))],
-         [make_box((1e155, 0, 0)), make_box((0, 1e155, 0))]),
-        # a needle pair fixes no rotation about its axis
-        ([make_box((0, 0, 0), dims=(1e-9, 1e-9, 5.0))], [make_box((3, 1, 0), dims=(1e-9, 1e-9, 5.0))]),
+         [make_box((1e155, 0, 0)), make_box((0, 1e155, 0))], DegenerateGeometry),
+        # a needle pair fixes no rotation about its axis; its anchor's
+        # affinity is zero, so calibrate_scenes finds no anchor to refine
+        ([make_box((0, 0, 0), dims=(1e-9, 1e-9, 5.0))], [make_box((3, 1, 0), dims=(1e-9, 1e-9, 5.0))],
+         NoCoVisibleObjects),
     ],
     ids=["overflow", "needle"],
 )
-def test_fit_raises_where_the_corner_fit_does(ego_boxes, coop_boxes):
+def test_fit_raises_where_the_corner_fit_does(ego_boxes, coop_boxes, failure):
+    # _fit flags the set as fixing no yaw, and calibrate_scenes raises
     ego, coop = make_scene(ego_boxes), make_scene(coop_boxes)
     pairs = tuple((k, k) for k in range(len(ego)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DegenerateGeometry):
             corner_fit(ego, coop, pairs, False)
-        with pytest.raises(DegenerateGeometry):
-            closed_form_fit(ego, coop, pairs, False)
+        assert association._fit(ego._arrays, coop._arrays, [(pairs, False)])[3].tolist() == [False]
+        with pytest.raises(failure):
+            calibrate_scenes(ego, coop)
 
 
 def noisy_frames():

@@ -934,6 +934,39 @@ def test_monitor_recalibrates_on_drift(tmp_path, capsys):
     assert events[2]["frame_id"] == 2
 
 
+def test_monitor_writes_the_extrinsic_when_the_held_one_changes(tmp_path, capsys, monkeypatch):
+    # a boot and three health frames write extrinsic.json once, a
+    # recalibration writes it again, and a resumed run writes it on its
+    # first frame; each frame writes its events, then the extrinsic, then
+    # the state
+    writes, save_extrinsic, save_state = [], bio.save_extrinsic, bio.save_state
+
+    def extrinsic_spy(transform, path):
+        writes.append(("extrinsic", len(read_events(path.parent))))
+        save_extrinsic(transform, path)
+
+    def state_spy(state, path):
+        writes.append(("state", len(read_events(path.parent))))
+        save_state(state, path)
+
+    monkeypatch.setattr(bio, "save_extrinsic", extrinsic_spy)
+    monkeypatch.setattr(bio, "save_state", state_spy)
+    frames = monitor_frames(4, n_drifted=2)
+    out = tmp_path / "out"
+    assert cli.main(["monitor", str(write_stream(tmp_path, "first", frames)), "--out", str(out)]) == 0
+    assert [e["kind"] for e in read_events(out)] == ["BootCalibrated"] + ["HealthOk"] * 3 + ["Recalibrated", "HealthOk"]
+    assert writes == [
+        ("extrinsic", 1), ("state", 1), *[("state", k) for k in (2, 3, 4)],
+        ("extrinsic", 5), ("state", 5), ("state", 6),
+    ]
+    held = (out / "extrinsic.json").read_bytes()
+    writes.clear()
+    assert cli.main(["monitor", str(write_stream(tmp_path, "second", frames[-2:])), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert writes == [("extrinsic", 7), ("state", 7), ("state", 8)]
+    assert (out / "extrinsic.json").read_bytes() == held
+
+
 def test_monitor_resume_replays_identically(tmp_path, capsys):
     frames = monitor_frames(2, n_drifted=2)
     full_stream = write_stream(tmp_path, "full", frames)

@@ -4,7 +4,9 @@ The reference below is the refinement association ran before its rounds
 were batched: each assigned anchor in turn refits its valid set with one
 yaw-only closed-form fit and scores the refit with one dense transform
 score, until the refit no longer ranks better, sharing one cache of fits
-by valid set; the best refined anchor wins. Both refine only the best five
+by valid set; a refit of a set that fixes no yaw is never taken, and
+the best refined anchor wins unless its own set fixes no yaw, when the
+frame raises DegenerateGeometry. Both refine only the best five
 nonzero anchors of the affinity matrix, which the test picks itself: a
 stable sort by unrefined _rank of every nonzero anchor in (ego, coop)
 order, so ties keep that order, the first five, put back in that order.
@@ -38,6 +40,7 @@ from boxcalib.registration import RANK_RATIO_MIN
 
 from conftest import axes_reference, make_box, make_scene
 from test_anchor_prune import dense_frame
+from test_degenerate_seeds import needle_frame
 from test_fit import noisy_frames
 
 TOL = 1e-12
@@ -45,10 +48,11 @@ REFINED = 5  # the anchors refinement starts from
 
 
 def sequential_fit(ego, coop, pairs, flipped):
-    """The yaw-only closed-form fit of one valid set: (R, t, rms). The yaw
-    is atan2(b, a) of the corner cross-covariance H's a = H00 + H11 and b =
-    H10 - H01, and a set fixes no yaw when (a, b) is not finite or no longer
-    than RANK_RATIO_MIN times its Cauchy-Schwarz bound."""
+    """The yaw-only closed-form fit of one valid set: (R, t, rms), or None
+    if the set fixes no yaw. The yaw is atan2(b, a) of the corner
+    cross-covariance H's a = H00 + H11 and b = H10 - H01, and a set fixes
+    no yaw when (a, b) is not finite or no longer than RANK_RATIO_MIN times
+    its Cauchy-Schwarz bound."""
     rows, cols = np.array(pairs).T
     axes_e, axes_c = axes_reference(ego)[rows], axes_reference(coop)[cols + len(coop.yaws) * flipped]
     e, c = ego.centers[rows], coop.centers[cols]
@@ -58,7 +62,7 @@ def sequential_fit(ego, coop, pairs, flipped):
     bound = 8.0 * np.linalg.norm(e - e_bar, axis=1) @ np.linalg.norm(c - c_bar, axis=1)
     bound += 2.0 * np.linalg.norm(axes_e, axis=(1, 2)) @ np.linalg.norm(axes_c, axis=(1, 2))
     if not (math.isfinite(a) and math.isfinite(b)) or math.hypot(a, b) <= RANK_RATIO_MIN * bound:
-        raise DegenerateGeometry("the valid set fixes no yaw")
+        return None
     R = rot_z(math.atan2(b, a))
     t = e_bar - R @ c_bar
     r, da = c @ R.T + t - e, R @ axes_c - axes_e
@@ -78,16 +82,15 @@ def sequential_score(ego, coop, R, t, flipped, params):
 
 
 def sequential_refine(ego, coop, score, params, refits):
-    while len(score.valid_pairs) >= 2:
+    while True:
         key = _key(score)
         if key not in refits:
-            R, t, rms = sequential_fit(ego, coop, *key)
-            refits[key] = (R, t, rms), sequential_score(ego, coop, R, t, key[1], params)
+            fit = sequential_fit(ego, coop, *key)
+            refits[key] = fit, fit and sequential_score(ego, coop, *fit[:2], key[1], params)
         refined = refits[key][1]
-        if _rank(refined) >= _rank(score):
-            break
+        if refined is None or _rank(refined) >= _rank(score):
+            return score
         score = refined
-    return score
 
 
 def nonzero_anchors(ego, coop, params):
@@ -116,7 +119,9 @@ def sequential_associate(ego, coop, params):
     refined = [sequential_refine(*arrays, score, params, refits) for score in anchors]
     best = min(refined, key=_rank)
     key = _key(best)
-    fit = refits[key][0] if key in refits else sequential_fit(*arrays, *key)
+    fit = refits[key][0]
+    if fit is None:
+        raise DegenerateGeometry("the winner's valid set fixes no yaw")
     matches = [(i, j, best.confidence, best.coop_flipped) for i, j in key[0]]
     return refined, set(refits), matches, fit
 
@@ -171,6 +176,8 @@ FRAMES = {
     "overflow": overflow_frame(),
     # four ordinary boxes: an overflowing set ranks among the best five anchors
     "overflow-with-others": overflow_frame(near=4),
+    # a losing seed's valid set, two needles stacked at one xy, fixes no yaw
+    "stacked-needles": needle_frame(2),
 }
 
 

@@ -9,12 +9,12 @@ same _refine: whenever that reference's winner is among the best five by
 unrefined _rank, the calibration is identical to the reference, bit for
 bit; the frames where it is not may calibrate differently. Noise-free
 frames stay exact either way. On scenes kept whole the health is
-alignment_score's, bit for bit, without scoring the transform again; a
-top_k that trims a scene, or a one-pair winner, scores it on the full
-scenes. The frames are the first 120 trials of boxcalib sweep's default
-grid, 15 boxes, at seeds 501-503, drawn round robin over the cells as
-noise_sweep draws trial t of cell c, plus dense frames and fixtures full
-of ties.
+alignment_score's, bit for bit, without scoring the transform again, a
+one-pair winner's too, since refinement refits every seed's valid set; a
+top_k that trims a scene scores it on the full scenes. The frames are the
+first 120 trials of boxcalib sweep's default grid, 15 boxes, at seeds
+501-503, drawn round robin over the cells as noise_sweep draws trial t of
+cell c, plus dense frames and fixtures full of ties.
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ def refine_all(ego, coop, params):
     refined, fits, _ = association._refine(*arrays, anchors, params)
     best = min(refined, key=_rank)
     key = _key(best)
-    R, t, rms = fits[key][0] if key in fits else [x[0] for x in association._fit(*arrays, [key])]
+    R, t, rms = fits[key][0]
     matches = [(i, j, best.confidence, best.coop_flipped) for i, j in key[0]]
     among = anchors[refined.index(best)] in best_anchors(anchors)
     return among, matches, R.tobytes(), t.tobytes(), float(rms)
@@ -199,12 +199,12 @@ def test_the_health_read_from_refinement_is_alignment_score_bit_for_bit(monkeypa
         assert top_k_by_volume(ego, top_k) is ego and top_k_by_volume(coop, top_k) is coop
         calls.clear()
         report = calibrate_scenes(ego, coop, top_k=top_k)
-        # a one-pair winner is fitted after refinement, which scored no refit of it
-        assert len(calls) == (len(report.matches) == 1)
+        # refinement refits every seed's valid set, a one-pair winner's too
+        assert calls == []
         want = alignment_score(ego, coop, report.transform)
         assert (report.health_confidence, report.health_mean_distance) == (want.confidence, want.mean_distance)
         assert np.float64(report.health_mean_distance).tobytes() == np.float64(want.mean_distance).tobytes()
-    assert calls == [(lone, lone)]
+    assert len(report.matches) == 1, "the lone pair's winner is one pair"
 
 
 def test_a_top_k_that_trims_a_scene_scores_the_health_on_the_full_scenes(monkeypatch):
@@ -221,8 +221,8 @@ def test_a_top_k_that_trims_a_scene_scores_the_health_on_the_full_scenes(monkeyp
         assert calls == [(ego, coop)]
         want = alignment_score(ego, coop, report.transform)
         assert (report.health_confidence, report.health_mean_distance) == (want.confidence, want.mean_distance)
-        kept = association._associate(tops[0]._arrays, tops[1]._arrays, ODistParams())[2]  # None: one pair
-        differs += kept is not None and (kept.confidence, kept.mean_distance) != (want.confidence, want.mean_distance)
+        kept = association._associate(tops[0]._arrays, tops[1]._arrays, ODistParams())[2]
+        differs += (kept.confidence, kept.mean_distance) != (want.confidence, want.mean_distance)
     assert differs >= 10, "the kept scenes' score would pass for the full scenes' too often"
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
 ROWS = ("top-k", "scene pair", "anchor pass", "refinement", "health", "other", "total", "synthesis")
+COUNTS = ("rounds", "sets fitted")  # per calibrated frame, one number a column
 
 
 def test_stage_times_prints_every_stage_of_both_workloads():
@@ -19,7 +20,8 @@ def test_stage_times_prints_every_stage_of_both_workloads():
     assert done.returncode == 0, done.stderr
     header, *lines = done.stdout.splitlines()
     assert "sweep15 (1 frames)" in header and "dense32 (1 frames)" in header
-    assert [line[:14].strip() for line in lines] == list(ROWS)
+    assert [line[:14].strip() for line in lines] == [*ROWS, *COUNTS]
+    lines, counts = lines[: len(ROWS)], lines[len(ROWS) :]
     for line in lines:
         values = line[14:].split()  # two columns of "<ms> ms <share> %"
         assert len(values) == 8 and values[1::2] == ["ms", "%", "ms", "%"]
@@ -30,6 +32,10 @@ def test_stage_times_prints_every_stage_of_both_workloads():
     # each repeat builds the scenes' arrays anew (see the next test)
     scene_pair = lines[ROWS.index("scene pair")]
     assert all(float(v) > 0.0 for v in scene_pair[14:].split()[::4]), scene_pair
+    # refinement fits at least the winner's valid set in at least one round
+    rounds, sets = ([float(v) for v in line[14:].split()] for line in counts)
+    assert len(rounds) == len(sets) == 2
+    assert all(1.0 <= r <= s for r, s in zip(rounds, sets)), counts
 
 
 def test_every_repeat_calibrates_scenes_whose_arrays_are_yet_to_be_built(builds, monkeypatch, tmp_path):
@@ -46,8 +52,14 @@ def test_every_repeat_calibrates_scenes_whose_arrays_are_yet_to_be_built(builds,
         sys.path[:] = path
     frames = [tuple(tool.Sweep15(tool.SEED, tmp_path).frame(k)[:2]) for k in range(2)]
     builds.clear()
-    tool.stage_times(frames, tool.Sweep15.top_k, 3)
+    _, counts = tool.stage_times(frames, tool.Sweep15.top_k, 3)
     assert builds == [len(s) for _ in range(3) for frame in frames for s in frame]
+    # the counts are the trace's, averaged over the frames (both calibrate)
+    traces = [tool.calibrate_scenes(*frame, top_k=tool.Sweep15.top_k).trace for frame in frames]
+    assert counts == {
+        "rounds": sum(t.refinement_rounds for t in traces) / 2,
+        "sets fitted": sum(t.sets_fitted for t in traces) / 2,
+    }
 
 
 def test_stage_times_rejects_a_repeat_count_below_one():

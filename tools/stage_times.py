@@ -17,7 +17,7 @@ stages are those of the report's trace (CalibrationTrace):
                  winner and its fit
     health       the alignment score of the final transform on the full
                  scenes, when refinement did not score it (a scene cut by
-                 top-k, or a one-pair winner)
+                 top-k)
     other        the rest of the call: the total minus the stages above
 
 Only the total is timed here. A frame whose calibration fails returns no
@@ -28,7 +28,9 @@ is not the sum of the rows above it. A last row, synthesis, times the
 making of the frames beside the calibration: workload.frame(k) over the
 same frames (the scene pair, its noise and the benchmark's ground truth),
 the fastest of the repeats, its share taken of the calibration total.
-BLAS runs on one thread.
+Two last rows count what refinement did (CalibrationTrace), per
+calibrated frame: its rounds, and the valid sets it fitted. BLAS runs on
+one thread.
 """
 from __future__ import annotations
 
@@ -59,6 +61,8 @@ TRACED = (
     ("health", "health_s"),
 )
 STAGES = (*(stage for stage, _ in TRACED), "other")
+# each count with its CalibrationTrace field
+COUNTED = (("rounds", "refinement_rounds"), ("sets fitted", "sets_fitted"))
 
 
 def fresh(scene: Scene) -> Scene:
@@ -66,10 +70,12 @@ def fresh(scene: Scene) -> Scene:
     return Scene(scene.boxes, scene.agent_id, scene.frame_id)
 
 
-def one_repeat(frames, top_k) -> dict[str, float]:
-    """Calibrate fresh copies of every frame once; the seconds spent in each stage."""
+def one_repeat(frames, top_k) -> tuple[dict[str, float], dict[str, float]]:
+    """Calibrate fresh copies of every frame once; the seconds spent in
+    each stage, and each count's mean over the calibrated frames."""
     stages = dict.fromkeys(STAGES[:-1], 0.0)
-    total = 0.0
+    counts = dict.fromkeys((name for name, _ in COUNTED), 0)
+    calibrated, total = 0, 0.0
     for ego, coop in [(fresh(ego), fresh(coop)) for ego, coop in frames]:
         start = time.perf_counter()
         try:
@@ -78,17 +84,21 @@ def one_repeat(frames, top_k) -> dict[str, float]:
             report = None
         total += time.perf_counter() - start
         if report is not None:
+            calibrated += 1
             for stage, field in TRACED:
                 stages[stage] += getattr(report.trace, field)
+            for name, field in COUNTED:
+                counts[name] += getattr(report.trace, field)
     stages["other"] = total - sum(stages.values())
     stages["total"] = total
-    return stages
+    return stages, {name: count / max(calibrated, 1) for name, count in counts.items()}
 
 
-def stage_times(frames, top_k, repeats: int) -> dict[str, float]:
-    """Milliseconds per frame of each stage, the fastest of the repeats."""
+def stage_times(frames, top_k, repeats: int) -> tuple[dict[str, float], dict[str, float]]:
+    """Milliseconds per frame of each stage, the fastest of the repeats,
+    and the counts per calibrated frame, which every repeat repeats."""
     runs = [one_repeat(frames, top_k) for _ in range(repeats)]
-    return {name: 1e3 * min(run[name] for run in runs) / len(frames) for name in runs[0]}
+    return {name: 1e3 * min(run[name] for run, _ in runs) / len(frames) for name in runs[0][0]}, runs[0][1]
 
 
 def synthesis_ms(workload, count: int, repeats: int) -> float:
@@ -118,14 +128,16 @@ def main(argv=None) -> None:
                 continue
             workload = cls(SEED, Path(tmp))
             frames = [tuple(workload.frame(k)[:2]) for k in range(count)]
-            times = stage_times(frames, workload.top_k, args.repeats)
+            times, counts = stage_times(frames, workload.top_k, args.repeats)
             times["synthesis"] = synthesis_ms(workload, count, args.repeats)
-            columns.append((f"{name} ({count} frames)", times))
+            columns.append((f"{name} ({count} frames)", times, counts))
 
-    print(f"{'ms per frame':<14}" + "".join(f"{title:>26}" for title, _ in columns))
+    print(f"{'ms per frame':<14}" + "".join(f"{title:>26}" for title, *_ in columns))
     for stage in (*STAGES, "total", "synthesis"):
-        cells = [f"{t[stage]:9.3f} ms {100 * t[stage] / t['total']:5.1f} %" for _, t in columns]
+        cells = [f"{t[stage]:9.3f} ms {100 * t[stage] / t['total']:5.1f} %" for _, t, _ in columns]
         print(f"{stage:<14}" + "".join(f"{cell:>26}" for cell in cells))
+    for name, _ in COUNTED:  # the number under the ms column
+        print((f"{name:<14}" + "".join(f"{c[name]:9.3f}{'':11}".rjust(26) for *_, c in columns)).rstrip())
 
 
 if __name__ == "__main__":
