@@ -10,19 +10,21 @@ is scored by how well the rest of the scene lines up:
   greedy one-to-one pairing by ascending distance, and
 * mean_distance: the mean pair distance over that valid set.
 
-Anchor confidences fill an affinity matrix, and refinement starts from
-its best five nonzero anchors by unrefined score (_REFINED, _seeds), ties
-to the lower (ego, coop) index. Each is refined on its valid set by
-closed-form fits of the pairs' corners by a yaw and a translation (_fit)
-to a fixed point, and the final matches are the refined consensus (valid
-set) of the best refined anchor, as in LO-RANSAC: pairs that agree only
-with themselves never join it, and the local step runs only on
-hypotheses that can still win. Each distinct valid set is fit once, and
-the winner's fit is the calibration's transform. The paper's
-optimal-transport stage, one Hungarian solve of the affinity matrix
-(solve_assignment), stays public but is off this path: the assignment
-only chose which anchors to refine, and the best five anchors may share
-a box, which one-to-one assignment would forbid. It is the one user of
+The anchor pass scores every anchor, a needle's too, and refinement
+starts from its best five nonzero anchors by unrefined score (_REFINED,
+_seeds), ties to the lower (ego, coop) index. Each is refined on its
+valid set by closed-form fits of the pairs' corners by a yaw and a
+translation (_fit) to a fixed point, and the final matches are the
+refined consensus (valid set) of the best refined anchor, as in
+LO-RANSAC: pairs that agree only with themselves never join it, and the
+local step runs only on hypotheses that can still win. Each distinct
+valid set is fit once, and the winner's fit is the calibration's
+transform; the one degeneracy rule is _fit's, that the winner's valid
+set fixes a yaw. The paper's affinity matrix (build_affinity) and its
+optimal-transport stage, one Hungarian solve of it (solve_assignment),
+stay public but are off this path: the assignment only chose which
+anchors to refine, and the best five anchors may share a box, which
+one-to-one assignment would forbid. solve_assignment is the one user of
 scipy here, imported when first called.
 
 Every score is of rigid motions x -> e* + R (x - c*), and one pair
@@ -42,18 +44,18 @@ kernels generate the pairs, each run once per frame or refinement round,
 never per anchor. The anchor pass (_anchor_pass) builds the frame's
 tables and scores every anchor, each about (e_i, c_j), on the pairs that
 a grid of the offsets in each box's heading frame puts within reach (a
-fixed-radius join), in one loop over chunks of rows, and fills the
-affinity matrix; refinement starts from the best five anchors' scores
-read from it. The transform kernel (_score_motions) scores given motions,
-one PairScore each, under one coop heading each: odist's two (an
-anchor's, bit for bit the pass's), and a transform's two about (t, 0):
-alignment_score's, the health check's and each refit's (_refine), so the
-winner's refit carries the calibration's health on scenes kept whole.
-One rule ranks scores (_rank): it picks the heading of each anchor and
-of each scored transform, chooses the anchors refinement starts from,
-and decides refinement's steps. The kernels take the scenes' arrays
-(_SceneArrays), which a scene builds once, on first use (Scene._arrays),
-and every entry point reads.
+fixed-radius join), in one loop over chunks of rows; refinement starts
+from the best five anchors' scores read from it. The transform kernel
+(_score_motions) scores given motions, one PairScore each, under one
+coop heading each: odist's two (an anchor's, bit for bit the pass's),
+and a transform's two about (t, 0): alignment_score's, the health
+check's and each refit's (_refine), so the winner's refit carries the
+calibration's health on scenes kept whole. One rule ranks scores (_rank,
+_rank_key, or its mean term over arrays): it picks the heading of each
+anchor and of each scored transform, chooses the anchors refinement
+starts from, and decides refinement's steps. The kernels take the
+scenes' arrays (_SceneArrays), which a scene builds once, on first use
+(Scene._arrays), and every entry point reads.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _FLIP_AXES, DetectionBox, RigidTransform, Scene, _SceneArrays
-from .registration import RANK_RATIO_MIN, DegenerateGeometry, RegistrationResult, rank_deficient
+from .registration import RANK_RATIO_MIN, DegenerateGeometry
 
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 
@@ -161,8 +163,8 @@ class MatchSet:
 @dataclass(frozen=True)
 class AffinityMatrix:
     """entries[i, j] is the anchor confidence of (ego i, coop j), zero
-    where the anchor is degenerate or pairs nothing within tau. coop_flip
-    marks anchors whose winning variant used the reversed coop heading."""
+    where the anchor pairs nothing within tau. coop_flip marks anchors
+    whose winning variant used the reversed coop heading."""
 
     entries: np.ndarray
     coop_flip: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -331,10 +333,13 @@ def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, e_star, c_star, fli
 
 def _rank_key(confidence: float, mean_distance: float) -> tuple[float, float]:
     """Sort key of scores, best first: higher confidence, then lower mean
-    distance to 1e-9 m (as Python rounds a float, not a NumPy scalar).
-    Means that differ only by rounding tie, so callers' tie rules (unflipped
-    variant first, lower ego index first) decide, not floating-point noise."""
-    return -confidence, round(float(mean_distance), 9)
+    distance in nanometres, rounded half to even (a non-finite mean kept).
+    Means in one rounding class tie, so callers' tie rules (unflipped
+    variant first, lower ego index first) decide, not floating-point noise.
+    Over arrays the mean term is np.rint(mean * 1e9), equal to it on every
+    float (_anchor_pass, _seeds)."""
+    nm = float(mean_distance) * 1e9
+    return -confidence, round(nm) if math.isfinite(nm) else nm
 
 
 def _rank(score: PairScore) -> tuple[float, float]:
@@ -350,7 +355,8 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     entries add exactly. Returns (conf, mean, flip, kept): _pair_up's
     results for cells (2 i + variant) m + j, conf and mean shaped (n, 2,
     m), kept in (cell, p, q) order, and flip (n, m), the anchors whose
-    flipped variant wins by _rank_key (ties unflipped).
+    flipped variant wins by _rank_key (ties unflipped). An anchor's
+    confidence is conf.max(axis=1), its winning variant's.
 
     A pair comes within tau only if its center difference is within reach
     = tau / (alpha + beta sqrt(8)). As rot_z(phi) = rot_z(yaw_i) rot_z(-
@@ -425,9 +431,8 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     near = [np.concatenate(column) for column in zip(*near)]  # and the chunk list
     conf, mean, kept = _pair_up(*near, n * V * m, (n, m), params)
     conf, mean = conf.reshape(n, V, m), mean.reshape(n, V, m)
-    flip = conf[:, 1] > conf[:, 0]
-    for r, b in np.argwhere((conf[:, 1] == conf[:, 0]) & (mean[:, 1] < mean[:, 0])):
-        flip[r, b] = _rank_key(conf[r, 1, b], mean[r, 1, b]) < _rank_key(conf[r, 0, b], mean[r, 0, b])
+    nm = np.rint(mean * 1e9)  # _rank_key's mean term
+    flip = (conf[:, 1] > conf[:, 0]) | ((conf[:, 1] == conf[:, 0]) & (nm[:, 1] < nm[:, 0]))
     return conf, mean, flip, kept
 
 
@@ -445,12 +450,10 @@ def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistPa
     """Score anchor pair (ego[i], coop[j]) by whole-scene alignment
     consistency: the better by _rank of its motions (see _anchor_pass) under
     the coop heading as given and reversed, the given one winning ties; the
-    valid pairs come in (ego, coop) index order. Raises DegenerateGeometry
-    for a needle anchor, whose corners fix no rotation, and IndexError for
-    an index out of range (< 0: from the end)."""
+    valid pairs come in (ego, coop) index order. A needle anchor is scored
+    like any other. Raises IndexError for an index out of range (< 0: from
+    the end)."""
     e, c = ego._arrays, coop._arrays
-    if rank_deficient(e.dims[i] * c.dims[j]):
-        raise DegenerateGeometry(f"anchor ({i}, {j}): rank-deficient cross-covariance")
     phi = e.yaws[i] - c.yaws[j]
     cos, sin = np.cos(phi), np.sin(phi)
     R = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
@@ -470,18 +473,11 @@ def alignment_score(
     return min(scores, key=_rank)
 
 
-def _score_anchors(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
-    """The affinity matrix (each anchor's confidence and winning flip flag,
-    zero for needle anchors) and the _anchor_pass that filled it."""
-    frame = _anchor_pass(ego, coop, params)
-    conf, _, flip, _ = frame
-    needles = rank_deficient(ego.dims[:, None, :] * coop.dims[None, :, :])
-    return AffinityMatrix(np.where(needles, 0.0, conf.max(axis=1)), flip & ~needles), frame
-
-
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
-    """Score every anchor pair; entry (i, j) is its confidence."""
-    return _score_anchors(ego._arrays, coop._arrays, params)[0]
+    """Score every anchor pair (_anchor_pass); entry (i, j) is its
+    confidence, and coop_flip its winning variant."""
+    conf, _, flip, _ = _anchor_pass(ego._arrays, coop._arrays, params)
+    return AffinityMatrix(conf.max(axis=1), flip)
 
 
 def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
@@ -531,8 +527,8 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     xy block). Also returns fixed, whether each set fixes a yaw: it does not
     if a + ib is not finite or |a + ib| <= RANK_RATIO_MIN sum (8 |de| |dc|
     + 2 |A_e|_F |A_c|_F), its Cauchy-Schwarz bound, and then its (R, t,
-    rms) mean nothing. A level needle fixes a yaw, but needle anchors keep
-    their zero affinity (_score_anchors)."""
+    rms) mean nothing. This is the calibration's one degeneracy rule: a
+    level needle's axes fix a yaw, a vertical needle's do not."""
     sizes = np.array([len(pairs) for pairs, _ in keys])
     rows, cols = np.array([ij for pairs, _ in keys for ij in pairs]).T
     seg = np.repeat(np.arange(len(keys)), sizes)
@@ -600,37 +596,28 @@ def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], par
     return scores, fits, rounds
 
 
-def _seeds(entries: np.ndarray, mean: np.ndarray) -> list[tuple[int, int]]:
+def _seeds(conf: np.ndarray, mean: np.ndarray) -> list[tuple[int, int]]:
     """The anchors refinement starts from, in (ego, coop) order: the first
-    _REFINED of a stable sort by _rank_key of every nonzero anchor (i, j) of
-    the affinity entries, with the mean distance of its winning variant,
-    taken in (ego, coop) order, so ties go to the lower index. NumPy keeps
-    the anchors no worse than the _REFINED-th best by (entry, mean) but for
-    1e-6 m of mean, a superset of those _rank_key's rounding can tie with
-    it, and Python sorts only those."""
-    i, j = np.nonzero(entries)
-    conf, mean = entries[i, j], mean[i, j]
-    if len(conf) > _REFINED:
-        last = np.lexsort((mean, -conf))[_REFINED - 1]
-        near = (conf > conf[last]) | ((conf == conf[last]) & (mean <= mean[last] + 1e-6))
-        i, j, conf, mean = i[near], j[near], conf[near], mean[near]
-    conf, mean = conf.tolist(), mean.tolist()
-    best = sorted(range(len(conf)), key=lambda k: _rank_key(conf[k], mean[k]))[:_REFINED]
-    return [(int(i[k]), int(j[k])) for k in sorted(best)]
+    _REFINED of a stable sort by _rank_key of every nonzero anchor (i, j),
+    of confidence conf[i, j] and mean distance mean[i, j] (its winning
+    variant's), taken in (ego, coop) order, so ties go to the lower index."""
+    i, j = np.nonzero(conf)
+    best = np.sort(np.lexsort((np.rint(mean[i, j] * 1e9), -conf[i, j]))[:_REFINED])
+    return list(zip(i[best].tolist(), j[best].tolist()))
 
 
 def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
-    """associate's matches and their fit (_fit), the cached fit _refine
-    stopped at; the fit's alignment_score on these arrays, read from
-    refinement; the seconds of the anchor pass and of the rest; and the
-    refinement rounds and the valid sets fitted. Raises DegenerateGeometry
-    if the winner's valid set fixes no yaw, whatever the other seeds' sets
-    do."""
+    """associate's matches, their fit's transform and rms (_fit), the
+    cached fit _refine stopped at; the fit's alignment_score on these
+    arrays, read from refinement; the seconds of the anchor pass and of the
+    rest; and the refinement rounds and the valid sets fitted. Raises
+    DegenerateGeometry if the winner's valid set fixes no yaw, whatever the
+    other seeds' sets do."""
     start = time.perf_counter()
-    affinity, frame = _score_anchors(ego, coop, params)
+    frame = _anchor_pass(ego, coop, params)
     scored = time.perf_counter()
-    _, mean, flip, _ = frame  # an anchor's pass score is in cell (i, flip[i, j], j)
-    seeds = _seeds(affinity.entries, np.where(flip, mean[:, 1], mean[:, 0]))
+    conf, mean, flip, _ = frame  # an anchor's pass score is in cell (i, flip[i, j], j)
+    seeds = _seeds(conf.max(axis=1), np.where(flip, mean[:, 1], mean[:, 0]))
     if not seeds:
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
     refined, fits, rounds = _refine(ego, coop, _pair_scores(frame, seeds), params)
@@ -641,20 +628,19 @@ def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     if not fixes:
         raise DegenerateGeometry(f"the winning valid set {key[0]} fixes no yaw")
     health = min(headings, key=_rank)  # as alignment_score: the given headings win ties
-    fit = RegistrationResult(RigidTransform(R, t), float(rms))
     matches = MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0]))
-    return matches, fit, health, (scored - start, time.perf_counter() - scored), (rounds, len(fits))
+    seconds = scored - start, time.perf_counter() - scored
+    return matches, RigidTransform(R, t), float(rms), health, seconds, (rounds, len(fits))
 
 
 def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> MatchSet:
     """Full association: the refined consensus of the best refined anchor.
 
-    Only the best five nonzero anchors of the affinity matrix by unrefined
+    Only the best five nonzero anchors of the anchor pass by unrefined
     score (_rank, ties to the lower (ego, coop) index; _seeds) are refined:
-    each one's score, read from the pass that filled its affinity entry
-    (_pair_scores), is refined to a fixed point (see _refine); the one with
-    the highest refined confidence, then the least mean distance, then the
-    lowest (ego, coop) index wins. Its valid set, sorted by ego index, is
+    each one's score, read from the pass (_pair_scores), is refined to a
+    fixed point (see _refine); the one with the highest refined confidence,
+    then the least mean distance, then the lowest (ego, coop) index wins. Its valid set, sorted by ego index, is
     returned; every match carries the winner's confidence and heading-flip
     flag.
     """

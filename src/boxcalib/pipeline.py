@@ -77,15 +77,15 @@ def calibrate_scenes(
     topped = time.perf_counter()
     kept = [scene._arrays for scene in (*tops, ego, coop)][:2]  # the full scenes' too, for the health check
     built = time.perf_counter()
-    matches, fit, health, seconds, counts = _associate(*kept, params)  # seconds: anchor pass, refinement
+    matches, transform, rms, health, seconds, counts = _associate(*kept, params)  # seconds: anchor pass, refinement
     matched = time.perf_counter()
     if tops[0] is not ego or tops[1] is not coop:
-        health = alignment_score(ego, coop, fit.transform, params)
+        health = alignment_score(ego, coop, transform, params)
     end = time.perf_counter()
     return CalibrationReport(
-        transform=fit.transform,
+        transform=transform,
         matches=matches,
-        rms_residual=fit.rms_residual,
+        rms_residual=rms,
         health_confidence=health.confidence,
         health_mean_distance=health.mean_distance,
         elapsed_s=end - start,

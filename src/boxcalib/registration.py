@@ -1,8 +1,8 @@
 """Rigid registration from box corners.
 
 association fits valid sets by a yaw and a translation in closed form
-(association._fit) and keeps only the rank test of this module, for
-needle anchors. The corner path below is public and is the 6-DoF
+(association._fit) and takes only RANK_RATIO_MIN and DegenerateGeometry
+from this module. The corner path below is public and is the 6-DoF
 reference the closed forms are tested against:
 
 * pair_hypothesis: the exact rigid motion mapping one box onto another,
@@ -44,10 +44,12 @@ def rank_deficient(singular_values: np.ndarray) -> np.ndarray:
 
 
 class DegenerateGeometry(ValueError):
-    """The geometry fixes no rotation: a cross-covariance fails the rank
-    test (rank_deficient) or is not finite, as for weighted point sets with
-    fewer than 3 effective points or collinear after centering and for a
-    needle box pair; or the winner's valid set fixes no yaw (association)."""
+    """The geometry fixes no rotation. On the corner path a cross-covariance
+    fails the rank test (rank_deficient) or is not finite, as for weighted
+    point sets with fewer than 3 effective points or collinear after
+    centering and for a needle box pair (pair_hypothesis). In calibration,
+    the winner's valid set fixes no yaw (association._fit), as for
+    vertical needles alone; a level needle fixes one."""
 
 
 class EmptyMatchSet(ValueError):

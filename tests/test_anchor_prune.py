@@ -16,8 +16,8 @@ heading's rotation (xy rows negated) and reversed coop axes (the table's
 columns m + q) where the pass uses rot_z(phi) and the given axes; its
 center differences and everything after them are its own.
 odist, which scores an anchor's motions with the transform kernel and
-runs no pass, must give every anchor that is not a needle the score the
-frame pass gives it. All of it holds however the pass splits its rows
+runs no pass, must give every anchor, a needle's too, the score the frame
+pass gives it. All of it holds however the pass splits its rows
 into chunks: at the default candidate budget, at a budget that makes
 every row its own chunk and at one that splits each dense frame into at
 least three, counted by the reference's own grid (window_cells).
@@ -44,7 +44,6 @@ from boxcalib import association
 from boxcalib.association import TAU_MAX, _greedy
 from boxcalib.geometry import rot_z
 from boxcalib.io import MAX_COORDINATE_M
-from boxcalib.registration import rank_deficient
 
 from conftest import make_box, make_scene, rot_z_reference
 
@@ -69,8 +68,7 @@ class Tables:
     """The frame's tables, built here as the reference: both scenes' arrays,
     cos and sin of the heading differences yaw_e - yaw_c, the coop offsets
     c_q - c_j, the offsets of both scenes in their boxes' heading frames
-    (heading_frame), the grid windows' rounding allowance and the needle
-    anchors."""
+    (heading_frame) and the grid windows' rounding allowance."""
 
     def __init__(self, ego, coop):
         self.ego, self.coop = ego._arrays, coop._arrays
@@ -80,13 +78,12 @@ class Tables:
         self.ego_frame, self.coop_frame = heading_frame(self.ego), heading_frame(self.coop)
         centers = np.concatenate([self.ego.centers, self.coop.centers])
         self.allowance = 1e-6 * (1.0 + np.max(np.abs(centers), initial=0.0))
-        self.needles = rank_deficient(self.ego.dims[:, None, :] * self.coop.dims[None, :, :])
 
 
 def dense_block(pair, i, params):
     """The anchor block of pair (Tables) with the full candidate grid, no
     radius prune."""
-    n, m = pair.needles.shape
+    n, m = pair.cos.shape
     sign = np.array([1.0, -1.0])[:, None, None, None]
     cells = len(sign) * m
     u = pair.ego.centers - pair.ego.centers[i]
@@ -127,16 +124,16 @@ def dense_block(pair, i, params):
     mean = np.divide(total, conf, out=np.full(total.shape, math.inf), where=conf > 0)
     flip = conf[-1] > conf[0]
     for b in np.flatnonzero((conf[-1] == conf[0]) & (mean[-1] < mean[0])):
-        flip[b] = round(float(mean[-1, b]), 9) < round(float(mean[0, b]), 9)
+        flip[b] = round(float(mean[-1, b]) * 1e9) < round(float(mean[0, b]) * 1e9)  # nanometres, half to even
     return conf, mean, flip, (cell, p, q, d)
 
 
 def assert_same_blocks(ego, coop, params, with_odist=True):
     """Every row of the frame pass equals the dense block of its ego index,
-    and with_odist, odist gives every anchor that is not a needle the score
-    the frame pass gives it."""
+    and with_odist, odist gives every anchor the score the frame pass gives
+    it."""
     pair = Tables(ego, coop)
-    n, m = pair.needles.shape
+    n, m = pair.cos.shape
     frame = association._anchor_pass(pair.ego, pair.coop, params)
     conf, mean, flip, (cell, p, q, d) = frame
     width = conf.shape[1] * m  # cells per row
@@ -147,9 +144,8 @@ def assert_same_blocks(ego, coop, params, with_odist=True):
         for g, w in zip(got, [*want, *want_kept]):
             assert g.dtype == w.dtype and np.array_equal(g, w), f"ego index {i}"
         if with_odist:
-            anchors = [j for j in range(m) if not pair.needles[i, j]]
-            scores = association._pair_scores(frame, [(i, j) for j in anchors])
-            for j, score in zip(anchors, scores):
+            scores = association._pair_scores(frame, [(i, j) for j in range(m)])
+            for j, score in enumerate(scores):
                 assert odist(ego, coop, i, j, params) == score, f"anchor ({i}, {j})"
 
 
@@ -413,7 +409,7 @@ def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatc
     for seed in (0, 1):
         ego, coop = rim_pair(params.tau, seed=seed)
         pair = Tables(ego, coop)
-        anchors = [tuple(a) for a in np.argwhere(~pair.needles).tolist()]
+        anchors = list(np.ndindex(pair.cos.shape))
         frame = association._anchor_pass(pair.ego, pair.coop, params)
         kernel = anchor_motion_scores(pair, params, anchors)
         assert kernel == association._pair_scores(frame, anchors)

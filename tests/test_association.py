@@ -427,15 +427,22 @@ def test_single_congruent_boxes_give_a_unit_matrix():
     assert m.entries[0, 0] == 1.0
 
 
-def test_degenerate_boxes_score_zero_instead_of_raising():
+def test_a_level_needle_anchor_scores_like_any_box():
+    # a level needle's axes fix a yaw: its anchor is scored, not zeroed,
+    # and pairs the scene as the box's anchor does
     needle = make_box((0, 0, 0), dims=(4.0, 1e-12, 1e-12))
     ego = make_scene([needle, make_box((10, 0, 0))])
     coop = make_scene([needle, make_box((10, 0, 0))])
     m = build_affinity(ego, coop)
-    assert m.entries[0, 0] == 0.0
-    assert m.entries[0, 1] == 0.0
-    assert m.entries[1, 0] == 0.0
-    assert m.entries[1, 1] >= 1.0
+    assert m.entries[0, 0] == m.entries[1, 1] == 2.0
+    for i, j in np.ndindex(m.entries.shape):
+        score = odist(ego, coop, i, j)
+        assert (score.confidence, score.coop_flipped) == (m.entries[i, j], m.coop_flip[i, j])
+    assert [p[:2] for p in odist(ego, coop, 0, 0).valid_pairs] == [(0, 0), (1, 1)]
+    report = calibrate_scenes(ego, coop)
+    assert sorted((a.ego_index, a.coop_index) for a in report.matches) == [(0, 0), (1, 1)]
+    assert np.allclose(report.transform.rotation, np.eye(3), atol=1e-12)
+    assert np.allclose(report.transform.translation, 0.0, atol=1e-12)
 
 
 def test_affinity_matrix_is_validated_and_read_only():
@@ -665,8 +672,9 @@ def test_refinement_runs_to_its_fixed_point():
         gap = np.linalg.norm(ego_centers - apply_transform(truth, b.center), axis=1)
         true_pairs.add((int(gap.argmin()), j))
     arrays, params = (ego._arrays, coop._arrays), ODistParams()
-    affinity, frame = association._score_anchors(*arrays, params)
-    anchors = association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in solve_assignment(affinity)])
+    frame = association._anchor_pass(*arrays, params)
+    assigned = solve_assignment(build_affinity(ego, coop, params))
+    anchors = association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
     refined, _, _ = association._refine(*arrays, anchors, params)
     best = min(refined, key=association._rank)
     found = {(i, j) for i, j, _ in best.valid_pairs}

@@ -1,16 +1,17 @@
 """build_affinity's anchor blocks against the transform kernel.
 
-The reference scores each anchor's pair_hypothesis through the transform
-kernel with the coop headings as given only (given_heading_score), once
-on the coop scene and once on a copy with every heading reversed, the
-better variant by confidence and then mean distance to 1e-9 m, the
-unflipped one winning ties. The blocks must give the same entries and flip flags
+The reference scores each anchor's motion, R = rot_z(yaw_i - yaw_j) and
+t = e_i - R c_j, through the transform kernel with the coop headings as
+given only (given_heading_score), once on the coop scene and once on a
+copy with every heading reversed, the better variant by confidence and
+then mean distance in nanometres rounded half to even, the unflipped one
+winning ties. The blocks must give the same entries and flip flags
 exactly, on generated scenes and on fixtures built at the edges of the
-pairing rules. An anchor must score the same through odist as in the
-affinity, with the same valid pairs in the same order as its own
-transform's score, and associate must score every anchor in
-one pass over the ego boxes and then score only refinement's refits,
-each under both coop headings.
+pairing rules, needle anchors included. An anchor must score the same
+through odist as in the affinity, with the same valid pairs in the same
+order as its own transform's score, and associate must score every
+anchor in one pass over the ego boxes and then score only refinement's
+refits, each under both coop headings.
 """
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ import numpy as np
 import pytest
 
 from boxcalib import (
-    DegenerateGeometry,
     NoiseConfig,
     ODistParams,
+    RigidTransform,
     Scene,
     SynthConfig,
     associate,
@@ -28,7 +29,7 @@ from boxcalib import (
     grid_product,
     noisy_pair,
     odist,
-    pair_hypothesis,
+    rot_z,
     with_flipped_yaw,
 )
 from boxcalib import association
@@ -43,32 +44,30 @@ HALF_POINTS = (1.5e-9, 2.5e-9, 0.5e-9)
 NEAR_TIES = [(3e-10, 1e-12, False), (3e-9, 2e-9, True)]
 
 
+def anchor_motion(ego_box, coop_box):
+    """The motion of anchor (ego_box, coop_box): the rotation by their yaw
+    difference that takes the coop box's center onto the ego box's."""
+    R = rot_z(ego_box.yaw - coop_box.yaw)
+    return RigidTransform(R, ego_box.center - R @ coop_box.center)
+
+
 def transform_scores(ego, coop, params):
-    """Both heading variants of every anchor scored by the transform kernel,
-    None for an anchor whose corners fix no rotation. Each variant is
-    scored under its own headings alone, so the heading rule is derived
-    here, not taken from alignment_score."""
+    """Both heading variants of every anchor scored by the transform kernel.
+    Each variant is scored under its own headings alone, so the heading
+    rule is derived here, not taken from alignment_score."""
     reversed_coop = Scene(tuple(with_flipped_yaw(b) for b in coop))
-    scores = {}
-    for i in range(len(ego)):
-        for j in range(len(coop)):
-            try:
-                scores[i, j] = [
-                    given_heading_score(ego, c, pair_hypothesis(ego[i], c[j]), params)
-                    for c in (coop, reversed_coop)
-                ]
-            except DegenerateGeometry:
-                scores[i, j] = None
-    return scores
+    return {
+        (i, j): [given_heading_score(ego, c, anchor_motion(ego[i], c[j]), params) for c in (coop, reversed_coop)]
+        for i in range(len(ego))
+        for j in range(len(coop))
+    }
 
 
 def reference_affinity(ego, coop, params):
     entries = np.zeros((len(ego), len(coop)))
     flips = np.zeros(entries.shape, dtype=bool)
     for (i, j), variants in transform_scores(ego, coop, params).items():
-        if variants is None:
-            continue
-        ranks = [(-s.confidence, round(s.mean_distance, 9)) for s in variants]
+        ranks = [(-s.confidence, np.rint(s.mean_distance * 1e9)) for s in variants]  # nanometres, half to even
         best = ranks.index(min(ranks))  # the first of equals: unflipped wins ties
         entries[i, j] = variants[best].confidence
         flips[i, j] = best == 1
@@ -179,10 +178,11 @@ def test_congruent_single_boxes_are_decided_in_the_batch():
         assert affinity.entries[0, 0] == 1.0 and not affinity.coop_flip[0, 0]
 
 
-def test_needle_anchors_score_zero_without_the_scalar_kernel():
+def test_needle_anchors_score_as_the_scalar_kernel_scores_them():
+    # the level needle's anchor pairs every box, as a box's anchor would
     ego, coop = needle_pair()
     affinity = build_affinity(ego, coop)
-    assert affinity.entries[0, 1] == 0.0 and affinity.entries[0, 0] == 0.0
+    assert affinity.entries[0, 1] == 3.0 and not affinity.coop_flip[0, 1]
     assert_matches_reference(ego, coop)
 
 
@@ -209,10 +209,6 @@ def test_an_anchor_scores_the_same_in_its_own_block(ego, coop, params):
     # it with every other anchor of the scene pair
     affinity = build_affinity(ego, coop, params)
     for (i, j), variants in transform_scores(ego, coop, params).items():
-        if variants is None:
-            with pytest.raises(DegenerateGeometry):
-                odist(ego, coop, i, j, params)
-            continue
         score = odist(ego, coop, i, j, params)
         assert score.confidence == affinity.entries[i, j]
         assert score.coop_flipped == affinity.coop_flip[i, j]

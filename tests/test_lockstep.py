@@ -95,10 +95,10 @@ def sequential_refine(ego, coop, score, params, refits):
 
 def nonzero_anchors(ego, coop, params):
     """The scenes' arrays and the pass scores of every anchor of nonzero
-    affinity, in (ego, coop) order."""
+    confidence, in (ego, coop) order."""
     arrays = ego._arrays, coop._arrays
-    affinity, frame = association._score_anchors(*arrays, params)
-    nonzero = [(i, j) for i, row in enumerate(affinity.entries.tolist()) for j, a in enumerate(row) if a > 0]
+    frame = association._anchor_pass(*arrays, params)
+    nonzero = [(i, j) for i, row in enumerate(frame[0].max(axis=1).tolist()) for j, a in enumerate(row) if a > 0]
     if not nonzero:
         raise NoCoVisibleObjects("no anchor")
     return arrays, association._pair_scores(frame, nonzero)
@@ -129,9 +129,9 @@ def sequential_associate(ego, coop, params):
 def lockstep_associate(ego, coop, params):
     arrays, anchors = nonzero_anchors(ego, coop, params)
     refined, fits, _ = association._refine(*arrays, best_anchors(anchors), params)
-    matches, fit, *_ = association._associate(*arrays, params)
+    matches, transform, rms, *_ = association._associate(*arrays, params)
     shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
-    return refined, set(fits), shown, (fit.transform.rotation, fit.transform.translation, fit.rms_residual)
+    return refined, set(fits), shown, (transform.rotation, transform.translation, rms)
 
 
 def outcome(associate, ego, coop, params):

@@ -1,10 +1,11 @@
-"""Refinement starts from the best five nonzero anchors of the affinity
-matrix (association._REFINED, association._seeds), and the calibration's
+"""Refinement starts from the best five nonzero anchors of the anchor
+pass (association._REFINED, association._seeds), and the calibration's
 health is read from it.
 
 The seeds are the first five of a pure-Python stable sort by _rank of
 every nonzero anchor's score, taken in (ego, coop) order, put back in
-that order. The tolerance against refining every nonzero anchor with the
+that order; _seeds sorts arrays by the same key, whose mean term is
+np.rint(mean * 1e9) there and _rank_key's in Python. The tolerance against refining every nonzero anchor with the
 same _refine: whenever that reference's winner is among the best five by
 unrefined _rank, the calibration is identical to the reference, bit for
 bit; the frames where it is not may calibrate differently. Noise-free
@@ -17,6 +18,8 @@ first 120 trials of boxcalib sweep's default grid, 15 boxes, at seeds
 cell c, plus dense frames and fixtures full of ties.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -77,10 +80,9 @@ def refine_all(ego, coop, params):
 def calibrated(ego, coop, params):
     """_associate's matches (with the flag), R and t bytes and rms."""
     arrays = ego._arrays, coop._arrays
-    matches, fit, *_ = association._associate(*arrays, params)
+    matches, transform, rms, *_ = association._associate(*arrays, params)
     shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
-    R, t = fit.transform.rotation, fit.transform.translation
-    return shown, R.tobytes(), t.tobytes(), fit.rms_residual
+    return shown, transform.rotation.tobytes(), transform.translation.tobytes(), rms
 
 
 def lattice_pair(side, yaw=0.3):
@@ -143,6 +145,23 @@ def test_refine_receives_the_first_five_of_a_stable_sort_of_nonzero_anchors(monk
     assert more >= 50, "too few frames choose among more than five anchors"
     assert tied >= 10, "too few frames tie at the fifth seed"
     assert shared >= 10, "too few frames refine two anchors of one box"
+
+
+def test_the_rank_keys_mean_term_is_np_rint_of_nanometres():
+    # the Python key and the arrays' key must put every mean in one class:
+    # means whose nanometre value is exactly k + 0.5 (near 0, 1 mm and 3 m,
+    # the largest tau) round half to even, their neighbours one ulp away
+    # round to the nearer integer
+    halves = []
+    for k in (*range(40), *range(10**6, 10**6 + 40), *range(3 * 10**9 - 40, 3 * 10**9)):
+        mean = (k + 0.5) / 1e9
+        halves += [m for m in (mean, *np.nextafter(mean, [0.0, 1.0]).tolist()) if m * 1e9 == k + 0.5][:1]
+    assert len(halves) >= 90 and {round(m * 1e9) - math.floor(m * 1e9) for m in halves} == {0, 1}  # half to even
+    means = [*halves, *np.nextafter(halves, 0.0).tolist(), *np.nextafter(halves, 1.0).tolist()]
+    tiny = np.finfo(float).tiny
+    means += [0.0, 5e-324, float(np.nextafter(tiny, 0.0)), tiny, 1e5, math.inf]
+    want = np.rint(np.array(means) * 1e9).tolist()
+    assert [association._rank_key(2.0, m) for m in means] == [(-2.0, n) for n in want]
 
 
 def test_only_the_refined_anchors_get_a_pair_score(monkeypatch):
@@ -221,7 +240,7 @@ def test_a_top_k_that_trims_a_scene_scores_the_health_on_the_full_scenes(monkeyp
         assert calls == [(ego, coop)]
         want = alignment_score(ego, coop, report.transform)
         assert (report.health_confidence, report.health_mean_distance) == (want.confidence, want.mean_distance)
-        kept = association._associate(tops[0]._arrays, tops[1]._arrays, ODistParams())[2]
+        kept = association._associate(tops[0]._arrays, tops[1]._arrays, ODistParams())[3]
         differs += (kept.confidence, kept.mean_distance) != (want.confidence, want.mean_distance)
     assert differs >= 10, "the kept scenes' score would pass for the full scenes' too often"
 

@@ -1,8 +1,10 @@
-"""tools/stage_times.py on two frames, one of each workload."""
+"""tools/stage_times.py on one frame of each workload, the dense one also
+at the default top_k, which cuts its scenes."""
 from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,14 +21,17 @@ def test_stage_times_prints_every_stage_of_both_workloads():
     )
     assert done.returncode == 0, done.stderr
     header, *lines = done.stdout.splitlines()
-    assert "sweep15 (1 frames)" in header and "dense32 (1 frames)" in header
+    assert re.split(r"\s\s+", header)[1:] == ["sweep15 (1 frames)", "dense32 (1 frames)", "dense32 top-15 (1 frames)"]
     assert [line[:14].strip() for line in lines] == [*ROWS, *COUNTS]
     lines, counts = lines[: len(ROWS)], lines[len(ROWS) :]
     for line in lines:
-        values = line[14:].split()  # two columns of "<ms> ms <share> %"
-        assert len(values) == 8 and values[1::2] == ["ms", "%", "ms", "%"]
+        values = line[14:].split()  # three columns of "<ms> ms <share> %"
+        assert len(values) == 12 and values[1::2] == ["ms", "%"] * 3
         assert all(float(v) >= 0.0 for v in values[::2]), line
-    assert lines[ROWS.index("total")].split()[3] == "100.0"
+    assert lines[ROWS.index("total")][14:].split()[2::4] == ["100.0"] * 3
+    # the cut scenes' column scores the health anew on the full scenes
+    health = lines[ROWS.index("health")][14:].split()[::4]
+    assert float(health[2]) > 0.0, health
     synthesis = lines[ROWS.index("synthesis")]  # the frames' making, beside the calibration
     assert all(float(v) > 0.0 for v in synthesis[14:].split()[::4]), synthesis
     # each repeat builds the scenes' arrays anew (see the next test)
@@ -34,7 +39,7 @@ def test_stage_times_prints_every_stage_of_both_workloads():
     assert all(float(v) > 0.0 for v in scene_pair[14:].split()[::4]), scene_pair
     # refinement fits at least the winner's valid set in at least one round
     rounds, sets = ([float(v) for v in line[14:].split()] for line in counts)
-    assert len(rounds) == len(sets) == 2
+    assert len(rounds) == len(sets) == 3
     assert all(1.0 <= r <= s for r, s in zip(rounds, sets)), counts
 
 

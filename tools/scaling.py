@@ -11,7 +11,7 @@ sigma 0.3 m and 3 deg on both views, no top-k prefilter. The boxes lie in
 (+-36.7 m at 120 boxes), since the minimum separation leaves no room for
 more at +-30 m. For each frame the script prints:
 
-    anchor ms       one run of association._score_anchors on the frame's
+    anchor ms       one run of association._anchor_pass on the frame's
                     two scenes' arrays, its tables included
     anchors MB      the tracemalloc peak of that call
     associate MB    the tracemalloc peak of association.associate on fresh
@@ -77,9 +77,9 @@ def measure(ego, coop) -> tuple[float, float, float]:
     params = ODistParams()
     arrays = ego._arrays, coop._arrays
     start = time.perf_counter()
-    association._score_anchors(*arrays, params)
+    association._anchor_pass(*arrays, params)
     ms = 1e3 * (time.perf_counter() - start)
-    return ms, traced_peak_mb(association._score_anchors, *arrays, params), traced_peak_mb(associate, ego, coop, params)
+    return ms, traced_peak_mb(association._anchor_pass, *arrays, params), traced_peak_mb(associate, ego, coop, params)
 
 
 def main(argv=None) -> None:

@@ -5,8 +5,12 @@ Run from anywhere; boxcalib is imported from this checkout's src/:
     python3 tools/stage_times.py [--repeats 5] [--sweep-frames 240] [--dense-frames 16]
 
 The frames are those of tools/calibration_digest.py: Sweep15(501) trials
-0-239 and Dense32(501) frames 0-15, built by bench/workloads.py. The
-stages are those of the report's trace (CalibrationTrace):
+0-239 and Dense32(501) frames 0-15, built by bench/workloads.py, each
+run at its workload's top_k (Sweep15 keeps its 15 boxes, Dense32 all
+32). A third column runs the Dense32 frames again at DEFAULT_TOP_K,
+which keeps 15 of 32 boxes, so the health is scored anew on the full
+scenes there. The stages are those of the report's trace
+(CalibrationTrace):
 
     top-k        top_k_by_volume of both scenes
     scene pair   every scene's arrays, the full scenes' and the kept ones'
@@ -47,7 +51,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from boxcalib import ODistParams, Scene, calibrate_scenes  # noqa: E402
+from boxcalib import DEFAULT_TOP_K, ODistParams, Scene, calibrate_scenes  # noqa: E402
 from boxcalib.pipeline import CALIBRATION_FAILURES  # noqa: E402
 from workloads import Dense32, Sweep15  # noqa: E402
 
@@ -123,21 +127,25 @@ def main(argv=None) -> None:
 
     columns = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cls, count in (("sweep15", Sweep15, args.sweep_frames), ("dense32", Dense32, args.dense_frames)):
+        for name, cls, count, top_k in (
+            ("sweep15", Sweep15, args.sweep_frames, Sweep15.top_k),
+            ("dense32", Dense32, args.dense_frames, Dense32.top_k),
+            (f"dense32 top-{DEFAULT_TOP_K}", Dense32, args.dense_frames, DEFAULT_TOP_K),  # cut scenes
+        ):
             if count == 0:
                 continue
             workload = cls(SEED, Path(tmp))
             frames = [tuple(workload.frame(k)[:2]) for k in range(count)]
-            times, counts = stage_times(frames, workload.top_k, args.repeats)
+            times, counts = stage_times(frames, top_k, args.repeats)
             times["synthesis"] = synthesis_ms(workload, count, args.repeats)
             columns.append((f"{name} ({count} frames)", times, counts))
 
-    print(f"{'ms per frame':<14}" + "".join(f"{title:>26}" for title, *_ in columns))
+    print(f"{'ms per frame':<14}" + "".join(f"{title:>28}" for title, *_ in columns))
     for stage in (*STAGES, "total", "synthesis"):
         cells = [f"{t[stage]:9.3f} ms {100 * t[stage] / t['total']:5.1f} %" for _, t, _ in columns]
-        print(f"{stage:<14}" + "".join(f"{cell:>26}" for cell in cells))
+        print(f"{stage:<14}" + "".join(f"{cell:>28}" for cell in cells))
     for name, _ in COUNTED:  # the number under the ms column
-        print((f"{name:<14}" + "".join(f"{c[name]:9.3f}{'':11}".rjust(26) for *_, c in columns)).rstrip())
+        print((f"{name:<14}" + "".join(f"{c[name]:9.3f}{'':11}".rjust(28) for *_, c in columns)).rstrip())
 
 
 if __name__ == "__main__":
