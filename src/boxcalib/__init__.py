@@ -16,6 +16,7 @@ solve_assignment and the yaw-noise model, which import it on first use.
 """
 
 from .geometry import (
+    DegenerateGeometry,
     DetectionBox,
     RigidTransform,
     Scene,
@@ -29,12 +30,10 @@ from .geometry import (
     with_flipped_yaw,
 )
 from .registration import (
-    DegenerateGeometry,
     EmptyMatchSet,
     RegistrationResult,
     WeightedCorrespondences,
     build_feature_clouds,
-    pair_hypothesis,
     weighted_kabsch,
 )
 from .association import (
@@ -83,10 +82,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DetectionBox", "RigidTransform", "Scene", "apply_transform", "compose",
     "corners_of", "invert", "rot_z", "transform_box", "transform_scene",
-    "with_flipped_yaw",
-    "DegenerateGeometry", "EmptyMatchSet",
-    "RegistrationResult", "WeightedCorrespondences", "build_feature_clouds",
-    "pair_hypothesis", "weighted_kabsch",
+    "with_flipped_yaw", "DegenerateGeometry",
+    "EmptyMatchSet", "RegistrationResult", "WeightedCorrespondences",
+    "build_feature_clouds", "weighted_kabsch",
     "AffinityMatrix", "Match", "MatchSet", "NoCoVisibleObjects", "ODistParams",
     "PairScore", "alignment_score", "associate", "box_distance",
     "build_affinity", "odist", "solve_assignment", "top_k_by_volume",

@@ -3,8 +3,8 @@
 No initial relative pose is assumed. Every (ego box, coop box) pair is a
 candidate anchor: the coop scene is moved by the rotation by their yaw
 difference that takes the coop box's center onto the ego box's (the
-motion registration.pair_hypothesis fits to their corners), and the pair
-is scored by how well the rest of the scene lines up:
+Kabsch fit of the two boxes' corner matrices), and the pair is scored by
+how well the rest of the scene lines up:
 
 * confidence: how many box pairs fall within tau of each other under a
   greedy one-to-one pairing by ascending distance, and
@@ -65,8 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _FLIP_AXES, DetectionBox, RigidTransform, Scene, _SceneArrays
-from .registration import RANK_RATIO_MIN, DegenerateGeometry
+from .geometry import _FLIP_AXES, RANK_RATIO_MIN, DegenerateGeometry, DetectionBox, RigidTransform, Scene, _SceneArrays
 
 TAU_MAX = 3.0  # upper bound of the pairing gate, meters
 
@@ -647,19 +646,31 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
     return _associate(ego._arrays, coop._arrays, params)[0]
 
 
-def top_k_by_volume(scene: Scene, k: int | None) -> Scene:
-    """Keep the k largest boxes by volume, preserving scene order.
-
-    Pass None to keep everything. Ties at the volume cutoff are resolved
-    toward the earlier index. Any other k must be an integer >= 1 (Python
-    or NumPy, not a bool).
-    """
+def _top_rows(scene: Scene, k: int | None) -> np.ndarray | None:
+    """top_k_by_volume's rows of the scene in scene order, or None when it
+    keeps the scene whole. A box's volume is l * w * h over the dims
+    columns, DetectionBox.volume bit for bit, and a stable sort of the
+    negated volumes sends ties to the earlier index."""
     if k is None:
-        return scene
+        return None
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be None or an integer >= 1, got {k!r}")
     if k >= len(scene):
+        return None
+    length, width, height = scene._arrays.dims.T
+    return np.sort(np.argsort(-(length * width * height), kind="stable")[:k])
+
+
+def top_k_by_volume(scene: Scene, k: int | None) -> Scene:
+    """Keep the k largest boxes by volume, preserving scene order; the
+    kept boxes are the scene's own objects.
+
+    Pass None to keep everything; then, and when k is no smaller than the
+    scene, the scene itself is returned. Ties at the volume cutoff are
+    resolved toward the earlier index. Any other k must be an integer >= 1
+    (Python or NumPy, not a bool).
+    """
+    rows = _top_rows(scene, k)
+    if rows is None:
         return scene
-    ranked = sorted(range(len(scene)), key=lambda i: (-scene[i].volume, i))
-    keep = sorted(ranked[:k])
-    return Scene(tuple(scene[i] for i in keep), scene.agent_id, scene.frame_id)
+    return Scene(tuple(scene.boxes[i] for i in rows.tolist()), scene.agent_id, scene.frame_id)

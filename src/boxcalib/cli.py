@@ -26,10 +26,10 @@ import numpy as np
 
 from . import io as bio
 from .association import NoCoVisibleObjects
+from .geometry import DegenerateGeometry
 from .metrics import summarize
 from .monitor import MonitorState, step, unreadable_frame
 from .pipeline import calibrate_scenes, trial_error
-from .registration import DegenerateGeometry
 from .synth import PlacementFailure, grid_product, noise_sweep, noisy_pair
 
 EXIT_OK = 0

@@ -33,6 +33,19 @@ _CORNER_SIGNS = np.array([
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
+# Below this ratio of the second to the largest singular value the
+# cross-covariance is effectively rank-1 (collinear points) and the
+# rotation about the point axis is unobservable.
+RANK_RATIO_MIN = 1e-8
+
+
+class DegenerateGeometry(ValueError):
+    """The geometry fixes no rotation. In calibration, the winner's valid
+    set fixes no yaw (association._fit), as for vertical needles alone; a
+    level needle fixes one. In nearest_rotation, the matrix is not finite
+    or fails the rank test, as for the cross-covariance of weighted point
+    sets with fewer than 3 effective points or collinear after centering."""
+
 
 def _as_readonly(a, shape):
     out = np.asarray(a, dtype=float)
@@ -209,6 +222,23 @@ def rot_z(yaw: float) -> np.ndarray:
     """Rotation matrix about +z."""
     c, s = math.cos(yaw), math.sin(yaw)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def nearest_rotation(H: np.ndarray) -> np.ndarray:
+    """The rotation nearest to the 3x3 matrix H in the Frobenius norm, U
+    diag(1, 1, det) Vt from the SVD of H; for a cross-covariance this is the
+    Kabsch rotation. Raises DegenerateGeometry when H is not finite, or
+    when it is rank-deficient: its largest singular value is not positive,
+    or the middle one is below RANK_RATIO_MIN of it."""
+    H = np.asarray(H, dtype=float)
+    if not np.isfinite(H).all():
+        # LAPACK's SVD may never return on a non-finite matrix
+        raise DegenerateGeometry("cross-covariance is not finite (coordinates too large)")
+    U, S, Vt = np.linalg.svd(H)
+    if S[0] <= 0.0 or S[1] / S[0] < RANK_RATIO_MIN:
+        raise DegenerateGeometry(f"cross-covariance is rank-deficient (singular values {S})")
+    U[:, 2] *= np.sign(np.linalg.det(U @ Vt))  # U diag(1, 1, det)
+    return U @ Vt
 
 
 def corners_of(box: DetectionBox) -> np.ndarray:

@@ -29,10 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .association import ODistParams
-from .geometry import RigidTransform, Scene
+from .geometry import RigidTransform, Scene, nearest_rotation
 from .monitor import MonitorConfig, MonitorEvent, MonitorState, MonitorStatus
 from .pipeline import DEFAULT_TOP_K, CalibrationReport
-from .registration import nearest_rotation
 from .synth import NoiseConfig, SynthConfig
 
 # Largest plausible box center coordinate or dimension, meters. Larger

@@ -1,11 +1,12 @@
 """End-to-end calibration of a scene pair, and its error against a known transform.
 
-calibrate_scenes keeps the largest boxes, associates them (association:
-the anchor pass, then refinement of the best anchors), and reports the
-winner's fit with its health on the full scenes. Refinement already
-scored the winner's fit as alignment_score does, so when both scenes are
-kept whole the health is read from it; otherwise the fit is scored once
-more on the full scenes. The path loads no scipy module.
+calibrate_scenes builds the full scenes' arrays, cuts from them the rows
+of the largest boxes (those top_k_by_volume keeps), associates them
+(association: the anchor pass, then refinement of the best anchors), and
+reports the winner's fit with its health on the full scenes. Refinement
+already scored the winner's fit as alignment_score does, so when both
+scenes are kept whole the health is read from it; otherwise the fit is
+scored once more on the full scenes. The path loads no scipy module.
 """
 from __future__ import annotations
 
@@ -13,10 +14,9 @@ import math
 import time
 from dataclasses import dataclass
 
-from .association import MatchSet, NoCoVisibleObjects, ODistParams, _associate, alignment_score, top_k_by_volume
-from .geometry import RigidTransform, Scene
+from .association import MatchSet, NoCoVisibleObjects, ODistParams, _associate, _top_rows, alignment_score
+from .geometry import DegenerateGeometry, RigidTransform, Scene, _SceneArrays
 from .metrics import TrialError, rre, rte
-from .registration import DegenerateGeometry
 
 DEFAULT_TOP_K = 15
 
@@ -29,9 +29,9 @@ class CalibrationTrace:
     """Seconds one calibrate_scenes call spent in each of its stages, which
     are disjoint parts of its elapsed_s, and what refinement counted."""
 
-    top_k_s: float  # top_k_by_volume of both scenes
-    scene_arrays_s: float  # the arrays this call built, 0 for a scene whose arrays an earlier call built
-    anchor_pass_s: float  # every anchor's score and the affinity matrix
+    top_k_s: float  # the rows top_k_by_volume keeps of both scenes, and their arrays cut from the full scenes'
+    scene_arrays_s: float  # the full scenes' arrays, 0 for a scene whose arrays an earlier call built
+    anchor_pass_s: float  # every anchor's score
     refinement_s: float  # the choice of the best five anchors, their refits, the winner and its fit
     health_s: float  # the final transform's alignment score on the full scenes, unless refinement scored it
     refinement_rounds: int  # refinement rounds that fitted new valid sets, one _fit each
@@ -73,13 +73,14 @@ def calibrate_scenes(
     no yaw, not if only a losing seed's valid set does.
     """
     start = time.perf_counter()
-    tops = top_k_by_volume(ego, top_k), top_k_by_volume(coop, top_k)  # a scene itself if kept whole
-    topped = time.perf_counter()
-    kept = [scene._arrays for scene in (*tops, ego, coop)][:2]  # the full scenes' too, for the health check
+    full = ego._arrays, coop._arrays  # the health check's, and what the kept rows are cut from
     built = time.perf_counter()
+    rows = _top_rows(ego, top_k), _top_rows(coop, top_k)  # None for a scene kept whole
+    kept = [a if r is None else _SceneArrays(a.centers[r], a.dims[r], a.yaws[r]) for a, r in zip(full, rows)]
+    topped = time.perf_counter()
     matches, transform, rms, health, seconds, counts = _associate(*kept, params)  # seconds: anchor pass, refinement
     matched = time.perf_counter()
-    if tops[0] is not ego or tops[1] is not coop:
+    if any(r is not None for r in rows):
         health = alignment_score(ego, coop, transform, params)
     end = time.perf_counter()
     return CalibrationReport(
@@ -89,7 +90,7 @@ def calibrate_scenes(
         health_confidence=health.confidence,
         health_mean_distance=health.mean_distance,
         elapsed_s=end - start,
-        trace=CalibrationTrace(topped - start, built - topped, *seconds, end - matched, *counts),
+        trace=CalibrationTrace(topped - built, built - start, *seconds, end - matched, *counts),
     )
 
 

@@ -738,6 +738,17 @@ def test_top_k_keeps_the_largest_volumes():
     assert len(kept) == 15
     cutoff = sorted((b.volume for b in boxes), reverse=True)[14]
     assert min(b.volume for b in kept) >= cutoff
+    assert all(any(b is box for box in scene) for b in kept), "the kept boxes are the scene's own"
+    # against the box-by-box reference: a sort by (-DetectionBox.volume, index), on
+    # random dims and on dims drawn from five values, whose volumes tie often
+    for seed in range(20):
+        rng = np.random.default_rng([6, seed])
+        dims = rng.uniform(0.1, 6, (30, 3)) if seed % 2 else rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], (30, 3))
+        scene = make_scene([make_box(rng.uniform(-30, 30, 3), dims=d) for d in dims])
+        ranked = sorted(range(30), key=lambda i: (-scene[i].volume, i))
+        for k in (1, 7, 15, 29):
+            kept = top_k_by_volume(scene, k)
+            assert len(kept) == k and all(a is scene[i] for a, i in zip(kept, sorted(ranked[:k])))
 
 
 def test_top_k_preserves_scene_order_among_survivors():
@@ -757,7 +768,7 @@ def test_top_k_ties_prefer_the_earlier_index():
     )
     kept = top_k_by_volume(scene, 1)
     assert len(kept) == 1
-    assert kept[0].center[0] == 0.0
+    assert kept[0] is scene[0]
 
 
 def test_top_k_passthrough_cases():

@@ -1,7 +1,9 @@
-"""The benchmark under bench/ and the digest script under tools/ import
-boxcalib's API; every name they import must still exist, so that removing
-or renaming one fails here and not only when the benchmark runs or two
-checkouts' digests are compared."""
+"""The benchmark under bench/, the scripts under tools/ and the walkthroughs
+under demos/ import boxcalib's API; every name they import must still
+exist, so that removing or renaming one fails here and not only when the
+benchmark runs, two checkouts' digests are compared or a demo that no
+test runs is run. Inside the package, only __init__ imports the corner
+path (registration): calibration does not depend on it."""
 from __future__ import annotations
 
 import ast
@@ -9,7 +11,7 @@ import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = ("bench", "tools")
+SCANNED = ("bench", "tools", "demos")
 
 
 def boxcalib_imports() -> list[tuple[str, str, str | None]]:
@@ -41,7 +43,24 @@ def _exists(module: str, name: str | None) -> bool:
 def test_every_name_the_benchmark_imports_exists():
     imports = boxcalib_imports()
     files = {file for file, _, _ in imports}
-    assert {"bench/workloads.py", "tools/calibration_digest.py"} <= files
+    assert {"bench/workloads.py", "tools/calibration_digest.py", "demos/noise_sweep_demo.py"} <= files
     missing = [f"{file}: {module}.{name}" for file, module, name in imports
                if not _exists(module, name)]
     assert not missing, f"these imports name what boxcalib no longer has: {missing}"
+
+
+def test_no_module_but_init_imports_the_corner_path():
+    importers = []
+    for path in sorted((ROOT / "src" / "boxcalib").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                # `from .registration import x`, `from . import registration` and their absolute forms
+                module = ".".join(["boxcalib"] * bool(node.level) + [node.module] * bool(node.module))
+                names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "boxcalib.registration" in names:
+                importers.append(path.name)
+    assert importers == ["__init__.py"], f"these modules import registration: {importers}"

@@ -1,7 +1,8 @@
 """The runnable walkthroughs in demos/ exit cleanly.
 
-noise_sweep_demo.py is left out: it takes several seconds, and its code
-path, noise_sweep, is covered by test_synth.
+noise_sweep_demo.py is left out: it takes several seconds, its code
+path, noise_sweep, is covered by test_synth, and test_bench_api checks
+that every name it imports from boxcalib exists.
 """
 from __future__ import annotations
 

@@ -35,8 +35,7 @@ from boxcalib import (
 )
 from boxcalib import association
 from boxcalib.association import _key, _pair_up, _rank
-from boxcalib.geometry import rot_z
-from boxcalib.registration import RANK_RATIO_MIN
+from boxcalib.geometry import RANK_RATIO_MIN, rot_z
 
 from conftest import axes_reference, make_box, make_scene
 from test_anchor_prune import dense_frame

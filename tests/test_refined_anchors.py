@@ -242,6 +242,12 @@ def test_a_top_k_that_trims_a_scene_scores_the_health_on_the_full_scenes(monkeyp
         assert (report.health_confidence, report.health_mean_distance) == (want.confidence, want.mean_distance)
         kept = association._associate(tops[0]._arrays, tops[1]._arrays, ODistParams())[3]
         differs += (kept.confidence, kept.mean_distance) != (want.confidence, want.mean_distance)
+        # the rows cut from the full scenes calibrate as the top_k_by_volume scenes do
+        whole = calibrate_scenes(*tops, top_k=None)
+        assert report.matches == whole.matches
+        assert np.float64(report.rms_residual).tobytes() == np.float64(whole.rms_residual).tobytes()
+        assert report.transform.rotation.tobytes() == whole.transform.rotation.tobytes()
+        assert report.transform.translation.tobytes() == whole.transform.translation.tobytes()
     assert differs >= 10, "the kept scenes' score would pass for the full scenes' too often"
 
 

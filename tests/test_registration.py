@@ -1,8 +1,9 @@
-"""Corner-based rigid registration.
+"""Corner-based rigid registration, the reference of the closed forms.
 
-pair_hypothesis must invert any yaw-only rigid motion exactly from a
-single box pair, and weighted_kabsch must reduce to the textbook Kabsch
-solution when all weights are equal.
+The motion odist scores an anchor by, rot_z(yaw_e - yaw_c) and e - R c,
+must be the Kabsch fit of the two boxes' corner matrices, and
+weighted_kabsch must reduce to the textbook Kabsch solution when all
+weights are equal.
 """
 from __future__ import annotations
 
@@ -22,12 +23,12 @@ from boxcalib import (
     apply_transform,
     build_feature_clouds,
     corners_of,
-    pair_hypothesis,
+    rot_z,
     transform_box,
     weighted_kabsch,
     with_flipped_yaw,
 )
-from boxcalib.registration import nearest_rotation
+from boxcalib.geometry import nearest_rotation
 from conftest import kabsch_oracle, make_box, make_scene, rotation_angle_deg, yaw_transform
 
 
@@ -38,10 +39,25 @@ def random_correspondences(rng, n=12):
     return src, apply_transform(t, src) + noise
 
 
-# ---- pair_hypothesis ----
+# ---- the anchor motion ----
 
 
-def test_pair_hypothesis_inverts_yaw_only_motion():
+def anchor_motion(ego_box, coop_box):
+    """odist's motion of anchor (ego_box, coop_box): R = rot_z(yaw_e - yaw_c), t = e - R c."""
+    R = rot_z(ego_box.yaw - coop_box.yaw)
+    return R, ego_box.center - R @ coop_box.center
+
+
+def test_the_anchor_motion_equals_the_corner_kabsch_fit():
+    rng = np.random.default_rng(9)
+    pairs = [
+        tuple(
+            make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
+            for _ in range(2)
+        )
+        for _ in range(200)
+    ]
+    # coop boxes and their images under yaw-only motions
     rng = np.random.default_rng(5)
     for _ in range(50):
         coop_box = make_box(
@@ -50,39 +66,14 @@ def test_pair_hypothesis_inverts_yaw_only_motion():
             yaw=rng.uniform(0, 2 * math.pi),
         )
         t = yaw_transform(rng.uniform(0, 2 * math.pi), rng.uniform(-30, 30, 3))
-        ego_box = transform_box(t, coop_box)
-        estimate = pair_hypothesis(ego_box, coop_box)
-        assert np.linalg.norm(estimate.rotation - t.rotation) < 1e-9
-        assert np.linalg.norm(estimate.translation - t.translation) < 1e-9
-
-
-def test_pair_hypothesis_maps_the_seed_pair_exactly():
-    ego_box = make_box((4.0, 1.0, 0.2), yaw=0.8)
-    coop_box = make_box((-7.0, 3.0, -0.1), dims=(3.0, 1.6, 1.2), yaw=2.1)
-    t = pair_hypothesis(ego_box, coop_box)
-    np.testing.assert_allclose(
-        t.rotation @ coop_box.center + t.translation, ego_box.center, atol=1e-12
-    )
-
-
-def test_pair_hypothesis_equals_the_corner_kabsch_fit():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        ego_box, coop_box = (
-            make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
-            for _ in range(2)
-        )
+        pairs.append((transform_box(t, coop_box), coop_box))
+    pairs.append((make_box((4.0, 1.0, 0.2), yaw=0.8), make_box((-7.0, 3.0, -0.1), dims=(3.0, 1.6, 1.2), yaw=2.1)))
+    for ego_box, coop_box in pairs:
         for coop in (coop_box, with_flipped_yaw(coop_box)):
             r_ref, t_ref = kabsch_oracle(corners_of(coop), corners_of(ego_box))
-            estimate = pair_hypothesis(ego_box, coop)
-            assert np.linalg.norm(estimate.rotation - r_ref) < 1e-12
-            assert np.linalg.norm(estimate.translation - t_ref) < 1e-12
-
-
-def test_pair_hypothesis_rejects_needle_boxes():
-    needle = make_box((0, 0, 0), dims=(4.0, 1e-12, 1e-12))
-    with pytest.raises(DegenerateGeometry):
-        pair_hypothesis(needle, needle)
+            R, t = anchor_motion(ego_box, coop)
+            assert np.linalg.norm(R - r_ref) < 1e-12
+            assert np.linalg.norm(t - t_ref) < 1e-12
 
 
 # ---- weighted_kabsch ----
@@ -198,36 +189,18 @@ def test_overflowing_cross_covariance_is_degenerate():
             weighted_kabsch(WeightedCorrespondences(src, src, np.ones(4)))
 
 
-def cross_covariances(rng, k):
-    """k cross-covariances of noisy yaw-only correspondences, some reflected."""
-    stack = []
-    for _ in range(k):
-        src, dst = random_correspondences(rng)
-        H = (dst - dst.mean(axis=0)).T @ (src - src.mean(axis=0))
-        stack.append(H if rng.random() < 0.7 else H @ np.diag([1.0, 1.0, -1.0]))
-    return np.array(stack)
-
-
-def test_stacked_rotations_equal_the_rotation_of_each_matrix():
-    H = cross_covariances(np.random.default_rng(31), 24)
-    R = nearest_rotation(H)
-    assert R.shape == H.shape
-    for k in range(len(H)):
-        assert np.array_equal(R[k], nearest_rotation(H[k])), f"matrix {k}"
-    assert np.array_equal(nearest_rotation(H.reshape(4, 6, 3, 3)), R.reshape(4, 6, 3, 3))
-    assert np.allclose(np.linalg.det(R), 1.0)
-
-
-@pytest.mark.parametrize("at", [0, 5, 11])
-def test_a_stack_with_one_degenerate_matrix_raises(at):
-    H = cross_covariances(np.random.default_rng(32), 12)
-    collinear = H.copy()
-    collinear[at] = np.outer([1.0, 2.0, 3.0], [3.0, 0.0, 1.0])  # rank 1
-    with pytest.raises(DegenerateGeometry, match=rf"\[{at}\] is rank-deficient \(singular values \["):
-        nearest_rotation(collinear)
+def test_a_degenerate_matrix_raises_and_names_its_fault():
+    src, dst = random_correspondences(np.random.default_rng(32))
+    H = (dst - dst.mean(axis=0)).T @ (src - src.mean(axis=0))
+    for h in (H, H @ np.diag([1.0, 1.0, -1.0])):  # a reflected one snaps to det +1 too
+        R = nearest_rotation(h)
+        assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12 and np.linalg.det(R) == pytest.approx(1.0)
+    for rank_deficient in (np.outer([1.0, 2.0, 3.0], [3.0, 0.0, 1.0]), np.zeros((3, 3))):
+        with pytest.raises(DegenerateGeometry, match=r"^cross-covariance is rank-deficient \(singular values \["):
+            nearest_rotation(rank_deficient)
     overflowed = H.copy()
-    overflowed[at, 1, 2] = np.inf
-    with pytest.raises(DegenerateGeometry, match=rf"\[{at}\] is not finite"):
+    overflowed[1, 2] = np.inf
+    with pytest.raises(DegenerateGeometry, match=r"^cross-covariance is not finite"):
         nearest_rotation(overflowed)
 
 

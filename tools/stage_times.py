@@ -12,11 +12,12 @@ which keeps 15 of 32 boxes, so the health is scored anew on the full
 scenes there. The stages are those of the report's trace
 (CalibrationTrace):
 
-    top-k        top_k_by_volume of both scenes
-    scene pair   every scene's arrays, the full scenes' and the kept ones'
-                 (a scene builds its arrays once, on first use, so each
-                 repeat calibrates fresh copies of the frames' scenes)
-    anchor pass  every anchor's score and the affinity matrix
+    top-k        the rows top_k_by_volume keeps of both scenes, and their
+                 arrays, cut from the full scenes'
+    scene pair   the full scenes' arrays (a scene builds its arrays once,
+                 on first use, so each repeat calibrates fresh copies of
+                 the frames' scenes)
+    anchor pass  every anchor's score
     refinement   the choice of the best five anchors, their refits, the
                  winner and its fit
     health       the alignment score of the final transform on the full
