@@ -1,7 +1,8 @@
 """Corner-based rigid registration, the reference of the closed forms.
 
-The motion odist scores an anchor by, rot_z(yaw_e - yaw_c) and e - R c,
-must be the Kabsch fit of the two boxes' corner matrices, and
+The motion hypothesis of a box pair, the motion odist scores an anchor by
+(rot_z(yaw_e - yaw_c), e - R c), must invert any yaw-only rigid motion
+exactly and be the Kabsch fit of the two boxes' corner matrices, and
 weighted_kabsch must reduce to the textbook Kabsch solution when all
 weights are equal.
 """
@@ -42,22 +43,14 @@ def random_correspondences(rng, n=12):
 # ---- the anchor motion ----
 
 
-def anchor_motion(ego_box, coop_box):
-    """odist's motion of anchor (ego_box, coop_box): R = rot_z(yaw_e - yaw_c), t = e - R c."""
+def pair_hypothesis(ego_box, coop_box):
+    """The motion hypothesis of box pair (ego_box, coop_box), as odist
+    scores an anchor by: R = rot_z(yaw_e - yaw_c), t = e - R c."""
     R = rot_z(ego_box.yaw - coop_box.yaw)
     return R, ego_box.center - R @ coop_box.center
 
 
-def test_the_anchor_motion_equals_the_corner_kabsch_fit():
-    rng = np.random.default_rng(9)
-    pairs = [
-        tuple(
-            make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
-            for _ in range(2)
-        )
-        for _ in range(200)
-    ]
-    # coop boxes and their images under yaw-only motions
+def test_pair_hypothesis_inverts_yaw_only_motion():
     rng = np.random.default_rng(5)
     for _ in range(50):
         coop_box = make_box(
@@ -66,12 +59,29 @@ def test_the_anchor_motion_equals_the_corner_kabsch_fit():
             yaw=rng.uniform(0, 2 * math.pi),
         )
         t = yaw_transform(rng.uniform(0, 2 * math.pi), rng.uniform(-30, 30, 3))
-        pairs.append((transform_box(t, coop_box), coop_box))
-    pairs.append((make_box((4.0, 1.0, 0.2), yaw=0.8), make_box((-7.0, 3.0, -0.1), dims=(3.0, 1.6, 1.2), yaw=2.1)))
-    for ego_box, coop_box in pairs:
+        ego_box = transform_box(t, coop_box)
+        R, translation = pair_hypothesis(ego_box, coop_box)
+        assert np.linalg.norm(R - t.rotation) < 1e-9
+        assert np.linalg.norm(translation - t.translation) < 1e-9
+
+
+def test_pair_hypothesis_maps_the_seed_pair_exactly():
+    ego_box = make_box((4.0, 1.0, 0.2), yaw=0.8)
+    coop_box = make_box((-7.0, 3.0, -0.1), dims=(3.0, 1.6, 1.2), yaw=2.1)
+    R, t = pair_hypothesis(ego_box, coop_box)
+    np.testing.assert_allclose(R @ coop_box.center + t, ego_box.center, atol=1e-12)
+
+
+def test_pair_hypothesis_equals_the_corner_kabsch_fit():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        ego_box, coop_box = (
+            make_box(rng.uniform(-25, 25, 3), dims=rng.uniform(0.5, 6, 3), yaw=rng.uniform(0, 7))
+            for _ in range(2)
+        )
         for coop in (coop_box, with_flipped_yaw(coop_box)):
             r_ref, t_ref = kabsch_oracle(corners_of(coop), corners_of(ego_box))
-            R, t = anchor_motion(ego_box, coop)
+            R, t = pair_hypothesis(ego_box, coop)
             assert np.linalg.norm(R - r_ref) < 1e-12
             assert np.linalg.norm(t - t_ref) < 1e-12
 
@@ -189,19 +199,41 @@ def test_overflowing_cross_covariance_is_degenerate():
             weighted_kabsch(WeightedCorrespondences(src, src, np.ones(4)))
 
 
-def test_a_degenerate_matrix_raises_and_names_its_fault():
-    src, dst = random_correspondences(np.random.default_rng(32))
-    H = (dst - dst.mean(axis=0)).T @ (src - src.mean(axis=0))
-    for h in (H, H @ np.diag([1.0, 1.0, -1.0])):  # a reflected one snaps to det +1 too
-        R = nearest_rotation(h)
-        assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12 and np.linalg.det(R) == pytest.approx(1.0)
-    for rank_deficient in (np.outer([1.0, 2.0, 3.0], [3.0, 0.0, 1.0]), np.zeros((3, 3))):
-        with pytest.raises(DegenerateGeometry, match=r"^cross-covariance is rank-deficient \(singular values \["):
-            nearest_rotation(rank_deficient)
-    overflowed = H.copy()
+def cross_covariances(rng, k):
+    """k cross-covariances of noisy yaw-only correspondences, some reflected."""
+    stack = []
+    for _ in range(k):
+        src, dst = random_correspondences(rng)
+        H = (dst - dst.mean(axis=0)).T @ (src - src.mean(axis=0))
+        stack.append(H if rng.random() < 0.7 else H @ np.diag([1.0, 1.0, -1.0]))
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("at", [0, 5, 11])
+def test_a_stack_with_one_degenerate_matrix_raises(at):
+    # nearest_rotation takes one matrix: over a stack of twelve, only the
+    # degenerate one raises, and every other one, reflected ones too,
+    # snaps to a proper rotation
+    H = cross_covariances(np.random.default_rng(32), 12)
+    assert (np.linalg.det(H) < 0).any()
+    overflowed = H[at].copy()
     overflowed[1, 2] = np.inf
-    with pytest.raises(DegenerateGeometry, match=r"^cross-covariance is not finite"):
-        nearest_rotation(overflowed)
+    rank_deficient = r"^cross-covariance is rank-deficient \(singular values \["
+    for bad, message in (
+        (np.outer([1.0, 2.0, 3.0], [3.0, 0.0, 1.0]), rank_deficient),  # rank 1
+        (np.zeros((3, 3)), rank_deficient),
+        (overflowed, r"^cross-covariance is not finite"),
+    ):
+        stack = H.copy()
+        stack[at] = bad
+        for k, h in enumerate(stack):
+            if k == at:
+                with pytest.raises(DegenerateGeometry, match=message):
+                    nearest_rotation(h)
+            else:
+                R = nearest_rotation(h)
+                assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12, f"matrix {k}"
+                assert np.linalg.det(R) == pytest.approx(1.0), f"matrix {k}"
 
 
 def test_rms_residual_is_consistent_with_the_returned_transform():
