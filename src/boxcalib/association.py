@@ -38,24 +38,26 @@ stored transform's R (it may tilt) and a refit's enter whole; an anchor's
 rotation about z, and a fit's in its rms, enter as their xy block, so no
 zero entry is gathered or multiplied. The tail is the distance
 (_distance), the tau gate, the greedy one-to-one pairing (_greedy) and
-the valid-set size and mean, so every PairScore lists its valid pairs in
-(ego, coop) order; a fit's rms sums 8 c2 + 2 da2 over its pairs. Two
-kernels generate the pairs, each run once per frame or refinement round,
-never per anchor. The anchor pass (_anchor_pass) builds the frame's
-tables and scores every anchor, each about (e_i, c_j), on the pairs that
-a grid of the offsets in each box's heading frame puts within reach (a
-fixed-radius join), in one loop over chunks of rows; refinement starts
-from the best five anchors' scores read from it. The transform kernel
-(_score_motions) scores given motions, one PairScore each, under one
-coop heading each: odist's two (an anchor's, bit for bit the pass's),
-and a transform's two about (t, 0): alignment_score's, the health
-check's and each refit's (_refine), so the winner's refit carries the
-calibration's health on scenes kept whole. One rule ranks scores (_rank,
-_rank_key, or its mean term over arrays): it picks the heading of each
-anchor and of each scored transform, chooses the anchors refinement
-starts from, and decides refinement's steps. The kernels take the
-scenes' arrays (_SceneArrays), which a scene builds once, on first use
-(Scene._arrays), and every entry point reads.
+each cell's valid-set size and mean, its valid pairs kept as index
+arrays in (ego, coop) order; a fit's rms sums 8 c2 + 2 da2 over its
+pairs. Two kernels generate the pairs, each run once per frame or
+refinement round, never per anchor. The anchor pass (_anchor_pass) builds
+the frame's tables and scores every anchor, each about (e_i, c_j), on the
+pairs that a grid of the offsets in each box's heading frame puts within
+reach (a fixed-radius join), in one loop over chunks of rows. The
+transform kernel (_score_motions) scores given motions, one cell each
+under one coop heading: odist's two (an anchor's, bit for bit the
+pass's), and a transform's two about (t, 0): alignment_score's, the
+health check's and each refit's (_refine). Refinement keeps every valid
+set as index arrays, from the pass's to the winner's; PairScores
+(_scores) are built only for what leaves: odist's, alignment_score's and
+the winner's refit under both headings, the calibration's health on
+scenes kept whole. One rule ranks scores (_rank, _rank_key, or its mean
+term over arrays): it picks the heading of each anchor and of each
+scored transform, chooses the anchors refinement starts from, and
+decides refinement's steps. The kernels take the scenes' arrays
+(_SceneArrays), which a scene builds once, on first use (Scene._arrays),
+and every entry point reads.
 """
 from __future__ import annotations
 
@@ -313,10 +315,12 @@ def _da2(e, R, c):
 
 
 def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, e_star, c_star, flipped, params: ODistParams):
-    """The PairScore of the coop scene moved by each motion x -> e*[k] +
-    R[k] (x - c*[k]), k < K, under the coop headings as given, or reversed
-    where flipped[k] (the coop axes in packed column m + q). Only pairs
-    within reach (see _anchor_pass) take the axes term."""
+    """Score the coop scene moved by each motion x -> e*[k] + R[k] (x -
+    c*[k]), k < K, under the coop headings as given, or reversed where
+    flipped[k] (the coop axes in packed column m + q): _pair_up's (conf,
+    mean, kept) for cells k, which _scores reads as PairScores and _refine
+    as index arrays. Only pairs within reach (see _anchor_pass) take the
+    axes term."""
     flipped = np.asarray(flipped, dtype=bool)
     K, n, m = len(flipped), len(ego.centers), len(coop.centers)
     u = ego.centers.T[:, None, :, None] - e_star.T[:, :, None, None]  # [x, k, p, 1]
@@ -327,7 +331,7 @@ def _score_motions(ego: _SceneArrays, coop: _SceneArrays, R, e_star, c_star, fli
     k, p, q = np.nonzero(c2 <= reach * reach * (1.0 + 1e-9))
     axes_e, axes_c = ego.packed.take(p, axis=1), coop.packed.take(q + m * flipped[k], axis=1)
     da2 = _da2(axes_e, R.take(k, axis=-1), axes_c)
-    return _scores(_pair_up(k, p, q, c2[k, p, q], da2, K, (n, m), params), np.arange(K), flipped)
+    return _pair_up(k, p, q, c2[k, p, q], da2, K, (n, m), params)
 
 
 def _rank_key(confidence: float, mean_distance: float) -> tuple[float, float]:
@@ -435,16 +439,6 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
     return conf, mean, flip, kept
 
 
-def _pair_scores(frame, anchors) -> list[PairScore]:
-    """The scores of anchors [(i, j), ...], read from the _anchor_pass
-    frame: the winning variant of each."""
-    conf, mean, flip, kept = frame
-    i, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
-    w = flip[i, j]
-    cells = (i * conf.shape[1] + w) * conf.shape[2] + j
-    return _scores((conf.ravel(), mean.ravel(), kept), cells, w)
-
-
 def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistParams()) -> PairScore:
     """Score anchor pair (ego[i], coop[j]) by whole-scene alignment
     consistency: the better by _rank of its motions (see _anchor_pass) under
@@ -457,7 +451,8 @@ def odist(ego: Scene, coop: Scene, i: int, j: int, params: ODistParams = ODistPa
     cos, sin = np.cos(phi), np.sin(phi)
     R = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
     R = np.array([R, R * _FLIP_AXES[:, None]])  # rot_z(phi + pi) negates the xy rows
-    return min(_score_motions(e, c, R, e.centers[[i, i]], c.centers[[j, j]], [False, True], params), key=_rank)
+    up = _score_motions(e, c, R, e.centers[[i, i]], c.centers[[j, j]], [False, True], params)
+    return min(_scores(up, np.arange(2), [False, True]), key=_rank)
 
 
 def alignment_score(
@@ -468,8 +463,8 @@ def alignment_score(
     reversed (the motion pivots on (t, 0), as refinement scores its refits):
     the better by _rank, the given headings winning ties."""
     R, t = np.array([transform.rotation] * 2), np.array([transform.translation] * 2)
-    scores = _score_motions(ego._arrays, coop._arrays, R, t, np.zeros((2, 3)), [False, True], params)
-    return min(scores, key=_rank)
+    up = _score_motions(ego._arrays, coop._arrays, R, t, np.zeros((2, 3)), [False, True], params)
+    return min(_scores(up, np.arange(2), [False, True]), key=_rank)
 
 
 def build_affinity(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> AffinityMatrix:
@@ -506,33 +501,28 @@ def solve_assignment(affinity: AffinityMatrix | np.ndarray) -> MatchSet:
     )
 
 
-def _key(score: PairScore) -> tuple:
-    """A valid set as refinement caches it: its (ego, coop) pairs and flag."""
-    return tuple((i, j) for i, j, _ in score.valid_pairs), score.coop_flipped
-
-
-def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
+def _fit(ego: _SceneArrays, coop: _SceneArrays, rows, cols, sizes, flips):
     """The least-squares fit of the pairs' corners by a yaw rotation plus a
     translation, the only motion that maps boxes onto boxes, for each valid
-    set key = (pairs, flipped) with unit weights, all keys at once: the
-    stacked R = rot_z(theta), t = e_bar - R c_bar for the centroids e_bar
-    and c_bar, and the rms residuals. Centered corners are S A^T / 2
-    (_distance), so a set's corner cross-covariance is H = 8 sum de dc^T +
-    2 sum A_e A_c^T (de, dc: centers minus means), and theta = atan2(b, a)
-    for a + ib = H00 + H11 + i (H10 - H01) (Umeyama, IEEE TPAMI 1991, in
-    2-D): as x + iy, 8 conj(dc) de summed over the xy offsets plus 2 conj(A_c
-    col) A_e col over the axes' xy columns (packed rows 0, 2 and 1, 3). A
-    pair's squared corner residuals sum to 8 c2 + 2 da2 (_c2, _da2 of R's
-    xy block). Also returns fixed, whether each set fixes a yaw: it does not
-    if a + ib is not finite or |a + ib| <= RANK_RATIO_MIN sum (8 |de| |dc|
-    + 2 |A_e|_F |A_c|_F), its Cauchy-Schwarz bound, and then its (R, t,
-    rms) mean nothing. This is the calibration's one degeneracy rule: a
-    level needle's axes fix a yaw, a vertical needle's do not."""
-    sizes = np.array([len(pairs) for pairs, _ in keys])
-    rows, cols = np.array([ij for pairs, _ in keys for ij in pairs]).T
-    seg = np.repeat(np.arange(len(keys)), sizes)
+    set with unit weights, all sets at once: set k is the next sizes[k]
+    pairs (ego rows, coop cols), under the coop heading reversed if
+    flips[k]. Returns the stacked R = rot_z(theta), t = e_bar - R c_bar for
+    the centroids e_bar and c_bar, and the rms residuals. Centered corners
+    are S A^T / 2 (_distance), so a set's corner cross-covariance is H = 8
+    sum de dc^T + 2 sum A_e A_c^T (de, dc: centers minus means), and theta
+    = atan2(b, a) for a + ib = H00 + H11 + i (H10 - H01) (Umeyama, IEEE
+    TPAMI 1991, in 2-D): as x + iy, 8 conj(dc) de summed over the xy
+    offsets plus 2 conj(A_c col) A_e col over the axes' xy columns (packed
+    rows 0, 2 and 1, 3). A pair's squared corner residuals sum to 8 c2 + 2
+    da2 (_c2, _da2 of R's xy block). Also returns fixed, whether each set
+    fixes a yaw: it does not if a + ib is not finite or |a + ib| <=
+    RANK_RATIO_MIN sum (8 |de| |dc| + 2 |A_e|_F |A_c|_F), its Cauchy-Schwarz
+    bound (norms as np.linalg.norm computes them), and then its (R, t, rms)
+    mean nothing. This is the calibration's one degeneracy rule: a level
+    needle's axes fix a yaw, a vertical needle's do not."""
+    seg = np.repeat(np.arange(len(sizes)), sizes)
     starts = np.cumsum(sizes) - sizes
-    heads = cols + len(coop.centers) * np.repeat([f for _, f in keys], sizes)
+    heads = cols + len(coop.centers) * np.repeat(flips, sizes)
     e, c = ego.centers[rows], coop.centers[cols]
     axes_e, axes_c = ego.packed.take(rows, axis=1), coop.packed.take(heads, axis=1)
     e_bar, c_bar = (np.add.reduceat(x, starts) / sizes[:, None] for x in (e, c))
@@ -541,95 +531,105 @@ def _fit(ego: _SceneArrays, coop: _SceneArrays, keys: list[tuple]):
     z += 2.0 * (axes_c[0] - 1j * axes_c[2]) * (axes_e[0] + 1j * axes_e[2])
     z += 2.0 * (axes_c[1] - 1j * axes_c[3]) * (axes_e[1] + 1j * axes_e[3])
     z = np.add.reduceat(z, starts)
-    norms = 8.0 * np.linalg.norm(de, axis=1) * np.linalg.norm(dc, axis=1)
-    norms += 2.0 * np.linalg.norm(axes_e, axis=0) * np.linalg.norm(axes_c, axis=0)
+    norms = 8.0 * np.sqrt(np.add.reduce(de * de, axis=1)) * np.sqrt(np.add.reduce(dc * dc, axis=1))
+    norms += 2.0 * np.sqrt(np.add.reduce(axes_e * axes_e, axis=0)) * np.sqrt(np.add.reduce(axes_c * axes_c, axis=0))
     fixed = np.isfinite(z) & (np.abs(z) > RANK_RATIO_MIN * np.add.reduceat(norms, starts))
     theta = np.arctan2(z.imag, z.real)
     cos, sin = np.cos(theta), np.sin(theta)
-    R = np.zeros((len(keys), 3, 3))
+    R = np.zeros((len(sizes), 3, 3))
     R[:, 0, 0], R[:, 0, 1], R[:, 1, 0], R[:, 1, 1], R[:, 2, 2] = cos, -sin, sin, cos, 1.0
     t = e_bar - np.einsum("kij,kj->ki", R, c_bar)
-    xy = np.array([[cos, -sin], [sin, cos]]).take(seg, axis=-1)
+    xy = R[:, :2, :2].transpose(1, 2, 0).take(seg, axis=-1)  # [[cos, -sin], [sin, cos]] per pair
     c2 = _c2(de.T, (*_rotated(xy, dc.T[:2]), dc[:, 2]))
     da2 = _da2(axes_e, xy, axes_c)
-    rms = np.sqrt(np.bincount(seg, weights=8.0 * c2 + 2.0 * da2, minlength=len(keys)) / (8 * sizes))
+    rms = np.sqrt(np.bincount(seg, weights=8.0 * c2 + 2.0 * da2, minlength=len(sizes)) / (8 * sizes))
     return R, t, rms, fixed
 
 
-def _refine(ego: _SceneArrays, coop: _SceneArrays, anchors: list[PairScore], params: ODistParams):
-    """Refit every anchor's transform on its valid set (_fit) until the
-    refit no longer scores better, all anchors in lockstep rounds. This
-    ends: each kept refit strictly lowers _rank, and a refit depends only
-    on the valid set it fits. The refit of a set that fixes no yaw is never
-    kept. Each round fits the new valid sets of the still improving anchors
-    at once and scores each refit (R, t) about (t, 0) under both coop
-    headings in one _score_motions, as alignment_score scores (R, t); the
-    refit's score is the one under its valid set's heading. Returns the
-    refined scores, in the order of anchors, each with its key in fits;
-    fits: each fitted key's (R, t, rms), its two scores (headings as given,
-    reversed) and whether it fixes a yaw; and the rounds that fitted new
-    valid sets.
-    """
-    fits: dict[tuple, tuple] = {}
-    scores = list(anchors)
-    active = list(range(len(scores)))
-    rounds = 0
+def _refine(ego: _SceneArrays, coop: _SceneArrays, up, cells, flips, params: ODistParams):
+    """Refit each seed's transform on its valid set (_fit) until the refit
+    no longer scores better, all seeds in lockstep rounds; seed k is cell
+    cells[k] of the _pair_up result up, under coop heading flips[k]. This
+    ends: each kept refit strictly lowers _rank_key, and a refit depends
+    only on the valid set it fits. The refit of a set that fixes no yaw is
+    never kept. Each round fits the new valid sets of the still improving
+    seeds at once and scores refit k's (R, t) about (t, 0) in one
+    _score_motions, as alignment_score scores (R, t): cells 2 k and 2 k +
+    1, the coop headings as given and reversed. A seed is (_rank_key,
+    confidence, mean, flipped, p, q, d, key), its pairs views of the kept
+    arrays and key the bytes of p and q with flipped; a refit is read under
+    its set's own heading, its pairs only if it is kept. Returns the refined
+    seeds in the given order; fits, each fitted key's (round, index); and
+    rounds, each round's _fit and _score_motions results and its fixed,
+    conf, mean and kept-pair ends as lists."""
+
+    def read(kept, size, mean, end, f):  # the seed of a cell whose size kept pairs end at end
+        _, p, q, d = kept
+        p, q, d = p[end - size : end], q[end - size : end], d[end - size : end]
+        return _rank_key(float(size), mean), float(size), mean, f, p, q, d, (p.tobytes() + q.tobytes(), f)
+
+    conf, mean, kept = up
+    ends = np.searchsorted(kept[0], cells, side="right")  # kept is in cell order
+    seeds = [read(kept, *cell) for cell in zip(conf[cells].tolist(), mean[cells].tolist(), ends.tolist(), flips)]
+    fits, rounds, active = {}, [], list(range(len(seeds)))
     while active:
-        keys = [_key(scores[k]) for k in active]
-        new = list(dict.fromkeys(key for key in keys if key not in fits))
+        new = {seeds[k][-1]: seeds[k] for k in active if seeds[k][-1] not in fits}  # first-seen order
         if new:
-            rounds += 1
-            R, t, rms, fixed = _fit(ego, coop, new)
-            motions = R.repeat(2, axis=0), t.repeat(2, axis=0), np.zeros((2 * len(new), 3))
-            both = _score_motions(ego, coop, *motions, [False, True] * len(new), params)
-            for k, key in enumerate(new):
-                fits[key] = (R[k], t[k], rms[k]), (both[2 * k], both[2 * k + 1]), bool(fixed[k])
+            sets = list(new.values())
+            pairs = np.concatenate([s[4] for s in sets]), np.concatenate([s[5] for s in sets])
+            fit = _fit(ego, coop, *pairs, np.array([len(s[4]) for s in sets]), np.array([s[3] for s in sets]))
+            motions = fit[0].repeat(2, axis=0), fit[1].repeat(2, axis=0), np.zeros((2 * len(new), 3))
+            conf, mean, _ = scored = _score_motions(ego, coop, *motions, [False, True] * len(new), params)
+            fits.update((key, (len(rounds), k)) for k, key in enumerate(new))
+            rounds.append((fit, scored, *(x.tolist() for x in (fit[3], conf, mean, np.cumsum(conf)))))
         improving = []
-        for k, key in zip(active, keys):
-            _, headings, fixes = fits[key]
-            refined = headings[key[1]]  # the refit's score under its valid set's heading
-            if fixes and _rank(refined) < _rank(scores[k]):
-                scores[k] = refined
+        for k in active:
+            r, x = fits[seeds[k][-1]]
+            _, (_, _, kept), fixed, conf, mean, ends = rounds[r]
+            c = 2 * x + seeds[k][3]  # the refit's cell under its set's heading
+            if fixed[x] and _rank_key(float(conf[c]), mean[c]) < seeds[k][0]:
+                seeds[k] = read(kept, conf[c], mean[c], ends[c], seeds[k][3])
                 improving.append(k)
         active = improving
-    return scores, fits, rounds
+    return seeds, fits, rounds
 
 
-def _seeds(conf: np.ndarray, mean: np.ndarray) -> list[tuple[int, int]]:
-    """The anchors refinement starts from, in (ego, coop) order: the first
-    _REFINED of a stable sort by _rank_key of every nonzero anchor (i, j),
-    of confidence conf[i, j] and mean distance mean[i, j] (its winning
-    variant's), taken in (ego, coop) order, so ties go to the lower index."""
+def _seeds(conf: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors refinement starts from, arrays i and j in (ego, coop)
+    order: the first _REFINED of a stable sort by _rank_key of every nonzero
+    anchor (i, j), of confidence conf[i, j] and mean distance mean[i, j] (its
+    winning variant's), taken in (ego, coop) order: ties to the lower index."""
     i, j = np.nonzero(conf)
     best = np.sort(np.lexsort((np.rint(mean[i, j] * 1e9), -conf[i, j]))[:_REFINED])
-    return list(zip(i[best].tolist(), j[best].tolist()))
+    return i[best], j[best]
 
 
 def _associate(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
-    """associate's matches, their fit's transform and rms (_fit), the
-    cached fit _refine stopped at; the fit's alignment_score on these
-    arrays, read from refinement; the seconds of the anchor pass and of the
-    rest; and the refinement rounds and the valid sets fitted. Raises
-    DegenerateGeometry if the winner's valid set fixes no yaw, whatever the
-    other seeds' sets do."""
+    """associate's matches, their fit's transform and rms (_fit), the fit
+    _refine stopped at; the fit's alignment_score on these arrays, read from
+    its round; the seconds of the anchor pass and of the rest; and the
+    refinement rounds and the valid sets fitted. Raises DegenerateGeometry
+    if the winner's valid set fixes no yaw, whatever the other seeds' do."""
     start = time.perf_counter()
-    frame = _anchor_pass(ego, coop, params)
+    conf, mean, flip, kept = _anchor_pass(ego, coop, params)
     scored = time.perf_counter()
-    conf, mean, flip, _ = frame  # an anchor's pass score is in cell (i, flip[i, j], j)
-    seeds = _seeds(conf.max(axis=1), np.where(flip, mean[:, 1], mean[:, 0]))
-    if not seeds:
+    i, j = _seeds(conf.max(axis=1), np.where(flip, mean[:, 1], mean[:, 0]))
+    if not len(i):
         raise NoCoVisibleObjects("no anchor pair supports a consistent scene alignment")
-    refined, fits, rounds = _refine(ego, coop, _pair_scores(frame, seeds), params)
+    flips = flip[i, j]  # an anchor's pass score is in cell (i, flip[i, j], j)
+    cells = (i * 2 + flips) * conf.shape[2] + j
+    refined, fits, rounds = _refine(ego, coop, (conf.ravel(), mean.ravel(), kept), cells, flips.tolist(), params)
     # the seeds are in (ego, coop) order and min keeps the first of equals
-    best = min(refined, key=_rank)
-    key = _key(best)
-    (R, t, rms), headings, fixes = fits[key]
-    if not fixes:
-        raise DegenerateGeometry(f"the winning valid set {key[0]} fixes no yaw")
-    health = min(headings, key=_rank)  # as alignment_score: the given headings win ties
-    matches = MatchSet(tuple(Match(i, j, best.confidence, best.coop_flipped) for i, j in key[0]))
+    _, confidence, _, flipped, p, q, _, key = min(refined, key=lambda seed: seed[0])
+    r, k = fits[key]
+    (R, t, rms, fixed), up, *_ = rounds[r]
+    pairs = tuple(zip(p.tolist(), q.tolist()))
+    if not fixed[k]:
+        raise DegenerateGeometry(f"the winning valid set {pairs} fixes no yaw")
+    health = min(_scores(up, np.array([2 * k, 2 * k + 1]), [False, True]), key=_rank)  # as alignment_score's
+    matches = MatchSet(tuple(Match(a, b, confidence, flipped) for a, b in pairs))
     seconds = scored - start, time.perf_counter() - scored
-    return matches, RigidTransform(R, t), float(rms), health, seconds, (rounds, len(fits))
+    return matches, RigidTransform(R[k], t[k]), float(rms[k]), health, seconds, (len(rounds), len(fits))
 
 
 def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> MatchSet:
@@ -637,11 +637,11 @@ def associate(ego: Scene, coop: Scene, params: ODistParams = ODistParams()) -> M
 
     Only the best five nonzero anchors of the anchor pass by unrefined
     score (_rank, ties to the lower (ego, coop) index; _seeds) are refined:
-    each one's score, read from the pass (_pair_scores), is refined to a
-    fixed point (see _refine); the one with the highest refined confidence,
-    then the least mean distance, then the lowest (ego, coop) index wins. Its valid set, sorted by ego index, is
-    returned; every match carries the winner's confidence and heading-flip
-    flag.
+    each one's score, read from the pass's arrays, is refined to a fixed
+    point (see _refine); the one with the highest refined confidence, then
+    the least mean distance, then the lowest (ego, coop) index wins. Its
+    valid set, sorted by ego index, is returned; every match carries the
+    winner's confidence and heading-flip flag.
     """
     return _associate(ego._arrays, coop._arrays, params)[0]
 

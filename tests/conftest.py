@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from boxcalib import DetectionBox, ODistParams, RigidTransform, Scene, rot_z
+from boxcalib import DetectionBox, ODistParams, PairScore, RigidTransform, Scene, rot_z
 from boxcalib import association
 
 
@@ -67,7 +67,63 @@ def given_heading_score(ego, coop, transform, params=ODistParams()):
     one motion, unflipped. Not an oracle: it is the package's own kernel."""
     arrays = ego._arrays, coop._arrays
     R, t = transform.rotation[None], transform.translation[None]
-    return association._score_motions(*arrays, R, t, np.zeros((1, 3)), [False], params)[0]
+    up = association._score_motions(*arrays, R, t, np.zeros((1, 3)), [False], params)
+    return association._scores(up, np.zeros(1, np.intp), [False])[0]
+
+
+def key_of(score):
+    """A PairScore's valid set as the tests compare them: its (ego, coop)
+    pairs and its heading flag."""
+    return tuple((i, j) for i, j, _ in score.valid_pairs), score.coop_flipped
+
+
+def pass_seeds(frame, anchors):
+    """What association._associate hands _refine for the anchors [(i, j),
+    ...] of the _anchor_pass frame: the pass's _pair_up result over flat
+    cells, and each anchor's cell and heading flag, its winning variant's."""
+    conf, mean, flip, kept = frame
+    i, j = np.array(anchors, dtype=np.intp).reshape(-1, 2).T
+    w = flip[i, j]
+    cells = (i * conf.shape[1] + w) * conf.shape[2] + j
+    return (conf.ravel(), mean.ravel(), kept), cells, w.tolist()
+
+
+def pair_scores(frame, anchors):
+    """The PairScores of the anchors [(i, j), ...], read from the
+    _anchor_pass frame: the winning variant of each."""
+    return association._scores(*pass_seeds(frame, anchors))
+
+
+def refine(ego, coop, frame, anchors, params):
+    """association._refine of the anchors [(i, j), ...] of the _anchor_pass
+    frame, on the scenes' arrays: the refined seeds as PairScores, in the
+    order of anchors; each fitted valid set (key_of's form) with its (R, t,
+    rms, fixed); and the number of rounds that fitted new valid sets."""
+    seeds, fits, rounds = association._refine(ego, coop, *pass_seeds(frame, anchors), params)
+    scores = [
+        PairScore(confidence, mean, tuple(zip(p.tolist(), q.tolist(), d.tolist())), flipped)
+        for _, confidence, mean, flipped, p, q, d, _ in seeds
+    ]
+    fitted = {}
+    for (data, flipped), (r, k) in fits.items():
+        p, q = np.frombuffer(data, dtype=np.intp).reshape(2, -1)
+        fitted[tuple(zip(p.tolist(), q.tolist())), flipped] = tuple(x[k] for x in rounds[r][0])
+    return scores, fitted, len(rounds)
+
+
+def fit_sets(ego, coop, keys):
+    """association._fit of the valid sets keys = [(pairs, flipped), ...] on
+    the scenes' arrays (_SceneArrays)."""
+    pairs = [ij for set_pairs, _ in keys for ij in set_pairs]
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    sizes = np.array([len(set_pairs) for set_pairs, _ in keys])
+    return association._fit(ego, coop, rows, cols, sizes, np.array([flipped for _, flipped in keys]))
+
+
+def fitted_sets(rows, cols, sizes, flips):
+    """The valid sets of a call of association._fit, as fit_sets takes them."""
+    pairs, ends = list(zip(rows.tolist(), cols.tolist())), np.cumsum(sizes).tolist()
+    return [(tuple(pairs[b - size : b]), f) for b, size, f in zip(ends, sizes.tolist(), flips.tolist())]
 
 
 def axes_reference(arrays):

@@ -45,7 +45,7 @@ from boxcalib.association import TAU_MAX, _greedy
 from boxcalib.geometry import rot_z
 from boxcalib.io import MAX_COORDINATE_M
 
-from conftest import make_box, make_scene, rot_z_reference
+from conftest import make_box, make_scene, pair_scores, rot_z_reference
 
 PARAMS = {
     "default": ODistParams(),
@@ -144,7 +144,7 @@ def assert_same_blocks(ego, coop, params, with_odist=True):
         for g, w in zip(got, [*want, *want_kept]):
             assert g.dtype == w.dtype and np.array_equal(g, w), f"ego index {i}"
         if with_odist:
-            scores = association._pair_scores(frame, [(i, j) for j in range(m)])
+            scores = pair_scores(frame, [(i, j) for j in range(m)])
             for j, score in enumerate(scores):
                 assert odist(ego, coop, i, j, params) == score, f"anchor ({i}, {j})"
 
@@ -388,7 +388,8 @@ def anchor_motion_scores(pair, params, anchors):
     R = np.stack([R, R * association._FLIP_AXES[:, None]], axis=1).reshape(-1, 3, 3)
     flipped = np.tile([False, True], len(i))
     e_star, c_star = np.repeat(pair.ego.centers[i], 2, axis=0), np.repeat(pair.coop.centers[j], 2, axis=0)
-    scores = association._score_motions(pair.ego, pair.coop, R, e_star, c_star, flipped, params)
+    up = association._score_motions(pair.ego, pair.coop, R, e_star, c_star, flipped, params)
+    scores = association._scores(up, np.arange(len(flipped)), flipped)
     return [min(scores[k : k + 2], key=association._rank) for k in range(0, len(scores), 2)]
 
 
@@ -401,9 +402,9 @@ def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatc
     params = ODistParams(tau=5e-4, alpha=1.0, beta=0.0)
     seeds, refine = [], association._refine
 
-    def refine_spy(ego, coop, anchors, *args):
-        seeds.append(list(anchors))
-        return refine(ego, coop, anchors, *args)
+    def refine_spy(ego, coop, up, cells, flips, *args):
+        seeds.append(association._scores(up, cells, flips))
+        return refine(ego, coop, up, cells, flips, *args)
 
     monkeypatch.setattr(association, "_refine", refine_spy)
     for seed in (0, 1):
@@ -412,7 +413,7 @@ def test_the_transform_kernel_scores_the_rim_anchors_as_the_pass_does(monkeypatc
         anchors = list(np.ndindex(pair.cos.shape))
         frame = association._anchor_pass(pair.ego, pair.coop, params)
         kernel = anchor_motion_scores(pair, params, anchors)
-        assert kernel == association._pair_scores(frame, anchors)
+        assert kernel == pair_scores(frame, anchors)
         seeds.clear()
         matches = association.associate(ego, coop, params)
         assert len(matches) > 1 and len(seeds) == 1

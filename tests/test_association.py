@@ -39,8 +39,11 @@ from boxcalib import association
 from conftest import (
     assignment_max_oracle,
     given_heading_score,
+    key_of,
     make_box,
     make_scene,
+    pair_scores,
+    refine,
     spread_scene,
     yaw_transform,
 )
@@ -674,14 +677,15 @@ def test_refinement_runs_to_its_fixed_point():
     arrays, params = (ego._arrays, coop._arrays), ODistParams()
     frame = association._anchor_pass(*arrays, params)
     assigned = solve_assignment(build_affinity(ego, coop, params))
-    anchors = association._pair_scores(frame, [(a.ego_index, a.coop_index) for a in assigned])
-    refined, _, _ = association._refine(*arrays, anchors, params)
+    pairs = [(a.ego_index, a.coop_index) for a in assigned]
+    anchors = pair_scores(frame, pairs)
+    refined, _, _ = refine(*arrays, frame, pairs, params)
     best = min(refined, key=association._rank)
     found = {(i, j) for i, j, _ in best.valid_pairs}
     assert len(found) == 14
     assert found <= true_pairs
-    reaching = [k for k, score in enumerate(refined) if association._key(score) == association._key(best)]
-    rounds = [association._refine(*arrays, [anchors[k]], params)[2] for k in reaching]
+    reaching = [k for k, score in enumerate(refined) if key_of(score) == key_of(best)]
+    rounds = [refine(*arrays, frame, [pairs[k]], params)[2] for k in reaching]
     assert max(rounds) > 3  # a round fits only after the previous refit improved
     # the winner ranks first by unrefined rank, so calibrate_scenes, which
     # refines only the best five, reaches the same consensus

@@ -72,8 +72,8 @@ def test_a_losing_seed_that_fixes_no_yaw_leaves_the_true_calibration(needles, mo
     fitted = []
     fit = association._fit
 
-    def spy(ego_a, coop_a, keys):
-        fitted.append(fit(ego_a, coop_a, keys))
+    def spy(ego_a, coop_a, *sets):
+        fitted.append(fit(ego_a, coop_a, *sets))
         return fitted[-1]
 
     monkeypatch.setattr(association, "_fit", spy)

@@ -11,12 +11,13 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "digest_diff.py"
 
 
-def digest(translation=(1.0, 2.0, 0.5), matches="0,1,0 1,2,0", rms=0.5, event_mean=0.25):
+def digest(translation=(1.0, 2.0, 0.5), matches="0,1,0 1,2,0", rms=0.5, event_mean=0.25, rounds=2, sets=3,
+           raised="NoCoVisibleObjects no anchor pair supports a consistent scene alignment"):
     extrinsic = np.eye(3).tobytes().hex() + ":" + np.array(translation).tobytes().hex()
     return (
         "sweep15 0 affinity 0000000000000840 flips 01\n"
-        f"sweep15 0 matches {matches} transform {extrinsic} rms {rms!r} health 3.0 0.25\n"
-        "sweep15 1 raised NoCoVisibleObjects\n"
+        f"sweep15 0 matches {matches} transform {extrinsic} rms {rms!r} health 3.0 0.25 rounds {rounds} sets {sets}\n"
+        f"sweep15 1 raised {raised}\n"
         f"monitor 0 BootCalibrated,3.0,{event_mean!r},1 status Monitoring held {extrinsic}\n"
     )
 
@@ -53,8 +54,14 @@ def test_floats_within_the_tolerance_agree_and_report_the_deviation(tmp_path):
         {"matches": "0,1,0"},
         {"translation": (1.0, 2.0 + 1e-9, 0.5)},
         {"event_mean": 0.25 + 1e-9},
+        {"rounds": 1},
+        {"sets": 4},
+        {"raised": "NoCoVisibleObjects no anchor pair supports a consistent scene"},
     ],
-    ids=["match", "dropped match", "transform beyond the tolerance", "event mean distance"],
+    ids=[
+        "match", "dropped match", "transform beyond the tolerance", "event mean distance",
+        "refinement rounds", "sets fitted", "raised message",
+    ],
 )
 def test_other_differences_exit_1(tmp_path, changed):
     code, out = run(tmp_path, digest(), digest(**changed))
@@ -93,7 +100,7 @@ def test_summary_of_identical_digests_counts_nothing_changed(tmp_path):
 def test_summary_counts_each_kind_of_change(tmp_path):
     old = digest() + "dense32 0 affinity 00 flips 00\n"
     new = digest(matches="0,1,0 1,3,0", event_mean=0.5).replace("affinity 0000000000000840", "affinity 0000000000001040")
-    new = new.replace("raised NoCoVisibleObjects", "raised DegenerateGeometry")
+    new = new.replace("raised NoCoVisibleObjects no anchor pair", "raised DegenerateGeometry no anchor pair")
     new = new.replace("BootCalibrated,", "AlertRaised,") + "dense32 0 affinity 00 flips 00\n"
     code, lines = run_summary(tmp_path, old, new)
     assert code == 0

@@ -42,7 +42,7 @@ from boxcalib import (
 )
 from boxcalib import association
 from boxcalib.registration import RegistrationResult
-from conftest import make_box, make_scene, yaw_transform
+from conftest import fit_sets, fitted_sets, make_box, make_scene, yaw_transform
 
 TOL = 1e-12
 YAW_TOL = 5e-8  # rad, against the grid-and-minimize_scalar reference (worst seen: 4.6e-9)
@@ -58,7 +58,7 @@ def corner_fit(ego, coop, pairs, flipped):
 
 
 def closed_form_fit(ego, coop, pairs, flipped):
-    R, t, rms, fixed = association._fit(ego._arrays, coop._arrays, [(pairs, flipped)])
+    R, t, rms, fixed = fit_sets(ego._arrays, coop._arrays, [(pairs, flipped)])
     assert fixed.tolist() == [True], "the set fixes no yaw"
     return RegistrationResult(RigidTransform(R[0], t[0]), float(rms[0]))
 
@@ -167,7 +167,7 @@ def test_every_fitted_rotation_is_a_yaw():
         flipped = bool(trial % 2)
         ego, coop, pairs = random_pairs(rng, 20, flipped)
         keys = [(pairs[k : k + 2 + 3 * k], flipped) for k in range(6)]  # 2 to 17 pairs
-        R = association._fit(ego._arrays, coop._arrays, keys)[0]
+        R = fit_sets(ego._arrays, coop._arrays, keys)[0]
         assert np.array_equal(R[:, 2], np.tile([0.0, 0.0, 1.0], (len(keys), 1)))
         assert np.array_equal(R[:, :, 2], np.tile([0.0, 0.0, 1.0], (len(keys), 1)))
         assert np.all(np.abs(np.linalg.det(R) - 1.0) <= 1e-15)
@@ -192,9 +192,28 @@ def test_fit_raises_where_the_corner_fit_does(ego_boxes, coop_boxes):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DegenerateGeometry):
             corner_fit(ego, coop, pairs, False)
-        assert association._fit(ego._arrays, coop._arrays, [(pairs, False)])[3].tolist() == [False]
+        assert fit_sets(ego._arrays, coop._arrays, [(pairs, False)])[3].tolist() == [False]
         with pytest.raises(DegenerateGeometry):
             calibrate_scenes(ego, coop)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e5], ids=["random", "tiny", "1e5"])
+def test_the_fits_norms_are_np_linalg_norms_arithmetic(scale, monkeypatch):
+    # _fit's Cauchy-Schwarz norms take the square root of np.add.reduce of
+    # the squares, which np.linalg.norm runs for real input along an axis:
+    # equal to it bit for bit, on offsets (pairs x 3, axis 1) and packed
+    # axes (5 x pairs, axis 0) alike, subnormal squares included
+    rng = np.random.default_rng(int(-math.log10(scale)) + 400)
+    for shape, axis in (((37, 3), 1), ((5, 37), 0), ((1, 3), 1), ((5, 1), 0)):
+        x = rng.normal(0.0, 1.0, shape) * scale
+        assert np.array_equal(np.sqrt(np.add.reduce(x * x, axis=axis)), np.linalg.norm(x, axis=axis))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_fit called np.linalg.norm")
+
+    ego, coop, pairs = random_pairs(rng, 12, False)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    assert fit_sets(ego._arrays, coop._arrays, [(pairs, False), (pairs[:3], False)])[3].tolist() == [True, True]
 
 
 def noisy_frames():
@@ -229,9 +248,9 @@ def test_calibrate_scenes_fits_each_valid_set_once(monkeypatch):
     fitted = []
     fit = association._fit
 
-    def spy(ego, coop, keys):
-        fitted.extend(keys)  # every round's keys, in one list per frame
-        return fit(ego, coop, keys)
+    def spy(ego, coop, *sets):
+        fitted.extend(fitted_sets(*sets))  # every round's valid sets, in one list per frame
+        return fit(ego, coop, *sets)
 
     monkeypatch.setattr(association, "_fit", spy)
     for ego, coop in noisy_frames():

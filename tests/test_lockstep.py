@@ -34,10 +34,10 @@ from boxcalib import (
     with_flipped_yaw,
 )
 from boxcalib import association
-from boxcalib.association import _key, _pair_up, _rank
+from boxcalib.association import _pair_up, _rank
 from boxcalib.geometry import RANK_RATIO_MIN, rot_z
 
-from conftest import axes_reference, make_box, make_scene
+from conftest import axes_reference, fit_sets, key_of, make_box, make_scene, pair_scores, refine
 from test_anchor_prune import dense_frame
 from test_degenerate_seeds import needle_frame
 from test_fit import noisy_frames
@@ -82,7 +82,7 @@ def sequential_score(ego, coop, R, t, flipped, params):
 
 def sequential_refine(ego, coop, score, params, refits):
     while True:
-        key = _key(score)
+        key = key_of(score)
         if key not in refits:
             fit = sequential_fit(ego, coop, *key)
             refits[key] = fit, fit and sequential_score(ego, coop, *fit[:2], key[1], params)
@@ -93,31 +93,30 @@ def sequential_refine(ego, coop, score, params, refits):
 
 
 def nonzero_anchors(ego, coop, params):
-    """The scenes' arrays and the pass scores of every anchor of nonzero
-    confidence, in (ego, coop) order."""
+    """The scenes' arrays, the anchor pass, every anchor of nonzero
+    confidence, in (ego, coop) order, and their pass scores."""
     arrays = ego._arrays, coop._arrays
     frame = association._anchor_pass(*arrays, params)
     nonzero = [(i, j) for i, row in enumerate(frame[0].max(axis=1).tolist()) for j, a in enumerate(row) if a > 0]
     if not nonzero:
         raise NoCoVisibleObjects("no anchor")
-    return arrays, association._pair_scores(frame, nonzero)
+    return arrays, frame, nonzero, pair_scores(frame, nonzero)
 
 
-def best_anchors(anchors):
-    """The REFINED best anchors by _rank (a stable sort), in their given order."""
-    best = sorted(range(len(anchors)), key=lambda k: _rank(anchors[k]))[:REFINED]
-    return [anchors[k] for k in sorted(best)]
+def best_anchors(scores):
+    """The positions of the REFINED best scores by _rank (a stable sort), in
+    their given order."""
+    return sorted(sorted(range(len(scores)), key=lambda k: _rank(scores[k]))[:REFINED])
 
 
 def sequential_associate(ego, coop, params):
     """(refined scores, fitted keys, matches, (R, t, rms)) as the sequential
     refinement gives them."""
-    arrays, anchors = nonzero_anchors(ego, coop, params)
-    anchors = best_anchors(anchors)
+    arrays, _, _, scores = nonzero_anchors(ego, coop, params)
     refits = {}
-    refined = [sequential_refine(*arrays, score, params, refits) for score in anchors]
+    refined = [sequential_refine(*arrays, scores[k], params, refits) for k in best_anchors(scores)]
     best = min(refined, key=_rank)
-    key = _key(best)
+    key = key_of(best)
     fit = refits[key][0]
     if fit is None:
         raise DegenerateGeometry("the winner's valid set fixes no yaw")
@@ -126,8 +125,8 @@ def sequential_associate(ego, coop, params):
 
 
 def lockstep_associate(ego, coop, params):
-    arrays, anchors = nonzero_anchors(ego, coop, params)
-    refined, fits, _ = association._refine(*arrays, best_anchors(anchors), params)
+    arrays, frame, anchors, scores = nonzero_anchors(ego, coop, params)
+    refined, fits, _ = refine(*arrays, frame, [anchors[k] for k in best_anchors(scores)], params)
     matches, transform, rms, *_ = association._associate(*arrays, params)
     shown = [(m.ego_index, m.coop_index, m.confidence, m.coop_yaw_flipped) for m in matches]
     return refined, set(fits), shown, (transform.rotation, transform.translation, rms)
@@ -194,7 +193,7 @@ def test_lockstep_refinement_equals_the_sequential_one(frame):
     (got_scores, got_keys, got_matches, got_fit) = got
     assert got_keys == want_keys, "a different set of valid sets was fitted"
     for w, g in zip(want_scores, got_scores, strict=True):
-        assert _key(g) == _key(w) and g.confidence == w.confidence
+        assert key_of(g) == key_of(w) and g.confidence == w.confidence
         assert abs(g.mean_distance - w.mean_distance) <= TOL
         assert np.max(np.abs(np.array(g.valid_pairs) - np.array(w.valid_pairs)), initial=0.0) <= TOL
     assert got_matches == want_matches
@@ -214,11 +213,11 @@ def test_the_frames_cover_raising_and_flipped_refinements():
 def test_a_set_fits_the_same_alone_and_in_a_round():
     # a fit depends only on its valid set, not on the sets fitted with it
     ego, coop = dense_frame(0)
-    arrays, anchors = nonzero_anchors(ego, coop, ODistParams())
-    keys = list(dict.fromkeys(_key(s) for s in anchors if len(s.valid_pairs) >= 2))
+    arrays, _, _, scores = nonzero_anchors(ego, coop, ODistParams())
+    keys = list(dict.fromkeys(key_of(s) for s in scores if len(s.valid_pairs) >= 2))
     assert len(keys) > 1
-    together = association._fit(*arrays, keys)
+    together = fit_sets(*arrays, keys)
     for k, key in enumerate(keys):
-        alone = association._fit(*arrays, [key])
+        alone = fit_sets(*arrays, [key])
         for a, b in zip(alone, together):
             assert np.array_equal(a[0], b[k]), f"valid set {k}"

@@ -41,9 +41,9 @@ from boxcalib import (
     transform_scene,
 )
 from boxcalib import association, pipeline
-from boxcalib.association import _key, _rank
+from boxcalib.association import _rank
 
-from conftest import make_box, make_scene
+from conftest import key_of, make_box, make_scene, refine
 from test_anchor_prune import dense_frame
 from test_batched_affinity import NEAR_TIES, mirrored_pair
 from test_lockstep import REFINED, best_anchors, nonzero_anchors
@@ -67,13 +67,13 @@ FRAMES = {seed: list(sweep_frames(seed)) for seed in SEEDS}
 def refine_all(ego, coop, params):
     """The reference, every nonzero anchor refined: whether its winner is
     among the best five, and its matches, R and t bytes and rms."""
-    arrays, anchors = nonzero_anchors(ego, coop, params)
-    refined, fits, _ = association._refine(*arrays, anchors, params)
+    arrays, frame, anchors, scores = nonzero_anchors(ego, coop, params)
+    refined, fits, _ = refine(*arrays, frame, anchors, params)
     best = min(refined, key=_rank)
-    key = _key(best)
-    R, t, rms = fits[key][0]
+    key = key_of(best)
+    R, t, rms, _ = fits[key]
     matches = [(i, j, best.confidence, best.coop_flipped) for i, j in key[0]]
-    among = anchors[refined.index(best)] in best_anchors(anchors)
+    among = scores[refined.index(best)] in [scores[k] for k in best_anchors(scores)]
     return among, matches, R.tobytes(), t.tobytes(), float(rms)
 
 
@@ -121,11 +121,12 @@ def stable_sort_seeds(ego, coop, params):
 
 
 def refine_spy(monkeypatch):
-    seeds, refine = [], association._refine
+    """The PairScores of the seeds each _refine call starts from."""
+    seeds, refine_seeds = [], association._refine
 
-    def spy(ego, coop, anchors, *args):
-        seeds.append(list(anchors))
-        return refine(ego, coop, anchors, *args)
+    def spy(ego, coop, up, cells, flips, *args):
+        seeds.append(association._scores(up, cells, flips))
+        return refine_seeds(ego, coop, up, cells, flips, *args)
 
     monkeypatch.setattr(association, "_refine", spy)
     return seeds
@@ -164,24 +165,26 @@ def test_the_rank_keys_mean_term_is_np_rint_of_nanometres():
     assert [association._rank_key(2.0, m) for m in means] == [(-2.0, n) for n in want]
 
 
-def test_only_the_refined_anchors_get_a_pair_score(monkeypatch):
-    # the nonzero anchors are ranked on the pass's arrays; a PairScore
-    # (a tuple of every valid pair) is built only for the ones refined
+def test_only_the_winner_and_its_health_get_pair_scores(monkeypatch):
+    # the nonzero anchors are ranked on the pass's arrays and refined on
+    # index arrays; PairScores (a tuple of every valid pair) are built only
+    # for the winner's health, its refit's two cells
     params = ODistParams()
-    received, pair_scores = [], association._pair_scores
+    received, scores = [], association._scores
 
-    def pair_scores_spy(frame, anchors):
-        received.append(len(anchors))
-        return pair_scores(frame, anchors)
+    def scores_spy(up, cells, flipped):
+        received.append((cells.tolist(), list(flipped)))
+        return scores(up, cells, flipped)
 
     for ego, coop in (dense_frame(k) for k in range(2)):
-        arrays, anchors = nonzero_anchors(ego, coop, params)
+        arrays, _, anchors, _ = nonzero_anchors(ego, coop, params)
         assert len(anchors) > REFINED
-        monkeypatch.setattr(association, "_pair_scores", pair_scores_spy)
+        monkeypatch.setattr(association, "_scores", scores_spy)
         received.clear()
         association._associate(*arrays, params)
         monkeypatch.undo()
-        assert received == [REFINED]
+        ((cells, flipped),) = received
+        assert cells[0] % 2 == 0 and cells[1] == cells[0] + 1 and flipped == [False, True]
 
 
 

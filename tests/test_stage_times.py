@@ -11,7 +11,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
 ROWS = ("top-k", "scene pair", "anchor pass", "refinement", "health", "other", "total", "synthesis")
-COUNTS = ("rounds", "sets fitted")  # per calibrated frame, one number a column
+COUNTS = ("rounds", "sets fitted", "minor faults")  # per frame, one number a column
 
 
 def test_stage_times_prints_every_stage_of_both_workloads():
@@ -38,9 +38,10 @@ def test_stage_times_prints_every_stage_of_both_workloads():
     scene_pair = lines[ROWS.index("scene pair")]
     assert all(float(v) > 0.0 for v in scene_pair[14:].split()[::4]), scene_pair
     # refinement fits at least the winner's valid set in at least one round
-    rounds, sets = ([float(v) for v in line[14:].split()] for line in counts)
-    assert len(rounds) == len(sets) == 3
+    rounds, sets, faults = ([float(v) for v in line[14:].split()] for line in counts)
+    assert len(rounds) == len(sets) == len(faults) == 3
     assert all(1.0 <= r <= s for r, s in zip(rounds, sets)), counts
+    assert all(f >= 0.0 for f in faults), counts
 
 
 def test_every_repeat_calibrates_scenes_whose_arrays_are_yet_to_be_built(builds, monkeypatch, tmp_path):
@@ -59,7 +60,9 @@ def test_every_repeat_calibrates_scenes_whose_arrays_are_yet_to_be_built(builds,
     builds.clear()
     _, counts = tool.stage_times(frames, tool.Sweep15.top_k, 3)
     assert builds == [len(s) for _ in range(3) for frame in frames for s in frame]
-    # the counts are the trace's, averaged over the frames (both calibrate)
+    # the counts are the trace's, averaged over the frames (both calibrate),
+    # and the minor page faults of the repeats per frame and repeat
+    assert counts.pop("minor faults") >= 0.0
     traces = [tool.calibrate_scenes(*frame, top_k=tool.Sweep15.top_k).trace for frame in frames]
     assert counts == {
         "rounds": sum(t.refinement_rounds for t in traces) / 2,

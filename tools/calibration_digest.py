@@ -8,11 +8,13 @@ The frames are Sweep15(501) trials 0-239, Dense32(501) frames 0-15 and the
 360 frames of MonitorStream(501), all built by bench/workloads.py. Each
 calibration frame prints two lines: the affinity matrix of its top-k
 scenes (entries and flip flags, their bytes as hex), then its matches
-(ego, coop, flipped), the transform's bytes as hex, the residual and the
-health. Each monitor frame prints its events and the bytes of the
-extrinsic it holds afterwards. Timings (elapsed_s) are left out, so two
-checkouts whose outputs agree bit for bit print the same text: run the
-script in a checkout of each commit and `diff` the outputs.
+(ego, coop, flipped), the transform's bytes as hex, the residual, the
+health and the refinement rounds and valid sets fitted (the trace's
+counts), or what it raised: the exception's name and message. Each
+monitor frame prints its events and the bytes of the extrinsic it holds
+afterwards. Timings (elapsed_s) are left out, so two checkouts whose
+outputs agree bit for bit print the same text: run the script in a
+checkout of each commit and `diff` the outputs.
 """
 from __future__ import annotations
 
@@ -58,11 +60,12 @@ def calibration_line(ego, coop, top_k) -> str:
     try:
         report = calibrate_scenes(ego, coop, ODistParams(), top_k)
     except CALIBRATION_FAILURES as e:
-        return f"raised {type(e).__name__}"
+        return f"raised {type(e).__name__} {e}"
     matches = " ".join(f"{m.ego_index},{m.coop_index},{int(m.coop_yaw_flipped)}" for m in report.matches)
     return (
         f"matches {matches} transform {_hex(report.transform)} rms {report.rms_residual!r} "
-        f"health {report.health_confidence!r} {report.health_mean_distance!r}"
+        f"health {report.health_confidence!r} {report.health_mean_distance!r} "
+        f"rounds {report.trace.refinement_rounds} sets {report.trace.sets_fitted}"
     )
 
 

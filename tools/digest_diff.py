@@ -7,8 +7,9 @@ Every line must match token for token, except the floats of a
 calibration's transform and rms, its health mean distance, each monitor
 event's mean distance and the extrinsic a monitor frame holds: those may
 differ by at most TOLERANCE (absolute, meters or rotation-matrix entries).
-Affinities, matches, confidences, event kinds, statuses and everything
-else must be identical. Prints the largest deviation of each kind of
+Affinities, matches, confidences, refinement rounds and sets fitted,
+what a frame raised, event kinds, statuses and everything else must be
+identical. Prints the largest deviation of each kind of
 float; exits 0 when the digests agree, 1 on any other difference (the
 first few are printed), 2 on a usage error.
 

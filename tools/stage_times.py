@@ -33,14 +33,18 @@ is not the sum of the rows above it. A last row, synthesis, times the
 making of the frames beside the calibration: workload.frame(k) over the
 same frames (the scene pair, its noise and the benchmark's ground truth),
 the fastest of the repeats, its share taken of the calibration total.
-Two last rows count what refinement did (CalibrationTrace), per
-calibrated frame: its rounds, and the valid sets it fitted. BLAS runs on
-one thread.
+Two more rows count what refinement did (CalibrationTrace), per
+calibrated frame: its rounds, and the valid sets it fitted. The last row,
+minor faults, is the process's minor page faults (getrusage's ru_minflt)
+over all the timed repeats, per frame and repeat: pages the calibrations
+touched fresh, from memory the allocator had returned to the system or
+newly mapped. BLAS runs on one thread.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -99,11 +103,19 @@ def one_repeat(frames, top_k) -> tuple[dict[str, float], dict[str, float]]:
     return stages, {name: count / max(calibrated, 1) for name, count in counts.items()}
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def stage_times(frames, top_k, repeats: int) -> tuple[dict[str, float], dict[str, float]]:
-    """Milliseconds per frame of each stage, the fastest of the repeats,
-    and the counts per calibrated frame, which every repeat repeats."""
+    """Milliseconds per frame of each stage, the fastest of the repeats;
+    the counts per calibrated frame, which every repeat repeats; and the
+    minor page faults per frame and repeat, over all the repeats."""
+    faults = minor_faults()
     runs = [one_repeat(frames, top_k) for _ in range(repeats)]
-    return {name: 1e3 * min(run[name] for run, _ in runs) / len(frames) for name in runs[0][0]}, runs[0][1]
+    faults = minor_faults() - faults
+    counts = {**runs[0][1], "minor faults": faults / (repeats * len(frames))}
+    return {name: 1e3 * min(run[name] for run, _ in runs) / len(frames) for name in runs[0][0]}, counts
 
 
 def synthesis_ms(workload, count: int, repeats: int) -> float:
@@ -145,7 +157,7 @@ def main(argv=None) -> None:
     for stage in (*STAGES, "total", "synthesis"):
         cells = [f"{t[stage]:9.3f} ms {100 * t[stage] / t['total']:5.1f} %" for _, t, _ in columns]
         print(f"{stage:<14}" + "".join(f"{cell:>28}" for cell in cells))
-    for name, _ in COUNTED:  # the number under the ms column
+    for name in (*(name for name, _ in COUNTED), "minor faults"):  # the number under the ms column
         print((f"{name:<14}" + "".join(f"{c[name]:9.3f}{'':11}".rjust(28) for *_, c in columns)).rstrip())
 
 
