@@ -2,14 +2,14 @@
 
 Estimates the rigid transform between two agents' sensor frames using
 nothing but each agent's detected boxes: candidate anchors are scored by
-whole-scene alignment consistency, the best five anchors of the
-resulting affinity matrix are refined by least-squares fits of their
-valid sets' box corners, computed in closed form, and the best refined
-valid set gives the object matches and its fit the transform and its
-health. The paper's optimal one-to-one assignment of the affinity matrix
-is solve_assignment, off the calibration path. Includes error metrics, a
-synthetic noise-robustness harness, and a runtime health/recalibration
-monitor.
+whole-scene alignment consistency, the best five nonzero anchors by
+that score are refined by least-squares fits of their valid sets' box
+corners, computed in closed form, and the best refined valid set gives
+the object matches and its fit the transform and its health. The
+paper's affinity matrix (build_affinity) and its optimal one-to-one
+assignment (solve_assignment) are off the calibration path. Includes
+error metrics, a synthetic noise-robustness harness, and a runtime
+health/recalibration monitor.
 
 Importing the package loads no scipy module: scipy serves only
 solve_assignment and the yaw-noise model, which import it on first use.

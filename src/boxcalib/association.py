@@ -425,11 +425,13 @@ def _anchor_pass(ego: _SceneArrays, coop: _SceneArrays, params: ODistParams):
         by = np.argsort((cell * n + p) * m + q)  # into (cell, p, q) order
         near.append((cell[by], p[by], q[by], c2[k[by]], da2[by]))
         start = stop
-    # The last chunk's temporaries live on to the return, below the tail's
-    # arrays. Freed first, they lower the traced peak but sit at the top of
-    # the heap, which glibc's default trim threshold returns to the system:
-    # a 32 x 32 frame then faults about 190 pages back in per pass and ran
-    # 9 % slower (BENCH_29.json).
+    # The last chunk's temporaries live on to the return. That does not
+    # keep the heap's top pages: over Dense32(501) frames 0-15, eight
+    # passes per process, a 32 x 32 call faulted 195-243 pages back in on
+    # every pass in 12 of 15 processes (0-2 from some pass on in the other
+    # 3), and a copy that freed each chunk's temporaries as the chunk ended
+    # faulted 220-236 on every pass in 12 of 12, at per-call medians in the
+    # same range.
     del u, v, order, cells, lo, count  # the grid tables, before the tail
     near = [np.concatenate(column) for column in zip(*near)]  # and the chunk list
     conf, mean, kept = _pair_up(*near, n * V * m, (n, m), params)

@@ -317,8 +317,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as e:
-        # an --out destination that cannot be created or written
-        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
+        # an --out destination that cannot be created or written, or an
+        # output stream that cannot be written (which names no file)
+        print(f"error: {e}" if e.filename is None else f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_PARSE
 
 

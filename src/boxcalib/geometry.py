@@ -33,9 +33,10 @@ _CORNER_SIGNS = np.array([
 # A reversed heading (yaw + pi) negates a box's length and width axes.
 _FLIP_AXES = np.array([-1.0, -1.0, 1.0])
 
-# Below this ratio of the second to the largest singular value the
-# cross-covariance is effectively rank-1 (collinear points) and the
-# rotation about the point axis is unobservable.
+# The rank test of both rotation fits: nearest_rotation's ratio of the
+# second to the largest singular value (below it the points are collinear
+# and the rotation about their axis is unobservable), and association._fit's
+# ratio of a set's yaw term to its Cauchy-Schwarz bound.
 RANK_RATIO_MIN = 1e-8
 
 
@@ -150,6 +151,12 @@ class Scene:
         scene = cls(tuple(boxes), agent_id, frame_id)
         scene.__dict__["_arrays"] = _SceneArrays(centers, dims, yaws)
         return scene
+
+    def _moved(self, centers, yaws) -> Scene:
+        """This scene's boxes at new centers and yaws, keeping their dims,
+        confidences and labels and the scene's agent and frame."""
+        confidences, labels = [b.confidence for b in self], [b.label for b in self]
+        return Scene.from_arrays(centers, self._arrays.dims, yaws, confidences, labels, self.agent_id, self.frame_id)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -283,13 +290,8 @@ def with_flipped_yaw(box: DetectionBox) -> DetectionBox:
 def transform_scene(t: RigidTransform, scene: Scene) -> Scene:
     """Every box of the scene mapped as transform_box maps it."""
     arrays = scene._arrays
-    return Scene.from_arrays(
-        *_transformed_boxes(t, arrays.centers, arrays.dims, arrays.yaws),
-        [b.confidence for b in scene],
-        [b.label for b in scene],
-        scene.agent_id,
-        scene.frame_id,
-    )
+    centers, _, yaws = _transformed_boxes(t, arrays.centers, arrays.dims, arrays.yaws)
+    return scene._moved(centers, yaws)
 
 
 def _transformed_boxes(t: RigidTransform, centers, dims, yaws):

@@ -94,6 +94,18 @@ def _number(value, path, where) -> float:
     return number
 
 
+def _object(doc, keys, path, section=None) -> None:
+    """Refuse doc unless it is a JSON object holding only the given keys.
+    section names where the object sits, as its errors name it: None for
+    the file's root."""
+    if not isinstance(doc, dict):
+        raise ParseError(path, "<root>" if section is None else section, "expected an object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        key = sorted(unknown)[0]
+        raise ParseError(path, key if section is None else f"{section}.{key}", "unknown key")
+
+
 def _vector(value, length, path, where) -> list[float]:
     if not isinstance(value, list) or len(value) != length:
         raise ParseError(path, where, f"expected a list of {length} numbers")
@@ -229,11 +241,7 @@ def extrinsic_to_dict(t: RigidTransform) -> dict:
 
 
 def extrinsic_from_dict(doc, path="<memory>") -> RigidTransform:
-    if not isinstance(doc, dict):
-        raise ParseError(path, "<root>", "expected an object")
-    unknown = set(doc) - {"rotation", "translation"}
-    if unknown:
-        raise ParseError(path, sorted(unknown)[0], "unknown key")
+    _object(doc, ("rotation", "translation"), path)
     R = np.array(_vector(doc.get("rotation"), 9, path, "rotation")).reshape(3, 3)
     t = np.array(_vector(doc.get("translation"), 3, path, "translation"))
     drift = float(np.linalg.norm(R.T @ R - np.eye(3)))
@@ -299,11 +307,7 @@ def state_to_dict(state: MonitorState) -> dict:
 
 
 def state_from_dict(doc, path="<memory>") -> MonitorState:
-    if not isinstance(doc, dict):
-        raise ParseError(path, "<root>", "expected an object")
-    unknown = set(doc) - {"status", "frame_count", "last_health", "extrinsic"}
-    if unknown:
-        raise ParseError(path, sorted(unknown)[0], "unknown key")
+    _object(doc, ("status", "frame_count", "last_health", "extrinsic"), path)
     try:
         status = MonitorStatus(doc.get("status"))
     except ValueError as e:
@@ -398,11 +402,7 @@ def config_from_dict(doc, path="<memory>", base: RunConfig = RunConfig()) -> Run
     """base with the settings of doc applied. doc holds any of RunConfig's
     fields; a section is an object holding any of that section's fields,
     which replace base's, so the section is checked in its final form."""
-    if not isinstance(doc, dict):
-        raise ParseError(path, "<root>", "expected an object")
-    unknown = set(doc) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ParseError(path, sorted(unknown)[0], "unknown key")
+    _object(doc, [f.name for f in fields(RunConfig)], path)
     changes = {}
     for name, section in doc.items():
         if name == "top_k":
@@ -410,13 +410,9 @@ def config_from_dict(doc, path="<memory>", base: RunConfig = RunConfig()) -> Run
                 raise ParseError(path, "top_k", "expected a positive integer or null")
             changes[name] = section
             continue
-        if not isinstance(section, dict):
-            raise ParseError(path, name, "expected an object")
         current = getattr(base, name)
         annotations = {f.name: f.type for f in fields(current)}  # strings: postponed evaluation
-        unknown = set(section) - set(annotations)
-        if unknown:
-            raise ParseError(path, f"{name}.{sorted(unknown)[0]}", "unknown key")
+        _object(section, annotations, path, name)
         values = dict(section)
         for key, value in section.items():
             where = f"{name}.{key}"

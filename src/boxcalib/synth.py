@@ -108,39 +108,25 @@ def kappa_for_circular_std(std_rad: float) -> float:
 
 
 def inject_noise(scene: Scene, noise: NoiseConfig) -> Scene:
-    """Perturb box centers and yaws; dims and confidences are untouched.
+    """Perturb box centers and yaws; dims, confidences and labels are untouched.
 
-    Zero noise on an axis skips drawing for that axis, so a (0, 0) config
-    returns a bit-identical scene. Box by box, the draws are three normals
-    for the center, then one von Mises for the yaw; with one axis on, that
-    axis's draws for all boxes are one call, which is the same stream.
+    A (0, 0) config returns the scene itself. Otherwise the draws go box by
+    box: three normals for the center when sigma_pos > 0, then one von
+    Mises for the yaw when yaw_std_deg > 0. An axis that is off draws
+    nothing, and its values are kept as they are.
     """
     if noise.sigma_pos == 0.0 and noise.yaw_std_deg == 0.0:
         return scene
     rng = np.random.default_rng(noise.seed)
-    arrays, n = scene._arrays, len(scene)
-    centers, yaws = arrays.centers, arrays.yaws
-    if noise.yaw_std_deg == 0.0:
-        centers = centers + rng.normal(0.0, noise.sigma_pos, (n, 3))
-    else:
-        kappa = kappa_for_circular_std(math.radians(noise.yaw_std_deg))
-        if noise.sigma_pos == 0.0:
-            yaws = yaws + rng.vonmises(0.0, kappa, n)
-        else:
-            shift, turn = np.empty((n, 3)), np.empty(n)
-            for i in range(n):
-                shift[i] = rng.normal(0.0, noise.sigma_pos, 3)
-                turn[i] = rng.vonmises(0.0, kappa)
-            centers, yaws = centers + shift, yaws + turn
-    return Scene.from_arrays(
-        centers,
-        arrays.dims,
-        yaws,
-        [b.confidence for b in scene],
-        [b.label for b in scene],
-        scene.agent_id,
-        scene.frame_id,
-    )
+    kappa = kappa_for_circular_std(math.radians(noise.yaw_std_deg)) if noise.yaw_std_deg > 0.0 else None
+    shifts, turns = [], []
+    for _ in range(len(scene)):
+        if noise.sigma_pos > 0.0:
+            shifts.append(rng.normal(0.0, noise.sigma_pos, 3))
+        if kappa is not None:
+            turns.append(rng.vonmises(0.0, kappa))
+    centers, yaws = scene._arrays.centers, scene._arrays.yaws
+    return scene._moved(centers + shifts if shifts else centers, yaws + turns if turns else yaws)
 
 
 def _distance_multisets_generic(centers: np.ndarray, tolerance: float) -> bool:

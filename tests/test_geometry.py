@@ -349,9 +349,11 @@ def test_flipping_twice_restores_the_yaw():
 
 
 def test_transform_scene_maps_every_box():
-    scene = make_scene([make_box((i * 10.0, 0, 0), yaw=0.1 * i) for i in range(4)], "x", 3)
+    boxes = [make_box((i * 10.0, 0, 0), yaw=0.1 * i, confidence=0.2 * i + 0.1, label=f"c{i}") for i in range(4)]
+    scene = make_scene(boxes, "x", 3)
     t = yaw_transform(0.4, (1.0, 2.0, 0.0))
     moved = transform_scene(t, scene)
     assert moved.agent_id == "x" and moved.frame_id == 3
-    for orig, new in zip(scene, moved):
+    for orig, new in zip(scene, moved, strict=True):
         np.testing.assert_allclose(new.center, t.rotation @ orig.center + t.translation)
+        assert (new.confidence, new.label) == (orig.confidence, orig.label)

@@ -4,11 +4,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
 import re
 import stat
+import sys
 
 import numpy as np
 import pytest
@@ -1286,6 +1289,26 @@ def test_unwritable_csv_out_exits_2_before_any_trial(tmp_path, capsys, monkeypat
         args = ["eval", str(eval_fixture(tmp_path, [0.0]))]
     assert cli.main(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
+class FullStream(io.StringIO):
+    """A stream every write to fails, as a write to /dev/full does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sweep"])
+def test_a_failed_write_to_stdout_exits_2_with_its_error(tmp_path, capsys, monkeypatch, command):
+    if command == "calibrate":
+        args = ["calibrate", *map(str, write_pair(tmp_path)[:2])]
+    else:
+        args = ["sweep", "--trials", "1", "--sigma", "0", "--yaw-std", "0"]
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert "None" not in err
 
 
 @pytest.mark.parametrize("command", ["monitor", "synth"])

@@ -298,8 +298,9 @@ def test_kappa_validation():
 
 
 def per_box_noise(scene, noise):
-    """inject_noise as it drew before its draws were batched: box by box,
-    three normals for the center, then one von Mises for the yaw."""
+    """inject_noise's reference, one DetectionBox at a time: box by box,
+    three normals for the center, then one von Mises for the yaw, each
+    only when its axis is on."""
     rng = np.random.default_rng(noise.seed)
     kappa = kappa_for_circular_std(math.radians(noise.yaw_std_deg)) if noise.yaw_std_deg > 0 else None
     boxes = []
@@ -312,12 +313,14 @@ def per_box_noise(scene, noise):
 
 @pytest.mark.parametrize("sigma, yaw_std", [(0.5, 0.0), (2.0, 0.0), (0.0, 1e-4), (0.0, 10.0), (0.0, 180.0), (0.3, 3.0)])
 def test_batched_draws_match_the_per_box_draws(sigma, yaw_std):
-    # one axis on draws all boxes in one call; both on keep the per-box
-    # interleaving; yaw stds from von Mises's wrapped-normal branch (a
-    # tiny std, a huge kappa) to its flattest (180 deg)
+    # pins inject_noise's one box-by-box loop to its per-box reference
+    # with one axis on and with both; yaw stds from von Mises's
+    # wrapped-normal branch (a tiny std, a huge kappa) to its flattest
+    # (180 deg); the last scene's confidences and labels must be kept
     for seed in range(20):
         ego, coop, _ = generate_scene_pair(SynthConfig(n_boxes=12, visibility=0.5, seed=seed))
-        for scene in (ego, coop, Scene(ego.boxes[::-1], "boxes")):
+        labelled = [DetectionBox(b.center, b.dims, b.yaw, 0.05 * i, f"c{i}") for i, b in enumerate(ego)]
+        for scene in (ego, coop, Scene(ego.boxes[::-1], "boxes"), Scene(labelled, "labelled", 7)):
             noise = NoiseConfig(sigma, yaw_std, seed=100 + seed)
             for a, b in zip(inject_noise(scene, noise), per_box_noise(scene, noise), strict=True):
                 assert a.center.tobytes() == b.center.tobytes() and a.dims.tobytes() == b.dims.tobytes()
